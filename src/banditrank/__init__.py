@@ -8,7 +8,7 @@ Library layout:
 - ``estimators``  SNIPS / IPS / empirical-average risk estimators, Lagrangian
 - ``training``    minibatch Adam training, lambda search, full-info baseline
 - ``simulator``   synthetic worlds with exactly computable true risk
-- ``evaluation``  MAP / MRR / P@k / NDCG@k, TREC run files, learning curves
+- ``evaluation``  MAP / MRR / P@k / NDCG@k, TREC run files
 - ``cli``         subcommand entry point composing the above
 """
 

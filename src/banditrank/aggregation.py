@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 

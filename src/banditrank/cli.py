@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from banditrank import aggregation, simulator, training
+from banditrank import aggregation, simulator
 from banditrank.data import (
     parse_bandit_log,
     read_supervised,
@@ -25,12 +25,12 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.evaluation import write_qrels, write_trec_run
-from banditrank.policy import PolicyParams, batch_probabilities, init_params
+from banditrank.evaluation import rank_metrics, write_qrels, write_trec_run
+from banditrank.policy import PolicyParams, init_params
 from banditrank.training import (
     TrainConfig,
-    evaluate_policy,
     lambda_search,
+    rank_records,
     train_crm,
     train_full_info,
     write_history,
@@ -353,26 +353,9 @@ def cmd_evaluate(args) -> int:
     if not test:
         raise CliError("test set is empty")
     ks = tuple(int(k) for k in cfg["ks"])
-    metrics = evaluate_policy(params, test, ks=ks)
-
-    by_query: dict[str, list] = {}
-    for r in test:
-        by_query.setdefault(r.query_id, []).append(r)
-    from banditrank.evaluation import RankedList
-
-    runs = []
-    for q in sorted(by_query):
-        group = by_query[q]
-        X = np.stack([r.context for r in group])
-        p1 = batch_probabilities(params, X)[:, 1]
-        order = sorted(range(len(group)), key=lambda i: (-p1[i], group[i].product_id))
-        runs.append(
-            RankedList(
-                query_id=q,
-                items=tuple((group[i].product_id, float(p1[i])) for i in order),
-            )
-        )
+    runs = rank_records(params, test)
     labels = {(r.query_id, r.product_id): r.label for r in test}
+    metrics = rank_metrics(runs, labels, ks=ks)
     outputs = dict(
         [
             _write(run_dir, "metrics.txt", lambda fh: metrics.write(fh)),

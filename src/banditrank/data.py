@@ -9,10 +9,10 @@ metadata. Supervised data is a tab-separated file with a header row:
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -241,14 +241,20 @@ class QuerySplit:
             raise ValueError("query splits must be pairwise disjoint")
 
 
-def _as_text(source: IO | str) -> IO[str]:
-    if isinstance(source, str):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
-        source, "mode", ""
-    ):
-        return io.TextIOWrapper(source, encoding="utf-8")
-    return source
+@contextmanager
+def open_text(target: IO[str] | str, mode: str = "r") -> Iterator[IO[str]]:
+    """Yield a UTF-8 text stream for a path or a caller's open text stream.
+
+    A path is opened in ``mode`` and closed on exit. A caller's stream is
+    passed through and left open; in write mode it is flushed on exit.
+    """
+    if isinstance(target, str):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+        return
+    yield target
+    if "w" in mode:
+        target.flush()
 
 
 _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "delta"}
@@ -256,118 +262,106 @@ _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "d
 
 def parse_bandit_log(source: IO | str) -> BanditLog:
     """Parse a line-delimited bandit log; reject any invalid record loudly."""
-    stream = _as_text(source)
     metadata: dict[str, str] = {}
     records: list[BanditRecord] = []
     feature_dim: int | None = None
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-        if not isinstance(obj, dict):
-            raise LogParseError("expected a JSON object", line_no)
-        if "_meta" in obj:
-            if line_no != 1:
-                raise LogParseError("metadata line only allowed first", line_no)
-            metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
-            continue
-        missing = _RECORD_KEYS - obj.keys()
-        if missing:
-            raise LogParseError(f"missing keys {sorted(missing)}", line_no)
-        try:
-            context = _check_context(obj["features"], feature_dim)
-            record = BanditRecord(
-                query_id=str(obj["query_id"]),
-                product_id=str(obj["product_id"]),
-                context=context,
-                action=obj["action"],
-                propensity=obj["propensity"],
-                delta=obj["delta"],
-            )
-        except DimensionError as exc:
-            raise LogParseError(str(exc), line_no) from exc
-        except LogValidationError as exc:
-            raise LogParseError(str(exc), line_no) from exc
-        if feature_dim is None:
-            feature_dim = context.shape[0]
-        records.append(record)
+    with open_text(source) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            if not isinstance(obj, dict):
+                raise LogParseError("expected a JSON object", line_no)
+            if "_meta" in obj:
+                if line_no != 1:
+                    raise LogParseError("metadata line only allowed first", line_no)
+                metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
+                continue
+            missing = _RECORD_KEYS - obj.keys()
+            if missing:
+                raise LogParseError(f"missing keys {sorted(missing)}", line_no)
+            try:
+                context = _check_context(obj["features"], feature_dim)
+                record = BanditRecord(
+                    query_id=str(obj["query_id"]),
+                    product_id=str(obj["product_id"]),
+                    context=context,
+                    action=obj["action"],
+                    propensity=obj["propensity"],
+                    delta=obj["delta"],
+                )
+            except DimensionError as exc:
+                raise LogParseError(str(exc), line_no) from exc
+            except LogValidationError as exc:
+                raise LogParseError(str(exc), line_no) from exc
+            if feature_dim is None:
+                feature_dim = context.shape[0]
+            records.append(record)
     return BanditLog.from_records(records, metadata=metadata)
 
 
-def write_bandit_log(log: BanditLog, sink: IO) -> int:
+def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     """Write a bandit log; numeric fields keep full precision (repr round-trip)."""
-    out = _as_text_writer(sink)
-    out.write(json.dumps({"_meta": log.metadata}) + "\n")
-    for i in range(len(log)):
-        obj = {
-            "query_id": log.query_ids[i],
-            "product_id": log.product_ids[i],
-            "features": [float(x) for x in log.contexts[i]],
-            "action": int(log.actions[i]),
-            "propensity": float(log.propensities[i]),
-            "delta": int(log.deltas[i]),
-        }
-        out.write(json.dumps(obj) + "\n")
-    out.flush()
+    with open_text(sink, "w") as out:
+        out.write(json.dumps({"_meta": log.metadata}) + "\n")
+        for i in range(len(log)):
+            obj = {
+                "query_id": log.query_ids[i],
+                "product_id": log.product_ids[i],
+                "features": [float(x) for x in log.contexts[i]],
+                "action": int(log.actions[i]),
+                "propensity": float(log.propensities[i]),
+                "delta": int(log.deltas[i]),
+            }
+            out.write(json.dumps(obj) + "\n")
     return len(log)
-
-
-def _as_text_writer(sink: IO | str) -> IO[str]:
-    if isinstance(sink, str):
-        return open(sink, "w", encoding="utf-8")
-    if isinstance(sink, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
-        sink, "mode", ""
-    ):
-        return io.TextIOWrapper(sink, encoding="utf-8")
-    return sink
 
 
 def write_supervised(records: Sequence[SupervisedRecord], sink: IO | str) -> int:
     """Write supervised records as TSV with a header row."""
-    out = _as_text_writer(sink)
     if records:
         d = records[0].context.shape[0]
     else:
         d = 0
     header = ["query_id", "product_id", "label", "nrr"] + [f"f{j}" for j in range(d)]
-    out.write("\t".join(header) + "\n")
-    for r in records:
-        row = [r.query_id, r.product_id, str(r.label), repr(float(r.nrr))]
-        row += [repr(float(x)) for x in r.context]
-        out.write("\t".join(row) + "\n")
-    out.flush()
+    with open_text(sink, "w") as out:
+        out.write("\t".join(header) + "\n")
+        for r in records:
+            row = [r.query_id, r.product_id, str(r.label), repr(float(r.nrr))]
+            row += [repr(float(x)) for x in r.context]
+            out.write("\t".join(row) + "\n")
     return len(records)
 
 
 def read_supervised(source: IO | str) -> list[SupervisedRecord]:
     """Read supervised records from the TSV format written by write_supervised."""
-    stream = _as_text(source)
-    header = stream.readline().rstrip("\n").split("\t")
-    if header[:4] != ["query_id", "product_id", "label", "nrr"]:
-        raise LogParseError(f"unexpected supervised header {header[:4]}", 1)
     records = []
-    for line_no, line in enumerate(stream, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != len(header):
-            raise LogParseError(
-                f"expected {len(header)} columns, got {len(cols)}", line_no
+    with open_text(source) as stream:
+        header = stream.readline().rstrip("\n").split("\t")
+        if header[:4] != ["query_id", "product_id", "label", "nrr"]:
+            raise LogParseError(f"unexpected supervised header {header[:4]}", 1)
+        for line_no, line in enumerate(stream, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cols = line.split("\t")
+            if len(cols) != len(header):
+                raise LogParseError(
+                    f"expected {len(header)} columns, got {len(cols)}", line_no
+                )
+            records.append(
+                SupervisedRecord(
+                    query_id=cols[0],
+                    product_id=cols[1],
+                    label=int(cols[2]),
+                    nrr=float(cols[3]),
+                    context=np.array([float(x) for x in cols[4:]]),
+                )
             )
-        records.append(
-            SupervisedRecord(
-                query_id=cols[0],
-                product_id=cols[1],
-                label=int(cols[2]),
-                nrr=float(cols[3]),
-                context=np.array([float(x) for x in cols[4:]]),
-            )
-        )
     return records
 
 

@@ -21,9 +21,8 @@ from typing import IO
 
 import numpy as np
 
-from banditrank.data import BanditLog
+from banditrank.data import BanditLog, open_text
 from banditrank.policy import PolicyParams, batch_probabilities, weighted_prob_gradient
-from banditrank.data import _as_text_writer
 
 
 @dataclass(frozen=True)
@@ -42,26 +41,20 @@ class EstimatorReport:
             raise ValueError("effective sample size must lie in (0, n]")
 
     def write(self, sink: IO | str) -> None:
-        out = _as_text_writer(sink)
-        out.write(f"estimate\t{self.estimate!r}\n")
-        out.write(f"n\t{self.n}\n")
-        out.write(f"S\t{self.mean_importance_weight!r}\n")
-        out.write(f"ESS\t{self.effective_sample_size!r}\n")
-        out.flush()
+        with open_text(sink, "w") as out:
+            out.write(f"estimate\t{self.estimate!r}\n")
+            out.write(f"n\t{self.n}\n")
+            out.write(f"S\t{self.mean_importance_weight!r}\n")
+            out.write(f"ESS\t{self.effective_sample_size!r}\n")
 
 
-def importance_weights(
-    log: BanditLog, params: PolicyParams, max_weight: float | None = None
-) -> np.ndarray:
-    """w_i = pi_w(a_i|c_i) / p_i; optional cap is a diagnostic aid only."""
+def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:
+    """w_i = pi_w(a_i|c_i) / p_i."""
     if len(log) == 0:
         raise ValueError("log must be non-empty")
     P = batch_probabilities(params, log.contexts)
     p_logged = P[np.arange(len(log)), log.actions]
-    w = p_logged / log.propensities
-    if max_weight is not None:
-        w = np.minimum(w, max_weight)
-    return w
+    return p_logged / log.propensities
 
 
 def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
@@ -73,19 +66,15 @@ def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
     )
 
 
-def snips(
-    log: BanditLog, params: PolicyParams, max_weight: float | None = None
-) -> EstimatorReport:
+def snips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     """Self-normalized estimate: sum(delta * w) / sum(w). Bounded by [0, 1]."""
-    w = importance_weights(log, params, max_weight)
+    w = importance_weights(log, params)
     return _report(np.sum(log.deltas * w) / np.sum(w), w)
 
 
-def ips(
-    log: BanditLog, params: PolicyParams, max_weight: float | None = None
-) -> EstimatorReport:
+def ips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     """Inverse-propensity estimate: mean(delta * w). Unbiased but unbounded."""
-    w = importance_weights(log, params, max_weight)
+    w = importance_weights(log, params)
     return _report(np.mean(log.deltas * w), w)
 
 
@@ -152,20 +141,3 @@ def lagrangian_gradient(
     grads = weighted_prob_gradient(params, contexts, actions, coeffs)
     return [g / m for g in grads]
 
-
-def lagrangian_gradient_records(
-    batch, params: PolicyParams, lam: float
-) -> list[np.ndarray]:
-    """Record-sequence convenience wrapper around lagrangian_gradient."""
-    batch = list(batch)
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    X = np.stack([r.context for r in batch])
-    return lagrangian_gradient(
-        X,
-        np.array([r.action for r in batch]),
-        np.array([r.propensity for r in batch]),
-        np.array([r.delta for r in batch]),
-        params,
-        lam,
-    )

@@ -8,12 +8,12 @@ NDCG averages but still count toward P@k; DCG uses exponential gain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from banditrank.data import _as_text_writer
+from banditrank.data import open_text
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,16 @@ class MetricsReport:
         raise KeyError(name)
 
     def write(self, sink: IO | str) -> None:
-        out = _as_text_writer(sink)
-        out.write(f"map\t{self.map!r}\n")
-        out.write(f"mrr\t{self.mrr!r}\n")
-        for k in sorted(self.p_at):
-            out.write(f"p@{k}\t{self.p_at[k]!r}\n")
-        for k in sorted(self.ndcg_at):
-            out.write(f"ndcg@{k}\t{self.ndcg_at[k]!r}\n")
-        out.write(f"avg_rank\t{self.avg_rank!r}\n")
-        out.write(f"avg_dcg\t{self.avg_dcg!r}\n")
-        out.write(f"n_queries\t{self.n_queries}\n")
-        out.flush()
+        with open_text(sink, "w") as out:
+            out.write(f"map\t{self.map!r}\n")
+            out.write(f"mrr\t{self.mrr!r}\n")
+            for k in sorted(self.p_at):
+                out.write(f"p@{k}\t{self.p_at[k]!r}\n")
+            for k in sorted(self.ndcg_at):
+                out.write(f"ndcg@{k}\t{self.ndcg_at[k]!r}\n")
+            out.write(f"avg_rank\t{self.avg_rank!r}\n")
+            out.write(f"avg_dcg\t{self.avg_dcg!r}\n")
+            out.write(f"n_queries\t{self.n_queries}\n")
 
 
 def _gain(grade: int) -> float:
@@ -129,76 +128,24 @@ def rank_metrics(
     )
 
 
-def average_rank_of_relevant(
-    runs: Sequence[RankedList], labels: Mapping[tuple[str, str], int]
-) -> float:
-    """Mean 1-based rank over all (query, relevant item) pairs."""
-    ranks = [
-        i + 1
-        for run in runs
-        for i, (pid, _) in enumerate(run.items)
-        if labels.get((run.query_id, pid), 0) > 0
-    ]
-    if not ranks:
-        raise ValueError("no relevant items in any run")
-    return float(np.mean(ranks))
-
-
-def average_dcg_of_relevant(
-    runs: Sequence[RankedList], labels: Mapping[tuple[str, str], int]
-) -> float:
-    """Mean full-list DCG over queries with at least one relevant item."""
-    vals = []
-    for run in runs:
-        grades = [labels.get((run.query_id, pid), 0) for pid, _ in run.items]
-        if any(g > 0 for g in grades):
-            vals.append(_dcg(grades, len(grades)))
-    if not vals:
-        raise ValueError("no relevant items in any run")
-    return float(np.mean(vals))
-
-
 def write_trec_run(runs: Sequence[RankedList], run_tag: str, sink: IO | str) -> int:
     """Emit a trec_eval-consumable run file; returns the line count."""
-    out = _as_text_writer(sink)
     n = 0
-    for run in runs:
-        if not run.items:
-            raise ValueError(f"empty ranking for query {run.query_id}")
-        for rank, (pid, score) in enumerate(run.items, start=1):
-            out.write(f"{run.query_id} Q0 {pid} {rank} {score:.6f} {run_tag}\n")
-            n += 1
-    out.flush()
+    with open_text(sink, "w") as out:
+        for run in runs:
+            if not run.items:
+                raise ValueError(f"empty ranking for query {run.query_id}")
+            for rank, (pid, score) in enumerate(run.items, start=1):
+                out.write(f"{run.query_id} Q0 {pid} {rank} {score:.6f} {run_tag}\n")
+                n += 1
     return n
 
 
 def write_qrels(labels: Mapping[tuple[str, str], int], sink: IO | str) -> int:
     """Emit graded judgments as 'query_id 0 product_id grade' lines."""
-    out = _as_text_writer(sink)
     n = 0
-    for (q, p), grade in sorted(labels.items()):
-        out.write(f"{q} 0 {p} {int(grade)}\n")
-        n += 1
-    out.flush()
+    with open_text(sink, "w") as out:
+        for (q, p), grade in sorted(labels.items()):
+            out.write(f"{q} 0 {p} {int(grade)}\n")
+            n += 1
     return n
-
-
-def learning_curve(history) -> list[tuple[int, float, float, float, float]]:
-    """Rows of (records_seen, avg_rank, avg_dcg, MAP, NDCG@10) per checkpoint."""
-    if not history.checkpoints:
-        raise ValueError("history must contain at least one checkpoint")
-    rows = []
-    for cp in history.checkpoints:
-        m = cp.dev_metrics
-        rows.append((cp.records_seen, m.avg_rank, m.avg_dcg, m.map, m.ndcg_at[10]))
-    return rows
-
-
-def write_learning_curve(history, sink: IO | str) -> int:
-    out = _as_text_writer(sink)
-    out.write("records_seen\tavg_rank\tavg_dcg\tmap\tndcg@10\n")
-    rows = learning_curve(history)
-    for row in rows:
-        out.write("\t".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
-    out.flush()
-    return len(rows)

@@ -10,24 +10,11 @@ parameter are provided for importance-weighted training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from banditrank.data import _as_text, _as_text_writer
-
-
-@dataclass(frozen=True)
-class ActionDistribution:
-    p0: float
-    p1: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p0 < 1.0 and 0.0 < self.p1 < 1.0):
-            raise ValueError(f"probabilities must be strictly inside (0,1): {self}")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1: {self}")
+from banditrank.data import open_text
 
 
 class PolicyParams:
@@ -96,7 +83,6 @@ class PolicyParams:
         )
 
     def save(self, sink: IO | str) -> None:
-        out = _as_text_writer(sink)
         obj = {
             "kind": self.kind,
             "feature_dim": self.feature_dim,
@@ -104,12 +90,13 @@ class PolicyParams:
             "arrays": [[float(x) for x in a.ravel()] for a in self.arrays],
             "shapes": [list(a.shape) for a in self.arrays],
         }
-        json.dump(obj, out)
-        out.flush()
+        with open_text(sink, "w") as out:
+            json.dump(obj, out)
 
     @classmethod
     def load(cls, source: IO | str) -> "PolicyParams":
-        obj = json.load(_as_text(source))
+        with open_text(source) as stream:
+            obj = json.load(stream)
         arrays = [
             np.array(flat, dtype=np.float64).reshape(shape)
             for flat, shape in zip(obj["arrays"], obj["shapes"])
@@ -158,33 +145,29 @@ def _forward(params: PolicyParams, X: np.ndarray):
     return H @ w2.T + b2, H
 
 
-def batch_probabilities(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
-    """Action probabilities for a batch of contexts, shape (m, 2)."""
-    X = _check_batch(params, contexts)
-    logits, _ = _forward(params, X)
+def _finite_logits(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
+    logits, _ = _forward(params, _check_batch(params, contexts))
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
+    return logits
+
+
+def batch_probabilities(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
+    """Action probabilities for a batch of contexts, shape (m, 2)."""
+    logits = _finite_logits(params, contexts)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def action_probabilities(params: PolicyParams, context: np.ndarray) -> ActionDistribution:
-    p = batch_probabilities(params, context)[0]
-    return ActionDistribution(p0=float(p[0]), p1=float(p[1]))
+def logit_margin(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
+    """Show-minus-hide logit z1 - z0 per context, shape (m,).
 
-
-def rank_products(
-    params: PolicyParams, candidates: Sequence[tuple[str, np.ndarray]]
-) -> list[tuple[str, float]]:
-    """Order candidates by show-probability, ties broken by product id."""
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    ids = [pid for pid, _ in candidates]
-    X = _check_batch(params, np.stack([np.asarray(c, dtype=np.float64) for _, c in candidates]))
-    p1 = batch_probabilities(params, X)[:, 1]
-    order = sorted(range(len(ids)), key=lambda i: (-p1[i], ids[i]))
-    return [(ids[i], float(p1[i])) for i in order]
+    p1 = sigmoid(z1 - z0), so the margin orders contexts like p1 does, but
+    it stays distinct where p1 rounds to exactly 1.0 (margins above ~37).
+    """
+    logits = _finite_logits(params, contexts)
+    return logits[:, 1] - logits[:, 0]
 
 
 def logit_backprop(
@@ -204,21 +187,6 @@ def logit_backprop(
     dH = dlogits @ w2
     dZ = dH * (1.0 - H * H)
     return [dZ.T @ X, dZ.sum(axis=0), d_w2, d_b2]
-
-
-def grad_action_prob(
-    params: PolicyParams, context: np.ndarray, action: int
-) -> list[np.ndarray]:
-    """Gradient of pi(action | context) with respect to every parameter."""
-    if action not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {action!r}")
-    X = _check_batch(params, context)
-    P = batch_probabilities(params, X)
-    # d pi(a) / d logits = pi(a) * (onehot(a) - pi)
-    onehot = np.zeros((1, 2))
-    onehot[0, action] = 1.0
-    dlogits = P[:, action : action + 1] * (onehot - P)
-    return logit_backprop(params, X, dlogits)
 
 
 def weighted_prob_gradient(

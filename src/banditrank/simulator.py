@@ -16,11 +16,12 @@ form rather than sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from banditrank.data import BanditLog, SupervisedRecord
+from banditrank.data import BanditLog, SupervisedRecord, open_text
 from banditrank.policy import PolicyParams, batch_probabilities
 
 
@@ -45,7 +46,6 @@ class SimConfig:
 @dataclass(frozen=True)
 class LoggingPolicy:
     params: PolicyParams
-    temperature: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
         contexts=contexts,
         true_relevance=relevance,
         hidden_truth=hidden,
-        logging_policy=LoggingPolicy(params=params, temperature=config.temperature),
+        logging_policy=LoggingPolicy(params=params),
     )
 
 
@@ -202,20 +202,11 @@ def save_world(world: SyntheticWorld, sink) -> None:
     Generation is deterministic, so reloading regenerates bit-identical
     contexts, relevance, and logging policy.
     """
-    import json
-    from dataclasses import asdict
-
-    from banditrank.data import _as_text_writer
-
-    out = _as_text_writer(sink)
-    json.dump({"config": asdict(world.config), "seed": world.seed}, out)
-    out.flush()
+    with open_text(sink, "w") as out:
+        json.dump({"config": asdict(world.config), "seed": world.seed}, out)
 
 
 def load_world(source) -> SyntheticWorld:
-    import json
-
-    from banditrank.data import _as_text
-
-    obj = json.load(_as_text(source))
+    with open_text(source) as stream:
+        obj = json.load(stream)
     return generate_world(SimConfig(**obj["config"]), obj["seed"])

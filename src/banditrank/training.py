@@ -10,12 +10,12 @@ returns the checkpoint that scores best on the dev set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from banditrank.data import BanditLog, SupervisedRecord
+from banditrank.data import BanditLog, SupervisedRecord, open_text
 from banditrank.estimators import (
     group_mean_losses,
     lagrangian_gradient,
@@ -27,8 +27,15 @@ from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
     logit_backprop,
+    logit_margin,
     weighted_prob_gradient,
 )
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Cutoffs of the P@k / NDCG@k metrics computed on the dev set.
+DEV_KS = (5, 10)
 
 
 @dataclass(frozen=True)
@@ -36,14 +43,10 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 5
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     lam: float = 0.5
     eval_every: int = 10_000
     dev_metric: str = "MAP"
-    dev_ks: tuple[int, ...] = (5, 10)
     max_probes: int = 10
 
     def __post_init__(self):
@@ -51,8 +54,6 @@ class TrainConfig:
             raise ValueError(f"batch_size and epochs must be >= 1: {self}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive: {self}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError(f"betas must lie in [0, 1): {self}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1]: {self}")
         if self.dev_metric not in ("MAP", "NDCG@10"):
@@ -82,7 +83,7 @@ def adam_step(
     """One bias-corrected Adam update; returns fresh params and state."""
     if len(grads) != len(params.arrays):
         raise ValueError("gradient/parameter count mismatch")
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = state.t + 1
     new_m, new_v, new_arrays = [], [], []
     for p, g, m, v in zip(params.arrays, grads, state.m, state.v):
@@ -117,37 +118,38 @@ class TrainHistory:
         )
 
 
-def evaluate_policy(
-    params: PolicyParams,
-    records: Sequence[SupervisedRecord],
-    ks: Sequence[int] = (5, 10),
-) -> MetricsReport:
-    """Rank each query's records by show-probability and score against labels."""
+def rank_records(
+    params: PolicyParams, records: Sequence[SupervisedRecord]
+) -> list[RankedList]:
+    """One ranking per query, in sorted query order.
+
+    A query's records are ordered by the policy's logit margin, best first,
+    ties broken by product id; all contexts share one forward pass.
+    """
     if not records:
-        raise ValueError("no records to evaluate")
-    by_query: dict[str, list[SupervisedRecord]] = {}
-    for r in records:
-        by_query.setdefault(r.query_id, []).append(r)
-    runs, labels = [], {}
+        raise ValueError("no records to rank")
+    scores = logit_margin(params, np.stack([r.context for r in records])).tolist()
+    by_query: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
+        by_query.setdefault(r.query_id, []).append(i)
+    runs = []
     for q in sorted(by_query):
-        group = by_query[q]
-        X = np.stack([r.context for r in group])
-        p1 = batch_probabilities(params, X)[:, 1]
-        order = sorted(
-            range(len(group)), key=lambda i: (-p1[i], group[i].product_id)
-        )
+        rows = sorted(by_query[q], key=lambda i: (-scores[i], records[i].product_id))
         runs.append(
-            RankedList(
-                query_id=q,
-                items=tuple((group[i].product_id, float(p1[i])) for i in order),
-            )
+            RankedList(q, tuple((records[i].product_id, scores[i]) for i in rows))
         )
-        for r in group:
-            labels[(q, r.product_id)] = r.label
-    return rank_metrics(runs, labels, ks=ks)
+    return runs
 
 
-GradFn = Callable[[PolicyParams, np.ndarray], list[np.ndarray]]
+def evaluate_policy(
+    params: PolicyParams, records: Sequence[SupervisedRecord]
+) -> MetricsReport:
+    """Score the rankings of ``rank_records`` against the records' labels."""
+    runs = rank_records(params, records)
+    labels = {(r.query_id, r.product_id): r.label for r in records}
+    return rank_metrics(runs, labels, ks=DEV_KS)
+
+
 ObjFn = Callable[[PolicyParams], float]
 
 
@@ -172,7 +174,7 @@ def _minibatch_train(
         checkpoints.append(
             Checkpoint(
                 records_seen=records_seen,
-                dev_metrics=evaluate_policy(params, dev, ks=config.dev_ks),
+                dev_metrics=evaluate_policy(params, dev),
                 S=s_fn(params),
                 objective=objective_fn(params),
                 params=params,
@@ -307,23 +309,20 @@ def train_full_info(
 
 def write_history(history: TrainHistory, sink) -> int:
     """Export the checkpoint series as TSV."""
-    from banditrank.data import _as_text_writer
-
-    out = _as_text_writer(sink)
-    out.write("records_seen\tobjective\tS\tmap\tndcg@10\tavg_rank\tavg_dcg\n")
-    for cp in history.checkpoints:
-        m = cp.dev_metrics
-        row = [
-            str(cp.records_seen),
-            repr(cp.objective),
-            repr(cp.S),
-            repr(m.map),
-            repr(m.ndcg_at.get(10, float("nan"))),
-            repr(m.avg_rank),
-            repr(m.avg_dcg),
-        ]
-        out.write("\t".join(row) + "\n")
-    out.flush()
+    with open_text(sink, "w") as out:
+        out.write("records_seen\tobjective\tS\tmap\tndcg@10\tavg_rank\tavg_dcg\n")
+        for cp in history.checkpoints:
+            m = cp.dev_metrics
+            row = [
+                str(cp.records_seen),
+                repr(cp.objective),
+                repr(cp.S),
+                repr(m.map),
+                repr(m.ndcg_at[10]),
+                repr(m.avg_rank),
+                repr(m.avg_dcg),
+            ]
+            out.write("\t".join(row) + "\n")
     return len(history.checkpoints)
 
 
@@ -332,7 +331,7 @@ class LambdaProbe:
     lam: float
     S: float
     dev_metric: float
-    metrics: MetricsReport | None = None
+    metrics: MetricsReport
 
 
 def next_lambda(lam: float, S: float) -> float:
@@ -382,7 +381,7 @@ def lambda_search(
         full_cfg = replace(config, lam=lam_j)
         params_j, history_j = train_crm(train_log, dev, params0, full_cfg)
         S_j = snips_denominator(train_log, params_j)
-        metrics_j = evaluate_policy(params_j, dev, ks=tuple(sorted(set(config.dev_ks) | {5, 10})))
+        metrics_j = evaluate_policy(params_j, dev)
         score_j = metrics_j.metric(config.dev_metric)
         sweep.append(
             LambdaProbe(lam=lam_j, S=S_j, dev_metric=score_j, metrics=metrics_j)

@@ -16,7 +16,7 @@ from banditrank.data import BanditLog, split_queries
 from banditrank.estimators import (
     empirical_average,
     ips,
-    lagrangian_gradient_records,
+    lagrangian_gradient,
     lagrangian_risk,
     snips,
     snips_denominator,
@@ -24,8 +24,8 @@ from banditrank.estimators import (
 from banditrank.evaluation import RankedList, rank_metrics
 from banditrank.policy import (
     batch_probabilities,
-    grad_action_prob,
     init_params,
+    weighted_prob_gradient,
 )
 from banditrank.simulator import (
     SimConfig,
@@ -140,12 +140,14 @@ def test_criterion_4_gradient_correctness():
                 finite_difference_gradient(risk_of, params.flatten().tolist(), 1e-5)
             )
             analytic = np.concatenate(
-                [g.ravel() for g in lagrangian_gradient_records(records, params, lam)]
+                [g.ravel() for g in lagrangian_gradient(
+                    log.contexts, log.actions, log.propensities, log.deltas, params, lam
+                )]
             )
             checked += 1
             if not np.allclose(analytic, numeric, rtol=1e-4, atol=1e-8):
                 failures += 1
-            # grad_action_prob against finite differences of the probability
+            # gradient of pi(action | x) against finite differences of the probability
             x = rng.standard_normal(3)
             action = int(rng.integers(0, 2))
 
@@ -157,7 +159,7 @@ def test_criterion_4_gradient_correctness():
                 finite_difference_gradient(p_of, params.flatten().tolist(), 1e-5)
             )
             analytic_p = np.concatenate(
-                [g.ravel() for g in grad_action_prob(params, x, action)]
+                [g.ravel() for g in weighted_prob_gradient(params, x[None], [action], [1.0])]
             )
             if not np.allclose(analytic_p, numeric_p, rtol=1e-4, atol=1e-8):
                 failures += 1

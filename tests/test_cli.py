@@ -34,9 +34,9 @@ class TestSimulate:
         names = set(os.listdir(sim_run))
         assert {"world.json", "log.jsonl", "dev.tsv", "test.tsv", "qrels.txt",
                 "config.json", "manifest.json"} <= names
-        manifest = json.load(open(sim_run / "manifest.json"))
+        manifest = json.loads((sim_run / "manifest.json").read_text())
         assert "log.jsonl" in manifest
-        resolved = json.load(open(sim_run / "config.json"))
+        resolved = json.loads((sim_run / "config.json").read_text())
         assert resolved["seed"] == 5
         assert resolved["split_ratios"] == [0.6, 0.2, 0.2]
 
@@ -114,7 +114,7 @@ class TestTrainAndEvaluate:
         assert rc == 0
         sweep = (out / "sweep.tsv").read_text().splitlines()
         assert sweep[0] == "lambda\tS\tmap\tndcg@5"
-        lam = json.load(open(out / "lambda.json"))["lambda"]
+        lam = json.loads((out / "lambda.json").read_text())["lambda"]
         assert 0.0 <= lam <= 1.0
 
     def test_missing_input_is_io_error(self, tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
+from banditrank.estimators import snips
+from banditrank.evaluation import write_qrels, write_trec_run
+from banditrank.policy import PolicyParams, init_params
+from banditrank.simulator import SimConfig, generate_world, load_world, save_world
+from banditrank.training import TrainConfig, rank_records, train_crm, write_history
+from conftest import random_log
 
 
 def record_line(qid="q1", pid="p1", features=(0.5, -1.0), action=1, propensity=0.8, delta=0):
@@ -137,10 +145,48 @@ class TestSupervisedFile:
         assert write_supervised(records, buf) == 3
         buf.seek(0)
         assert read_supervised(buf) == records
+        assert not buf.closed  # a caller's stream is left open
 
     def test_label_nrr_consistency_enforced(self):
         with pytest.raises(LogValidationError):
             SupervisedRecord("q", "p", np.array([1.0]), 3, 0.5)
+
+
+class TestFileHandles:
+    def test_path_round_trips_close_their_files(self, tmp_path):
+        log = random_log(30, 3, seed=0)
+        params = init_params("linear", 3, seed=1)
+        dev = [
+            SupervisedRecord(q, p, log.contexts[i], 4 if i % 3 == 0 else 0,
+                             1.0 if i % 3 == 0 else 0.0)
+            for i, (q, p) in enumerate(dict.fromkeys(zip(log.query_ids, log.product_ids)))
+        ]
+        world = generate_world(SimConfig(2, 3, 2), seed=2)
+        _, history = train_crm(log, dev, params, TrainConfig(epochs=1, eval_every=10))
+        labels = {(r.query_id, r.product_id): r.label for r in dev}
+
+        def path(name):
+            return str(tmp_path / name)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            write_bandit_log(log, path("log.jsonl"))
+            assert parse_bandit_log(path("log.jsonl")) == log
+            write_supervised(dev, path("dev.tsv"))
+            assert read_supervised(path("dev.tsv")) == dev
+            params.save(path("model.json"))
+            assert PolicyParams.load(path("model.json")) == params
+            save_world(world, path("world.json"))
+            assert load_world(path("world.json")).seed == 2
+            write_history(history, path("history.tsv"))
+            history.checkpoints[-1].dev_metrics.write(path("metrics.txt"))
+            snips(log, params).write(path("snips.txt"))
+            write_trec_run(rank_records(params, dev), "t", path("run.txt"))
+            write_qrels(labels, path("qrels.txt"))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        for name in ("history.tsv", "metrics.txt", "snips.txt", "run.txt", "qrels.txt"):
+            assert (tmp_path / name).read_text().endswith("\n")
 
 
 class TestSplitQueries:

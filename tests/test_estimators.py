@@ -8,7 +8,7 @@ from banditrank.estimators import (
     empirical_average,
     importance_weights,
     ips,
-    lagrangian_gradient_records,
+    lagrangian_gradient,
     lagrangian_risk,
     snips,
     snips_denominator,
@@ -188,12 +188,20 @@ class TestInvariants:
             snips(empty, init_params("linear", 1, seed=0))
 
 
+def log_gradient(log, params, lam, rows=slice(None)):
+    """lagrangian_gradient over the records ``rows`` of a log."""
+    return lagrangian_gradient(
+        log.contexts[rows], log.actions[rows], log.propensities[rows],
+        log.deltas[rows], params, lam,
+    )
+
+
 class TestLagrangianGradient:
     def test_zero_coefficient(self):
         log = random_log(1, 2, seed=20)
         params = init_params("linear", 2, seed=21)
         lam = float(log.deltas[0])
-        grads = lagrangian_gradient_records(list(log), params, lam)
+        grads = log_gradient(log, params, lam)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -212,16 +220,15 @@ class TestLagrangianGradient:
             finite_difference_gradient(risk_of, params.flatten().tolist(), h=1e-5)
         )
         analytic = np.concatenate(
-            [g.ravel() for g in lagrangian_gradient_records(records, params, lam)]
+            [g.ravel() for g in log_gradient(log, params, lam)]
         )
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
 
     def test_batch_gradient_is_mean_of_per_record(self):
         log = random_log(6, 2, seed=30)
         params = init_params("linear", 2, seed=31)
-        records = list(log)
-        batch = lagrangian_gradient_records(records, params, 0.2)
-        per_record = [lagrangian_gradient_records([r], params, 0.2) for r in records]
+        batch = log_gradient(log, params, 0.2)
+        per_record = [log_gradient(log, params, 0.2, slice(i, i + 1)) for i in range(len(log))]
         for i, g in enumerate(batch):
             mean = np.mean([p[i] for p in per_record], axis=0)
             np.testing.assert_allclose(g, mean, rtol=1e-12)

@@ -6,8 +6,6 @@ import pytest
 
 from banditrank.evaluation import (
     RankedList,
-    average_dcg_of_relevant,
-    average_rank_of_relevant,
     rank_metrics,
     write_qrels,
     write_trec_run,
@@ -93,41 +91,49 @@ class TestRankMetrics:
             rank_metrics([], {}, ks=[5])
 
 
+def avg_rank(runs, labels):
+    return rank_metrics(runs, labels).avg_rank
+
+
+def avg_dcg(runs, labels):
+    return rank_metrics(runs, labels).avg_dcg
+
+
 class TestAverages:
     def test_rank_best_case(self):
         run, labels = make_run("q", [1, 0])
-        assert average_rank_of_relevant([run], labels) == 1.0
+        assert avg_rank([run], labels) == 1.0
 
     def test_rank_mean_over_items(self):
         r1, l1 = make_run("q1", [0, 1, 0, 0])
         r2, l2 = make_run("q2", [0, 0, 0, 1])
-        assert average_rank_of_relevant([r1, r2], {**l1, **l2}) == 3.0
+        assert avg_rank([r1, r2], {**l1, **l2}) == 3.0
 
     def test_rank_reversal_identity(self):
         grades = [0, 0, 1, 0, 0, 0]
         run, labels = make_run("q", grades)
         rev, rev_labels = make_run("q", grades[::-1])
         L = len(grades)
-        r = average_rank_of_relevant([run], labels)
-        assert average_rank_of_relevant([rev], rev_labels) == L + 1 - r
+        r = avg_rank([run], labels)
+        assert avg_rank([rev], rev_labels) == L + 1 - r
 
     def test_dcg_single_item(self):
         run, labels = make_run("q", [1])
-        assert average_dcg_of_relevant([run], labels) == 1.0
+        assert avg_dcg([run], labels) == 1.0
 
     def test_dcg_rank_three(self):
         run, labels = make_run("q", [0, 0, 1])
-        assert average_dcg_of_relevant([run], labels) == pytest.approx(0.5)
+        assert avg_dcg([run], labels) == pytest.approx(0.5)
 
     def test_dcg_improves_with_rank(self):
         worse, wl = make_run("q", [0, 0, 1])
         better, bl = make_run("q", [0, 1, 0])
-        assert average_dcg_of_relevant([better], bl) > average_dcg_of_relevant([worse], wl)
+        assert avg_dcg([better], bl) > avg_dcg([worse], wl)
 
     def test_no_relevant_error(self):
         run, labels = make_run("q", [0, 0])
         with pytest.raises(ValueError):
-            average_rank_of_relevant([run], labels)
+            avg_rank([run], labels)
 
 
 class TestTrecRun:

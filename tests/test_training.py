@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from banditrank.data import SupervisedRecord
-from banditrank.estimators import lagrangian_gradient_records, lagrangian_risk
+from banditrank.estimators import lagrangian_gradient, lagrangian_risk
 from banditrank.policy import init_params
 from banditrank.simulator import SimConfig, generate_world, simulate_log, true_risk, world_supervised
 from banditrank.training import (
@@ -85,8 +85,10 @@ class TestTrainCrm:
         # exactly one optimizer step: result equals a hand-rolled single update
         rng = np.random.default_rng(config.seed)
         order = rng.permutation(10)
-        batch = [log[i] for i in order]
-        g = lagrangian_gradient_records(batch, p0, config.lam)
+        g = lagrangian_gradient(
+            log.contexts[order], log.actions[order], log.propensities[order],
+            log.deltas[order], p0, config.lam,
+        )
         expected, _ = adam_step(p0, g, AdamState.zeros_like(p0), config)
         assert history.checkpoints[-1].params == expected
 
