@@ -223,8 +223,7 @@ def cmd_aggregate(args) -> int:
 
 def _load_log_and_dev(cfg: dict):
     try:
-        with open(cfg["log"], "r", encoding="utf-8") as fh:
-            log = parse_bandit_log(fh)
+        log = parse_bandit_log(cfg["log"])
         dev = read_supervised(cfg["dev"])
     except OSError as exc:
         raise CliError(f"cannot read inputs: {exc}", 2) from exc

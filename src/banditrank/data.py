@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -24,7 +25,11 @@ MIN_PROPENSITY = 1e-9
 
 
 class LogValidationError(ValueError):
-    """A record violates the bandit-log invariants."""
+    """A record violates the bandit-log invariants; ``row`` is the first offending row, if any."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"row {row}: {message}")
+        self.message, self.row = message, row
 
 
 class LogParseError(LogValidationError):
@@ -35,26 +40,49 @@ class LogParseError(LogValidationError):
         self.line_no = line_no
 
 
-class DimensionError(LogValidationError):
-    """Feature vector length disagrees with the declared dimension."""
-
-
-def _check_context(values, feature_dim: int | None = None) -> np.ndarray:
+def _check_context(values) -> np.ndarray:
     ctx = np.asarray(values, dtype=np.float64)
     if ctx.ndim != 1:
         raise LogValidationError(f"context must be a flat vector, got shape {ctx.shape}")
     if not np.all(np.isfinite(ctx)):
         raise LogValidationError("context contains non-finite values")
-    if feature_dim is not None and ctx.shape[0] != feature_dim:
-        raise DimensionError(
-            f"context has length {ctx.shape[0]}, expected {feature_dim}"
-        )
     return ctx
 
 
-@dataclass(frozen=True)
+_REAL_KINDS = "biuf"  # numpy dtype kinds of bool, signed int, unsigned int and float
+
+
+def _column(values, ndim: int, ok, dtype, name: str, rule: str) -> np.ndarray | LogValidationError:
+    """``values`` as a ``dtype`` array of rows (numbers, or flat vectors if a row has
+    ``ndim`` 1) whose every element passes ``ok``, or the error naming the first row
+    that breaks ``rule``. Rows are judged one by one if the column is not a real array."""
+    try:
+        col = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        col = None
+    if col is not None and col.ndim == 1 + ndim and col.dtype.kind in _REAL_KINDS:
+        good = ok(col)
+        if good.all():
+            return col.astype(dtype, copy=False)
+        row = int(np.argwhere(~good)[0, 0])
+        return LogValidationError(f"{name} {rule}, got {col[row].tolist()!r}", row)
+    for row, value in enumerate(values):
+        try:
+            item = np.asarray(value)
+        except ValueError:  # a ragged nested list
+            break
+        shape = item.shape if row == 0 else shape
+        if (item.ndim != ndim or item.shape != shape
+                or item.dtype.kind not in _REAL_KINDS or not ok(item).all()):
+            break
+    else:  # every row passes alone, so the column's shape or type is at fault
+        raise LogValidationError(f"{name} column is not a real array of {1 + ndim} dimensions")
+    return LogValidationError(f"{name} {rule}, got {value!r}", row)
+
+
+@dataclass(frozen=True, eq=False)
 class BanditRecord:
-    """One logged interaction: context, logged action, its propensity, binary loss."""
+    """A row of a validated ``BanditLog``: context, logged action, its propensity, binary loss."""
 
     query_id: str
     product_id: str
@@ -63,36 +91,14 @@ class BanditRecord:
     propensity: float
     delta: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", _check_context(self.context))
-        if self.action not in (0, 1):
-            raise LogValidationError(f"action must be 0 or 1, got {self.action!r}")
-        if self.delta not in (0, 1):
-            raise LogValidationError(f"delta must be 0 or 1, got {self.delta!r}")
-        if not (MIN_PROPENSITY <= self.propensity <= 1.0):
-            raise LogValidationError(
-                f"propensity must lie in [{MIN_PROPENSITY}, 1], got {self.propensity!r}"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BanditRecord):
-            return NotImplemented
-        return (
-            self.query_id == other.query_id
-            and self.product_id == other.product_id
-            and self.action == other.action
-            and self.delta == other.delta
-            and self.propensity == other.propensity
-            and np.array_equal(self.context, other.context)
-        )
-
 
 class BanditLog:
     """An immutable collection of bandit records, stored column-wise.
 
     Columns (``contexts``, ``actions``, ``propensities``, ``deltas``) are
     numpy arrays so the estimators and trainers can work on whole logs
-    without per-record Python overhead.
+    without per-record Python overhead. The constructor is the one check of
+    the record invariants; a failure names the first offending row.
     """
 
     def __init__(
@@ -106,32 +112,25 @@ class BanditLog:
         metadata: dict[str, str] | None = None,
     ):
         n = len(query_ids)
-        contexts = np.asarray(contexts, dtype=np.float64)
-        if contexts.ndim != 2 or contexts.shape[0] != n:
-            raise LogValidationError(
-                f"contexts must be ({n}, d), got shape {contexts.shape}"
-            )
-        actions = np.asarray(actions, dtype=np.int64)
-        propensities = np.asarray(propensities, dtype=np.float64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        for name, col in (("product_ids", product_ids), ("actions", actions),
-                          ("propensities", propensities), ("deltas", deltas)):
+        for name, col in (("product_ids", product_ids), ("contexts", contexts),
+                          ("actions", actions), ("propensities", propensities), ("deltas", deltas)):
             if len(col) != n:
                 raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
-        if not np.all(np.isfinite(contexts)):
-            raise LogValidationError("contexts contain non-finite values")
-        if not np.all((actions == 0) | (actions == 1)):
-            raise LogValidationError("actions must be 0 or 1")
-        if not np.all((deltas == 0) | (deltas == 1)):
-            raise LogValidationError("deltas must be 0 or 1")
-        if n and not np.all((propensities >= MIN_PROPENSITY) & (propensities <= 1.0)):
-            raise LogValidationError("propensities must lie in (0, 1]")
+        columns = [
+            _column(contexts, 1, np.isfinite, np.float64, "context",
+                    "must be a flat list of finite numbers as long as the first"),
+            _column(actions, 0, lambda x: (x == 0) | (x == 1), np.int64,
+                    "action", "must be 0 or 1"),
+            _column(propensities, 0, lambda x: (x >= MIN_PROPENSITY) & (x <= 1.0), np.float64,
+                    "propensity", f"must be a number in [{MIN_PROPENSITY}, 1]"),
+            _column(deltas, 0, lambda x: (x == 0) | (x == 1), np.int64, "delta", "must be 0 or 1"),
+        ]
+        failures = [col for col in columns if isinstance(col, LogValidationError)]
+        if failures:
+            raise min(failures, key=lambda exc: exc.row)
         self.query_ids = list(query_ids)
         self.product_ids = list(product_ids)
-        self.contexts = contexts
-        self.actions = actions
-        self.propensities = propensities
-        self.deltas = deltas
+        self.contexts, self.actions, self.propensities, self.deltas = columns
         self.metadata = dict(metadata or {})
         for arr in (self.contexts, self.actions, self.propensities, self.deltas):
             arr.setflags(write=False)
@@ -139,31 +138,6 @@ class BanditLog:
     @property
     def feature_dim(self) -> int:
         return self.contexts.shape[1]
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[BanditRecord], metadata: dict[str, str] | None = None
-    ) -> "BanditLog":
-        records = list(records)
-        if records:
-            d = records[0].context.shape[0]
-            for i, r in enumerate(records):
-                if r.context.shape[0] != d:
-                    raise DimensionError(
-                        f"record {i} has feature length {r.context.shape[0]}, expected {d}"
-                    )
-            contexts = np.stack([r.context for r in records])
-        else:
-            contexts = np.zeros((0, 0))
-        return cls(
-            query_ids=[r.query_id for r in records],
-            product_ids=[r.product_id for r in records],
-            contexts=contexts,
-            actions=np.array([r.action for r in records], dtype=np.int64),
-            propensities=np.array([r.propensity for r in records], dtype=np.float64),
-            deltas=np.array([r.delta for r in records], dtype=np.int64),
-            metadata=metadata,
-        )
 
     def __len__(self) -> int:
         return len(self.query_ids)
@@ -261,10 +235,12 @@ _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "d
 
 
 def parse_bandit_log(source: IO | str) -> BanditLog:
-    """Parse a line-delimited bandit log; reject any invalid record loudly."""
+    """Parse a line-delimited bandit log straight into columns; a row that
+    ``BanditLog`` rejects is reported by its line number."""
     metadata: dict[str, str] = {}
-    records: list[BanditRecord] = []
-    feature_dim: int | None = None
+    query_ids, product_ids, actions, propensities, deltas, line_nos = [], [], [], [], [], []
+    # Features go to one flat buffer, so the floats of a parsed line die with the line.
+    flat, width, contexts = array("d"), None, None
     with open_text(source) as stream:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
@@ -279,43 +255,55 @@ def parse_bandit_log(source: IO | str) -> BanditLog:
             if "_meta" in obj:
                 if line_no != 1:
                     raise LogParseError("metadata line only allowed first", line_no)
+                if not isinstance(obj["_meta"], dict):
+                    raise LogParseError("_meta must be a JSON object", line_no)
                 metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
                 continue
             missing = _RECORD_KEYS - obj.keys()
             if missing:
                 raise LogParseError(f"missing keys {sorted(missing)}", line_no)
+            query_ids.append(str(obj["query_id"]))
+            product_ids.append(str(obj["product_id"]))
+            actions.append(obj["action"])
+            propensities.append(obj["propensity"])
+            deltas.append(obj["delta"])
+            line_nos.append(line_no)
+            features = obj["features"]
+            if width is None:
+                width = len(features) if isinstance(features, list) else 0
+            start = len(flat)
             try:
-                context = _check_context(obj["features"], feature_dim)
-                record = BanditRecord(
-                    query_id=str(obj["query_id"]),
-                    product_id=str(obj["product_id"]),
-                    context=context,
-                    action=obj["action"],
-                    propensity=obj["propensity"],
-                    delta=obj["delta"],
-                )
-            except DimensionError as exc:
-                raise LogParseError(str(exc), line_no) from exc
-            except LogValidationError as exc:
-                raise LogParseError(str(exc), line_no) from exc
-            if feature_dim is None:
-                feature_dim = context.shape[0]
-            records.append(record)
-    return BanditLog.from_records(records, metadata=metadata)
+                if isinstance(features, list) and len(features) == width:
+                    flat.extend(features)
+                    continue
+            except (TypeError, OverflowError):
+                del flat[start:]
+            # The flat buffer cannot hold this row, so the log is invalid here
+            # or earlier: BanditLog names the first bad row.
+            contexts = [*np.frombuffer(flat).reshape(len(line_nos) - 1, width), features]
+            break
+    if contexts is None:
+        contexts = np.frombuffer(flat).reshape(len(line_nos), width or 0)
+    try:
+        return BanditLog(query_ids, product_ids, contexts, actions, propensities, deltas, metadata)
+    except LogValidationError as exc:
+        raise LogParseError(exc.message, line_nos[exc.row]) from exc
 
 
 def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     """Write a bandit log; numeric fields keep full precision (repr round-trip)."""
+    rows = zip(log.query_ids, log.product_ids, log.actions.tolist(),
+               log.propensities.tolist(), log.deltas.tolist())
     with open_text(sink, "w") as out:
         out.write(json.dumps({"_meta": log.metadata}) + "\n")
-        for i in range(len(log)):
+        for i, (query_id, product_id, action, propensity, delta) in enumerate(rows):
             obj = {
-                "query_id": log.query_ids[i],
-                "product_id": log.product_ids[i],
-                "features": [float(x) for x in log.contexts[i]],
-                "action": int(log.actions[i]),
-                "propensity": float(log.propensities[i]),
-                "delta": int(log.deltas[i]),
+                "query_id": query_id,
+                "product_id": product_id,
+                "features": log.contexts[i].tolist(),
+                "action": action,
+                "propensity": propensity,
+                "delta": delta,
             }
             out.write(json.dumps(obj) + "\n")
     return len(log)
@@ -353,15 +341,17 @@ def read_supervised(source: IO | str) -> list[SupervisedRecord]:
                 raise LogParseError(
                     f"expected {len(header)} columns, got {len(cols)}", line_no
                 )
-            records.append(
-                SupervisedRecord(
+            try:
+                record = SupervisedRecord(
                     query_id=cols[0],
                     product_id=cols[1],
                     label=int(cols[2]),
                     nrr=float(cols[3]),
                     context=np.array([float(x) for x in cols[4:]]),
                 )
-            )
+            except ValueError as exc:
+                raise LogParseError(str(exc), line_no) from exc
+            records.append(record)
     return records
 
 

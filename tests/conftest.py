@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from banditrank.data import BanditLog
-from banditrank.policy import PolicyParams, init_params
+from banditrank.policy import PolicyParams
 
 
 def random_log(n, d, seed, n_queries=5, n_products=4):

@@ -5,7 +5,6 @@ pass/fail lines.
 """
 
 import dataclasses
-import math
 from pathlib import Path
 
 import numpy as np

@@ -117,6 +117,19 @@ class TestTrainAndEvaluate:
         lam = json.loads((out / "lambda.json").read_text())["lambda"]
         assert 0.0 <= lam <= 1.0
 
+    def test_bad_log_value_names_its_line(self, sim_run, tmp_path, capsys):
+        meta, first, *rest = (sim_run / "log.jsonl").read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([meta, json.dumps({**json.loads(first), "propensity": "0.8"}), *rest]))
+        rc = run([
+            "train-crm", "--log", str(bad), "--dev", str(sim_run / "dev.tsv"),
+            "--out", str(tmp_path / "m"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "line 2" in err
+        assert "Traceback" not in err
+
     def test_missing_input_is_io_error(self, tmp_path):
         rc = run([
             "train-crm", "--log", str(tmp_path / "absent.jsonl"),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from banditrank.data import (
     BanditLog,
-    BanditRecord,
     LogParseError,
     LogValidationError,
     SupervisedRecord,
@@ -78,6 +77,69 @@ class TestParse:
         with pytest.raises(LogParseError):
             parse_bandit_log(io.StringIO(record_line(action=2)))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("action", 0.5), ("action", "1"), ("action", 2),
+            ("delta", 2),
+            ("propensity", 0), ("propensity", 1e-12), ("propensity", 1.5),
+            ("propensity", "0.8"), ("propensity", None),
+            ("features", [float("nan"), -1.0]), ("features", [0.5, "ab"]), ("features", "ab"),
+            ("features", 5), ("features", None), ("features", [[1, 2]]),
+            ("features", [0.5, -1.0, 2.0]), ("features", ["1", "2"]),
+        ],
+    )
+    def test_bad_value_reports_its_line(self, key, value):
+        bad = json.dumps({**json.loads(record_line(qid="q2")), key: value})
+        src = "\n".join(['{"_meta": {"source": "unit"}}', record_line(), bad])
+        with pytest.raises(LogParseError, match="line 3"):
+            parse_bandit_log(io.StringIO(src))
+
+    @pytest.mark.parametrize("first, second", [("propensity", "features"), ("delta", "action")])
+    def test_first_bad_line_is_reported(self, first, second):
+        bad = {"propensity": "0.8", "features": "ab", "delta": 2, "action": 0.5}
+        lines = [record_line()] + [
+            json.dumps({**json.loads(record_line()), key: bad[key]}) for key in (first, second)
+        ]
+        with pytest.raises(LogParseError, match="line 2"):
+            parse_bandit_log(io.StringIO("\n".join(lines)))
+
+    def test_meta_must_be_an_object(self):
+        with pytest.raises(LogParseError, match="line 1"):
+            parse_bandit_log(io.StringIO('{"_meta": 5}\n' + record_line()))
+
+    @pytest.mark.parametrize(
+        "key, value, column, expected",
+        [
+            ("action", True, "actions", 1), ("action", 1.0, "actions", 1),
+            ("delta", 0.0, "deltas", 0), ("propensity", True, "propensities", 1.0),
+            ("query_id", 7, "query_ids", "7"),
+        ],
+    )
+    def test_still_accepted(self, key, value, column, expected):
+        src = record_line() + "\n" + json.dumps({**json.loads(record_line()), key: value})
+        assert getattr(parse_bandit_log(io.StringIO(src)), column)[1] == expected
+
+    def test_meta_only_is_an_empty_log(self):
+        log = parse_bandit_log(io.StringIO('{"_meta": {"source": "unit"}}\n'))
+        assert len(log) == 0
+        assert log.contexts.shape == (0, 0)
+        assert log.metadata == {"source": "unit"}
+
+
+class TestBanditLogColumns:
+    @pytest.mark.parametrize(
+        "column, values",
+        [("actions", [0, 0.5]), ("deltas", [1, 0.7]), ("actions", [1, "1"]),
+         ("propensities", [0.5, None]), ("contexts", [[1.0], [float("inf")]])],
+    )
+    def test_bad_value_names_its_row(self, column, values):
+        columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
+                   "contexts": np.zeros((2, 1)), "actions": [1, 0],
+                   "propensities": [0.5, 0.5], "deltas": [0, 1]}
+        with pytest.raises(LogValidationError, match="row 1"):
+            BanditLog(**{**columns, column: values})
+
 
 class TestRoundTrip:
     def roundtrip(self, log):
@@ -87,27 +149,22 @@ class TestRoundTrip:
         return n, parse_bandit_log(buf)
 
     def test_empty_log(self):
-        log = BanditLog.from_records([], metadata={"source": "t"})
+        log = BanditLog([], [], np.zeros((0, 0)), [], [], [], metadata={"source": "t"})
         buf = io.StringIO()
         assert write_bandit_log(log, buf) == 0
         assert "_meta" in buf.getvalue().splitlines()[0]
 
     def test_two_records(self):
-        log = BanditLog.from_records(
-            [
-                BanditRecord("q1", "p1", np.array([0.1, 0.2]), 1, 0.8, 0),
-                BanditRecord("q1", "p2", np.array([-0.3, 1.5]), 0, 0.25, 1),
-            ],
-            metadata={"source": "t"},
+        log = BanditLog(
+            ["q1", "q1"], ["p1", "p2"], np.array([[0.1, 0.2], [-0.3, 1.5]]),
+            [1, 0], [0.8, 0.25], [0, 1], metadata={"source": "t"},
         )
         n, back = self.roundtrip(log)
         assert n == 2
         assert back == log
 
     def test_tiny_propensity_survives(self):
-        log = BanditLog.from_records(
-            [BanditRecord("q", "p", np.array([1.0]), 1, 1e-9, 1)]
-        )
+        log = BanditLog(["q"], ["p"], np.array([[1.0]]), [1], [1e-9], [1])
         _, back = self.roundtrip(log)
         assert back.propensities[0] == 1e-9
 
@@ -125,11 +182,11 @@ class TestRoundTrip:
         )
     )
     def test_roundtrip_property(self, rows):
-        records = [
-            BanditRecord(f"q{i}", f"p{i}", np.array([x]), a, p, d)
-            for i, (x, a, p, d) in enumerate(rows)
-        ]
-        log = BanditLog.from_records(records)
+        xs, actions, propensities, deltas = zip(*rows)
+        log = BanditLog(
+            [f"q{i}" for i in range(len(rows))], [f"p{i}" for i in range(len(rows))],
+            np.array(xs)[:, None], actions, propensities, deltas,
+        )
         _, back = self.roundtrip(log)
         assert back == log
 
@@ -146,6 +203,14 @@ class TestSupervisedFile:
         buf.seek(0)
         assert read_supervised(buf) == records
         assert not buf.closed  # a caller's stream is left open
+
+    @pytest.mark.parametrize(
+        "row", ["q2\tp1\tx\t0.5\t1.0", "q2\tp1\t2\t0.5\tab", "q2\tp1\t3\t0.5\t1.0"]
+    )
+    def test_bad_row_reports_its_line(self, row):
+        src = "query_id\tproduct_id\tlabel\tnrr\tf0\nq1\tp1\t4\t1.0\t0.5\n" + row + "\n"
+        with pytest.raises(LogParseError, match="line 3"):
+            read_supervised(io.StringIO(src))
 
     def test_label_nrr_consistency_enforced(self):
         with pytest.raises(LogValidationError):

@@ -13,7 +13,7 @@ from banditrank.estimators import (
     snips,
     snips_denominator,
 )
-from banditrank.policy import PolicyParams, batch_probabilities, init_params
+from banditrank.policy import batch_probabilities, init_params
 from conftest import identity_policy, random_log
 from oracles import (
     brute_ea,
@@ -183,7 +183,7 @@ class TestInvariants:
         assert 0 < rep.effective_sample_size <= rep.n
 
     def test_empty_log_errors(self):
-        empty = BanditLog.from_records([])
+        empty = BanditLog([], [], np.zeros((0, 0)), [], [], [])
         with pytest.raises(ValueError):
             snips(empty, init_params("linear", 1, seed=0))
 

@@ -1,7 +1,6 @@
 import io
 import math
 
-import numpy as np
 import pytest
 
 from banditrank.evaluation import (

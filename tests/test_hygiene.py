@@ -1,0 +1,33 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names bound by an import in ``tree`` and never read or listed in ``__all__``."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return imported - used
+
+
+def test_no_unused_imports():
+    found = {
+        str(path.relative_to(ROOT)): sorted(names)
+        for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+        if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -143,8 +141,9 @@ class TestTrainCrm:
     def test_empty_inputs(self):
         from banditrank.data import BanditLog
 
+        empty = BanditLog([], [], np.zeros((0, 0)), [], [], [])
         with pytest.raises(ValueError):
-            train_crm(BanditLog.from_records([]), toy_dev(), init_params("linear", 4, seed=0), cfg())
+            train_crm(empty, toy_dev(), init_params("linear", 4, seed=0), cfg())
         with pytest.raises(ValueError):
             train_crm(random_log(10, 4, 0), [], init_params("linear", 4, seed=0), cfg())
 
