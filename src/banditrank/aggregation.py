@@ -41,11 +41,12 @@ class RelevanceTable:
 
     entries: dict[tuple[str, str], RelevanceEntry]
 
-    def queries(self) -> list[str]:
-        return sorted({q for q, _ in self.entries})
-
-    def products_for(self, query_id: str) -> list[str]:
-        return sorted(p for q, p in self.entries if q == query_id)
+    def by_query(self) -> dict[str, list[str]]:
+        """Each query's products, both in sorted order, from one pass over the entries."""
+        products: dict[str, list[str]] = {}
+        for q, p in sorted(self.entries):
+            products.setdefault(q, []).append(p)
+        return products
 
     def __getitem__(self, key: tuple[str, str]) -> RelevanceEntry:
         return self.entries[key]
@@ -124,10 +125,8 @@ def build_supervised(
         raise ValueError(f"negative_ratio must be positive, got {negative_ratio}")
     rng = np.random.default_rng(seed)
     records: list[SupervisedRecord] = []
-    for q in table.queries():
-        positives = [
-            p for p in table.products_for(q) if table[(q, p)].label > 0
-        ]
+    for q, products in table.by_query().items():
+        positives = [p for p in products if table[(q, p)].label > 0]
         if not positives:
             continue
         candidates = sorted(

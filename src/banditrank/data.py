@@ -130,7 +130,10 @@ class BanditLog:
             raise min(failures, key=lambda exc: exc.row)
         self.query_ids = list(query_ids)
         self.product_ids = list(product_ids)
-        self.contexts, self.actions, self.propensities, self.deltas = columns
+        # read-only views: a caller's own array is kept without a copy and stays writable
+        self.contexts, self.actions, self.propensities, self.deltas = (
+            col.view() for col in columns
+        )
         self.metadata = dict(metadata or {})
         for arr in (self.contexts, self.actions, self.propensities, self.deltas):
             arr.setflags(write=False)

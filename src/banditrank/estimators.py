@@ -48,13 +48,17 @@ class EstimatorReport:
             out.write(f"ESS\t{self.effective_sample_size!r}\n")
 
 
-def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:
-    """w_i = pi_w(a_i|c_i) / p_i."""
+def logged_probabilities(log: BanditLog, params: PolicyParams) -> np.ndarray:
+    """pi_w(a_i|c_i): the policy's probability of each logged action."""
     if len(log) == 0:
         raise ValueError("log must be non-empty")
     P = batch_probabilities(params, log.contexts)
-    p_logged = P[np.arange(len(log)), log.actions]
-    return p_logged / log.propensities
+    return P[np.arange(len(log)), log.actions]
+
+
+def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:
+    """w_i = pi_w(a_i|c_i) / p_i."""
+    return logged_probabilities(log, params) / log.propensities
 
 
 def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
@@ -99,12 +103,10 @@ def empirical_average(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     the estimate is summed over groups, not averaged.
     """
     mean_delta, group_size = group_mean_losses(log)
-    P = batch_probabilities(params, log.contexts)
-    p_a = P[np.arange(len(log)), log.actions]
+    p_a = logged_probabilities(log, params)
     # each group contributes delta_bar * pi once: divide by its size
     estimate = np.sum(mean_delta * p_a / group_size)
-    w = importance_weights(log, params)
-    return _report(estimate, w)
+    return _report(estimate, p_a / log.propensities)
 
 
 def snips_denominator(log: BanditLog, params: PolicyParams) -> float:
@@ -114,10 +116,20 @@ def snips_denominator(log: BanditLog, params: PolicyParams) -> float:
 
 def lagrangian_risk(log: BanditLog, params: PolicyParams, lam: float) -> float:
     """(1/n) sum (delta_i - lambda) w_i; equals ips - lambda * S."""
+    return mean_weight_and_lagrangian(log, params, lam)[1]
+
+
+def mean_weight_and_lagrangian(
+    log: BanditLog, params: PolicyParams, lam: float
+) -> tuple[float, float]:
+    """S and the Lagrangian risk from one forward pass over the log.
+
+    Equal to ``snips_denominator`` and ``lagrangian_risk`` bit for bit.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     w = importance_weights(log, params)
-    return float(np.mean((log.deltas - lam) * w))
+    return float(np.mean(w)), float(np.mean((log.deltas - lam) * w))
 
 
 def lagrangian_gradient(

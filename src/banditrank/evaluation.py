@@ -68,14 +68,83 @@ class MetricsReport:
             out.write(f"n_queries\t{self.n_queries}\n")
 
 
-def _gain(grade: int) -> float:
-    return float(2**grade - 1)
+def _positions(counts: np.ndarray) -> np.ndarray:
+    """0-based position of each item within its segment, for segments of ``counts`` items."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
-def _dcg(grades: Sequence[int], k: int) -> float:
-    return sum(
-        _gain(g) / np.log2(i + 2) for i, g in enumerate(grades[:k])
-    )
+def _sums(values: np.ndarray, seg: np.ndarray, n_queries: int) -> np.ndarray:
+    """Each query's sum of ``values``; ``seg`` gives the query of each value.
+
+    ``np.bincount`` adds a bin's values one at a time in input order, as
+    Python's ``sum`` adds a list; the pairwise summation of numpy's
+    reductions would round differently.
+    """
+    return np.bincount(seg, weights=values, minlength=n_queries)
+
+
+class QueryGrades:
+    """The graded items of each query, for scoring any ranking of them.
+
+    ``grades`` lists every item's grade, query by query, in segments of
+    ``lengths`` items; ``report`` takes the same grades with each segment
+    in rank order. What does not depend on the order (each item's query
+    and rank position, the relevant count and the ideal DCG per query and
+    per k) is computed here once.
+    """
+
+    def __init__(self, grades: np.ndarray, lengths: Sequence[int], ks: Sequence[int]):
+        if any(k < 1 for k in ks):
+            raise ValueError(f"cutoffs must be >= 1, got {list(ks)}")
+        grades = np.asarray(grades, dtype=np.int64)
+        self.ks = tuple(ks)
+        self.n_queries = len(lengths)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.seg = np.repeat(np.arange(self.n_queries), lengths)
+        self.rank = _positions(lengths) + 1
+        self.n_rel = np.bincount(self.seg[grades > 0], minlength=self.n_queries)
+        self.judged = self.n_rel > 0
+        # 1-based count of relevant items up to each relevant item, query by query
+        self.hits = _positions(self.n_rel) + 1
+        self.first_hit = (np.cumsum(self.n_rel) - self.n_rel)[self.judged]
+        self.ideal_dcg = self._dcg(grades[np.lexsort((-grades, self.seg))])[:-1, self.judged]
+
+    def _dcg(self, grades: np.ndarray) -> np.ndarray:
+        """DCG per query at each k and over the whole list, shape (len(ks) + 1, n_queries)."""
+        gained = grades != 0
+        seg, rank = self.seg[gained], self.rank[gained]
+        terms = (np.ldexp(1.0, grades[gained]) - 1.0) / np.log2(rank + 1)
+        cuts = [rank <= k for k in self.ks]
+        return np.array(
+            [_sums(terms[cut], seg[cut], self.n_queries) for cut in cuts]
+            + [_sums(terms, seg, self.n_queries)]
+        )
+
+    def report(self, ranked: np.ndarray) -> MetricsReport:
+        """Metrics of one ranking: ``ranked`` holds the grades, each query's best first."""
+        judged = self.judged
+        if not judged.any():
+            raise ValueError("no query has a relevant item")
+        ranked = np.asarray(ranked, dtype=np.int64)
+        if ranked.shape != self.seg.shape:
+            raise ValueError(f"expected {len(self.seg)} ranked grades, got {ranked.shape}")
+        rel = ranked > 0
+        rel_seg, rel_rank = self.seg[rel], self.rank[rel]
+        ap = _sums(self.hits / rel_rank, rel_seg, self.n_queries)[judged] / self.n_rel[judged]
+        dcg = self._dcg(ranked)[:, judged]
+        ideal = self.ideal_dcg
+        ndcg = np.where(ideal > 0, dcg[:-1] / np.where(ideal > 0, ideal, 1.0), 0.0)
+        hits_at = {k: np.bincount(rel_seg[rel_rank <= k], minlength=self.n_queries) for k in self.ks}
+        return MetricsReport(
+            map=float(np.mean(ap)),
+            mrr=float(np.mean(1.0 / rel_rank[self.first_hit])),
+            p_at={k: float(np.mean(hits / k)) for k, hits in hits_at.items()},
+            ndcg_at={k: float(np.mean(row)) for k, row in zip(self.ks, ndcg)},
+            avg_rank=float(np.mean(rel_rank)),
+            avg_dcg=float(np.mean(dcg[-1])),
+            n_queries=self.n_queries,
+        )
 
 
 def rank_metrics(
@@ -89,43 +158,11 @@ def rank_metrics(
     """
     if not runs:
         raise ValueError("runs must be non-empty")
-    ap_vals, rr_vals, ndcg_vals = [], [], {k: [] for k in ks}
-    p_vals = {k: [] for k in ks}
-    rank_vals, dcg_vals = [], []
-    for run in runs:
-        grades = [labels.get((run.query_id, pid), 0) for pid, _ in run.items]
-        rel = [g > 0 for g in grades]
-        n_rel = sum(rel)
-        for k in ks:
-            p_vals[k].append(sum(rel[:k]) / k)
-        if n_rel == 0:
-            continue
-        # average precision over relevant positions
-        hits = 0
-        precisions = []
-        for i, r in enumerate(rel):
-            if r:
-                hits += 1
-                precisions.append(hits / (i + 1))
-        ap_vals.append(sum(precisions) / n_rel)
-        rr_vals.append(1.0 / (rel.index(True) + 1))
-        ideal = sorted(grades, reverse=True)
-        for k in ks:
-            idcg = _dcg(ideal, k)
-            ndcg_vals[k].append(_dcg(grades, k) / idcg if idcg > 0 else 0.0)
-        rank_vals.extend(i + 1 for i, r in enumerate(rel) if r)
-        dcg_vals.append(_dcg(grades, len(grades)))
-    if not ap_vals:
-        raise ValueError("no query has a relevant item")
-    return MetricsReport(
-        map=float(np.mean(ap_vals)),
-        mrr=float(np.mean(rr_vals)),
-        p_at={k: float(np.mean(v)) for k, v in p_vals.items()},
-        ndcg_at={k: float(np.mean(v)) for k, v in ndcg_vals.items()},
-        avg_rank=float(np.mean(rank_vals)),
-        avg_dcg=float(np.mean(dcg_vals)),
-        n_queries=len(runs),
+    grades = np.array(
+        [labels.get((run.query_id, pid), 0) for run in runs for pid, _ in run.items],
+        dtype=np.int64,
     )
+    return QueryGrades(grades, [len(run.items) for run in runs], ks).report(grades)
 
 
 def write_trec_run(runs: Sequence[RankedList], run_tag: str, sink: IO | str) -> int:

@@ -19,10 +19,10 @@ from banditrank.data import BanditLog, SupervisedRecord, open_text
 from banditrank.estimators import (
     group_mean_losses,
     lagrangian_gradient,
-    lagrangian_risk,
-    snips_denominator,
+    logged_probabilities,
+    mean_weight_and_lagrangian,
 )
-from banditrank.evaluation import MetricsReport, RankedList, rank_metrics
+from banditrank.evaluation import MetricsReport, QueryGrades, RankedList
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
@@ -118,6 +118,48 @@ class TrainHistory:
         )
 
 
+def _codes(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys in sorted order, and each key's position among them."""
+    distinct = sorted(set(keys))
+    position = {k: i for i, k in enumerate(distinct)}
+    return distinct, np.array([position[k] for k in keys], dtype=np.int64)
+
+
+class DevIndex:
+    """Supervised records arranged once for ranking and scoring by any policy.
+
+    Holds the stacked contexts, each record's query and product id as a
+    code in sorted order, the grades, and the order-free part of the
+    metrics (``QueryGrades``). Ranking a policy is then one forward pass
+    and one ``np.lexsort``: by query, then logit margin best first, then
+    product id.
+    """
+
+    def __init__(self, records: Sequence[SupervisedRecord]):
+        if not records:
+            raise ValueError("no records to rank")
+        self.contexts = np.stack([r.context for r in records])
+        self.queries, self.query = _codes([r.query_id for r in records])
+        _, self.product = _codes([r.product_id for r in records])
+        self.grades = np.array([r.label for r in records], dtype=np.int64)
+        grouped = np.lexsort((self.product, self.query))
+        same = (np.diff(self.query[grouped]) == 0) & (np.diff(self.product[grouped]) == 0)
+        if same.any():
+            q = self.queries[self.query[grouped[np.argmax(same)]]]
+            raise ValueError(f"duplicate product in ranking for query {q}")
+        self.lengths = np.bincount(self.query)
+        self.graded = QueryGrades(self.grades[grouped], self.lengths, DEV_KS)
+
+    def rank(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's logit margin, and the record indices in ranked order."""
+        margin = logit_margin(params, self.contexts)
+        return margin, np.lexsort((self.product, -margin, self.query))
+
+    def evaluate(self, params: PolicyParams) -> MetricsReport:
+        """P@k and NDCG@k at ``DEV_KS``, MAP, MRR and the averages of the policy's ranking."""
+        return self.graded.report(self.grades[self.rank(params)[1]])
+
+
 def rank_records(
     params: PolicyParams, records: Sequence[SupervisedRecord]
 ) -> list[RankedList]:
@@ -126,43 +168,36 @@ def rank_records(
     A query's records are ordered by the policy's logit margin, best first,
     ties broken by product id; all contexts share one forward pass.
     """
-    if not records:
-        raise ValueError("no records to rank")
-    scores = logit_margin(params, np.stack([r.context for r in records])).tolist()
-    by_query: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        by_query.setdefault(r.query_id, []).append(i)
-    runs = []
-    for q in sorted(by_query):
-        rows = sorted(by_query[q], key=lambda i: (-scores[i], records[i].product_id))
-        runs.append(
-            RankedList(q, tuple((records[i].product_id, scores[i]) for i in rows))
-        )
-    return runs
+    index = DevIndex(records)
+    margin, order = index.rank(params)
+    scores = margin.tolist()
+    segments = np.split(order, np.cumsum(index.lengths)[:-1])
+    return [
+        RankedList(q, tuple((records[i].product_id, scores[i]) for i in rows.tolist()))
+        for q, rows in zip(index.queries, segments)
+    ]
 
 
 def evaluate_policy(
     params: PolicyParams, records: Sequence[SupervisedRecord]
 ) -> MetricsReport:
     """Score the rankings of ``rank_records`` against the records' labels."""
-    runs = rank_records(params, records)
-    labels = {(r.query_id, r.product_id): r.label for r in records}
-    return rank_metrics(runs, labels, ks=DEV_KS)
-
-
-ObjFn = Callable[[PolicyParams], float]
+    return DevIndex(records).evaluate(params)
 
 
 def _minibatch_train(
     log_len: int,
     grad_fn: Callable[[PolicyParams, np.ndarray], list[np.ndarray]],
-    objective_fn: ObjFn,
-    s_fn: Callable[[PolicyParams], float],
+    full_pass: Callable[[PolicyParams], tuple[float, float]],
     dev: Sequence[SupervisedRecord],
     params0: PolicyParams,
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
-    """Shared epoch/batch/checkpoint loop over record indices."""
+    """Shared epoch/batch/checkpoint loop over record indices.
+
+    ``full_pass`` returns (S, objective) from one pass over the training set.
+    """
+    dev_index = DevIndex(dev)
     rng = np.random.default_rng(config.seed)
     params = params0
     state = AdamState.zeros_like(params0)
@@ -171,12 +206,14 @@ def _minibatch_train(
     next_eval = config.eval_every
 
     def checkpoint():
+        dev_metrics = dev_index.evaluate(params)
+        S, objective = full_pass(params)
         checkpoints.append(
             Checkpoint(
                 records_seen=records_seen,
-                dev_metrics=evaluate_policy(params, dev),
-                S=s_fn(params),
-                objective=objective_fn(params),
+                dev_metrics=dev_metrics,
+                S=S,
+                objective=objective,
                 params=params,
             )
         )
@@ -221,8 +258,7 @@ def train_crm(
     return _minibatch_train(
         log_len=len(train_log),
         grad_fn=grad_fn,
-        objective_fn=lambda p: lagrangian_risk(train_log, p, lam),
-        s_fn=lambda p: snips_denominator(train_log, p),
+        full_pass=lambda p: mean_weight_and_lagrangian(train_log, p, lam),
         dev=dev,
         params0=params0,
         config=config,
@@ -248,16 +284,14 @@ def train_ea(
         )
         return [g / len(idx) for g in grads]
 
-    def objective_fn(params):
-        P = batch_probabilities(params, train_log.contexts)
-        p_a = P[np.arange(len(train_log)), train_log.actions]
-        return float(np.sum(coeffs * p_a))
+    def full_pass(params):
+        p_a = logged_probabilities(train_log, params)
+        return float(np.mean(p_a / train_log.propensities)), float(np.sum(coeffs * p_a))
 
     return _minibatch_train(
         log_len=len(train_log),
         grad_fn=grad_fn,
-        objective_fn=objective_fn,
-        s_fn=lambda p: snips_denominator(train_log, p),
+        full_pass=full_pass,
         dev=dev,
         params0=params0,
         config=config,
@@ -291,16 +325,15 @@ def train_full_info(
         dlogits = wb[:, None] * (P - onehot) / len(idx)
         return logit_backprop(params, Xb, dlogits)
 
-    def objective_fn(params):
+    def full_pass(params):
         P = batch_probabilities(params, X)
         p_y = np.clip(P[np.arange(len(train)), y], 1e-300, None)
-        return float(np.mean(-weights * np.log(p_y)))
+        return float("nan"), float(np.mean(-weights * np.log(p_y)))
 
     return _minibatch_train(
         log_len=len(train),
         grad_fn=grad_fn,
-        objective_fn=objective_fn,
-        s_fn=lambda p: float("nan"),
+        full_pass=full_pass,
         dev=dev,
         params0=params0,
         config=config,
@@ -367,8 +400,8 @@ def lambda_search(
     for _ in range(config.max_probes):
         probed.append(lam)
         probe_cfg = replace(config, lam=lam, epochs=probe_epochs)
-        probe_params, _ = train_crm(train_log, dev, params0, probe_cfg)
-        S = snips_denominator(train_log, probe_params)
+        _, probe_history = train_crm(train_log, dev, params0, probe_cfg)
+        S = probe_history.best(config.dev_metric).S
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
@@ -380,11 +413,11 @@ def lambda_search(
     for lam_j in dict.fromkeys(probed):
         full_cfg = replace(config, lam=lam_j)
         params_j, history_j = train_crm(train_log, dev, params0, full_cfg)
-        S_j = snips_denominator(train_log, params_j)
-        metrics_j = evaluate_policy(params_j, dev)
-        score_j = metrics_j.metric(config.dev_metric)
+        # the best checkpoint was measured on params_j: no second pass needed
+        best_j = history_j.best(config.dev_metric)
+        score_j = best_j.dev_metrics.metric(config.dev_metric)
         sweep.append(
-            LambdaProbe(lam=lam_j, S=S_j, dev_metric=score_j, metrics=metrics_j)
+            LambdaProbe(lam=lam_j, S=best_j.S, dev_metric=score_j, metrics=best_j.dev_metrics)
         )
         if best is None or score_j > best[0]:
             best = (score_j, lam_j, params_j)

@@ -6,6 +6,8 @@ at a time, with no shared code paths with the library being tested.
 
 import math
 
+import numpy as np
+
 
 def brute_snips(records, prob_fn):
     """sum(delta * w) / sum(w) with w = prob_fn(record) / propensity."""
@@ -139,3 +141,49 @@ def trec_eval_ndcg_at(run, qrels, k):
         )
         vals.append(dcg / idcg if idcg > 0 else 0.0)
     return sum(vals) / len(vals)
+
+
+def loop_rank_metrics(runs, labels, ks):
+    """Every field of ``rank_metrics``, one query and one item at a time.
+
+    ``runs`` is a list of (query_id, [product_id, ...]) rankings. Sums run
+    left to right over each list, as Python's ``sum`` adds, and averages
+    use ``np.mean``, so the library's vectorised metrics must match these
+    values exactly, not just within a tolerance.
+    """
+    def dcg(grades, k):
+        return sum((2**g - 1) / np.log2(i + 2) for i, g in enumerate(grades[:k]))
+
+    ap, rr, ranks, dcgs = [], [], [], []
+    p_at = {k: [] for k in ks}
+    ndcg_at = {k: [] for k in ks}
+    for q, ranking in runs:
+        grades = [labels.get((q, d), 0) for d in ranking]
+        rels = [g > 0 for g in grades]
+        for k in ks:
+            p_at[k].append(sum(rels[:k]) / k)
+        n_rel = sum(rels)
+        if n_rel == 0:
+            continue
+        hits, precisions = 0, []
+        for i, r in enumerate(rels):
+            if r:
+                hits += 1
+                precisions.append(hits / (i + 1))
+                ranks.append(i + 1)
+        ap.append(sum(precisions) / n_rel)
+        rr.append(1.0 / (rels.index(True) + 1))
+        ideal = sorted(grades, reverse=True)
+        for k in ks:
+            idcg = dcg(ideal, k)
+            ndcg_at[k].append(dcg(grades, k) / idcg if idcg > 0 else 0.0)
+        dcgs.append(dcg(grades, len(grades)))
+    return {
+        "map": float(np.mean(ap)),
+        "mrr": float(np.mean(rr)),
+        "p_at": {k: float(np.mean(v)) for k, v in p_at.items()},
+        "ndcg_at": {k: float(np.mean(v)) for k, v in ndcg_at.items()},
+        "avg_rank": float(np.mean(ranks)),
+        "avg_dcg": float(np.mean(dcgs)),
+        "n_queries": len(runs),
+    }

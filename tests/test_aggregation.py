@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditrank.aggregation import (
+    RelevanceEntry,
+    RelevanceTable,
     aggregate_feedback,
     build_supervised,
     graded_label,
@@ -133,6 +135,13 @@ class TestBuildSupervised:
             recs = build_supervised(table, shown, self.contexts(table), 2.0, seed=1)
         assert all(r.label > 0 for r in recs)
         assert any("no negative candidates" in m for m in caplog.messages)
+
+    def test_queries_and_positives_in_sorted_order(self):
+        top = RelevanceEntry(rr=1.0, nrr=1.0, label=4)
+        keys = [("q2", "b"), ("q1", "z"), ("q2", "a"), ("q1", "c")]
+        table = RelevanceTable({key: top for key in keys})
+        recs = build_supervised(table, {}, {key: np.zeros(1) for key in keys}, 1.0)
+        assert [(r.query_id, r.product_id) for r in recs] == sorted(keys)
 
     def test_deterministic(self):
         table = toy_table()

@@ -140,6 +140,15 @@ class TestBanditLogColumns:
         with pytest.raises(LogValidationError, match="row 1"):
             BanditLog(**{**columns, column: values})
 
+    def test_callers_arrays_stay_writable(self):
+        contexts, propensities = np.zeros((2, 1)), np.array([0.5, 0.5])
+        log = BanditLog(["q1", "q2"], ["p1", "p2"], contexts, [1, 0], propensities, [0, 1])
+        contexts[0, 0] = 1.0
+        propensities[0] = 0.25
+        for column in (log.contexts, log.actions, log.propensities, log.deltas):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
 
 class TestRoundTrip:
     def roundtrip(self, log):

@@ -1,14 +1,22 @@
+import dataclasses
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from banditrank.data import SupervisedRecord
 from banditrank.evaluation import (
     RankedList,
     rank_metrics,
     write_qrels,
     write_trec_run,
 )
+from banditrank.policy import PolicyParams
+from banditrank.training import DEV_KS, evaluate_policy, rank_records
+from oracles import loop_rank_metrics, trec_eval_map, trec_eval_mrr, trec_eval_ndcg_at
 
 
 def make_run(query_id, grades, prefix="p"):
@@ -88,6 +96,73 @@ class TestRankMetrics:
     def test_empty_runs_error(self):
         with pytest.raises(ValueError):
             rank_metrics([], {}, ks=[5])
+
+    def test_cutoff_below_one_error(self):
+        run, labels = make_run("q", [1, 0])
+        with pytest.raises(ValueError, match="cutoffs"):
+            rank_metrics([run], labels, ks=[0])
+
+
+# Integer weights on integer contexts make every logit margin an exact
+# integer, x0 - 2 x1, so the brute-force ranking sees the library's ties.
+MARGIN_POLICY = PolicyParams("linear", [np.array([[0.0, 0.0], [1.0, -2.0]]), np.zeros(2)])
+
+
+def brute_margin(x):
+    return x[0] - 2 * x[1]
+
+
+@st.composite
+def dev_sets(draw):
+    """Ragged queries (one item upwards), queries with no relevant item and,
+    from a 5 x 5 context grid, many equal margins that product ids break.
+    Queries of more than 8 graded items tell a left-to-right sum from numpy's
+    pairwise one."""
+    records = []
+    for q in range(draw(st.integers(1, 5))):
+        pids = draw(st.lists(st.text("abz", min_size=1, max_size=3), min_size=1, max_size=12,
+                             unique=True))
+        for pid in pids:
+            label = draw(st.sampled_from([0, 0, 0, 1, 2, 4]))
+            x = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+            records.append(SupervisedRecord(f"q{q}", pid, np.array(x, float), label, label / 4))
+    assume(any(r.label > 0 for r in records))
+    return draw(st.permutations(records))
+
+
+class TestMetricsCore:
+    @settings(max_examples=200, deadline=None)
+    @given(dev_sets())
+    def test_index_matches_adapter_loop_reference_and_oracles(self, records):
+        report = evaluate_policy(MARGIN_POLICY, records)
+        labels = {(r.query_id, r.product_id): r.label for r in records}
+        assert report == rank_metrics(rank_records(MARGIN_POLICY, records), labels, DEV_KS)
+        by_query = {}
+        for r in records:
+            by_query.setdefault(r.query_id, []).append(r)
+        runs = [
+            (q, [r.product_id for r in sorted(rs, key=lambda r: (-brute_margin(r.context),
+                                                                  r.product_id))])
+            for q, rs in sorted(by_query.items())
+        ]
+        assert dataclasses.asdict(report) == loop_rank_metrics(runs, labels, DEV_KS)
+        run = dict(runs)
+        assert report.map == pytest.approx(trec_eval_map(run, labels), abs=1e-12)
+        assert report.mrr == pytest.approx(trec_eval_mrr(run, labels), abs=1e-12)
+        for k in DEV_KS:
+            assert report.ndcg_at[k] == pytest.approx(trec_eval_ndcg_at(run, labels, k), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dev_sets(), st.randoms(use_true_random=False))
+    def test_report_ignores_record_order(self, records, random):
+        shuffled = list(records)
+        random.shuffle(shuffled)
+        assert evaluate_policy(MARGIN_POLICY, shuffled) == evaluate_policy(MARGIN_POLICY, records)
+
+    def test_duplicate_pair_error(self):
+        rec = SupervisedRecord("q", "a", np.zeros(2), 4, 1.0)
+        with pytest.raises(ValueError, match="duplicate product"):
+            evaluate_policy(MARGIN_POLICY, [rec, rec])
 
 
 def avg_rank(runs, labels):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +32,21 @@ def test_no_unused_imports():
         if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+def test_traced_names_exist():
+    """Each function the benchmark's tracer rebinds, read from ``bench/tracer.py``
+    without importing it, is still a function of the package."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    missing = []
+    for name in traced:
+        module, function = name.split(".")
+        if not callable(getattr(importlib.import_module(f"banditrank.{module}"), function, None)):
+            missing.append(name)
+    assert traced and missing == []

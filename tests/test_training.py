@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from banditrank import estimators, policy, training
 from banditrank.data import SupervisedRecord
-from banditrank.estimators import lagrangian_gradient, lagrangian_risk
+from banditrank.estimators import (
+    empirical_average,
+    lagrangian_gradient,
+    lagrangian_risk,
+    snips_denominator,
+)
 from banditrank.policy import init_params
 from banditrank.simulator import SimConfig, generate_world, simulate_log, true_risk, world_supervised
 from banditrank.training import (
@@ -13,6 +19,7 @@ from banditrank.training import (
     lambda_search,
     next_lambda,
     train_crm,
+    train_ea,
     train_full_info,
 )
 from conftest import random_log
@@ -181,6 +188,18 @@ class TestLambdaSearch:
         for a, b in zip(lams, lams[1:]):
             assert b == pytest.approx(0.9 * a) or b == pytest.approx(1.1 * a) or b == 1.0
 
+    def test_sweep_reports_the_chosen_params(self):
+        world = generate_world(SimConfig(20, 10, 4, noise_scale=1.0), seed=3)
+        log = simulate_log(world, world.logging_policy, 2000, seed=4)
+        dev = world_supervised(world)
+        config = cfg(batch_size=128, epochs=2, eval_every=500, max_probes=3)
+        lam_star, params, sweep = lambda_search(
+            log, dev, init_params("linear", 4, seed=5), config, probe_epochs=1
+        )
+        (chosen,) = [p for p in sweep if p.lam == lam_star]
+        assert chosen.S == snips_denominator(log, params)
+        assert chosen.metrics == evaluate_policy(params, dev)
+
     def test_probe_epochs_validated(self):
         with pytest.raises(ValueError):
             lambda_search(
@@ -222,3 +241,53 @@ class TestTrainFullInfo:
         _, h2 = train_full_info(train, train, p0, cfg(epochs=3))
         for a, b in zip(h1.checkpoints, h2.checkpoints):
             assert a.params == b.params
+
+
+class TestOneFullLogPass:
+    """A checkpoint gets S and the objective from one pass over the training set."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_crm_matches_the_estimators(self, kind):
+        log = random_log(80, 3, seed=21)
+        config = cfg(eval_every=40)
+        _, history = train_crm(log, toy_dev(3), init_params(kind, 3, hidden=4, seed=22), config)
+        for cp in history.checkpoints:
+            assert cp.S == snips_denominator(log, cp.params)
+            assert cp.objective == lagrangian_risk(log, cp.params, config.lam)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_ea_matches_the_estimators(self, kind):
+        log = random_log(80, 3, seed=23)
+        _, history = train_ea(log, toy_dev(3), init_params(kind, 3, hidden=4, seed=24),
+                              cfg(eval_every=40))
+        for cp in history.checkpoints:
+            assert cp.S == snips_denominator(log, cp.params)
+            # the same sum, with the group size divided out in another order
+            assert cp.objective == pytest.approx(
+                empirical_average(log, cp.params).estimate, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
+    def test_one_pass_per_checkpoint(self, monkeypatch, trainer):
+        rows = []
+        original = policy.batch_probabilities
+
+        def counting(params, contexts):
+            P = original(params, contexts)
+            rows.append(len(P))
+            return P
+
+        for module in (policy, estimators, training):
+            monkeypatch.setattr(module, "batch_probabilities", counting)
+        p0 = init_params("linear", 3, seed=25)
+        config = cfg(eval_every=40)
+        if trainer == "full_info":
+            train = toy_dev(3, n_queries=14)
+            _, history = train_full_info(train, toy_dev(3), p0, config)
+        else:
+            train = random_log(84, 3, seed=26)
+            fit = train_crm if trainer == "crm" else train_ea
+            _, history = fit(train, toy_dev(3), p0, config)
+        # gradient batches hold at most 16 rows; only a full pass holds 84
+        assert len(train) == 84 and max(r for r in rows if r != 84) <= config.batch_size
+        assert rows.count(84) == len(history.checkpoints) >= 3
