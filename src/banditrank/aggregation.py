@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -78,12 +79,8 @@ def aggregate_feedback(
     """
     if visibility_threshold < 1:
         raise ValueError(f"visibility_threshold must be >= 1, got {visibility_threshold}")
-    visibility: dict[tuple[str, str], int] = {}
-    for pair in impressions:
-        visibility[pair] = visibility.get(pair, 0) + 1
-    pos_counts: dict[tuple[str, str], int] = {}
-    for pair in positives:
-        pos_counts[pair] = pos_counts.get(pair, 0) + 1
+    visibility = Counter(impressions)
+    pos_counts = Counter(positives)
     for pair, n_pos in pos_counts.items():
         if n_pos > visibility.get(pair, 0):
             raise ValueError(
@@ -157,19 +154,11 @@ def build_supervised(
     return records
 
 
-def export_relevance_table(
-    table: RelevanceTable,
-    contexts: Mapping[tuple[str, str], np.ndarray],
-    sink: IO | str,
-) -> int:
-    """Write every table entry in the supervised TSV format."""
+def export_relevance_table(table: RelevanceTable, sink: IO | str) -> int:
+    """Write every table entry in the supervised TSV format, with no feature columns."""
     records = [
         SupervisedRecord(
-            query_id=q,
-            product_id=p,
-            context=np.asarray(contexts[(q, p)], dtype=np.float64),
-            label=e.label,
-            nrr=e.nrr,
+            query_id=q, product_id=p, context=np.zeros(0), label=e.label, nrr=e.nrr
         )
         for (q, p), e in sorted(table.entries.items())
     ]

@@ -1,24 +1,35 @@
 """Command-line entry point composing the library into end-to-end workflows.
 
-Every subcommand reads a flat JSON config file (``--config``), applies flag
-overrides, and writes all outputs into a run directory together with the
-fully resolved config (``config.json``) and a manifest of produced files
-(``manifest.json``). Unknown config keys are rejected.
+Every subcommand resolves one flat config. Precedence, lowest first: the
+subcommand's defaults, then the JSON file given by ``--config``, then the
+flags. A flag is named like the config key it sets (``--eval-every`` sets
+``eval_every``, ``--lambda`` sets ``lambda``). The defaults are read from
+the library (``TrainConfig``, ``SimConfig``, ...); a key whose default is
+``None`` is a required input, given by its flag or by the config file.
+Unknown config keys are rejected, and each value is cast to the type of its
+default.
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
+All outputs go into the run directory ``--out``, together with the resolved
+config as given (``config.json``) and a manifest mapping each output name to
+its path (``manifest.json``).
+
+Exit codes: 0 success; 1 a usage or validation error (bad flags or config, a
+missing required input, an empty or malformed input); 2 an I/O error (a file
+that cannot be read or written).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from banditrank import aggregation, simulator
 from banditrank.data import (
+    open_text,
     parse_bandit_log,
     read_supervised,
     split_queries,
@@ -28,6 +39,7 @@ from banditrank.data import (
 from banditrank.evaluation import rank_metrics, write_qrels, write_trec_run
 from banditrank.policy import PolicyParams, init_params
 from banditrank.training import (
+    DEV_KS,
     TrainConfig,
     lambda_search,
     rank_records,
@@ -36,353 +48,188 @@ from banditrank.training import (
     write_history,
 )
 
-RUN_ROOT_ENV = "BANDITRANK_RUN_ROOT"
+
+class CliError(ValueError):
+    """A usage or validation error found by the CLI itself (exit code 1)."""
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = 1):
-        super().__init__(message)
-        self.exit_code = exit_code
+def _key(field: str) -> str:
+    """The config key of a library config field: ``lam`` is ``lambda``."""
+    return "lambda" if field == "lam" else field
 
 
-def _load_config(path: str | None, allowed: dict, overrides: dict) -> dict:
-    """Merge defaults, config file, and flag overrides; reject unknown keys."""
-    resolved = dict(allowed)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config {path}: {exc}", 2) from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(allowed)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
-    for key, value in overrides.items():
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _library_default(fn, parameter: str):
+    """The default value of ``fn``'s ``parameter``, so the CLI does not restate it."""
+    return inspect.signature(fn).parameters[parameter].default
 
 
-def _run_dir(out: str | None) -> str:
-    if out is None:
-        raise CliError("--out is required")
-    root = os.environ.get(RUN_ROOT_ENV, "")
-    path = os.path.join(root, out) if root and not os.path.isabs(out) else out
-    os.makedirs(path, exist_ok=True)
-    return path
+def _from_config(cls, cfg: dict):
+    """A library config dataclass built from the config keys named like its fields."""
+    return cls(**{f.name: cfg[_key(f.name)] for f in fields(cls)})
 
 
-def _finish(run_dir: str, resolved: dict, outputs: dict[str, str]) -> None:
-    with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(outputs, fh, indent=2, sort_keys=True)
-
-
-def _write(run_dir: str, name: str, writer) -> tuple[str, str]:
-    path = os.path.join(run_dir, name)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            writer(fh)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", 2) from exc
-    return name, path
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]),
-        learning_rate=float(cfg["learning_rate"]),
-        seed=int(cfg["seed"]),
-        lam=float(cfg["lambda"]),
-        eval_every=int(cfg["eval_every"]),
-        dev_metric=str(cfg["dev_metric"]),
-        max_probes=int(cfg["max_probes"]),
-    )
-
-
-_TRAIN_DEFAULTS = {
-    "batch_size": 256,
-    "epochs": 5,
-    "learning_rate": 1e-3,
+_SIM_DEFAULTS = {
+    **asdict(simulator.SimConfig()),
+    "n_interactions": 20_000,
     "seed": 0,
-    "lambda": 0.5,
-    "eval_every": 10_000,
-    "dev_metric": "MAP",
-    "max_probes": 10,
+    "split_ratios": [0.6, 0.2, 0.2],
+    "top_fraction": _library_default(simulator.world_supervised, "top_fraction"),
+}
+_TRAIN_DEFAULTS = {
+    **{_key(f): v for f, v in asdict(TrainConfig()).items()},
     "policy": "linear",
     "hidden": 16,
 }
 
 
-def cmd_simulate(args) -> int:
-    allowed = {
-        "n_queries": 100,
-        "products_per_query": 50,
-        "feature_dim": 10,
-        "deep_browse_prob": 0.2,
-        "noise_scale": 1.0,
-        "temperature": 1.0,
-        "n_interactions": 20_000,
-        "seed": 0,
-        "split_ratios": [0.6, 0.2, 0.2],
-        "top_fraction": 0.2,
-    }
-    cfg = _load_config(
-        args.config, allowed, {"seed": args.seed, "n_interactions": args.n_interactions}
-    )
-    run_dir = _run_dir(args.out)
-    sim_cfg = simulator.SimConfig(
-        n_queries=int(cfg["n_queries"]),
-        products_per_query=int(cfg["products_per_query"]),
-        feature_dim=int(cfg["feature_dim"]),
-        deep_browse_prob=float(cfg["deep_browse_prob"]),
-        noise_scale=float(cfg["noise_scale"]),
-        temperature=float(cfg["temperature"]),
-    )
-    seed = int(cfg["seed"])
-    world = simulator.generate_world(sim_cfg, seed)
-    log = simulator.simulate_log(
-        world, world.logging_policy, int(cfg["n_interactions"]), seed + 1
-    )
-    split = split_queries(
-        {q for q, _ in world.pair_ids()}, tuple(cfg["split_ratios"]), seed
-    )
-    top = float(cfg["top_fraction"])
-    dev = simulator.world_supervised(world, split.dev, top)
-    test = simulator.world_supervised(world, split.test, top)
-    test_labels = {
-        (r.query_id, r.product_id): r.label for r in test
-    }
-    outputs = dict(
-        [
-            _write(run_dir, "world.json", lambda fh: simulator.save_world(world, fh)),
-            _write(run_dir, "log.jsonl", lambda fh: write_bandit_log(log, fh)),
-            _write(run_dir, "dev.tsv", lambda fh: write_supervised(dev, fh)),
-            _write(run_dir, "test.tsv", lambda fh: write_supervised(test, fh)),
-            _write(run_dir, "qrels.txt", lambda fh: write_qrels(test_labels, fh)),
-            _write(
-                run_dir,
-                "logging_policy.json",
-                lambda fh: world.logging_policy.params.save(fh),
-            ),
-        ]
-    )
-    _finish(run_dir, cfg, outputs)
-    return 0
+def _config(args) -> tuple[dict, dict]:
+    """Resolve the subcommand's config and create the run directory.
 
-
-def cmd_aggregate(args) -> int:
-    allowed = {
-        "impressions": None,
-        "positives": None,
-        "visibility_threshold": aggregation.DEFAULT_VISIBILITY_THRESHOLD,
-    }
-    cfg = _load_config(
-        args.config,
-        allowed,
-        {
-            "impressions": args.impressions,
-            "positives": args.positives,
-            "visibility_threshold": args.visibility_threshold,
-        },
+    Returns the config as given, which ``config.json`` records, and the same
+    config with each value cast to the type of its default (a required input,
+    a path, to ``str``).
+    """
+    defaults = args.defaults
+    resolved = dict(defaults)
+    if args.config:
+        with open_text(args.config) as fh:
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config {args.config} must hold a JSON object")
+        unknown = set(file_cfg) - set(defaults)
+        if unknown:
+            raise CliError(f"unknown config keys: {sorted(unknown)}")
+        resolved.update(file_cfg)
+    resolved.update(
+        {key: value for key, value in vars(args).items() if key in defaults and value is not None}
     )
-    if not cfg["impressions"] or not cfg["positives"]:
-        raise CliError("aggregate requires impressions and positives inputs")
-    run_dir = _run_dir(args.out)
-
-    def read_pairs(path):
+    required = [key for key, default in defaults.items() if default is None]
+    if not all(resolved[key] for key in required):
+        raise CliError(f"{args.command} requires {' and '.join(required)}")
+    os.makedirs(args.out, exist_ok=True)
+    cfg = {}
+    for key, value in resolved.items():
+        default = defaults[key]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return [tuple(line.rstrip("\n").split("\t")[:2]) for line in fh if line.strip()]
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}", 2) from exc
+            cfg[key] = (str if default is None else type(default))(value)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{key}: {exc}") from exc
+    return resolved, cfg
+
+
+def _finish(args, resolved: dict, writers: dict) -> None:
+    """Write each named output with its writer, then ``config.json`` and ``manifest.json``."""
+    paths = {name: os.path.join(args.out, name) for name in writers}
+    for name, write in writers.items():
+        with open_text(paths[name], "w") as fh:
+            write(fh)
+    for name, obj in (("config.json", resolved), ("manifest.json", paths)):
+        with open_text(os.path.join(args.out, name), "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+
+
+def cmd_simulate(cfg: dict) -> dict:
+    seed = cfg["seed"]
+    world = simulator.generate_world(_from_config(simulator.SimConfig, cfg), seed)
+    log = simulator.simulate_log(world, world.logging_policy, cfg["n_interactions"], seed + 1)
+    split = split_queries({q for q, _ in world.pair_ids()}, tuple(cfg["split_ratios"]), seed)
+    dev = simulator.world_supervised(world, split.dev, cfg["top_fraction"])
+    test = simulator.world_supervised(world, split.test, cfg["top_fraction"])
+    test_labels = {(r.query_id, r.product_id): r.label for r in test}
+    return {
+        "world.json": lambda fh: simulator.save_world(world, fh),
+        "log.jsonl": lambda fh: write_bandit_log(log, fh),
+        "dev.tsv": lambda fh: write_supervised(dev, fh),
+        "test.tsv": lambda fh: write_supervised(test, fh),
+        "qrels.txt": lambda fh: write_qrels(test_labels, fh),
+        "logging_policy.json": world.logging_policy.params.save,
+    }
+
+
+def cmd_aggregate(cfg: dict) -> dict:
+    def read_pairs(path):
+        with open_text(path) as fh:
+            return [tuple(line.rstrip("\n").split("\t")[:2]) for line in fh if line.strip()]
 
     table = aggregation.aggregate_feedback(
-        read_pairs(cfg["impressions"]),
-        read_pairs(cfg["positives"]),
-        int(cfg["visibility_threshold"]),
+        read_pairs(cfg["impressions"]), read_pairs(cfg["positives"]), cfg["visibility_threshold"]
     )
-    contexts = {key: np.zeros(0) for key in table.entries}
-    outputs = dict(
-        [
-            _write(
-                run_dir,
-                "relevance.tsv",
-                lambda fh: aggregation.export_relevance_table(table, contexts, fh),
-            )
-        ]
-    )
-    _finish(run_dir, cfg, outputs)
-    return 0
-
-
-def _load_log_and_dev(cfg: dict):
-    try:
-        log = parse_bandit_log(cfg["log"])
-        dev = read_supervised(cfg["dev"])
-    except OSError as exc:
-        raise CliError(f"cannot read inputs: {exc}", 2) from exc
-    if len(log) == 0:
-        raise CliError("bandit log is empty")
-    return log, dev
+    return {"relevance.tsv": lambda fh: aggregation.export_relevance_table(table, fh)}
 
 
 def _initial_params(cfg: dict, feature_dim: int) -> PolicyParams:
-    return init_params(
-        str(cfg["policy"]), feature_dim, int(cfg["hidden"]), int(cfg["seed"])
-    )
+    return init_params(cfg["policy"], feature_dim, cfg["hidden"], cfg["seed"])
 
 
-def cmd_train_crm(args) -> int:
-    allowed = {"log": None, "dev": None, **_TRAIN_DEFAULTS}
-    cfg = _load_config(
-        args.config,
-        allowed,
-        {"log": args.log, "dev": args.dev, "lambda": args.lam, "seed": args.seed,
-         "epochs": args.epochs, "eval_every": args.eval_every},
-    )
-    if not cfg["log"] or not cfg["dev"]:
-        raise CliError("train-crm requires --log and --dev")
-    run_dir = _run_dir(args.out)
-    log, dev = _load_log_and_dev(cfg)
-    params, history = train_crm(log, dev, _initial_params(cfg, log.feature_dim), _train_config(cfg))
-    outputs = dict(
-        [
-            _write(run_dir, "model.json", lambda fh: params.save(fh)),
-            _write(run_dir, "history.tsv", lambda fh: write_history(history, fh)),
-        ]
-    )
-    _finish(run_dir, cfg, outputs)
-    return 0
+def _log_inputs(cfg: dict) -> tuple:
+    """The training log, dev set, initial policy and ``TrainConfig`` of a log-trained subcommand."""
+    log = parse_bandit_log(cfg["log"])
+    dev = read_supervised(cfg["dev"])
+    if len(log) == 0:
+        raise CliError("bandit log is empty")
+    return log, dev, _initial_params(cfg, log.feature_dim), _from_config(TrainConfig, cfg)
 
 
-def cmd_train_fullinfo(args) -> int:
-    allowed = {"train": None, "dev": None, **_TRAIN_DEFAULTS}
-    cfg = _load_config(
-        args.config,
-        allowed,
-        {"train": args.train, "dev": args.dev, "seed": args.seed,
-         "epochs": args.epochs, "eval_every": args.eval_every},
-    )
-    if not cfg["train"] or not cfg["dev"]:
-        raise CliError("train-fullinfo requires --train and --dev")
-    run_dir = _run_dir(args.out)
-    try:
-        train = read_supervised(cfg["train"])
-        dev = read_supervised(cfg["dev"])
-    except OSError as exc:
-        raise CliError(f"cannot read inputs: {exc}", 2) from exc
+def cmd_train_crm(cfg: dict) -> dict:
+    params, history = train_crm(*_log_inputs(cfg))
+    return {
+        "model.json": params.save,
+        "history.tsv": lambda fh: write_history(history, fh),
+    }
+
+
+def cmd_train_fullinfo(cfg: dict) -> dict:
+    train = read_supervised(cfg["train"])
+    dev = read_supervised(cfg["dev"])
     if not train:
         raise CliError("training set is empty")
     params0 = _initial_params(cfg, train[0].context.shape[0])
-    params, history = train_full_info(train, dev, params0, _train_config(cfg))
-    outputs = dict(
-        [
-            _write(run_dir, "model.json", lambda fh: params.save(fh)),
-            _write(run_dir, "history.tsv", lambda fh: write_history(history, fh)),
-        ]
-    )
-    _finish(run_dir, cfg, outputs)
-    return 0
+    params, history = train_full_info(train, dev, params0, _from_config(TrainConfig, cfg))
+    return {
+        "model.json": params.save,
+        "history.tsv": lambda fh: write_history(history, fh),
+    }
 
 
-def cmd_lambda_sweep(args) -> int:
-    allowed = {"log": None, "dev": None, "probe_epochs": 2, **_TRAIN_DEFAULTS}
-    cfg = _load_config(
-        args.config,
-        allowed,
-        {"log": args.log, "dev": args.dev, "seed": args.seed, "epochs": args.epochs,
-         "eval_every": args.eval_every},
-    )
-    if not cfg["log"] or not cfg["dev"]:
-        raise CliError("lambda-sweep requires --log and --dev")
-    run_dir = _run_dir(args.out)
-    log, dev = _load_log_and_dev(cfg)
-    lam_star, params, sweep = lambda_search(
-        log, dev, _initial_params(cfg, log.feature_dim), _train_config(cfg),
-        probe_epochs=int(cfg["probe_epochs"]),
-    )
+def cmd_lambda_sweep(cfg: dict) -> dict:
+    lam_star, params, sweep = lambda_search(*_log_inputs(cfg), probe_epochs=cfg["probe_epochs"])
 
     def write_sweep(fh):
         fh.write("lambda\tS\tmap\tndcg@5\n")
         for probe in sweep:
             m = probe.metrics
-            fh.write(
-                f"{probe.lam!r}\t{probe.S!r}\t{m.map!r}\t{m.ndcg_at[5]!r}\n"
-            )
+            fh.write(f"{probe.lam!r}\t{probe.S!r}\t{m.map!r}\t{m.ndcg_at[5]!r}\n")
 
-    outputs = dict(
-        [
-            _write(run_dir, "model.json", lambda fh: params.save(fh)),
-            _write(run_dir, "sweep.tsv", write_sweep),
-            _write(
-                run_dir,
-                "lambda.json",
-                lambda fh: json.dump({"lambda": lam_star}, fh),
-            ),
-        ]
-    )
-    _finish(run_dir, cfg, outputs)
-    return 0
+    return {
+        "model.json": params.save,
+        "sweep.tsv": write_sweep,
+        "lambda.json": lambda fh: json.dump({"lambda": lam_star}, fh),
+    }
 
 
-def cmd_evaluate(args) -> int:
-    allowed = {"model": None, "test": None, "ks": [5, 10], "run_tag": "banditrank"}
-    ks_override = (
-        [int(k) for k in args.ks.split(",")] if args.ks else None
-    )
-    cfg = _load_config(
-        args.config,
-        allowed,
-        {"model": args.model, "test": args.test, "ks": ks_override},
-    )
-    if not cfg["model"] or not cfg["test"]:
-        raise CliError("evaluate requires --model and --test")
-    run_dir = _run_dir(args.out)
-    try:
-        params = PolicyParams.load(cfg["model"])
-        test = read_supervised(cfg["test"])
-    except OSError as exc:
-        raise CliError(f"cannot read inputs: {exc}", 2) from exc
+def cmd_evaluate(cfg: dict) -> dict:
+    params = PolicyParams.load(cfg["model"])
+    test = read_supervised(cfg["test"])
     if not test:
         raise CliError("test set is empty")
-    ks = tuple(int(k) for k in cfg["ks"])
     runs = rank_records(params, test)
     labels = {(r.query_id, r.product_id): r.label for r in test}
-    metrics = rank_metrics(runs, labels, ks=ks)
-    outputs = dict(
-        [
-            _write(run_dir, "metrics.txt", lambda fh: metrics.write(fh)),
-            _write(
-                run_dir,
-                "run.txt",
-                lambda fh: write_trec_run(runs, str(cfg["run_tag"]), fh),
-            ),
-            _write(run_dir, "qrels.txt", lambda fh: write_qrels(labels, fh)),
-        ]
-    )
-    _finish(run_dir, cfg, outputs)
+    metrics = rank_metrics(runs, labels, ks=tuple(int(k) for k in cfg["ks"]))
     metrics.write(sys.stdout)
-    return 0
+    return {
+        "metrics.txt": metrics.write,
+        "run.txt": lambda fh: write_trec_run(runs, cfg["run_tag"], fh),
+        "qrels.txt": lambda fh: write_qrels(labels, fh),
+    }
 
 
-def cmd_learning_curve(args) -> int:
-    allowed = {"history": None}
-    cfg = _load_config(args.config, allowed, {"history": args.history})
-    if not cfg["history"]:
-        raise CliError("learning-curve requires --history")
-    run_dir = _run_dir(args.out)
-    try:
-        with open(cfg["history"], "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    except OSError as exc:
-        raise CliError(f"cannot read {cfg['history']}: {exc}", 2) from exc
+def cmd_learning_curve(cfg: dict) -> dict:
+    with open_text(cfg["history"]) as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
     needed = ["records_seen", "avg_rank", "avg_dcg", "map", "ndcg@10"]
     try:
         idx = [header.index(c) for c in needed]
@@ -394,9 +241,7 @@ def cmd_learning_curve(args) -> int:
         for row in rows:
             fh.write("\t".join(row[i] for i in idx) + "\n")
 
-    outputs = dict([_write(run_dir, "curve.tsv", write_curve)])
-    _finish(run_dir, cfg, outputs)
-    return 0
+    return {"curve.tsv": write_curve}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,60 +251,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, flags):
+    def int_list(text: str) -> list[int]:
+        return [int(k) for k in text.split(",")]
+
+    def add(name, fn, defaults, *options):
+        """Subcommand ``name``: a flag for each required input, then one per option key."""
         p = sub.add_parser(name)
         p.add_argument("--config")
         p.add_argument("--out", required=True)
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
+        for key in [k for k, v in defaults.items() if v is None] + list(options):
+            default = defaults[key]
+            kind = int_list if key == "ks" else str if default is None else type(default)
+            p.add_argument("--" + key.replace("_", "-"), type=kind)
+        p.set_defaults(fn=fn, defaults=defaults)
 
-    add("simulate", cmd_simulate, {
-        "--seed": {"type": int}, "--n-interactions": {"type": int, "dest": "n_interactions"},
-    })
+    train_options = ("seed", "epochs", "eval_every")
+    log_and_dev = {"log": None, "dev": None}
+    add("simulate", cmd_simulate, _SIM_DEFAULTS, "seed", "n_interactions")
     add("aggregate", cmd_aggregate, {
-        "--impressions": {}, "--positives": {},
-        "--visibility-threshold": {"type": int, "dest": "visibility_threshold"},
-    })
-    train_flags = {
-        "--seed": {"type": int}, "--epochs": {"type": int},
-        "--eval-every": {"type": int, "dest": "eval_every"},
-    }
-    add("train-crm", cmd_train_crm, {
-        "--log": {}, "--dev": {}, "--lambda": {"type": float, "dest": "lam"},
-        **train_flags,
-    })
-    add("train-fullinfo", cmd_train_fullinfo, {
-        "--train": {}, "--dev": {}, **train_flags,
-    })
+        "impressions": None,
+        "positives": None,
+        "visibility_threshold": aggregation.DEFAULT_VISIBILITY_THRESHOLD,
+    }, "visibility_threshold")
+    add("train-crm", cmd_train_crm, {**log_and_dev, **_TRAIN_DEFAULTS}, "lambda", *train_options)
+    add("train-fullinfo", cmd_train_fullinfo,
+        {"train": None, "dev": None, **_TRAIN_DEFAULTS}, *train_options)
     add("lambda-sweep", cmd_lambda_sweep, {
-        "--log": {}, "--dev": {}, **train_flags,
-    })
-    add("evaluate", cmd_evaluate, {
-        "--model": {}, "--test": {}, "--ks": {},
-    })
-    add("learning-curve", cmd_learning_curve, {"--history": {}})
+        **log_and_dev,
+        "probe_epochs": _library_default(lambda_search, "probe_epochs"),
+        **_TRAIN_DEFAULTS,
+    }, *train_options)
+    add("evaluate", cmd_evaluate,
+        {"model": None, "test": None, "ks": DEV_KS, "run_tag": "banditrank"}, "ks")
+    add("learning-curve", cmd_learning_curve, {"history": None})
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Resolve the config, run the subcommand, write its outputs; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        resolved, cfg = _config(args)
+        _finish(args, resolved, args.fn(cfg))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -1,9 +1,11 @@
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
 from banditrank.cli import run
+from banditrank.training import TrainConfig
 
 
 def write_json(path, obj):
@@ -161,3 +163,94 @@ class TestUsage:
 
     def test_missing_out(self):
         assert run(["simulate"]) == 1
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Paths of a small simulated run, plus empty, broken and absent inputs."""
+    root = tmp_path_factory.mktemp("inputs")
+    sim = root / "sim"
+    write_json(root / "sim.json", {"n_queries": 12, "products_per_query": 8, "feature_dim": 4,
+                                   "n_interactions": 600, "seed": 5})
+    assert run(["simulate", "--config", str(root / "sim.json"), "--out", str(sim)]) == 0
+    (root / "empty.jsonl").write_text("")
+    (root / "header.tsv").write_text("query_id\tproduct_id\tlabel\tnrr\tf0\tf1\tf2\tf3\n")
+    (root / "bad.json").write_text("{not json")
+    write_json(root / "list.json", [1])
+    write_json(root / "unknown.json", {"n_querys": 3})
+    paths = {
+        "log": sim / "log.jsonl", "dev": sim / "dev.tsv", "test": sim / "test.tsv",
+        "model": sim / "logging_policy.json", "absent": root / "absent.tsv",
+        "empty_log": root / "empty.jsonl", "header_only": root / "header.tsv",
+        "bad_json": root / "bad.json", "list_json": root / "list.json",
+        "unknown_key": root / "unknown.json",
+    }
+    return {name: str(path) for name, path in paths.items()}
+
+
+# (case, arguments before --out with {name} standing for inputs[name], exit code,
+# text the one error line must hold)
+ERRORS = [
+    ("config file missing", ["simulate", "--config", "{absent}"], 2, "absent.tsv"),
+    ("config not JSON", ["simulate", "--config", "{bad_json}"], 1, "bad.json"),
+    ("config not an object", ["simulate", "--config", "{list_json}"], 1, "list.json"),
+    ("unknown key", ["simulate", "--config", "{unknown_key}"], 1, "n_querys"),
+    ("required input missing", ["train-crm", "--dev", "{dev}"], 1, "requires log"),
+    ("input file absent", ["train-crm", "--log", "{absent}", "--dev", "{dev}"], 2, "absent.tsv"),
+    ("empty log", ["train-crm", "--log", "{empty_log}", "--dev", "{dev}"], 1, "log is empty"),
+    ("empty training set", ["train-fullinfo", "--train", "{header_only}", "--dev", "{dev}"], 1,
+     "training set is empty"),
+    ("empty test set", ["evaluate", "--model", "{model}", "--test", "{header_only}"], 1,
+     "test set is empty"),
+    ("ks not a number", ["evaluate", "--model", "{model}", "--test", "{test}", "--ks", "a"], 1,
+     "--ks"),
+    ("ks below 1", ["evaluate", "--model", "{model}", "--test", "{test}", "--ks", "0"], 1,
+     "got [0]"),
+    ("history file absent", ["learning-curve", "--history", "{absent}"], 2, "absent.tsv"),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, code, names", [case[1:] for case in ERRORS], ids=[case[0] for case in ERRORS]
+    )
+    def test_exit_code_and_one_error_line(self, inputs, tmp_path, capsys, argv, code, names):
+        argv = [arg.format_map(inputs) for arg in argv]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and names in error_lines[0], err
+        assert "Traceback" not in err
+
+
+class TestConfigPrecedence:
+    @pytest.mark.parametrize("command, fixed, key, default, in_file, by_flag", [
+        (["train-crm", "--log", "{log}", "--dev", "{dev}"], {"epochs": 1},
+         "lambda", TrainConfig().lam, 0.3, 0.2),
+        (["simulate"], {"n_queries": 4, "products_per_query": 3, "feature_dim": 2},
+         "n_interactions", 20_000, 300, 200),
+    ])
+    def test_flag_beats_file_beats_default(self, inputs, tmp_path, command, fixed, key,
+                                           default, in_file, by_flag):
+        argv = [arg.format_map(inputs) for arg in command]
+        flag = "--" + key.replace("_", "-")
+        given = {}
+        for name, file_cfg, flags in [
+            ("default", fixed, []),
+            ("in_file", {**fixed, key: in_file}, []),
+            ("by_flag", {**fixed, key: in_file}, [flag, str(by_flag)]),
+        ]:
+            write_json(tmp_path / f"{name}.json", file_cfg)
+            out = tmp_path / name
+            assert run([*argv, "--config", str(tmp_path / f"{name}.json"), *flags,
+                        "--out", str(out)]) == 0
+            given[name] = json.loads((out / "config.json").read_text())[key]
+        assert given == {"default": default, "in_file": in_file, "by_flag": by_flag}
+
+    def test_train_crm_records_every_train_config_default(self, inputs, tmp_path):
+        out = tmp_path / "crm"
+        assert run(["train-crm", "--log", inputs["log"], "--dev", inputs["dev"],
+                    "--out", str(out)]) == 0
+        resolved = json.loads((out / "config.json").read_text())
+        for field, value in asdict(TrainConfig()).items():
+            assert resolved[{"lam": "lambda"}.get(field, field)] == value, field

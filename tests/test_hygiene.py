@@ -34,6 +34,35 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def builtin_open_calls(tree: ast.Module, opener: str | None = None) -> list[int]:
+    """Lines of the calls to the builtin ``open`` in ``tree``, outside the function ``opener``."""
+    exempt = {
+        id(node)
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name == opener
+        for node in ast.walk(function)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "open" and id(node) not in exempt
+    )
+
+
+def test_one_file_opener():
+    """``data.open_text`` is the only code in ``src/`` that calls the builtin ``open``."""
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in sorted(ROOT.glob("src/**/*.py"))
+        if (lines := builtin_open_calls(
+            ast.parse(path.read_text(encoding="utf-8")),
+            "open_text" if path.name == "data.py" else None,
+        ))
+    }
+    assert found == {}
+
+
 def test_traced_names_exist():
     """Each function the benchmark's tracer rebinds, read from ``bench/tracer.py``
     without importing it, is still a function of the package."""
