@@ -2,7 +2,8 @@
 
 Library layout:
 
-- ``data``        logged-bandit / supervised data models, file formats, splits
+- ``data``        bandit logs and supervised rows (columnar, validated once),
+                  the graded-label rule, file formats, query splits
 - ``aggregation`` feedback-rate aggregation, graded labels, negative sampling
 - ``policy``      stochastic binary-action softmax policies (linear / mlp)
 - ``estimators``  SNIPS / IPS / empirical-average risk estimators, Lagrangian
@@ -12,14 +13,13 @@ Library layout:
 - ``cli``         subcommand entry point composing the above
 """
 
-from banditrank.data import BanditLog, BanditRecord, SupervisedRecord, QuerySplit
+from banditrank.data import BanditLog, QuerySplit, SupervisedSet
 from banditrank.policy import PolicyParams
 from banditrank.estimators import EstimatorReport
 
 __all__ = [
     "BanditLog",
-    "BanditRecord",
-    "SupervisedRecord",
+    "SupervisedSet",
     "QuerySplit",
     "PolicyParams",
     "EstimatorReport",

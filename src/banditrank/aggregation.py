@@ -17,16 +17,12 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from banditrank.data import SupervisedRecord, write_supervised
+from banditrank.data import SupervisedSet, grade, write_supervised
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_VISIBILITY_THRESHOLD = 50
 DEFAULT_NEGATIVE_RATIO = 4.0
-
-# ceil(4 * nrr) is evaluated after rounding nrr to 12 decimals so values that
-# should sit exactly on a grade boundary do not jump a grade from float noise.
-_NRR_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,10 @@ class RelevanceTable:
 
 
 def graded_label(nrr: float) -> int:
-    """5-point grade: ceil(4 * nrr), with 0 -> 0 and 1 -> 4."""
+    """5-point grade of an nrr in [0, 1]: ``data.grade``, with 0 -> 0 and 1 -> 4."""
     if not 0.0 <= nrr <= 1.0:
         raise ValueError(f"nrr must lie in [0, 1], got {nrr!r}")
-    return math.ceil(4.0 * round(nrr, _NRR_DECIMALS))
+    return grade(nrr)
 
 
 def aggregate_feedback(
@@ -110,7 +106,7 @@ def build_supervised(
     contexts: Mapping[tuple[str, str], np.ndarray],
     negative_ratio: float = DEFAULT_NEGATIVE_RATIO,
     seed: int = 0,
-) -> list[SupervisedRecord]:
+) -> SupervisedSet:
     """Positive pairs plus per-query negatively sampled zero-label pairs.
 
     For each query, floor(negative_ratio * n_positives) label-0 products are
@@ -121,7 +117,7 @@ def build_supervised(
     if negative_ratio <= 0:
         raise ValueError(f"negative_ratio must be positive, got {negative_ratio}")
     rng = np.random.default_rng(seed)
-    records: list[SupervisedRecord] = []
+    pairs: list[tuple[str, str]] = []
     for q, products in table.by_query().items():
         positives = [p for p in products if table[(q, p)].label > 0]
         if not positives:
@@ -140,26 +136,18 @@ def build_supervised(
             if n_neg
             else []
         )
-        for p in positives + sorted(sampled):
-            entry = table[(q, p)]
-            records.append(
-                SupervisedRecord(
-                    query_id=q,
-                    product_id=p,
-                    context=np.asarray(contexts[(q, p)], dtype=np.float64),
-                    label=entry.label,
-                    nrr=entry.nrr,
-                )
-            )
-    return records
+        pairs += [(q, p) for p in positives + sorted(sampled)]
+    return _supervised_set(table, pairs, [contexts[pair] for pair in pairs] or np.zeros((0, 0)))
+
+
+def _supervised_set(table: RelevanceTable, pairs: list[tuple[str, str]], contexts) -> SupervisedSet:
+    """The table's ``pairs``, in order, with their ``contexts``."""
+    entries = [table[pair] for pair in pairs]
+    return SupervisedSet([q for q, _ in pairs], [p for _, p in pairs], contexts,
+                         [e.label for e in entries], [e.nrr for e in entries])
 
 
 def export_relevance_table(table: RelevanceTable, sink: IO | str) -> int:
     """Write every table entry in the supervised TSV format, with no feature columns."""
-    records = [
-        SupervisedRecord(
-            query_id=q, product_id=p, context=np.zeros(0), label=e.label, nrr=e.nrr
-        )
-        for (q, p), e in sorted(table.entries.items())
-    ]
-    return write_supervised(records, sink)
+    pairs = sorted(table.entries)
+    return write_supervised(_supervised_set(table, pairs, np.zeros((len(pairs), 0))), sink)

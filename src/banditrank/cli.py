@@ -36,10 +36,9 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.evaluation import rank_metrics, write_qrels, write_trec_run
+from banditrank.evaluation import DEFAULT_KS, rank_metrics, write_qrels, write_trec_run
 from banditrank.policy import PolicyParams, init_params
 from banditrank.training import (
-    DEV_KS,
     TrainConfig,
     lambda_search,
     rank_records,
@@ -138,13 +137,12 @@ def cmd_simulate(cfg: dict) -> dict:
     split = split_queries({q for q, _ in world.pair_ids()}, tuple(cfg["split_ratios"]), seed)
     dev = simulator.world_supervised(world, split.dev, cfg["top_fraction"])
     test = simulator.world_supervised(world, split.test, cfg["top_fraction"])
-    test_labels = {(r.query_id, r.product_id): r.label for r in test}
     return {
         "world.json": lambda fh: simulator.save_world(world, fh),
         "log.jsonl": lambda fh: write_bandit_log(log, fh),
         "dev.tsv": lambda fh: write_supervised(dev, fh),
         "test.tsv": lambda fh: write_supervised(test, fh),
-        "qrels.txt": lambda fh: write_qrels(test_labels, fh),
+        "qrels.txt": lambda fh: write_qrels(test.qrels(), fh),
         "logging_policy.json": world.logging_policy.params.save,
     }
 
@@ -186,7 +184,7 @@ def cmd_train_fullinfo(cfg: dict) -> dict:
     dev = read_supervised(cfg["dev"])
     if not train:
         raise CliError("training set is empty")
-    params0 = _initial_params(cfg, train[0].context.shape[0])
+    params0 = _initial_params(cfg, train.contexts.shape[1])
     params, history = train_full_info(train, dev, params0, _from_config(TrainConfig, cfg))
     return {
         "model.json": params.save,
@@ -216,7 +214,7 @@ def cmd_evaluate(cfg: dict) -> dict:
     if not test:
         raise CliError("test set is empty")
     runs = rank_records(params, test)
-    labels = {(r.query_id, r.product_id): r.label for r in test}
+    labels = test.qrels()
     metrics = rank_metrics(runs, labels, ks=tuple(int(k) for k in cfg["ks"]))
     metrics.write(sys.stdout)
     return {
@@ -229,16 +227,21 @@ def cmd_evaluate(cfg: dict) -> dict:
 def cmd_learning_curve(cfg: dict) -> dict:
     with open_text(cfg["history"]) as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        rows = {n: line.rstrip("\n").split("\t")
+                for n, line in enumerate(fh, start=2) if line.strip()}
     needed = ["records_seen", "avg_rank", "avg_dcg", "map", "ndcg@10"]
     try:
         idx = [header.index(c) for c in needed]
     except ValueError as exc:
         raise CliError(f"history file missing columns {needed}: {exc}") from exc
+    for line_no, row in rows.items():
+        if len(row) != len(header):
+            raise CliError(f"history line {line_no}: expected {len(header)} columns, "
+                           f"got {len(row)}")
 
     def write_curve(fh):
         fh.write("\t".join(needed) + "\n")
-        for row in rows:
+        for row in rows.values():
             fh.write("\t".join(row[i] for i in idx) + "\n")
 
     return {"curve.tsv": write_curve}
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         **_TRAIN_DEFAULTS,
     }, *train_options)
     add("evaluate", cmd_evaluate,
-        {"model": None, "test": None, "ks": DEV_KS, "run_tag": "banditrank"}, "ks")
+        {"model": None, "test": None, "ks": DEFAULT_KS, "run_tag": "banditrank"}, "ks")
     add("learning-curve", cmd_learning_curve, {"history": None})
     return parser
 

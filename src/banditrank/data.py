@@ -1,5 +1,11 @@
 """Data models and file formats for logged bandit feedback and supervised labels.
 
+Both kinds of data are held column-wise: a ``BanditLog`` (contexts, actions,
+propensities, losses) and a ``SupervisedSet`` (contexts, graded labels and
+the normalized relevance rates they come from). Each constructor is the one
+check of its rows and names the first bad one; the readers report it by
+line. ``grade`` is the one graded-label rule, ceil(4 * nrr).
+
 Bandit logs are UTF-8 line-delimited JSON, one record per line with keys
 ``query_id``, ``product_id``, ``features``, ``action``, ``propensity``,
 ``delta``. An optional first line holding ``{"_meta": {...}}`` carries log
@@ -14,7 +20,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,15 +44,6 @@ class LogParseError(LogValidationError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-def _check_context(values) -> np.ndarray:
-    ctx = np.asarray(values, dtype=np.float64)
-    if ctx.ndim != 1:
-        raise LogValidationError(f"context must be a flat vector, got shape {ctx.shape}")
-    if not np.all(np.isfinite(ctx)):
-        raise LogValidationError("context contains non-finite values")
-    return ctx
 
 
 _REAL_KINDS = "biuf"  # numpy dtype kinds of bool, signed int, unsigned int and float
@@ -78,18 +75,6 @@ def _column(values, ndim: int, ok, dtype, name: str, rule: str) -> np.ndarray | 
     else:  # every row passes alone, so the column's shape or type is at fault
         raise LogValidationError(f"{name} column is not a real array of {1 + ndim} dimensions")
     return LogValidationError(f"{name} {rule}, got {value!r}", row)
-
-
-@dataclass(frozen=True, eq=False)
-class BanditRecord:
-    """A row of a validated ``BanditLog``: context, logged action, its propensity, binary loss."""
-
-    query_id: str
-    product_id: str
-    context: np.ndarray
-    action: int
-    propensity: float
-    delta: int
 
 
 class BanditLog:
@@ -145,20 +130,6 @@ class BanditLog:
     def __len__(self) -> int:
         return len(self.query_ids)
 
-    def __iter__(self) -> Iterator[BanditRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> BanditRecord:
-        return BanditRecord(
-            query_id=self.query_ids[i],
-            product_id=self.product_ids[i],
-            context=self.contexts[i],
-            action=int(self.actions[i]),
-            propensity=float(self.propensities[i]),
-            delta=int(self.deltas[i]),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BanditLog):
             return NotImplemented
@@ -173,35 +144,98 @@ class BanditLog:
         )
 
 
-@dataclass(frozen=True)
-class SupervisedRecord:
-    """Query-product pair with a 5-point graded label and its normalized rate."""
+# ceil(4 * nrr) is taken after rounding nrr to 12 decimals, so a rate that
+# should sit exactly on a grade boundary does not jump a grade from float noise.
+NRR_DECIMALS = 12
+
+
+def grade(nrr: float) -> int:
+    """The 5-point label of a normalized relevance rate: ceil(4 * nrr) after
+    Python's ``round`` to ``NRR_DECIMALS`` places, so 0 -> 0 and 1 -> 4."""
+    return math.ceil(4.0 * round(nrr, NRR_DECIMALS))
+
+
+class SupervisedRow(NamedTuple):
+    """What iterating a ``SupervisedSet`` yields for each of its rows."""
 
     query_id: str
     product_id: str
-    context: np.ndarray
     label: int
     nrr: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", _check_context(self.context))
-        if not 0.0 <= self.nrr <= 1.0:
-            raise LogValidationError(f"nrr must lie in [0, 1], got {self.nrr!r}")
-        expected = math.ceil(4.0 * round(self.nrr, 12))
-        if self.label != expected:
-            raise LogValidationError(
-                f"label {self.label} inconsistent with nrr {self.nrr} (expected {expected})"
-            )
+
+class SupervisedSet:
+    """Query-product pairs with a 5-point graded label and its normalized rate,
+    stored column-wise like ``BanditLog``.
+
+    Columns: ``query_ids``, ``product_ids``, read-only arrays ``contexts``
+    (n, d), ``labels`` and ``nrr``. The constructor is the one check of the
+    row invariants (finite contexts of one width, nrr in [0, 1], label =
+    ``grade(nrr)``); a failure names the first offending row.
+    """
+
+    def __init__(
+        self,
+        query_ids: Sequence[str],
+        product_ids: Sequence[str],
+        contexts: np.ndarray,
+        labels: Sequence[int],
+        nrr: Sequence[float],
+    ):
+        n = len(query_ids)
+        for name, col in (("product_ids", product_ids), ("contexts", contexts),
+                          ("labels", labels), ("nrr", nrr)):
+            if len(col) != n:
+                raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
+        columns = [
+            _column(contexts, 1, np.isfinite, np.float64, "context",
+                    "must be a flat list of finite numbers as long as the first"),
+            _column(labels, 0, lambda x: np.isfinite(x) & (x == np.trunc(x)), np.int64,
+                    "label", "must be an integer"),
+            _column(nrr, 0, lambda x: (x >= 0.0) & (x <= 1.0), np.float64,
+                    "nrr", "must lie in [0, 1]"),
+        ]
+        failures = [col for col in columns if isinstance(col, LogValidationError)]
+        # Every column holds real numbers up to the first failure: check the label rule there.
+        end = min((exc.row for exc in failures), default=n)
+        given = np.asarray(labels[:end]).tolist()
+        rates = np.asarray(nrr[:end], dtype=np.float64).tolist()
+        expected = list(map(grade, rates))
+        if given != expected:
+            row = next(i for i, (a, b) in enumerate(zip(given, expected)) if a != b)
+            failures.append(LogValidationError(
+                f"label {given[row]} inconsistent with nrr {rates[row]} (expected {expected[row]})",
+                row,
+            ))
+        if failures:
+            raise min(failures, key=lambda exc: exc.row)
+        self.query_ids = list(query_ids)
+        self.product_ids = list(product_ids)
+        # read-only views: a caller's own array is kept without a copy and stays writable
+        self.contexts, self.labels, self.nrr = (col.view() for col in columns)
+        for arr in (self.contexts, self.labels, self.nrr):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __iter__(self) -> Iterator[SupervisedRow]:
+        return map(SupervisedRow, self.query_ids, self.product_ids,
+                   self.labels.tolist(), self.nrr.tolist())
+
+    def qrels(self) -> dict[tuple[str, str], int]:
+        """Each row's label by its (query_id, product_id) pair."""
+        return dict(zip(zip(self.query_ids, self.product_ids), self.labels.tolist()))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SupervisedRecord):
+        if not isinstance(other, SupervisedSet):
             return NotImplemented
         return (
-            self.query_id == other.query_id
-            and self.product_id == other.product_id
-            and self.label == other.label
-            and self.nrr == other.nrr
-            and np.array_equal(self.context, other.context)
+            self.query_ids == other.query_ids
+            and self.product_ids == other.product_ids
+            and np.array_equal(self.contexts, other.contexts)
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.nrr, other.nrr)
         )
 
 
@@ -312,25 +346,26 @@ def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     return len(log)
 
 
-def write_supervised(records: Sequence[SupervisedRecord], sink: IO | str) -> int:
-    """Write supervised records as TSV with a header row."""
-    if records:
-        d = records[0].context.shape[0]
-    else:
-        d = 0
-    header = ["query_id", "product_id", "label", "nrr"] + [f"f{j}" for j in range(d)]
+def write_supervised(rows: SupervisedSet, sink: IO | str) -> int:
+    """Write supervised rows as TSV with a header row."""
+    header = ["query_id", "product_id", "label", "nrr"]
+    header += [f"f{j}" for j in range(rows.contexts.shape[1])]
+    columns = zip(rows.query_ids, rows.product_ids, rows.labels.tolist(), rows.nrr.tolist(),
+                  rows.contexts)
     with open_text(sink, "w") as out:
         out.write("\t".join(header) + "\n")
-        for r in records:
-            row = [r.query_id, r.product_id, str(r.label), repr(float(r.nrr))]
-            row += [repr(float(x)) for x in r.context]
-            out.write("\t".join(row) + "\n")
-    return len(records)
+        for query_id, product_id, label, nrr, context in columns:
+            out.write("\t".join([query_id, product_id, str(label), repr(nrr),
+                                 *map(repr, context.tolist())]) + "\n")
+    return len(rows)
 
 
-def read_supervised(source: IO | str) -> list[SupervisedRecord]:
-    """Read supervised records from the TSV format written by write_supervised."""
-    records = []
+def read_supervised(source: IO | str) -> SupervisedSet:
+    """Read the TSV format of ``write_supervised`` straight into columns; a row
+    that ``SupervisedSet`` rejects is reported by its line number."""
+    query_ids, product_ids, labels, line_nos = [], [], [], []
+    # Each row's nrr and features go to one flat buffer, (n, 1 + d) once reshaped.
+    flat = array("d")
     with open_text(source) as stream:
         header = stream.readline().rstrip("\n").split("\t")
         if header[:4] != ["query_id", "product_id", "label", "nrr"]:
@@ -341,21 +376,21 @@ def read_supervised(source: IO | str) -> list[SupervisedRecord]:
                 continue
             cols = line.split("\t")
             if len(cols) != len(header):
-                raise LogParseError(
-                    f"expected {len(header)} columns, got {len(cols)}", line_no
-                )
+                raise LogParseError(f"expected {len(header)} columns, got {len(cols)}", line_no)
             try:
-                record = SupervisedRecord(
-                    query_id=cols[0],
-                    product_id=cols[1],
-                    label=int(cols[2]),
-                    nrr=float(cols[3]),
-                    context=np.array([float(x) for x in cols[4:]]),
-                )
+                labels.append(int(cols[2]))
+                flat.fromlist(list(map(float, cols[3:])))
             except ValueError as exc:
                 raise LogParseError(str(exc), line_no) from exc
-            records.append(record)
-    return records
+            query_ids.append(cols[0])
+            product_ids.append(cols[1])
+            line_nos.append(line_no)
+    values = np.frombuffer(flat).reshape(len(line_nos), len(header) - 3)
+    try:
+        return SupervisedSet(query_ids, product_ids, np.ascontiguousarray(values[:, 1:]),
+                             labels, values[:, 0])
+    except LogValidationError as exc:
+        raise LogParseError(exc.message, line_nos[exc.row]) from exc
 
 
 def split_queries(

@@ -15,6 +15,9 @@ import numpy as np
 
 from banditrank.data import open_text
 
+# Cut-offs k of P@k and NDCG@k: the default of ``rank_metrics``, the dev-set
+# metrics of training checkpoints and the CLI's ``evaluate``.
+DEFAULT_KS = (5, 10)
 
 @dataclass(frozen=True)
 class RankedList:
@@ -150,7 +153,7 @@ class QueryGrades:
 def rank_metrics(
     runs: Sequence[RankedList],
     labels: Mapping[tuple[str, str], int],
-    ks: Sequence[int] = (5, 10),
+    ks: Sequence[int] = DEFAULT_KS,
 ) -> MetricsReport:
     """Compute MAP, MRR, P@k, NDCG@k, average rank / DCG of relevant items.
 

@@ -65,16 +65,6 @@ class PolicyParams:
     def replace_arrays(self, arrays: Sequence[np.ndarray]) -> "PolicyParams":
         return PolicyParams(self.kind, arrays)
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays])
-
-    def unflatten(self, flat: np.ndarray) -> "PolicyParams":
-        out, i = [], 0
-        for a in self.arrays:
-            out.append(np.asarray(flat[i : i + a.size]).reshape(a.shape).copy())
-            i += a.size
-        return self.replace_arrays(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyParams):
             return NotImplemented

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from banditrank.data import BanditLog, SupervisedRecord, open_text
+from banditrank.data import NRR_DECIMALS, BanditLog, SupervisedSet, grade, open_text
 from banditrank.policy import PolicyParams, batch_probabilities
 
 
@@ -54,7 +54,6 @@ class SyntheticWorld:
     seed: int
     contexts: np.ndarray          # (n_queries * products_per_query, d)
     true_relevance: np.ndarray    # matching click probabilities, in (0, 1)
-    hidden_truth: np.ndarray      # (d,) linear scorer behind the relevance
     logging_policy: LoggingPolicy
 
     @property
@@ -85,7 +84,6 @@ def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
         seed=seed,
         contexts=contexts,
         true_relevance=relevance,
-        hidden_truth=hidden,
         logging_policy=LoggingPolicy(params=params),
     )
 
@@ -138,62 +136,41 @@ def true_risk(world: SyntheticWorld, params: PolicyParams) -> float:
 def world_labels(
     world: SyntheticWorld, top_fraction: float = 0.2
 ) -> dict[tuple[str, str], int]:
-    """Graded labels from true relevance.
-
-    Only the ``top_fraction`` most relevant products of each query are
-    relevant (mirroring sparse positive feedback); those are graded
-    ceil(4 * relevance / max relevance), everything else gets grade 0.
-    """
-    labels: dict[tuple[str, str], int] = {}
-    ppq = world.config.products_per_query
-    n_rel = max(1, int(round(top_fraction * ppq)))
-    rel = world.true_relevance.reshape(world.config.n_queries, ppq)
-    for qi in range(world.config.n_queries):
-        row = rel[qi]
-        mx = row.max()
-        top = set(np.argsort(-row)[:n_rel].tolist())
-        for pi in range(ppq):
-            if pi in top:
-                grade = int(np.ceil(4.0 * round(row[pi] / mx, 12)))
-            else:
-                grade = 0
-            labels[(f"q{qi}", f"p{pi}")] = grade
-    return labels
+    """The labels of ``world_supervised``, by (query, product) pair."""
+    return world_supervised(world, top_fraction=top_fraction).qrels()
 
 
 def world_supervised(
     world: SyntheticWorld,
     query_ids: set[str] | None = None,
     top_fraction: float = 0.2,
-) -> list[SupervisedRecord]:
-    """Supervised records for (a subset of) the world's queries.
+) -> SupervisedSet:
+    """Supervised rows for (a subset of) the world's queries.
 
-    The nrr field is relevance normalized by the per-query maximum for
-    relevant products and 0 for the rest, so labels stay consistent with
-    the graded-label rule.
+    Only the ``top_fraction`` most relevant products of each query are
+    relevant (mirroring sparse positive feedback): their nrr is relevance
+    over the query's maximum, rounded to ``NRR_DECIMALS`` places, and every
+    other product has nrr 0. Each label is ``grade(nrr)``.
     """
-    labels = world_labels(world, top_fraction)
     ppq = world.config.products_per_query
+    n_rel = max(1, int(round(top_fraction * ppq)))
     rel = world.true_relevance.reshape(world.config.n_queries, ppq)
-    records = []
-    for qi in range(world.config.n_queries):
-        q = f"q{qi}"
-        if query_ids is not None and q not in query_ids:
-            continue
-        mx = rel[qi].max()
-        for pi in range(ppq):
-            grade = labels[(q, f"p{pi}")]
-            nrr = round(rel[qi, pi] / mx, 12) if grade > 0 else 0.0
-            records.append(
-                SupervisedRecord(
-                    query_id=q,
-                    product_id=f"p{pi}",
-                    context=world.contexts[qi * ppq + pi],
-                    label=grade,
-                    nrr=nrr,
-                )
-            )
-    return records
+    top = np.zeros(rel.shape, dtype=bool)
+    np.put_along_axis(top, np.argsort(-rel, axis=1)[:, :n_rel], True, axis=1)
+    nrr = np.where(top, np.round(rel / rel.max(axis=1, keepdims=True), NRR_DECIMALS), 0.0)
+    queries = [
+        qi for qi in range(world.config.n_queries)
+        if query_ids is None or f"q{qi}" in query_ids
+    ]
+    rows = (np.array(queries, dtype=np.int64)[:, None] * ppq + np.arange(ppq)).ravel()
+    nrr = nrr.ravel()[rows]
+    return SupervisedSet(
+        [f"q{qi}" for qi in queries for _ in range(ppq)],
+        [f"p{pi}" for pi in range(ppq)] * len(queries),
+        world.contexts[rows],
+        list(map(grade, nrr.tolist())),
+        nrr,
+    )
 
 
 def save_world(world: SyntheticWorld, sink) -> None:

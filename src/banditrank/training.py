@@ -15,14 +15,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from banditrank.data import BanditLog, SupervisedRecord, open_text
+from banditrank.data import BanditLog, SupervisedSet, open_text
 from banditrank.estimators import (
     group_mean_losses,
     lagrangian_gradient,
     logged_probabilities,
     mean_weight_and_lagrangian,
 )
-from banditrank.evaluation import MetricsReport, QueryGrades, RankedList
+from banditrank.evaluation import DEFAULT_KS as DEV_KS, MetricsReport, QueryGrades, RankedList
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
@@ -34,8 +34,6 @@ from banditrank.policy import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Cutoffs of the P@k / NDCG@k metrics computed on the dev set.
-DEV_KS = (5, 10)
 
 
 @dataclass(frozen=True)
@@ -126,22 +124,21 @@ def _codes(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
 
 
 class DevIndex:
-    """Supervised records arranged once for ranking and scoring by any policy.
+    """Supervised rows arranged once for ranking and scoring by any policy.
 
-    Holds the stacked contexts, each record's query and product id as a
-    code in sorted order, the grades, and the order-free part of the
-    metrics (``QueryGrades``). Ranking a policy is then one forward pass
-    and one ``np.lexsort``: by query, then logit margin best first, then
-    product id.
+    Holds the rows' contexts, each row's query and product id as a code in
+    sorted order, the grades, and the order-free part of the metrics
+    (``QueryGrades``). Ranking a policy is then one forward pass and one
+    ``np.lexsort``: by query, then logit margin best first, then product id.
     """
 
-    def __init__(self, records: Sequence[SupervisedRecord]):
-        if not records:
+    def __init__(self, rows: SupervisedSet):
+        if not len(rows):
             raise ValueError("no records to rank")
-        self.contexts = np.stack([r.context for r in records])
-        self.queries, self.query = _codes([r.query_id for r in records])
-        _, self.product = _codes([r.product_id for r in records])
-        self.grades = np.array([r.label for r in records], dtype=np.int64)
+        self.contexts = rows.contexts
+        self.queries, self.query = _codes(rows.query_ids)
+        _, self.product = _codes(rows.product_ids)
+        self.grades = rows.labels
         grouped = np.lexsort((self.product, self.query))
         same = (np.diff(self.query[grouped]) == 0) & (np.diff(self.product[grouped]) == 0)
         if same.any():
@@ -151,7 +148,7 @@ class DevIndex:
         self.graded = QueryGrades(self.grades[grouped], self.lengths, DEV_KS)
 
     def rank(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
-        """Each record's logit margin, and the record indices in ranked order."""
+        """Each row's logit margin, and the row indices in ranked order."""
         margin = logit_margin(params, self.contexts)
         return margin, np.lexsort((self.product, -margin, self.query))
 
@@ -160,36 +157,32 @@ class DevIndex:
         return self.graded.report(self.grades[self.rank(params)[1]])
 
 
-def rank_records(
-    params: PolicyParams, records: Sequence[SupervisedRecord]
-) -> list[RankedList]:
+def rank_records(params: PolicyParams, rows: SupervisedSet) -> list[RankedList]:
     """One ranking per query, in sorted query order.
 
-    A query's records are ordered by the policy's logit margin, best first,
+    A query's rows are ordered by the policy's logit margin, best first,
     ties broken by product id; all contexts share one forward pass.
     """
-    index = DevIndex(records)
+    index = DevIndex(rows)
     margin, order = index.rank(params)
-    scores = margin.tolist()
+    scores, products = margin.tolist(), rows.product_ids
     segments = np.split(order, np.cumsum(index.lengths)[:-1])
     return [
-        RankedList(q, tuple((records[i].product_id, scores[i]) for i in rows.tolist()))
-        for q, rows in zip(index.queries, segments)
+        RankedList(q, tuple((products[i], scores[i]) for i in segment.tolist()))
+        for q, segment in zip(index.queries, segments)
     ]
 
 
-def evaluate_policy(
-    params: PolicyParams, records: Sequence[SupervisedRecord]
-) -> MetricsReport:
-    """Score the rankings of ``rank_records`` against the records' labels."""
-    return DevIndex(records).evaluate(params)
+def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
+    """Score the rankings of ``rank_records`` against the rows' labels."""
+    return DevIndex(rows).evaluate(params)
 
 
 def _minibatch_train(
     log_len: int,
     grad_fn: Callable[[PolicyParams, np.ndarray], list[np.ndarray]],
     full_pass: Callable[[PolicyParams], tuple[float, float]],
-    dev: Sequence[SupervisedRecord],
+    dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
@@ -236,7 +229,7 @@ def _minibatch_train(
 
 def train_crm(
     train_log: BanditLog,
-    dev: Sequence[SupervisedRecord],
+    dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
@@ -267,7 +260,7 @@ def train_crm(
 
 def train_ea(
     train_log: BanditLog,
-    dev: Sequence[SupervisedRecord],
+    dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
@@ -299,21 +292,21 @@ def train_ea(
 
 
 def train_full_info(
-    train: Sequence[SupervisedRecord],
-    dev: Sequence[SupervisedRecord],
+    train: SupervisedSet,
+    dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
     """Weighted binary cross-entropy on binarized graded labels.
 
-    A record with label l contributes weight (1 + l) / 5, so stronger
-    grades pull harder; the target class is 1 whenever l > 0.
+    A row with label l contributes weight (1 + l) / 5, so stronger grades
+    pull harder; the target class is 1 whenever l > 0.
     """
     if not train or not dev:
         raise ValueError("train and dev sets must be non-empty")
-    X = np.stack([r.context for r in train])
-    y = np.array([1 if r.label > 0 else 0 for r in train], dtype=np.int64)
-    weights = np.array([(1 + r.label) / 5.0 for r in train])
+    X = train.contexts
+    y = (train.labels > 0).astype(np.int64)
+    weights = (1 + train.labels) / 5.0
     if not np.any(y):
         raise ValueError("training set has no positive labels")
 
@@ -378,7 +371,7 @@ def next_lambda(lam: float, S: float) -> float:
 
 def lambda_search(
     train_log: BanditLog,
-    dev: Sequence[SupervisedRecord],
+    dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
     probe_epochs: int = 2,

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from banditrank.data import BanditLog
+from banditrank.data import BanditLog, SupervisedSet
 from banditrank.policy import PolicyParams
 
 
@@ -28,6 +28,11 @@ def random_log(n, d, seed, n_queries=5, n_products=4):
         propensities=rng.uniform(0.1, 1.0, n),
         deltas=rng.integers(0, 2, n),
     )
+
+
+def supervised(rows):
+    """A ``SupervisedSet`` of (query_id, product_id, context, label, nrr) rows."""
+    return SupervisedSet(*zip(*rows)) if rows else SupervisedSet([], [], np.zeros((0, 0)), [], [])
 
 
 def identity_policy(d=1):

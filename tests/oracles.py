@@ -5,8 +5,43 @@ at a time, with no shared code paths with the library being tested.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Record(NamedTuple):
+    """One logged interaction, as the oracles read it."""
+
+    query_id: str
+    product_id: str
+    context: np.ndarray
+    action: int
+    propensity: float
+    delta: int
+
+
+def rows(log):
+    """The records of a ``BanditLog``, one per row of its columns."""
+    return [
+        Record(*fields)
+        for fields in zip(log.query_ids, log.product_ids, log.contexts, log.actions.tolist(),
+                          log.propensities.tolist(), log.deltas.tolist())
+    ]
+
+
+def flatten(params):
+    """Every array of a ``PolicyParams``, raveled into one vector."""
+    return np.concatenate([a.ravel() for a in params.arrays])
+
+
+def unflatten(params, flat):
+    """A ``PolicyParams`` shaped like ``params`` holding the values of ``flat``."""
+    out, i = [], 0
+    for a in params.arrays:
+        out.append(np.asarray(flat[i : i + a.size]).reshape(a.shape).copy())
+        i += a.size
+    return params.replace_arrays(out)
 
 
 def brute_snips(records, prob_fn):

@@ -48,10 +48,13 @@ from oracles import (
     brute_lagrangian,
     brute_snips,
     finite_difference_gradient,
+    flatten,
+    rows,
     trec_eval_map,
     trec_eval_mrr,
     trec_eval_ndcg_at,
     trec_eval_p_at,
+    unflatten,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -75,7 +78,7 @@ def test_criterion_1_estimator_oracle_equivalence():
         n = int(np.random.default_rng(seed).integers(1, 21))
         log = random_log(n, 3, seed)
         params = init_params("mlp" if seed % 2 else "linear", 3, hidden=4, seed=seed)
-        records, fn = list(log), prob_fn(params)
+        records, fn = rows(log), prob_fn(params)
         worst = max(
             worst,
             abs(snips(log, params).estimate - brute_snips(records, fn)),
@@ -130,13 +133,13 @@ def test_criterion_4_gradient_correctness():
             params = init_params(kind, 3, hidden=hidden, seed=seed)
             log = random_log(8, 3, seed + 300)
             lam = float(rng.uniform(0, 1))
-            records = list(log)
+            records = rows(log)
 
             def risk_of(flat, p=params, r=records, l=lam):
-                return brute_lagrangian(r, prob_fn(p.unflatten(np.array(flat))), l)
+                return brute_lagrangian(r, prob_fn(unflatten(p, np.array(flat))), l)
 
             numeric = np.array(
-                finite_difference_gradient(risk_of, params.flatten().tolist(), 1e-5)
+                finite_difference_gradient(risk_of, flatten(params).tolist(), 1e-5)
             )
             analytic = np.concatenate(
                 [g.ravel() for g in lagrangian_gradient(
@@ -151,11 +154,11 @@ def test_criterion_4_gradient_correctness():
             action = int(rng.integers(0, 2))
 
             def p_of(flat, p=params, xx=x, a=action):
-                q = batch_probabilities(p.unflatten(np.array(flat)), xx)[0]
+                q = batch_probabilities(unflatten(p, np.array(flat)), xx)[0]
                 return q[a]
 
             numeric_p = np.array(
-                finite_difference_gradient(p_of, params.flatten().tolist(), 1e-5)
+                finite_difference_gradient(p_of, flatten(params).tolist(), 1e-5)
             )
             analytic_p = np.concatenate(
                 [g.ravel() for g in weighted_prob_gradient(params, x[None], [action], [1.0])]

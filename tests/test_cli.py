@@ -140,6 +140,20 @@ class TestTrainAndEvaluate:
         assert rc == 2
 
 
+class TestLearningCurve:
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        history = tmp_path / "history.tsv"
+        header = "records_seen\tobjective\tS\tmap\tndcg@10\tavg_rank\tavg_dcg"
+        history.write_text(header + "\n1\t2\n")
+        out = tmp_path / "lc"
+        assert run(["learning-curve", "--history", str(history), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "line 2" in error_lines[0], err
+        assert "Traceback" not in err
+        assert not (out / "curve.tsv").exists()
+
+
 class TestAggregateCommand:
     def test_aggregate(self, tmp_path):
         imp = tmp_path / "impressions.tsv"

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditrank.aggregation import graded_label
 from banditrank.data import (
     BanditLog,
     LogParseError,
     LogValidationError,
-    SupervisedRecord,
+    SupervisedSet,
+    grade,
     parse_bandit_log,
     read_supervised,
     split_queries,
@@ -22,9 +25,17 @@ from banditrank.data import (
 from banditrank.estimators import snips
 from banditrank.evaluation import write_qrels, write_trec_run
 from banditrank.policy import PolicyParams, init_params
-from banditrank.simulator import SimConfig, generate_world, load_world, save_world
+from banditrank.simulator import (
+    SimConfig,
+    generate_world,
+    load_world,
+    save_world,
+    world_labels,
+    world_supervised,
+)
 from banditrank.training import TrainConfig, rank_records, train_crm, write_history
-from conftest import random_log
+from conftest import random_log, supervised
+from oracles import rows
 
 
 def record_line(qid="q1", pid="p1", features=(0.5, -1.0), action=1, propensity=0.8, delta=0):
@@ -45,7 +56,7 @@ class TestParse:
         log = parse_bandit_log(io.StringIO(record_line() + "\n"))
         assert len(log) == 1
         assert log.feature_dim == 2
-        r = log[0]
+        r = rows(log)[0]
         assert (r.query_id, r.product_id) == ("q1", "p1")
         assert (r.action, r.propensity, r.delta) == (1, 0.8, 0)
         np.testing.assert_array_equal(r.context, [0.5, -1.0])
@@ -200,13 +211,27 @@ class TestRoundTrip:
         assert back == log
 
 
+@st.composite
+def supervised_sets(draw):
+    """Random rows labelled by the rule, with 0 to 3 features each; possibly no rows."""
+    n, d = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    ids = st.lists(st.text("pq01", max_size=3), min_size=n, max_size=n)
+    nrr = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    contexts = draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+        min_size=n, max_size=n,
+    ))
+    return SupervisedSet(draw(ids), draw(ids), np.array(contexts, dtype=np.float64).reshape(n, d),
+                         [grade(x) for x in nrr], nrr)
+
+
 class TestSupervisedFile:
     def test_roundtrip(self):
-        records = [
-            SupervisedRecord("q1", "p1", np.array([0.5, 2.0]), 4, 1.0),
-            SupervisedRecord("q1", "p2", np.array([0.1, -1.0]), 2, 0.5),
-            SupervisedRecord("q2", "p1", np.array([0.0, 0.0]), 0, 0.0),
-        ]
+        records = supervised([
+            ("q1", "p1", np.array([0.5, 2.0]), 4, 1.0),
+            ("q1", "p2", np.array([0.1, -1.0]), 2, 0.5),
+            ("q2", "p1", np.array([0.0, 0.0]), 0, 0.0),
+        ])
         buf = io.StringIO()
         assert write_supervised(records, buf) == 3
         buf.seek(0)
@@ -214,7 +239,9 @@ class TestSupervisedFile:
         assert not buf.closed  # a caller's stream is left open
 
     @pytest.mark.parametrize(
-        "row", ["q2\tp1\tx\t0.5\t1.0", "q2\tp1\t2\t0.5\tab", "q2\tp1\t3\t0.5\t1.0"]
+        "row", ["q2\tp1\tx\t0.5\t1.0", "q2\tp1\t2\t0.5\tab", "q2\tp1\t3\t0.5\t1.0",
+                "q2\tp1\t2\t0.5\tnan", "q2\tp1\t2\t0.5\t-inf", "q2\tp1\t4\t1.5\t1.0",
+                "q2\tp1\t0\t-0.25\t1.0", "q2\tp1\t2\t0.5"]
     )
     def test_bad_row_reports_its_line(self, row):
         src = "query_id\tproduct_id\tlabel\tnrr\tf0\nq1\tp1\t4\t1.0\t0.5\n" + row + "\n"
@@ -223,18 +250,89 @@ class TestSupervisedFile:
 
     def test_label_nrr_consistency_enforced(self):
         with pytest.raises(LogValidationError):
-            SupervisedRecord("q", "p", np.array([1.0]), 3, 0.5)
+            SupervisedSet(["q"], ["p"], np.array([[1.0]]), [3], [0.5])
+
+    @settings(max_examples=50, deadline=None)
+    @given(supervised_sets())
+    def test_roundtrip_property(self, dataset):
+        buf = io.StringIO()
+        assert write_supervised(dataset, buf) == len(dataset)
+        buf.seek(0)
+        assert read_supervised(buf) == dataset
+
+    def test_header_only_file_is_an_empty_set(self):
+        back = read_supervised(io.StringIO("query_id\tproduct_id\tlabel\tnrr\tf0\tf1\n"))
+        assert len(back) == 0
+        assert back.contexts.shape == (0, 2)
+
+
+class TestSupervisedSetColumns:
+    @pytest.mark.parametrize(
+        "column, values",
+        [("contexts", [[1.0], [float("inf")]]), ("contexts", [[1.0], [1.0, 2.0]]),
+         ("nrr", [1.0, 1.5]), ("nrr", [1.0, None]),
+         ("labels", [4, 3]), ("labels", [4, "4"]), ("labels", [4, 3.5]),
+         ("labels", [4, float("inf")])],
+    )
+    def test_bad_value_names_its_row(self, column, values):
+        columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
+                   "contexts": np.zeros((2, 1)), "labels": [4, 4], "nrr": [1.0, 1.0]}
+        with pytest.raises(LogValidationError, match="row 1"):
+            SupervisedSet(**{**columns, column: values})
+
+    def test_first_bad_row_is_reported(self):
+        # row 0's label breaks the rule, row 1's nrr lies outside [0, 1]
+        with pytest.raises(LogValidationError, match="row 0"):
+            SupervisedSet(["q1", "q2"], ["p1", "p2"], np.zeros((2, 1)), [3, 4], [1.0, 1.5])
+
+    def test_columns_are_read_only(self):
+        dataset = supervised([("q", "p", np.zeros(1), 4, 1.0)])
+        for column in (dataset.contexts, dataset.labels, dataset.nrr):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+
+class TestGrade:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(-4, 4))
+    def test_a_few_ulps_from_a_grade_boundary(self, k, ulps):
+        nrr = k / 4
+        for _ in range(abs(ulps)):
+            nrr = math.nextafter(nrr, math.copysign(math.inf, ulps))
+        assert grade(min(max(nrr, 0.0), 1.0)) == k
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_aggregation_and_constructor_apply_the_rule(self, nrr):
+        assert graded_label(nrr) == grade(nrr)
+        SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [grade(nrr)], [nrr])
+        with pytest.raises(LogValidationError, match="inconsistent"):
+            SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [grade(nrr) + 1], [nrr])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_python_round_keeps_a_numpy_rounded_rate(self, nrr):
+        # so the simulator may round its rates with numpy and grade them with ``grade``
+        rounded = float(np.round(nrr, 12))
+        assert round(rounded, 12) == rounded
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
+    def test_simulator_labels_follow_the_rule(self, seed, top_fraction):
+        world = generate_world(SimConfig(3, 8, 2), seed)
+        dataset = world_supervised(world, top_fraction=top_fraction)
+        assert dataset.labels.tolist() == [graded_label(x) for x in dataset.nrr.tolist()]
+        assert list(world_labels(world, top_fraction).values()) == dataset.labels.tolist()
 
 
 class TestFileHandles:
     def test_path_round_trips_close_their_files(self, tmp_path):
         log = random_log(30, 3, seed=0)
         params = init_params("linear", 3, seed=1)
-        dev = [
-            SupervisedRecord(q, p, log.contexts[i], 4 if i % 3 == 0 else 0,
-                             1.0 if i % 3 == 0 else 0.0)
+        dev = supervised([
+            (q, p, log.contexts[i], 4 if i % 3 == 0 else 0, 1.0 if i % 3 == 0 else 0.0)
             for i, (q, p) in enumerate(dict.fromkeys(zip(log.query_ids, log.product_ids)))
-        ]
+        ])
         world = generate_world(SimConfig(2, 3, 2), seed=2)
         _, history = train_crm(log, dev, params, TrainConfig(epochs=1, eval_every=10))
         labels = {(r.query_id, r.product_id): r.label for r in dev}

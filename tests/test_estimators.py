@@ -22,6 +22,9 @@ from oracles import (
     brute_mean_weight,
     brute_snips,
     finite_difference_gradient,
+    flatten,
+    rows,
+    unflatten,
 )
 
 
@@ -133,7 +136,7 @@ class TestAgainstBruteForce:
     def test_all_estimators(self, seed):
         log = random_log(np.random.default_rng(seed).integers(1, 21), 3, seed)
         params = init_params("mlp", 3, hidden=4, seed=seed + 100)
-        records = list(log)
+        records = rows(log)
         fn = record_prob_fn(params)
         assert snips(log, params).estimate == pytest.approx(
             brute_snips(records, fn), abs=1e-12
@@ -153,7 +156,7 @@ class TestAgainstBruteForce:
         log = random_log(15, 2, seed=8)
         params = init_params("linear", 2, seed=9)
         assert lagrangian_risk(log, params, lam) == pytest.approx(
-            brute_lagrangian(list(log), record_prob_fn(params), lam), abs=1e-12
+            brute_lagrangian(rows(log), record_prob_fn(params), lam), abs=1e-12
         )
 
 
@@ -210,14 +213,14 @@ class TestLagrangianGradient:
         log = random_log(8, 3, seed=22)
         params = init_params(kind, 3, hidden=hidden, seed=23)
         lam = 0.4
-        records = list(log)
+        records = rows(log)
 
         def risk_of(flat):
-            p = params.unflatten(np.array(flat))
+            p = unflatten(params, np.array(flat))
             return brute_lagrangian(records, record_prob_fn(p), lam)
 
         numeric = np.array(
-            finite_difference_gradient(risk_of, params.flatten().tolist(), h=1e-5)
+            finite_difference_gradient(risk_of, flatten(params).tolist(), h=1e-5)
         )
         analytic = np.concatenate(
             [g.ravel() for g in log_gradient(log, params, lam)]

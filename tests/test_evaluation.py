@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from banditrank.data import SupervisedRecord
 from banditrank.evaluation import (
     RankedList,
     rank_metrics,
@@ -16,6 +15,7 @@ from banditrank.evaluation import (
 )
 from banditrank.policy import PolicyParams
 from banditrank.training import DEV_KS, evaluate_policy, rank_records
+from conftest import supervised
 from oracles import loop_rank_metrics, trec_eval_map, trec_eval_mrr, trec_eval_ndcg_at
 
 
@@ -114,10 +114,10 @@ def brute_margin(x):
 
 @st.composite
 def dev_sets(draw):
-    """Ragged queries (one item upwards), queries with no relevant item and,
-    from a 5 x 5 context grid, many equal margins that product ids break.
-    Queries of more than 8 graded items tell a left-to-right sum from numpy's
-    pairwise one."""
+    """(query_id, product_id, context, label, nrr) rows of ragged queries (one
+    item upwards), queries with no relevant item and, from a 5 x 5 context
+    grid, many equal margins that product ids break. Queries of more than 8
+    graded items tell a left-to-right sum from numpy's pairwise one."""
     records = []
     for q in range(draw(st.integers(1, 5))):
         pids = draw(st.lists(st.text("abz", min_size=1, max_size=3), min_size=1, max_size=12,
@@ -125,8 +125,8 @@ def dev_sets(draw):
         for pid in pids:
             label = draw(st.sampled_from([0, 0, 0, 1, 2, 4]))
             x = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
-            records.append(SupervisedRecord(f"q{q}", pid, np.array(x, float), label, label / 4))
-    assume(any(r.label > 0 for r in records))
+            records.append((f"q{q}", pid, np.array(x, float), label, label / 4))
+    assume(any(label > 0 for _, _, _, label, _ in records))
     return draw(st.permutations(records))
 
 
@@ -134,17 +134,14 @@ class TestMetricsCore:
     @settings(max_examples=200, deadline=None)
     @given(dev_sets())
     def test_index_matches_adapter_loop_reference_and_oracles(self, records):
-        report = evaluate_policy(MARGIN_POLICY, records)
-        labels = {(r.query_id, r.product_id): r.label for r in records}
-        assert report == rank_metrics(rank_records(MARGIN_POLICY, records), labels, DEV_KS)
+        rows = supervised(records)
+        report = evaluate_policy(MARGIN_POLICY, rows)
+        labels = {(q, pid): label for q, pid, _, label, _ in records}
+        assert report == rank_metrics(rank_records(MARGIN_POLICY, rows), labels, DEV_KS)
         by_query = {}
-        for r in records:
-            by_query.setdefault(r.query_id, []).append(r)
-        runs = [
-            (q, [r.product_id for r in sorted(rs, key=lambda r: (-brute_margin(r.context),
-                                                                  r.product_id))])
-            for q, rs in sorted(by_query.items())
-        ]
+        for q, pid, x, _, _ in records:
+            by_query.setdefault(q, []).append((-brute_margin(x), pid))
+        runs = [(q, [pid for _, pid in sorted(items)]) for q, items in sorted(by_query.items())]
         assert dataclasses.asdict(report) == loop_rank_metrics(runs, labels, DEV_KS)
         run = dict(runs)
         assert report.map == pytest.approx(trec_eval_map(run, labels), abs=1e-12)
@@ -157,12 +154,13 @@ class TestMetricsCore:
     def test_report_ignores_record_order(self, records, random):
         shuffled = list(records)
         random.shuffle(shuffled)
-        assert evaluate_policy(MARGIN_POLICY, shuffled) == evaluate_policy(MARGIN_POLICY, records)
+        assert (evaluate_policy(MARGIN_POLICY, supervised(shuffled))
+                == evaluate_policy(MARGIN_POLICY, supervised(records)))
 
     def test_duplicate_pair_error(self):
-        rec = SupervisedRecord("q", "a", np.zeros(2), 4, 1.0)
+        rec = ("q", "a", np.zeros(2), 4, 1.0)
         with pytest.raises(ValueError, match="duplicate product"):
-            evaluate_policy(MARGIN_POLICY, [rec, rec])
+            evaluate_policy(MARGIN_POLICY, supervised([rec, rec]))
 
 
 def avg_rank(runs, labels):

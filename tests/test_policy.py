@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from banditrank.data import SupervisedRecord
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
@@ -12,8 +11,8 @@ from banditrank.policy import (
     weighted_prob_gradient,
 )
 from banditrank.training import evaluate_policy, rank_records
-from conftest import identity_policy
-from oracles import finite_difference_gradient
+from conftest import identity_policy, supervised
+from oracles import finite_difference_gradient, flatten, unflatten
 
 
 class TestInit:
@@ -82,11 +81,8 @@ class TestActionProbabilities:
 
 
 def candidates(*pairs):
-    """Unlabelled records of one query from (product_id, context) pairs."""
-    return [
-        SupervisedRecord("q", pid, np.asarray(x, dtype=np.float64), 0, 0.0)
-        for pid, x in pairs
-    ]
+    """Unlabelled rows of one query from (product_id, context) pairs."""
+    return supervised([("q", pid, np.asarray(x, dtype=np.float64), 0, 0.0) for pid, x in pairs])
 
 
 def ranked(params, records):
@@ -108,27 +104,28 @@ class TestRankProducts:
 
     def test_permutation_invariance(self, rng):
         p = init_params("linear", 3, seed=1)
-        cands = candidates(*[(f"p{i}", rng.standard_normal(3)) for i in range(10)])
+        pairs = [(f"p{i}", rng.standard_normal(3)) for i in range(10)]
+        cands = candidates(*pairs)
         out1 = rank_records(p, cands)
-        out2 = rank_records(p, list(reversed(cands)))
+        out2 = rank_records(p, candidates(*reversed(pairs)))
         assert out1 == out2
         # away from saturation the margin order is the show-probability order
-        p1 = batch_probabilities(p, np.stack([r.context for r in cands]))[:, 1]
+        p1 = batch_probabilities(p, cands.contexts)[:, 1]
         by_p1 = sorted(cands, key=lambda r: -p1[int(r.product_id[1:])])
         assert [pid for pid, _ in out1[0].items] == [r.product_id for r in by_p1]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            rank_records(identity_policy(), [])
+            rank_records(identity_policy(), supervised([]))
 
     def test_saturated_show_probability_ranks_by_margin(self):
         # margins 40 and 50 both give p1 == 1.0 exactly; the margin still
         # orders them, although the id of the better one sorts later
         p = identity_policy(1)
-        recs = [
-            SupervisedRecord("q", "a", np.array([40.0]), 0, 0.0),
-            SupervisedRecord("q", "b", np.array([50.0]), 4, 1.0),
-        ]
+        recs = supervised([
+            ("q", "a", np.array([40.0]), 0, 0.0),
+            ("q", "b", np.array([50.0]), 4, 1.0),
+        ])
         assert batch_probabilities(p, np.array([[40.0], [50.0]]))[:, 1].tolist() == [1.0, 1.0]
         assert ranked(p, recs) == [("b", 50.0), ("a", 40.0)]
         assert evaluate_policy(p, recs).map == 1.0
@@ -140,10 +137,10 @@ def prob_gradient(params, x, action):
 
 def fd_prob_gradient(params, x, action, h=1e-5):
     def f(flat):
-        p = params.unflatten(np.array(flat))
+        p = unflatten(params, np.array(flat))
         return batch_probabilities(p, x)[0][action]
 
-    return np.array(finite_difference_gradient(f, params.flatten().tolist(), h))
+    return np.array(finite_difference_gradient(f, flatten(params).tolist(), h))
 
 
 class TestGradActionProb:

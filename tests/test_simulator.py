@@ -90,7 +90,7 @@ class TestSimulateLog:
         forced = SyntheticWorld(
             config=w.config, seed=w.seed, contexts=w.contexts,
             true_relevance=np.full(w.n_pairs, 1.0 - 1e-12),
-            hidden_truth=w.hidden_truth, logging_policy=w.logging_policy,
+            logging_policy=w.logging_policy,
         )
         wshow = np.zeros((2, w.config.feature_dim))
         show_policy = LoggingPolicy(
@@ -112,7 +112,7 @@ class TestTrueRisk:
         flat = SyntheticWorld(
             config=w.config, seed=w.seed, contexts=w.contexts,
             true_relevance=np.full(w.n_pairs, 0.5),
-            hidden_truth=w.hidden_truth, logging_policy=w.logging_policy,
+            logging_policy=w.logging_policy,
         )
         uniform = PolicyParams(
             "linear", [np.zeros((2, w.config.feature_dim)), np.zeros(2)]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from banditrank import estimators, policy, training
-from banditrank.data import SupervisedRecord
 from banditrank.estimators import (
     empirical_average,
     lagrangian_gradient,
@@ -22,7 +21,7 @@ from banditrank.training import (
     train_ea,
     train_full_info,
 )
-from conftest import random_log
+from conftest import random_log, supervised
 
 
 def cfg(**overrides):
@@ -74,10 +73,8 @@ def toy_dev(d=4, n_queries=3):
         for p in range(6):
             label = 4 if p == 0 else (2 if p == 1 else 0)
             nrr = {4: 1.0, 2: 0.5, 0: 0.0}[label]
-            records.append(
-                SupervisedRecord(f"q{q}", f"p{p}", rng.standard_normal(d), label, nrr)
-            )
-    return records
+            records.append((f"q{q}", f"p{p}", rng.standard_normal(d), label, nrr))
+    return supervised(records)
 
 
 class TestTrainCrm:
@@ -152,7 +149,8 @@ class TestTrainCrm:
         with pytest.raises(ValueError):
             train_crm(empty, toy_dev(), init_params("linear", 4, seed=0), cfg())
         with pytest.raises(ValueError):
-            train_crm(random_log(10, 4, 0), [], init_params("linear", 4, seed=0), cfg())
+            train_crm(random_log(10, 4, 0), supervised([]), init_params("linear", 4, seed=0),
+                      cfg())
 
 
 class TestLambdaRule:
@@ -214,12 +212,8 @@ class TestTrainFullInfo:
         for i in range(n):
             pos = i % 2 == 0
             x = np.array([1.0 if pos else -1.0, 0.5])
-            records.append(
-                SupervisedRecord(
-                    f"q{i % 4}", f"p{i}", x, 4 if pos else 0, 1.0 if pos else 0.0
-                )
-            )
-        return records
+            records.append((f"q{i % 4}", f"p{i}", x, 4 if pos else 0, 1.0 if pos else 0.0))
+        return supervised(records)
 
     def test_separable_reaches_perfect_map(self):
         train = self.separable()
@@ -228,9 +222,7 @@ class TestTrainFullInfo:
         assert evaluate_policy(params, train).map == 1.0
 
     def test_all_zero_labels_rejected(self):
-        records = [
-            SupervisedRecord("q", f"p{i}", np.array([float(i)]), 0, 0.0) for i in range(5)
-        ]
+        records = supervised([("q", f"p{i}", np.array([float(i)]), 0, 0.0) for i in range(5)])
         with pytest.raises(ValueError):
             train_full_info(records, records, init_params("linear", 1, seed=0), cfg())
 
