@@ -9,7 +9,8 @@ Library layout:
 - ``estimators``  SNIPS / IPS / empirical-average risk estimators, Lagrangian
 - ``training``    minibatch Adam training, lambda search, full-info baseline
 - ``simulator``   synthetic worlds with exactly computable true risk
-- ``evaluation``  MAP / MRR / P@k / NDCG@k, TREC run files
+- ``evaluation``  the one ranking routine (``RankIndex``: rank any score vector,
+                  then MAP / MRR / P@k / NDCG@k and TREC run files), qrels files
 - ``cli``         subcommand entry point composing the above
 """
 

@@ -36,12 +36,11 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.evaluation import DEFAULT_KS, rank_metrics, write_qrels, write_trec_run
-from banditrank.policy import PolicyParams, init_params
+from banditrank.evaluation import DEFAULT_KS, RankIndex, write_qrels
+from banditrank.policy import PolicyParams, init_params, logit_margin
 from banditrank.training import (
     TrainConfig,
     lambda_search,
-    rank_records,
     train_crm,
     train_full_info,
     write_history,
@@ -213,14 +212,15 @@ def cmd_evaluate(cfg: dict) -> dict:
     test = read_supervised(cfg["test"])
     if not test:
         raise CliError("test set is empty")
-    runs = rank_records(params, test)
-    labels = test.qrels()
-    metrics = rank_metrics(runs, labels, ks=tuple(int(k) for k in cfg["ks"]))
+    index = RankIndex(test.query_ids, test.product_ids, test.labels,
+                      tuple(int(k) for k in cfg["ks"]))
+    scores = logit_margin(params, test.contexts)
+    metrics = index.report(scores)
     metrics.write(sys.stdout)
     return {
         "metrics.txt": metrics.write,
-        "run.txt": lambda fh: write_trec_run(runs, cfg["run_tag"], fh),
-        "qrels.txt": lambda fh: write_qrels(labels, fh),
+        "run.txt": lambda fh: index.write_trec_run(scores, cfg["run_tag"], fh),
+        "qrels.txt": lambda fh: write_qrels(test.qrels(), fh),
     }
 
 

@@ -3,7 +3,8 @@
 Conventions follow the trec_eval tool: an item is relevant when its grade is
 positive; queries without any relevant item are excluded from the MAP / MRR /
 NDCG averages but still count toward P@k; DCG uses exponential gain
-(2^grade - 1) with a log2(rank + 1) discount.
+(2^grade - 1) with a log2(rank + 1) discount. A query's items are ranked by
+score, best first; equal scores are broken by product id.
 """
 
 from __future__ import annotations
@@ -15,24 +16,9 @@ import numpy as np
 
 from banditrank.data import open_text
 
-# Cut-offs k of P@k and NDCG@k: the default of ``rank_metrics``, the dev-set
-# metrics of training checkpoints and the CLI's ``evaluate``.
+# Cut-offs k of P@k and NDCG@k: the default of ``RankIndex``, and so of the
+# dev-set metrics of training checkpoints and of the CLI's ``evaluate``.
 DEFAULT_KS = (5, 10)
-
-@dataclass(frozen=True)
-class RankedList:
-    """One query's ranking: (product_id, score) pairs, best first."""
-
-    query_id: str
-    items: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        ids = [pid for pid, _ in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate product in ranking for query {self.query_id}")
-        scores = [s for _, s in self.items]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError(f"scores must be non-increasing for query {self.query_id}")
 
 
 @dataclass(frozen=True)
@@ -87,31 +73,60 @@ def _sums(values: np.ndarray, seg: np.ndarray, n_queries: int) -> np.ndarray:
     return np.bincount(seg, weights=values, minlength=n_queries)
 
 
-class QueryGrades:
-    """The graded items of each query, for scoring any ranking of them.
+def _codes(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys in sorted order, and each key's position among them."""
+    distinct = sorted(set(keys))
+    position = {k: i for i, k in enumerate(distinct)}
+    return distinct, np.array([position[k] for k in keys], dtype=np.int64)
 
-    ``grades`` lists every item's grade, query by query, in segments of
-    ``lengths`` items; ``report`` takes the same grades with each segment
-    in rank order. What does not depend on the order (each item's query
-    and rank position, the relevant count and the ideal DCG per query and
-    per k) is computed here once.
+
+class RankIndex:
+    """Graded (query, product) rows, arranged once to rank and score any score vector.
+
+    Each row's query and product id is held as its position among the
+    sorted distinct ids, so ranking a score vector is one ``np.lexsort``: by
+    query, then score best first, then product id. What does not depend on
+    the scores (each ranked item's query and rank position, the relevant
+    count and the ideal DCG per query and per k) is computed here once.
     """
 
-    def __init__(self, grades: np.ndarray, lengths: Sequence[int], ks: Sequence[int]):
+    def __init__(
+        self,
+        query_ids: Sequence[str],
+        product_ids: Sequence[str],
+        grades: Sequence[int],
+        ks: Sequence[int] = DEFAULT_KS,
+    ):
+        n = len(query_ids)
+        if not n:
+            raise ValueError("no records to rank")
+        if len(product_ids) != n or len(grades) != n:
+            raise ValueError(f"expected {n} product ids and grades, "
+                             f"got {len(product_ids)} and {len(grades)}")
         if any(k < 1 for k in ks):
             raise ValueError(f"cutoffs must be >= 1, got {list(ks)}")
-        grades = np.asarray(grades, dtype=np.int64)
         self.ks = tuple(ks)
-        self.n_queries = len(lengths)
-        lengths = np.asarray(lengths, dtype=np.int64)
+        self.query_ids, self.product_ids = list(query_ids), list(product_ids)
+        self.grades = np.asarray(grades, dtype=np.int64)
+        queries, self.query = _codes(self.query_ids)
+        _, self.product = _codes(self.product_ids)
+        grouped = np.lexsort((self.product, self.query))
+        same = (np.diff(self.query[grouped]) == 0) & (np.diff(self.product[grouped]) == 0)
+        if same.any():
+            q = queries[self.query[grouped[np.argmax(same)]]]
+            raise ValueError(f"duplicate product in ranking for query {q}")
+        self.n_queries = len(queries)
+        lengths = np.bincount(self.query)
+        # query and 1-based rank of each position of a ranking, queries in sorted order
         self.seg = np.repeat(np.arange(self.n_queries), lengths)
         self.rank = _positions(lengths) + 1
-        self.n_rel = np.bincount(self.seg[grades > 0], minlength=self.n_queries)
+        self.n_rel = np.bincount(self.query[self.grades > 0], minlength=self.n_queries)
         self.judged = self.n_rel > 0
         # 1-based count of relevant items up to each relevant item, query by query
         self.hits = _positions(self.n_rel) + 1
         self.first_hit = (np.cumsum(self.n_rel) - self.n_rel)[self.judged]
-        self.ideal_dcg = self._dcg(grades[np.lexsort((-grades, self.seg))])[:-1, self.judged]
+        ideal = self.grades[np.lexsort((-self.grades, self.query))]
+        self.ideal_dcg = self._dcg(ideal)[:-1, self.judged]
 
     def _dcg(self, grades: np.ndarray) -> np.ndarray:
         """DCG per query at each k and over the whole list, shape (len(ks) + 1, n_queries)."""
@@ -124,14 +139,23 @@ class QueryGrades:
             + [_sums(terms, seg, self.n_queries)]
         )
 
-    def report(self, ranked: np.ndarray) -> MetricsReport:
-        """Metrics of one ranking: ``ranked`` holds the grades, each query's best first."""
+    def order(self, scores: Sequence[float]) -> np.ndarray:
+        """Row indices in ranked order: by query, then score best first, then product id."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != self.query.shape:
+            raise ValueError(f"expected {len(self.query)} scores, got shape {scores.shape}")
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValueError(f"score {scores[bad[0]]} of row {bad[0]} is not finite")
+        return np.lexsort((self.product, -scores, self.query))
+
+    def report(self, scores: Sequence[float]) -> MetricsReport:
+        """MAP, MRR, P@k, NDCG@k and the average rank and DCG of relevant items
+        of the ranking by ``scores``."""
         judged = self.judged
         if not judged.any():
             raise ValueError("no query has a relevant item")
-        ranked = np.asarray(ranked, dtype=np.int64)
-        if ranked.shape != self.seg.shape:
-            raise ValueError(f"expected {len(self.seg)} ranked grades, got {ranked.shape}")
+        ranked = self.grades[self.order(scores)]
         rel = ranked > 0
         rel_seg, rel_rank = self.seg[rel], self.rank[rel]
         ap = _sums(self.hits / rel_rank, rel_seg, self.n_queries)[judged] / self.n_rel[judged]
@@ -149,36 +173,31 @@ class QueryGrades:
             n_queries=self.n_queries,
         )
 
+    def write_trec_run(self, scores: Sequence[float], run_tag: str, sink: IO | str) -> int:
+        """Write the ranking by ``scores`` as a trec_eval run file; returns the line count."""
+        order = self.order(scores)
+        ranked = np.asarray(scores, dtype=np.float64)[order].tolist()
+        with open_text(sink, "w") as out:
+            for i, rank, score in zip(order.tolist(), self.rank.tolist(), ranked):
+                out.write(f"{self.query_ids[i]} Q0 {self.product_ids[i]} {rank} {score:.6f} "
+                          f"{run_tag}\n")
+        return len(order)
+
 
 def rank_metrics(
-    runs: Sequence[RankedList],
+    query_ids: Sequence[str],
+    product_ids: Sequence[str],
+    scores: Sequence[float],
     labels: Mapping[tuple[str, str], int],
     ks: Sequence[int] = DEFAULT_KS,
 ) -> MetricsReport:
-    """Compute MAP, MRR, P@k, NDCG@k, average rank / DCG of relevant items.
+    """The ``RankIndex.report`` of a run given as columns: row i scores
+    product ``product_ids[i]`` for query ``query_ids[i]``.
 
-    Missing labels count as grade 0.
+    ``labels`` grades (query_id, product_id) pairs; a missing label counts as grade 0.
     """
-    if not runs:
-        raise ValueError("runs must be non-empty")
-    grades = np.array(
-        [labels.get((run.query_id, pid), 0) for run in runs for pid, _ in run.items],
-        dtype=np.int64,
-    )
-    return QueryGrades(grades, [len(run.items) for run in runs], ks).report(grades)
-
-
-def write_trec_run(runs: Sequence[RankedList], run_tag: str, sink: IO | str) -> int:
-    """Emit a trec_eval-consumable run file; returns the line count."""
-    n = 0
-    with open_text(sink, "w") as out:
-        for run in runs:
-            if not run.items:
-                raise ValueError(f"empty ranking for query {run.query_id}")
-            for rank, (pid, score) in enumerate(run.items, start=1):
-                out.write(f"{run.query_id} Q0 {pid} {rank} {score:.6f} {run_tag}\n")
-                n += 1
-    return n
+    grades = [labels.get(pair, 0) for pair in zip(query_ids, product_ids)]
+    return RankIndex(query_ids, product_ids, grades, ks).report(scores)
 
 
 def write_qrels(labels: Mapping[tuple[str, str], int], sink: IO | str) -> int:

@@ -133,13 +133,6 @@ def true_risk(world: SyntheticWorld, params: PolicyParams) -> float:
     return float(np.mean(per_pair))
 
 
-def world_labels(
-    world: SyntheticWorld, top_fraction: float = 0.2
-) -> dict[tuple[str, str], int]:
-    """The labels of ``world_supervised``, by (query, product) pair."""
-    return world_supervised(world, top_fraction=top_fraction).qrels()
-
-
 def world_supervised(
     world: SyntheticWorld,
     query_ids: set[str] | None = None,

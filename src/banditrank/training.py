@@ -22,7 +22,7 @@ from banditrank.estimators import (
     logged_probabilities,
     mean_weight_and_lagrangian,
 )
-from banditrank.evaluation import DEFAULT_KS as DEV_KS, MetricsReport, QueryGrades, RankedList
+from banditrank.evaluation import MetricsReport, RankIndex
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
@@ -50,6 +50,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError(f"batch_size and epochs must be >= 1: {self}")
+        if self.max_probes < 1:
+            raise ValueError(f"max_probes must be >= 1: {self}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive: {self}")
         if not 0.0 <= self.lam <= 1.0:
@@ -116,66 +118,10 @@ class TrainHistory:
         )
 
 
-def _codes(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys in sorted order, and each key's position among them."""
-    distinct = sorted(set(keys))
-    position = {k: i for i, k in enumerate(distinct)}
-    return distinct, np.array([position[k] for k in keys], dtype=np.int64)
-
-
-class DevIndex:
-    """Supervised rows arranged once for ranking and scoring by any policy.
-
-    Holds the rows' contexts, each row's query and product id as a code in
-    sorted order, the grades, and the order-free part of the metrics
-    (``QueryGrades``). Ranking a policy is then one forward pass and one
-    ``np.lexsort``: by query, then logit margin best first, then product id.
-    """
-
-    def __init__(self, rows: SupervisedSet):
-        if not len(rows):
-            raise ValueError("no records to rank")
-        self.contexts = rows.contexts
-        self.queries, self.query = _codes(rows.query_ids)
-        _, self.product = _codes(rows.product_ids)
-        self.grades = rows.labels
-        grouped = np.lexsort((self.product, self.query))
-        same = (np.diff(self.query[grouped]) == 0) & (np.diff(self.product[grouped]) == 0)
-        if same.any():
-            q = self.queries[self.query[grouped[np.argmax(same)]]]
-            raise ValueError(f"duplicate product in ranking for query {q}")
-        self.lengths = np.bincount(self.query)
-        self.graded = QueryGrades(self.grades[grouped], self.lengths, DEV_KS)
-
-    def rank(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's logit margin, and the row indices in ranked order."""
-        margin = logit_margin(params, self.contexts)
-        return margin, np.lexsort((self.product, -margin, self.query))
-
-    def evaluate(self, params: PolicyParams) -> MetricsReport:
-        """P@k and NDCG@k at ``DEV_KS``, MAP, MRR and the averages of the policy's ranking."""
-        return self.graded.report(self.grades[self.rank(params)[1]])
-
-
-def rank_records(params: PolicyParams, rows: SupervisedSet) -> list[RankedList]:
-    """One ranking per query, in sorted query order.
-
-    A query's rows are ordered by the policy's logit margin, best first,
-    ties broken by product id; all contexts share one forward pass.
-    """
-    index = DevIndex(rows)
-    margin, order = index.rank(params)
-    scores, products = margin.tolist(), rows.product_ids
-    segments = np.split(order, np.cumsum(index.lengths)[:-1])
-    return [
-        RankedList(q, tuple((products[i], scores[i]) for i in segment.tolist()))
-        for q, segment in zip(index.queries, segments)
-    ]
-
-
 def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
-    """Score the rankings of ``rank_records`` against the rows' labels."""
-    return DevIndex(rows).evaluate(params)
+    """The metrics of the policy's ranking of ``rows`` by logit margin, against their labels."""
+    index = RankIndex(rows.query_ids, rows.product_ids, rows.labels)
+    return index.report(logit_margin(params, rows.contexts))
 
 
 def _minibatch_train(
@@ -190,7 +136,7 @@ def _minibatch_train(
 
     ``full_pass`` returns (S, objective) from one pass over the training set.
     """
-    dev_index = DevIndex(dev)
+    dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
     rng = np.random.default_rng(config.seed)
     params = params0
     state = AdamState.zeros_like(params0)
@@ -199,7 +145,7 @@ def _minibatch_train(
     next_eval = config.eval_every
 
     def checkpoint():
-        dev_metrics = dev_index.evaluate(params)
+        dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
         S, objective = full_pass(params)
         checkpoints.append(
             Checkpoint(
@@ -381,7 +327,8 @@ def lambda_search(
     Starting from a seeded random lambda in [0, 1], train ``probe_epochs``
     from scratch, measure the mean importance weight S on the training log,
     and step lambda down 10% when S > 1, up 10% otherwise, until S lands in
-    [0.95, 1.05] or ``config.max_probes`` probes are spent. Every probed
+    [0.95, 1.05], ``config.max_probes`` probes are spent, or the next lambda
+    was probed already (at the cap of 1). Every probed
     lambda then gets a full training run; the one with the best dev metric
     wins.
     """
@@ -403,7 +350,7 @@ def lambda_search(
 
     sweep: list[LambdaProbe] = []
     best: tuple[float, float, PolicyParams] | None = None
-    for lam_j in dict.fromkeys(probed):
+    for lam_j in probed:
         full_cfg = replace(config, lam=lam_j)
         params_j, history_j = train_crm(train_log, dev, params0, full_cfg)
         # the best checkpoint was measured on params_j: no second pass needed
@@ -414,5 +361,4 @@ def lambda_search(
         )
         if best is None or score_j > best[0]:
             best = (score_j, lam_j, params_j)
-    assert best is not None
     return best[1], best[2], sweep

@@ -20,7 +20,7 @@ from banditrank.estimators import (
     snips,
     snips_denominator,
 )
-from banditrank.evaluation import RankedList, rank_metrics
+from banditrank.evaluation import rank_metrics
 from banditrank.policy import (
     batch_probabilities,
     init_params,
@@ -286,20 +286,18 @@ def test_criterion_9_lambda_s_behavior():
 
 def test_criterion_10_metric_fixture():
     run: dict[str, list[str]] = {}
-    scores: dict[tuple[str, str], float] = {}
+    query_ids, product_ids, scores = [], [], []
     for line in (FIXTURES / "fixture_run.txt").read_text().splitlines():
         q, _, d, rank, score, _ = line.split()
         run.setdefault(q, []).append(d)
-        scores[(q, d)] = float(score)
+        query_ids.append(q)
+        product_ids.append(d)
+        scores.append(float(score))
     qrels = {}
     for line in (FIXTURES / "fixture_qrels.txt").read_text().splitlines():
         q, _, d, grade = line.split()
         qrels[(q, d)] = int(grade)
-    runs = [
-        RankedList(q, tuple((d, scores[(q, d)]) for d in docs))
-        for q, docs in sorted(run.items())
-    ]
-    rep = rank_metrics(runs, qrels, ks=[5, 10])
+    rep = rank_metrics(query_ids, product_ids, scores, qrels, ks=[5, 10])
     diffs = {
         "MAP": abs(rep.map - trec_eval_map(run, qrels)),
         "MRR": abs(rep.mrr - trec_eval_mrr(run, qrels)),
@@ -311,7 +309,7 @@ def test_criterion_10_metric_fixture():
     ok = all(v < 1e-4 for v in diffs.values())
     # hand-derived example: grades (0, 3) -> NDCG@2 = (7/log2(3)) / 7
     hand = rank_metrics(
-        [RankedList("q", (("a", 2.0), ("b", 1.0)))],
+        ["q", "q"], ["a", "b"], [2.0, 1.0],
         {("q", "a"): 0, ("q", "b"): 3},
         ks=[2],
     ).ndcg_at[2]

@@ -1,6 +1,6 @@
 """The benchmark's in-process workloads run one pass on this library and pass
-their own output checks. ``bench/workloads.py`` is imported as it is; only
-``Ingest`` is shrunk, through a subclass."""
+their own output checks. ``bench/workloads.py`` is imported as it is;
+``Ingest`` and ``Cli`` are shrunk through subclasses."""
 
 import contextlib
 import importlib
@@ -62,3 +62,18 @@ def test_ingest_pass(workloads, tmp_path):
     ]
     assert all(op.ok for op in result.ops), [op.detail for op in result.ops]
     assert result.counts["supervised_rows"] > 0
+
+
+def test_cli_pass(workloads, tmp_path):
+    class SmallCli(workloads.Cli):
+        n_interactions = 2_000
+
+        def __init__(self, work_dir, seed):
+            super().__init__(work_dir, seed)
+            # the workload runs the CLI from ``src`` under the current directory
+            self.src = str(BENCH.parent / "src")
+
+    result = one_pass(SmallCli(str(tmp_path), seed=1))
+    assert [op.name for op in result.ops] == ["simulate", "train-crm", "lambda-sweep", "evaluate"]
+    assert all(op.ok for op in result.ops), [op.detail for op in result.ops]
+    assert 0.0 < result.quality["test_map"] <= 1.0

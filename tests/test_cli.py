@@ -192,12 +192,13 @@ def inputs(tmp_path_factory):
     (root / "bad.json").write_text("{not json")
     write_json(root / "list.json", [1])
     write_json(root / "unknown.json", {"n_querys": 3})
+    write_json(root / "no_probes.json", {"max_probes": 0})
     paths = {
         "log": sim / "log.jsonl", "dev": sim / "dev.tsv", "test": sim / "test.tsv",
         "model": sim / "logging_policy.json", "absent": root / "absent.tsv",
         "empty_log": root / "empty.jsonl", "header_only": root / "header.tsv",
         "bad_json": root / "bad.json", "list_json": root / "list.json",
-        "unknown_key": root / "unknown.json",
+        "unknown_key": root / "unknown.json", "no_probes": root / "no_probes.json",
     }
     return {name: str(path) for name, path in paths.items()}
 
@@ -212,6 +213,9 @@ ERRORS = [
     ("required input missing", ["train-crm", "--dev", "{dev}"], 1, "requires log"),
     ("input file absent", ["train-crm", "--log", "{absent}", "--dev", "{dev}"], 2, "absent.tsv"),
     ("empty log", ["train-crm", "--log", "{empty_log}", "--dev", "{dev}"], 1, "log is empty"),
+    ("max_probes below 1",
+     ["lambda-sweep", "--config", "{no_probes}", "--log", "{log}", "--dev", "{dev}"], 1,
+     "max_probes must be >= 1"),
     ("empty training set", ["train-fullinfo", "--train", "{header_only}", "--dev", "{dev}"], 1,
      "training set is empty"),
     ("empty test set", ["evaluate", "--model", "{model}", "--test", "{header_only}"], 1,

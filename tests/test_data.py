@@ -23,17 +23,16 @@ from banditrank.data import (
     write_supervised,
 )
 from banditrank.estimators import snips
-from banditrank.evaluation import write_qrels, write_trec_run
-from banditrank.policy import PolicyParams, init_params
+from banditrank.evaluation import RankIndex, write_qrels
+from banditrank.policy import PolicyParams, init_params, logit_margin
 from banditrank.simulator import (
     SimConfig,
     generate_world,
     load_world,
     save_world,
-    world_labels,
     world_supervised,
 )
-from banditrank.training import TrainConfig, rank_records, train_crm, write_history
+from banditrank.training import TrainConfig, train_crm, write_history
 from conftest import random_log, supervised
 from oracles import rows
 
@@ -322,7 +321,7 @@ class TestGrade:
         world = generate_world(SimConfig(3, 8, 2), seed)
         dataset = world_supervised(world, top_fraction=top_fraction)
         assert dataset.labels.tolist() == [graded_label(x) for x in dataset.nrr.tolist()]
-        assert list(world_labels(world, top_fraction).values()) == dataset.labels.tolist()
+        assert list(dataset.qrels().values()) == dataset.labels.tolist()
 
 
 class TestFileHandles:
@@ -353,7 +352,8 @@ class TestFileHandles:
             write_history(history, path("history.tsv"))
             history.checkpoints[-1].dev_metrics.write(path("metrics.txt"))
             snips(log, params).write(path("snips.txt"))
-            write_trec_run(rank_records(params, dev), "t", path("run.txt"))
+            RankIndex(dev.query_ids, dev.product_ids, dev.labels).write_trec_run(
+                logit_margin(params, dev.contexts), "t", path("run.txt"))
             write_qrels(labels, path("qrels.txt"))
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

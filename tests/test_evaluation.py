@@ -7,47 +7,37 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from banditrank.evaluation import (
-    RankedList,
-    rank_metrics,
-    write_qrels,
-    write_trec_run,
-)
+from banditrank.evaluation import DEFAULT_KS, RankIndex, rank_metrics, write_qrels
 from banditrank.policy import PolicyParams
-from banditrank.training import DEV_KS, evaluate_policy, rank_records
+from banditrank.training import evaluate_policy
 from conftest import supervised
 from oracles import loop_rank_metrics, trec_eval_map, trec_eval_mrr, trec_eval_ndcg_at
 
 
 def make_run(query_id, grades, prefix="p"):
-    """A ranked list realizing the given grades in list order."""
-    items = tuple(
-        (f"{prefix}{i}", float(len(grades) - i)) for i in range(len(grades))
-    )
-    labels = {(query_id, f"{prefix}{i}"): g for i, g in enumerate(grades)}
-    return RankedList(query_id=query_id, items=items), labels
+    """A run, as (query ids, product ids, scores) columns, whose scores rank
+    the given grades in list order, and its labels."""
+    pids = [f"{prefix}{i}" for i in range(len(grades))]
+    scores = [float(len(grades) - i) for i in range(len(grades))]
+    labels = dict(zip(((query_id, pid) for pid in pids), grades))
+    return ([query_id] * len(grades), pids, scores), labels
 
 
-class TestRankedList:
-    def test_duplicate_product_rejected(self):
-        with pytest.raises(ValueError):
-            RankedList("q", (("a", 2.0), ("a", 1.0)))
-
-    def test_increasing_scores_rejected(self):
-        with pytest.raises(ValueError):
-            RankedList("q", (("a", 1.0), ("b", 2.0)))
+def joined(*runs):
+    """One run holding the rows of several."""
+    return tuple(sum(columns, []) for columns in zip(*runs))
 
 
 class TestRankMetrics:
     def test_ideal_order_ndcg_one(self):
         run, labels = make_run("q", [3, 2, 0])
-        rep = rank_metrics([run], labels, ks=[3])
+        rep = rank_metrics(*run, labels, ks=[3])
         assert rep.ndcg_at[3] == 1.0
 
     def test_hand_derived_ndcg(self):
         # grades (0, 3): DCG@2 = 7/log2(3), ideal = 7 -> 0.630930
         run, labels = make_run("q", [0, 3])
-        rep = rank_metrics([run], labels, ks=[2])
+        rep = rank_metrics(*run, labels, ks=[2])
         expected = (7.0 / math.log2(3)) / 7.0
         assert rep.ndcg_at[2] == pytest.approx(expected, abs=1e-12)
         assert rep.ndcg_at[2] == pytest.approx(0.630930, abs=1e-6)
@@ -58,49 +48,64 @@ class TestRankMetrics:
             run, lab = make_run(q, [0, 1, 0])
             runs.append(run)
             labels.update(lab)
-        rep = rank_metrics(runs, labels, ks=[3])
+        rep = rank_metrics(*joined(*runs), labels, ks=[3])
         assert rep.mrr == 0.5
 
     def test_map_simple(self):
         # relevant at positions 1 and 3: AP = (1/1 + 2/3) / 2
         run, labels = make_run("q", [1, 0, 2])
-        rep = rank_metrics([run], labels, ks=[3])
+        rep = rank_metrics(*run, labels, ks=[3])
         assert rep.map == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, rel=1e-12)
 
     def test_p_at_k(self):
         run, labels = make_run("q", [1, 0, 1, 0, 0])
-        rep = rank_metrics([run], labels, ks=[2, 5])
+        rep = rank_metrics(*run, labels, ks=[2, 5])
         assert rep.p_at[2] == 0.5
         assert rep.p_at[5] == pytest.approx(0.4)
 
     def test_no_relevant_query_skipped_for_map(self):
         r1, l1 = make_run("q1", [1, 0])
         r2, l2 = make_run("q2", [0, 0], prefix="x")
-        rep = rank_metrics([r1, r2], {**l1, **l2}, ks=[2])
+        rep = rank_metrics(*joined(r1, r2), {**l1, **l2}, ks=[2])
         assert rep.map == 1.0            # q2 skipped
         assert rep.p_at[2] == pytest.approx(0.25)  # q2 counted
 
     def test_missing_label_is_grade_zero(self):
-        run = RankedList("q", (("a", 2.0), ("b", 1.0)))
-        rep = rank_metrics([run], {("q", "b"): 1}, ks=[2])
+        rep = rank_metrics(["q", "q"], ["a", "b"], [2.0, 1.0], {("q", "b"): 1}, ks=[2])
         assert rep.mrr == 0.5
 
     def test_equal_grade_swap_invariance(self):
-        r1 = RankedList("q", (("a", 2.0), ("b", 1.0)))
-        r2 = RankedList("q", (("b", 2.0), ("a", 1.0)))
         labels = {("q", "a"): 2, ("q", "b"): 2}
-        m1 = rank_metrics([r1], labels, ks=[2])
-        m2 = rank_metrics([r2], labels, ks=[2])
+        m1 = rank_metrics(["q", "q"], ["a", "b"], [2.0, 1.0], labels, ks=[2])
+        m2 = rank_metrics(["q", "q"], ["b", "a"], [2.0, 1.0], labels, ks=[2])
         assert m1 == m2
 
     def test_empty_runs_error(self):
-        with pytest.raises(ValueError):
-            rank_metrics([], {}, ks=[5])
+        with pytest.raises(ValueError, match="no records to rank"):
+            rank_metrics([], [], [], {}, ks=[5])
 
     def test_cutoff_below_one_error(self):
         run, labels = make_run("q", [1, 0])
         with pytest.raises(ValueError, match="cutoffs"):
-            rank_metrics([run], labels, ks=[0])
+            rank_metrics(*run, labels, ks=[0])
+
+    def test_duplicate_product_rejected(self):
+        with pytest.raises(ValueError, match="duplicate product in ranking for query q"):
+            rank_metrics(["q", "q"], ["a", "a"], [2.0, 1.0], {})
+
+    def test_run_out_of_score_order_is_ranked(self):
+        # relevant at positions 1 and 3 once ranked: AP = (1/1 + 2/3) / 2
+        run, labels = make_run("q", [1, 0, 2])
+        shuffled = tuple([column[i] for i in (2, 0, 1)] for column in run)
+        rep = rank_metrics(*shuffled, labels, ks=[3])
+        assert rep == rank_metrics(*run, labels, ks=[3])
+        assert rep.map == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        run, labels = make_run("q", [1, 0])
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            rank_metrics(run[0], run[1], [1.0, bad], labels)
 
 
 # Integer weights on integer contexts make every logit margin an exact
@@ -137,16 +142,18 @@ class TestMetricsCore:
         rows = supervised(records)
         report = evaluate_policy(MARGIN_POLICY, rows)
         labels = {(q, pid): label for q, pid, _, label, _ in records}
-        assert report == rank_metrics(rank_records(MARGIN_POLICY, rows), labels, DEV_KS)
+        margins = [brute_margin(x) for _, _, x, _, _ in records]
+        assert report == rank_metrics(rows.query_ids, rows.product_ids, margins, labels,
+                                      DEFAULT_KS)
         by_query = {}
         for q, pid, x, _, _ in records:
             by_query.setdefault(q, []).append((-brute_margin(x), pid))
         runs = [(q, [pid for _, pid in sorted(items)]) for q, items in sorted(by_query.items())]
-        assert dataclasses.asdict(report) == loop_rank_metrics(runs, labels, DEV_KS)
+        assert dataclasses.asdict(report) == loop_rank_metrics(runs, labels, DEFAULT_KS)
         run = dict(runs)
         assert report.map == pytest.approx(trec_eval_map(run, labels), abs=1e-12)
         assert report.mrr == pytest.approx(trec_eval_mrr(run, labels), abs=1e-12)
-        for k in DEV_KS:
+        for k in DEFAULT_KS:
             assert report.ndcg_at[k] == pytest.approx(trec_eval_ndcg_at(run, labels, k), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -163,63 +170,60 @@ class TestMetricsCore:
             evaluate_policy(MARGIN_POLICY, supervised([rec, rec]))
 
 
-def avg_rank(runs, labels):
-    return rank_metrics(runs, labels).avg_rank
+def avg_rank(run, labels):
+    return rank_metrics(*run, labels).avg_rank
 
 
-def avg_dcg(runs, labels):
-    return rank_metrics(runs, labels).avg_dcg
+def avg_dcg(run, labels):
+    return rank_metrics(*run, labels).avg_dcg
 
 
 class TestAverages:
     def test_rank_best_case(self):
         run, labels = make_run("q", [1, 0])
-        assert avg_rank([run], labels) == 1.0
+        assert avg_rank(run, labels) == 1.0
 
     def test_rank_mean_over_items(self):
         r1, l1 = make_run("q1", [0, 1, 0, 0])
         r2, l2 = make_run("q2", [0, 0, 0, 1])
-        assert avg_rank([r1, r2], {**l1, **l2}) == 3.0
+        assert avg_rank(joined(r1, r2), {**l1, **l2}) == 3.0
 
     def test_rank_reversal_identity(self):
         grades = [0, 0, 1, 0, 0, 0]
         run, labels = make_run("q", grades)
         rev, rev_labels = make_run("q", grades[::-1])
         L = len(grades)
-        r = avg_rank([run], labels)
-        assert avg_rank([rev], rev_labels) == L + 1 - r
+        r = avg_rank(run, labels)
+        assert avg_rank(rev, rev_labels) == L + 1 - r
 
     def test_dcg_single_item(self):
         run, labels = make_run("q", [1])
-        assert avg_dcg([run], labels) == 1.0
+        assert avg_dcg(run, labels) == 1.0
 
     def test_dcg_rank_three(self):
         run, labels = make_run("q", [0, 0, 1])
-        assert avg_dcg([run], labels) == pytest.approx(0.5)
+        assert avg_dcg(run, labels) == pytest.approx(0.5)
 
     def test_dcg_improves_with_rank(self):
         worse, wl = make_run("q", [0, 0, 1])
         better, bl = make_run("q", [0, 1, 0])
-        assert avg_dcg([better], bl) > avg_dcg([worse], wl)
+        assert avg_dcg(better, bl) > avg_dcg(worse, wl)
 
     def test_no_relevant_error(self):
         run, labels = make_run("q", [0, 0])
         with pytest.raises(ValueError):
-            avg_rank([run], labels)
+            avg_rank(run, labels)
 
 
 class TestTrecRun:
     def test_line_format(self):
-        run, _ = make_run("q7", [1, 0, 1])
+        query_ids, product_ids, scores = make_run("q7", [1, 0, 1])[0]
         buf = io.StringIO()
-        assert write_trec_run([run], "tagA", buf) == 3
+        index = RankIndex(query_ids, product_ids, [1, 0, 1])
+        assert index.write_trec_run(scores, "tagA", buf) == 3
         lines = buf.getvalue().splitlines()
         assert lines[0] == "q7 Q0 p0 1 3.000000 tagA"
         assert lines[2] == "q7 Q0 p2 3 1.000000 tagA"
-
-    def test_empty_list_error(self):
-        with pytest.raises(ValueError):
-            write_trec_run([RankedList("q", ())], "t", io.StringIO())
 
     def test_qrels_format(self):
         buf = io.StringIO()

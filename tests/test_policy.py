@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from banditrank.evaluation import RankIndex
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
     init_params,
+    logit_margin,
     weighted_prob_gradient,
 )
-from banditrank.training import evaluate_policy, rank_records
+from banditrank.training import evaluate_policy
 from conftest import identity_policy, supervised
 from oracles import finite_difference_gradient, flatten, unflatten
 
@@ -86,8 +88,10 @@ def candidates(*pairs):
 
 
 def ranked(params, records):
-    (run,) = rank_records(params, records)
-    return list(run.items)
+    """(product_id, logit margin) pairs of the rows ranked by the policy, best first."""
+    index = RankIndex(records.query_ids, records.product_ids, records.labels)
+    scores = logit_margin(params, records.contexts).tolist()
+    return [(records.product_ids[i], scores[i]) for i in index.order(scores)]
 
 
 class TestRankProducts:
@@ -106,17 +110,17 @@ class TestRankProducts:
         p = init_params("linear", 3, seed=1)
         pairs = [(f"p{i}", rng.standard_normal(3)) for i in range(10)]
         cands = candidates(*pairs)
-        out1 = rank_records(p, cands)
-        out2 = rank_records(p, candidates(*reversed(pairs)))
+        out1 = ranked(p, cands)
+        out2 = ranked(p, candidates(*reversed(pairs)))
         assert out1 == out2
         # away from saturation the margin order is the show-probability order
         p1 = batch_probabilities(p, cands.contexts)[:, 1]
         by_p1 = sorted(cands, key=lambda r: -p1[int(r.product_id[1:])])
-        assert [pid for pid, _ in out1[0].items] == [r.product_id for r in by_p1]
+        assert [pid for pid, _ in out1] == [r.product_id for r in by_p1]
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            rank_records(identity_policy(), supervised([]))
+        with pytest.raises(ValueError, match="no records to rank"):
+            ranked(identity_policy(), supervised([]))
 
     def test_saturated_show_probability_ranks_by_margin(self):
         # margins 40 and 50 both give p1 == 1.0 exactly; the margin still

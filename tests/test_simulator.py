@@ -12,7 +12,6 @@ from banditrank.simulator import (
     save_world,
     simulate_log,
     true_risk,
-    world_labels,
     world_supervised,
 )
 import io
@@ -145,7 +144,7 @@ class TestTrueRisk:
 class TestWorldSupervised:
     def test_labels_sparse_and_graded(self):
         w = generate_world(small_config(), seed=14)
-        labels = world_labels(w, top_fraction=0.25)
+        labels = world_supervised(w, top_fraction=0.25).qrels()
         per_query = w.config.products_per_query
         n_rel = round(0.25 * per_query)
         for q in range(w.config.n_queries):
@@ -155,7 +154,7 @@ class TestWorldSupervised:
 
     def test_supervised_consistent_with_labels(self):
         w = generate_world(small_config(), seed=15)
-        labels = world_labels(w, 0.25)
+        labels = world_supervised(w, top_fraction=0.25).qrels()
         records = world_supervised(w, top_fraction=0.25)
         assert len(records) == w.n_pairs
         for r in records:

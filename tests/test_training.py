@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from banditrank import estimators, policy, training
+from banditrank.evaluation import MetricsReport
 from banditrank.estimators import (
     empirical_average,
     lagrangian_gradient,
@@ -12,7 +13,9 @@ from banditrank.policy import init_params
 from banditrank.simulator import SimConfig, generate_world, simulate_log, true_risk, world_supervised
 from banditrank.training import (
     AdamState,
+    Checkpoint,
     TrainConfig,
+    TrainHistory,
     adam_step,
     evaluate_policy,
     lambda_search,
@@ -198,12 +201,64 @@ class TestLambdaSearch:
         assert chosen.S == snips_denominator(log, params)
         assert chosen.metrics == evaluate_policy(params, dev)
 
+    def test_max_probes_validated(self):
+        with pytest.raises(ValueError, match="max_probes must be >= 1"):
+            cfg(max_probes=0)
+
     def test_probe_epochs_validated(self):
         with pytest.raises(ValueError):
             lambda_search(
                 random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
                 cfg(), probe_epochs=0,
             )
+
+
+class TestLambdaStoppingRule:
+    """The search's path when every probe's best checkpoint reports the same S,
+    as on a world where S barely moves with lambda."""
+
+    # the search starts from a uniform draw of the config's seed
+    lam0 = float(np.random.default_rng(0).uniform(0.0, 1.0))
+
+    def search(self, monkeypatch, S, max_probes=10):
+        """The lambdas of the probes and of the full runs, in call order."""
+        metrics = MetricsReport(map=0.5, mrr=0.5, p_at={5: 0.5, 10: 0.5},
+                                ndcg_at={5: 0.5, 10: 0.5}, avg_rank=1.0, avg_dcg=1.0,
+                                n_queries=1)
+        calls = []
+
+        def fixed_s_train_crm(train_log, dev, params0, config):
+            calls.append((config.lam, config.epochs))
+            checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics, S=S,
+                                    objective=0.0, params=params0)
+            return params0, TrainHistory(checkpoints=(checkpoint,))
+
+        monkeypatch.setattr(training, "train_crm", fixed_s_train_crm)
+        lam_star, _, sweep = lambda_search(
+            random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
+            cfg(epochs=5, max_probes=max_probes), probe_epochs=2,
+        )
+        probes = [lam for lam, epochs in calls if epochs == 2]
+        full_runs = [lam for lam, epochs in calls if epochs == 5]
+        assert len(probes) + len(full_runs) == len(calls)
+        assert [p.lam for p in sweep] == full_runs and lam_star == full_runs[0]
+        return probes, full_runs
+
+    def test_s_above_the_band_walks_down_max_probes_times(self, monkeypatch):
+        probes, full_runs = self.search(monkeypatch, S=1.06, max_probes=4)
+        assert probes == pytest.approx([self.lam0 * 0.9**i for i in range(4)], rel=1e-12)
+        assert full_runs == probes
+
+    def test_s_below_the_band_climbs_to_the_cap_and_stops_at_the_repeat(self, monkeypatch):
+        probes, full_runs = self.search(monkeypatch, S=0.9)
+        climb = [self.lam0 * 1.1**i for i in range(5)]
+        assert climb[-1] < 1.0 < climb[-1] * 1.1
+        assert probes == pytest.approx([*climb, 1.0], rel=1e-12)
+        assert full_runs == probes  # each distinct lambda gets one full run
+
+    @pytest.mark.parametrize("S", [1.0, 1.04, 0.95, 1.05])
+    def test_s_in_the_band_stops_after_one_probe(self, monkeypatch, S):
+        assert self.search(monkeypatch, S) == ([self.lam0], [self.lam0])
 
 
 class TestTrainFullInfo:
