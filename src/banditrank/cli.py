@@ -6,8 +6,8 @@ flags. A flag is named like the config key it sets (``--eval-every`` sets
 ``eval_every``, ``--lambda`` sets ``lambda``). The defaults are read from
 the library (``TrainConfig``, ``SimConfig``, ...); a key whose default is
 ``None`` is a required input, given by its flag or by the config file.
-Unknown config keys are rejected, and each value is cast to the type of its
-default.
+Unknown config keys are rejected. A value in the file must have its default's
+type (an int serves for a float, a list for a tuple; a required input is a str).
 
 All outputs go into the run directory ``--out``, together with the resolved
 config as given (``config.json``) and a manifest mapping each output name to
@@ -80,15 +80,29 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _config(args) -> tuple[dict, dict]:
+def _type_name(default) -> str:
+    if default is None:
+        return "str"
+    if isinstance(default, (list, tuple)):
+        return f"list of {_type_name(default[0])}"
+    return type(default).__name__
+
+
+def _fits(value, default) -> bool:
+    """Whether a config file ``value`` has the type of its key's ``default``; a bool is no int."""
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    wanted = str if default is None else type(default)
+    return type(value) is wanted or (type(value) is int and wanted is float)
+
+
+def _config(args) -> dict:
     """Resolve the subcommand's config and create the run directory.
 
-    Returns the config as given, which ``config.json`` records, and the same
-    config with each value cast to the type of its default (a required input,
-    a path, to ``str``).
+    Returns the config as given, which ``config.json`` records.
     """
     defaults = args.defaults
-    resolved = dict(defaults)
+    cfg = dict(defaults)
     if args.config:
         with open_text(args.config) as fh:
             try:
@@ -100,31 +114,27 @@ def _config(args) -> tuple[dict, dict]:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
-    resolved.update(
+        for key, value in file_cfg.items():
+            if not _fits(value, defaults[key]):
+                raise CliError(f"{key}: expected {_type_name(defaults[key])}, got {value!r}")
+        cfg.update(file_cfg)
+    cfg.update(
         {key: value for key, value in vars(args).items() if key in defaults and value is not None}
     )
     required = [key for key, default in defaults.items() if default is None]
-    if not all(resolved[key] for key in required):
+    if not all(cfg[key] for key in required):
         raise CliError(f"{args.command} requires {' and '.join(required)}")
     os.makedirs(args.out, exist_ok=True)
-    cfg = {}
-    for key, value in resolved.items():
-        default = defaults[key]
-        try:
-            cfg[key] = (str if default is None else type(default))(value)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{key}: {exc}") from exc
-    return resolved, cfg
+    return cfg
 
 
-def _finish(args, resolved: dict, writers: dict) -> None:
+def _finish(args, cfg: dict, writers: dict) -> None:
     """Write each named output with its writer, then ``config.json`` and ``manifest.json``."""
     paths = {name: os.path.join(args.out, name) for name in writers}
     for name, write in writers.items():
         with open_text(paths[name], "w") as fh:
             write(fh)
-    for name, obj in (("config.json", resolved), ("manifest.json", paths)):
+    for name, obj in (("config.json", cfg), ("manifest.json", paths)):
         with open_text(os.path.join(args.out, name), "w") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
 
@@ -149,7 +159,12 @@ def cmd_simulate(cfg: dict) -> dict:
 def cmd_aggregate(cfg: dict) -> dict:
     def read_pairs(path):
         with open_text(path) as fh:
-            return [tuple(line.rstrip("\n").split("\t")[:2]) for line in fh if line.strip()]
+            rows = [(n, line.rstrip("\n").split("\t"))
+                    for n, line in enumerate(fh, start=1) if line.strip()]
+        for line_no, fields in rows:
+            if len(fields) < 2:
+                raise CliError(f"{path} line {line_no}: expected query id <tab> product id")
+        return [tuple(fields[:2]) for _, fields in rows]
 
     table = aggregation.aggregate_feedback(
         read_pairs(cfg["impressions"]), read_pairs(cfg["positives"]), cfg["visibility_threshold"]
@@ -212,8 +227,7 @@ def cmd_evaluate(cfg: dict) -> dict:
     test = read_supervised(cfg["test"])
     if not test:
         raise CliError("test set is empty")
-    index = RankIndex(test.query_ids, test.product_ids, test.labels,
-                      tuple(int(k) for k in cfg["ks"]))
+    index = RankIndex(test.query_ids, test.product_ids, test.labels, cfg["ks"])
     scores = logit_margin(params, test.contexts)
     metrics = index.report(scores)
     metrics.write(sys.stdout)
@@ -298,9 +312,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        resolved, cfg = _config(args)
-        _finish(args, resolved, args.fn(cfg))
-    except (ValueError, KeyError) as exc:
+        cfg = _config(args)
+        _finish(args, cfg, args.fn(cfg))
+    except (ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

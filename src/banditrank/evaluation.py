@@ -1,11 +1,13 @@
 """Ranked-retrieval metrics and run-file output.
 
 Conventions follow the trec_eval tool: an item is relevant when its grade is
-positive; queries without any relevant item are excluded from the MAP / MRR /
-NDCG averages but still count toward P@k; DCG uses exponential gain
-(2^grade - 1) with a log2(rank + 1) discount. A query's items are ranked by
-score, best first; equal scores are broken by product id.
-"""
+positive, and DCG uses exponential gain (2^grade - 1) with a log2(rank + 1)
+discount. Every average (MAP, MRR, P@k, NDCG@k, average DCG) is over the
+queries with at least one relevant item. A query without one has no ranking
+to get right: its AP, reciprocal rank and NDCG are undefined, and its P@k is
+0 whatever the scores, so counting it toward P@k would only scale P@k by the
+share of such queries. A query's items are ranked by score, best first;
+equal scores are broken by product id."""
 
 from __future__ import annotations
 
@@ -30,19 +32,6 @@ class MetricsReport:
     avg_rank: float
     avg_dcg: float
     n_queries: int
-
-    def metric(self, name: str) -> float:
-        """Look up a metric by name, e.g. 'MAP' or 'NDCG@10'."""
-        name = name.upper()
-        if name == "MAP":
-            return self.map
-        if name == "MRR":
-            return self.mrr
-        if name.startswith("P@"):
-            return self.p_at[int(name[2:])]
-        if name.startswith("NDCG@"):
-            return self.ndcg_at[int(name[5:])]
-        raise KeyError(name)
 
     def write(self, sink: IO | str) -> None:
         with open_text(sink, "w") as out:
@@ -166,7 +155,7 @@ class RankIndex:
         return MetricsReport(
             map=float(np.mean(ap)),
             mrr=float(np.mean(1.0 / rel_rank[self.first_hit])),
-            p_at={k: float(np.mean(hits / k)) for k, hits in hits_at.items()},
+            p_at={k: float(np.mean(hits[judged] / k)) for k, hits in hits_at.items()},
             ndcg_at={k: float(np.mean(row)) for k, row in zip(self.ks, ndcg)},
             avg_rank=float(np.mean(rel_rank)),
             avg_dcg=float(np.mean(dcg[-1])),

@@ -10,7 +10,7 @@ parameter are provided for importance-weighted training.
 from __future__ import annotations
 
 import json
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -113,41 +113,39 @@ def init_params(
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
-def _check_batch(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
+def _forward(params: PolicyParams, contexts: np.ndarray):
+    """One forward pass over a batch of contexts.
+
+    Returns the checked batch X (m, d), its finite logits (m, 2) and, for an
+    MLP, the hidden activations (m, h) that the backward pass reuses.
+    """
     X = np.asarray(contexts, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != params.feature_dim:
-        raise ValueError(
-            f"context dimension {X.shape[1]} does not match policy dimension "
-            f"{params.feature_dim}"
-        )
-    return X
-
-
-def _forward(params: PolicyParams, X: np.ndarray):
-    """Return (logits, hidden activations or None) for a batch of contexts."""
+        raise ValueError(f"context dimension {X.shape[1]} does not match policy "
+                         f"dimension {params.feature_dim}")
     if params.kind == "linear":
         w, b = params.arrays
-        return X @ w.T + b, None
-    w1, b1, w2, b2 = params.arrays
-    H = np.tanh(X @ w1.T + b1)
-    return H @ w2.T + b2, H
-
-
-def _finite_logits(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(params, _check_batch(params, contexts))
+        logits, H = X @ w.T + b, None
+    else:
+        w1, b1, w2, b2 = params.arrays
+        H = np.tanh(X @ w1.T + b1)
+        logits = H @ w2.T + b2
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
-    return logits
+    return X, logits, H
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    # Two logits per row: slices beat a reduction over axis 1 several times over.
+    e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
+    return e / (e[:, :1] + e[:, 1:])
 
 
 def batch_probabilities(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
     """Action probabilities for a batch of contexts, shape (m, 2)."""
-    logits = _finite_logits(params, contexts)
-    # Two logits per row: slices beat a reduction over axis 1 several times over.
-    e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
-    return e / (e[:, :1] + e[:, 1:])
+    return _softmax(_forward(params, contexts)[1])
 
 
 def logit_margin(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
@@ -156,27 +154,28 @@ def logit_margin(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
     p1 = sigmoid(z1 - z0), so the margin orders contexts like p1 does, but
     it stays distinct where p1 rounds to exactly 1.0 (margins above ~37).
     """
-    logits = _finite_logits(params, contexts)
+    logits = _forward(params, contexts)[1]
     return logits[:, 1] - logits[:, 0]
 
 
-def logit_backprop(
-    params: PolicyParams, X: np.ndarray, dlogits: np.ndarray
+def logit_gradient(
+    params: PolicyParams, contexts: np.ndarray, classes: np.ndarray, dlogits: Callable
 ) -> list[np.ndarray]:
-    """Backpropagate a gradient at the logits to all parameters.
+    """One forward and one backward pass over a batch.
 
-    X is (m, d), dlogits is (m, 2); returns arrays matching params.arrays,
-    summed over the batch.
+    ``dlogits(P, onehot)`` gives the gradient at the logits, shape (m, 2),
+    from the batch's action probabilities P and the one-hot rows of
+    ``classes``. Returns arrays matching params.arrays, summed over the batch.
     """
+    X, logits, H = _forward(params, contexts)
+    P = _softmax(logits)
+    onehot = np.zeros_like(P)
+    onehot[np.arange(len(P)), np.asarray(classes, dtype=np.int64)] = 1.0
+    G = dlogits(P, onehot)
     if params.kind == "linear":
-        return [dlogits.T @ X, dlogits.sum(axis=0)]
-    w1, b1, w2, b2 = params.arrays
-    H = np.tanh(X @ w1.T + b1)
-    d_w2 = dlogits.T @ H
-    d_b2 = dlogits.sum(axis=0)
-    dH = dlogits @ w2
-    dZ = dH * (1.0 - H * H)
-    return [dZ.T @ X, dZ.sum(axis=0), d_w2, d_b2]
+        return [G.T @ X, G.sum(axis=0)]
+    dZ = (G @ params.arrays[2]) * (1.0 - H * H)
+    return [dZ.T @ X, dZ.sum(axis=0), G.T @ H, G.sum(axis=0)]
 
 
 def weighted_prob_gradient(
@@ -185,14 +184,12 @@ def weighted_prob_gradient(
     actions: np.ndarray,
     coeffs: np.ndarray,
 ) -> list[np.ndarray]:
-    """Sum over a batch of coeff_i * grad pi(a_i | c_i)."""
-    X = _check_batch(params, contexts)
+    """Sum over a batch of coeff_i * grad pi(a_i | c_i).
+
+    At the logits, grad pi(a|c) is pi(a|c) * (onehot(a) - P).
+    """
     actions = np.asarray(actions, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    P = batch_probabilities(params, X)
-    m = X.shape[0]
-    onehot = np.zeros((m, 2))
-    onehot[np.arange(m), actions] = 1.0
-    p_a = P[np.arange(m), actions]
-    dlogits = (coeffs * p_a)[:, None] * (onehot - P)
-    return logit_backprop(params, X, dlogits)
+    rows = np.arange(len(actions))
+    return logit_gradient(params, contexts, actions,
+                          lambda P, onehot: (coeffs * P[rows, actions])[:, None] * (onehot - P))

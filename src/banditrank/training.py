@@ -3,9 +3,10 @@
 Three objectives are supported, all descended with a bias-corrected Adam
 update: the importance-weighted Lagrangian surrogate (with a fixed lambda,
 or lambda picked by the mean-weight-guided search), the empirical-average
-surrogate, and the full-information weighted cross-entropy baseline.
-Training checkpoints the model on a fixed cadence of records seen and
-returns the checkpoint that scores best on the dev set.
+surrogate, and the full-information weighted cross-entropy baseline; they
+differ only in their gradient at the logits. Training checkpoints the model
+on a fixed cadence of records seen and returns the checkpoint with the best
+dev MAP.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from banditrank.evaluation import MetricsReport, RankIndex
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
-    logit_backprop,
+    logit_gradient,
     logit_margin,
     weighted_prob_gradient,
 )
@@ -44,20 +45,17 @@ class TrainConfig:
     seed: int = 0
     lam: float = 0.5
     eval_every: int = 10_000
-    dev_metric: str = "MAP"
     max_probes: int = 10
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError(f"batch_size and epochs must be >= 1: {self}")
+        if min(self.batch_size, self.epochs, self.eval_every) < 1:
+            raise ValueError(f"batch_size, epochs and eval_every must be >= 1: {self}")
         if self.max_probes < 1:
             raise ValueError(f"max_probes must be >= 1: {self}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive: {self}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1]: {self}")
-        if self.dev_metric not in ("MAP", "NDCG@10"):
-            raise ValueError(f"dev_metric must be MAP or NDCG@10: {self}")
 
 
 @dataclass
@@ -112,10 +110,9 @@ class Checkpoint:
 class TrainHistory:
     checkpoints: tuple[Checkpoint, ...]
 
-    def best(self, dev_metric: str) -> Checkpoint:
-        return max(
-            self.checkpoints, key=lambda cp: (cp.dev_metrics.metric(dev_metric),)
-        )
+    def best(self) -> Checkpoint:
+        """The checkpoint with the best dev MAP; ``max`` keeps the earliest among equals."""
+        return max(self.checkpoints, key=lambda cp: cp.dev_metrics.map)
 
 
 def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
@@ -170,7 +167,7 @@ def _minibatch_train(
     if not checkpoints or checkpoints[-1].records_seen < records_seen:
         checkpoint()
     history = TrainHistory(checkpoints=tuple(checkpoints))
-    return history.best(config.dev_metric).params, history
+    return history.best().params, history
 
 
 def train_crm(
@@ -257,12 +254,11 @@ def train_full_info(
         raise ValueError("training set has no positive labels")
 
     def grad_fn(params, idx):
-        Xb, yb, wb = X[idx], y[idx], weights[idx]
-        P = batch_probabilities(params, Xb)
-        onehot = np.zeros_like(P)
-        onehot[np.arange(len(idx)), yb] = 1.0
-        dlogits = wb[:, None] * (P - onehot) / len(idx)
-        return logit_backprop(params, Xb, dlogits)
+        wb = weights[idx][:, None]
+        # the mean cross-entropy's gradient at the logits: w * (P - onehot(y)) / m
+        return logit_gradient(
+            params, X[idx], y[idx], lambda P, onehot: wb * (P - onehot) / len(idx)
+        )
 
     def full_pass(params):
         P = batch_probabilities(params, X)
@@ -285,16 +281,8 @@ def write_history(history: TrainHistory, sink) -> int:
         out.write("records_seen\tobjective\tS\tmap\tndcg@10\tavg_rank\tavg_dcg\n")
         for cp in history.checkpoints:
             m = cp.dev_metrics
-            row = [
-                str(cp.records_seen),
-                repr(cp.objective),
-                repr(cp.S),
-                repr(m.map),
-                repr(m.ndcg_at[10]),
-                repr(m.avg_rank),
-                repr(m.avg_dcg),
-            ]
-            out.write("\t".join(row) + "\n")
+            row = [cp.objective, cp.S, m.map, m.ndcg_at[10], m.avg_rank, m.avg_dcg]
+            out.write("\t".join([str(cp.records_seen), *map(repr, row)]) + "\n")
     return len(history.checkpoints)
 
 
@@ -302,7 +290,6 @@ def write_history(history: TrainHistory, sink) -> int:
 class LambdaProbe:
     lam: float
     S: float
-    dev_metric: float
     metrics: MetricsReport
 
 
@@ -329,8 +316,8 @@ def lambda_search(
     and step lambda down 10% when S > 1, up 10% otherwise, until S lands in
     [0.95, 1.05], ``config.max_probes`` probes are spent, or the next lambda
     was probed already (at the cap of 1). Every probed
-    lambda then gets a full training run; the one with the best dev metric
-    wins.
+    lambda then gets a full training run; the one whose best checkpoint has
+    the best dev MAP wins.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
@@ -341,24 +328,17 @@ def lambda_search(
         probed.append(lam)
         probe_cfg = replace(config, lam=lam, epochs=probe_epochs)
         _, probe_history = train_crm(train_log, dev, params0, probe_cfg)
-        S = probe_history.best(config.dev_metric).S
+        S = probe_history.best().S
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
         if lam in probed:
             break
 
-    sweep: list[LambdaProbe] = []
-    best: tuple[float, float, PolicyParams] | None = None
-    for lam_j in probed:
-        full_cfg = replace(config, lam=lam_j)
-        params_j, history_j = train_crm(train_log, dev, params0, full_cfg)
-        # the best checkpoint was measured on params_j: no second pass needed
-        best_j = history_j.best(config.dev_metric)
-        score_j = best_j.dev_metrics.metric(config.dev_metric)
-        sweep.append(
-            LambdaProbe(lam=lam_j, S=best_j.S, dev_metric=score_j, metrics=best_j.dev_metrics)
-        )
-        if best is None or score_j > best[0]:
-            best = (score_j, lam_j, params_j)
-    return best[1], best[2], sweep
+    # each full run's best checkpoint holds its returned params; the first
+    # probed lambda wins a tie, as the earliest checkpoint does within a run
+    runs = [(lam_j, train_crm(train_log, dev, params0, replace(config, lam=lam_j))[1].best())
+            for lam_j in probed]
+    lam_star, chosen = max(runs, key=lambda run: run[1].dev_metrics.map)
+    sweep = [LambdaProbe(lam=lam_j, S=cp.S, metrics=cp.dev_metrics) for lam_j, cp in runs]
+    return lam_star, chosen.params, sweep

@@ -195,11 +195,11 @@ def loop_rank_metrics(runs, labels, ks):
     for q, ranking in runs:
         grades = [labels.get((q, d), 0) for d in ranking]
         rels = [g > 0 for g in grades]
-        for k in ks:
-            p_at[k].append(sum(rels[:k]) / k)
         n_rel = sum(rels)
         if n_rel == 0:
             continue
+        for k in ks:
+            p_at[k].append(sum(rels[:k]) / k)
         hits, precisions = 0, []
         for i, r in enumerate(rels):
             if r:

@@ -193,12 +193,24 @@ def inputs(tmp_path_factory):
     write_json(root / "list.json", [1])
     write_json(root / "unknown.json", {"n_querys": 3})
     write_json(root / "no_probes.json", {"max_probes": 0})
+    write_json(root / "ratios_str.json", {"split_ratios": "0.5"})
+    write_json(root / "two_ratios.json", {"split_ratios": [0.5, 0.5]})
+    write_json(root / "hidden_float.json", {"policy": "mlp", "hidden": 2.7})
+    write_json(root / "epochs_bool.json", {"epochs": True})
+    write_json(root / "ks_strings.json", {"ks": ["5"]})
+    write_json(root / "log_number.json", {"log": 5})
+    write_json(root / "diverging.json", {"learning_rate": 1e308, "epochs": 1})
+    (root / "one_field.tsv").write_text("q1\tp0\nq1\n")
     paths = {
         "log": sim / "log.jsonl", "dev": sim / "dev.tsv", "test": sim / "test.tsv",
         "model": sim / "logging_policy.json", "absent": root / "absent.tsv",
         "empty_log": root / "empty.jsonl", "header_only": root / "header.tsv",
         "bad_json": root / "bad.json", "list_json": root / "list.json",
         "unknown_key": root / "unknown.json", "no_probes": root / "no_probes.json",
+        "one_field": root / "one_field.tsv",
+        **{name: root / f"{name}.json" for name in (
+            "ratios_str", "two_ratios", "hidden_float", "epochs_bool", "ks_strings", "log_number",
+            "diverging")},
     }
     return {name: str(path) for name, path in paths.items()}
 
@@ -225,6 +237,30 @@ ERRORS = [
     ("ks below 1", ["evaluate", "--model", "{model}", "--test", "{test}", "--ks", "0"], 1,
      "got [0]"),
     ("history file absent", ["learning-curve", "--history", "{absent}"], 2, "absent.tsv"),
+    ("eval_every below 1",
+     ["train-crm", "--log", "{log}", "--dev", "{dev}", "--epochs", "1", "--eval-every=0"], 1,
+     "eval_every must be >= 1"),
+    ("eval_every negative",
+     ["train-crm", "--log", "{log}", "--dev", "{dev}", "--epochs", "1", "--eval-every=-5"], 1,
+     "eval_every must be >= 1"),
+    ("string for a list", ["simulate", "--config", "{ratios_str}"], 1,
+     "split_ratios: expected list of float, got '0.5'"),
+    ("two split ratios", ["simulate", "--config", "{two_ratios}"], 1,
+     "ratios must be three positive numbers"),
+    ("float for an int", ["train-crm", "--config", "{hidden_float}", "--log", "{log}", "--dev",
+                          "{dev}"], 1, "hidden: expected int, got 2.7"),
+    ("bool for an int", ["train-crm", "--config", "{epochs_bool}", "--log", "{log}", "--dev",
+                         "{dev}"], 1, "epochs: expected int, got True"),
+    ("list of the wrong element type",
+     ["evaluate", "--config", "{ks_strings}", "--model", "{model}", "--test", "{test}"], 1,
+     "ks: expected list of int, got ['5']"),
+    ("number for a required input", ["train-crm", "--config", "{log_number}", "--dev", "{dev}"],
+     1, "log: expected str, got 5"),
+    ("pairs line with one field",
+     ["aggregate", "--impressions", "{one_field}", "--positives", "{one_field}"], 1,
+     "one_field.tsv line 2"),
+    ("diverging run", ["train-crm", "--config", "{diverging}", "--log", "{log}", "--dev", "{dev}"],
+     1, "non-finite logits"),
 ]
 
 
@@ -264,6 +300,16 @@ class TestConfigPrecedence:
                         "--out", str(out)]) == 0
             given[name] = json.loads((out / "config.json").read_text())[key]
         assert given == {"default": default, "in_file": in_file, "by_flag": by_flag}
+
+    def test_int_for_a_float_and_list_for_a_tuple_accepted(self, inputs, tmp_path):
+        write_json(tmp_path / "crm.json", {"lambda": 1, "epochs": 1})
+        assert run(["train-crm", "--config", str(tmp_path / "crm.json"), "--log", inputs["log"],
+                    "--dev", inputs["dev"], "--out", str(tmp_path / "crm")]) == 0
+        assert json.loads((tmp_path / "crm" / "config.json").read_text())["lambda"] == 1
+        write_json(tmp_path / "eval.json", {"ks": [1, 3]})
+        assert run(["evaluate", "--config", str(tmp_path / "eval.json"), "--model",
+                    inputs["model"], "--test", inputs["test"], "--out", str(tmp_path / "ev")]) == 0
+        assert "p@3\t" in (tmp_path / "ev" / "metrics.txt").read_text()
 
     def test_train_crm_records_every_train_config_default(self, inputs, tmp_path):
         out = tmp_path / "crm"

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from banditrank.evaluation import DEFAULT_KS, RankIndex, rank_metrics, write_qre
 from banditrank.policy import PolicyParams
 from banditrank.training import evaluate_policy
 from conftest import supervised
-from oracles import loop_rank_metrics, trec_eval_map, trec_eval_mrr, trec_eval_ndcg_at
+from oracles import (
+    loop_rank_metrics,
+    trec_eval_map,
+    trec_eval_mrr,
+    trec_eval_ndcg_at,
+    trec_eval_p_at,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def make_run(query_id, grades, prefix="p"):
@@ -68,7 +77,7 @@ class TestRankMetrics:
         r2, l2 = make_run("q2", [0, 0], prefix="x")
         rep = rank_metrics(*joined(r1, r2), {**l1, **l2}, ks=[2])
         assert rep.map == 1.0            # q2 skipped
-        assert rep.p_at[2] == pytest.approx(0.25)  # q2 counted
+        assert rep.p_at[2] == pytest.approx(0.5)  # q2 skipped for P@k too
 
     def test_missing_label_is_grade_zero(self):
         rep = rank_metrics(["q", "q"], ["a", "b"], [2.0, 1.0], {("q", "b"): 1}, ks=[2])
@@ -229,3 +238,28 @@ class TestTrecRun:
         buf = io.StringIO()
         assert write_qrels({("q1", "a"): 3, ("q0", "b"): 0}, buf) == 2
         assert buf.getvalue().splitlines() == ["q0 0 b 0", "q1 0 a 3"]
+
+
+class TestUnjudgedQueryFixture:
+    """A trec_eval run and qrels pair in which u02 has only grade-0 judgments
+    and u04 none: both are left out of every average, P@k included."""
+
+    def test_matches_the_oracles(self):
+        run, columns = {}, ([], [], [])
+        for line in (FIXTURES / "fixture_unjudged_run.txt").read_text().splitlines():
+            q, _, d, _, score, _ = line.split()
+            run.setdefault(q, []).append(d)
+            for column, value in zip(columns, (q, d, float(score))):
+                column.append(value)
+        qrels = {}
+        for line in (FIXTURES / "fixture_unjudged_qrels.txt").read_text().splitlines():
+            q, _, d, grade = line.split()
+            qrels[(q, d)] = int(grade)
+        rep = rank_metrics(*columns, qrels, ks=[5, 10])
+        assert rep.n_queries == 5
+        assert dataclasses.asdict(rep) == loop_rank_metrics(sorted(run.items()), qrels, [5, 10])
+        assert rep.map == pytest.approx(trec_eval_map(run, qrels), abs=1e-12)
+        assert rep.mrr == pytest.approx(trec_eval_mrr(run, qrels), abs=1e-12)
+        for k in (5, 10):
+            assert rep.p_at[k] == pytest.approx(trec_eval_p_at(run, qrels, k), abs=1e-12)
+            assert rep.ndcg_at[k] == pytest.approx(trec_eval_ndcg_at(run, qrels, k), abs=1e-12)

@@ -183,7 +183,7 @@ class TestLambdaSearch:
         )
         lams = [p.lam for p in sweep]
         assert lam_star in lams
-        best = max(sweep, key=lambda p: p.dev_metric)
+        best = max(sweep, key=lambda p: p.metrics.map)
         assert best.lam == lam_star
         # consecutive probes differ by exactly +-10% (unless capped)
         for a, b in zip(lams, lams[1:]):
@@ -204,6 +204,11 @@ class TestLambdaSearch:
     def test_max_probes_validated(self):
         with pytest.raises(ValueError, match="max_probes must be >= 1"):
             cfg(max_probes=0)
+
+    @pytest.mark.parametrize("eval_every", [0, -5])
+    def test_eval_every_validated(self, eval_every):
+        with pytest.raises(ValueError, match="eval_every must be >= 1"):
+            cfg(eval_every=eval_every)
 
     def test_probe_epochs_validated(self):
         with pytest.raises(ValueError):
@@ -316,16 +321,21 @@ class TestOneFullLogPass:
 
     @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
     def test_one_pass_per_checkpoint(self, monkeypatch, trainer):
+        # rows of each gradient batch (at its one forward and backward pass)
+        # and of each full pass (at batch_probabilities)
         rows = []
-        original = policy.batch_probabilities
 
-        def counting(params, contexts):
-            P = original(params, contexts)
-            rows.append(len(P))
-            return P
+        def counting(original):
+            def counted(params, contexts, *args):
+                rows.append(len(contexts))
+                return original(params, contexts, *args)
+            return counted
 
-        for module in (policy, estimators, training):
-            monkeypatch.setattr(module, "batch_probabilities", counting)
+        for name in ("batch_probabilities", "logit_gradient"):
+            counted = counting(getattr(policy, name))
+            for module in (policy, estimators, training):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         p0 = init_params("linear", 3, seed=25)
         config = cfg(eval_every=40)
         if trainer == "full_info":
