@@ -55,13 +55,6 @@ class RelevanceTable:
         return key in self.entries
 
 
-def graded_label(nrr: float) -> int:
-    """5-point grade of an nrr in [0, 1]: ``data.grade``, with 0 -> 0 and 1 -> 4."""
-    if not 0.0 <= nrr <= 1.0:
-        raise ValueError(f"nrr must lie in [0, 1], got {nrr!r}")
-    return grade(nrr)
-
-
 def aggregate_feedback(
     impressions: Iterable[tuple[str, str]],
     positives: Iterable[tuple[str, str]],
@@ -96,7 +89,7 @@ def aggregate_feedback(
     for pair in sorted(kept):
         q = pair[0]
         nrr = rr[pair] / max_rr[q] if max_rr[q] > 0 else 0.0
-        entries[pair] = RelevanceEntry(rr=rr[pair], nrr=nrr, label=graded_label(nrr))
+        entries[pair] = RelevanceEntry(rr=rr[pair], nrr=nrr, label=grade(nrr))
     return RelevanceTable(entries=entries)
 
 

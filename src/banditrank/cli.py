@@ -27,8 +27,11 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from banditrank import aggregation, simulator
 from banditrank.data import (
+    LogParseError,
     open_text,
     parse_bandit_log,
     read_supervised,
@@ -172,14 +175,22 @@ def cmd_aggregate(cfg: dict) -> dict:
     return {"relevance.tsv": lambda fh: aggregation.export_relevance_table(table, fh)}
 
 
+def _read(reader, path: str):
+    """``reader(path)``, a malformed line reported as ``<path> line N: ...`` like ``aggregate``'s."""
+    try:
+        return reader(path)
+    except LogParseError as exc:
+        raise CliError(f"{path} {exc}") from exc
+
+
 def _initial_params(cfg: dict, feature_dim: int) -> PolicyParams:
     return init_params(cfg["policy"], feature_dim, cfg["hidden"], cfg["seed"])
 
 
 def _log_inputs(cfg: dict) -> tuple:
     """The training log, dev set, initial policy and ``TrainConfig`` of a log-trained subcommand."""
-    log = parse_bandit_log(cfg["log"])
-    dev = read_supervised(cfg["dev"])
+    log = _read(parse_bandit_log, cfg["log"])
+    dev = _read(read_supervised, cfg["dev"])
     if len(log) == 0:
         raise CliError("bandit log is empty")
     return log, dev, _initial_params(cfg, log.feature_dim), _from_config(TrainConfig, cfg)
@@ -194,11 +205,11 @@ def cmd_train_crm(cfg: dict) -> dict:
 
 
 def cmd_train_fullinfo(cfg: dict) -> dict:
-    train = read_supervised(cfg["train"])
-    dev = read_supervised(cfg["dev"])
+    train = _read(read_supervised, cfg["train"])
+    dev = _read(read_supervised, cfg["dev"])
     if not train:
         raise CliError("training set is empty")
-    params0 = _initial_params(cfg, train.contexts.shape[1])
+    params0 = _initial_params(cfg, train.feature_dim)
     params, history = train_full_info(train, dev, params0, _from_config(TrainConfig, cfg))
     return {
         "model.json": params.save,
@@ -224,7 +235,7 @@ def cmd_lambda_sweep(cfg: dict) -> dict:
 
 def cmd_evaluate(cfg: dict) -> dict:
     params = PolicyParams.load(cfg["model"])
-    test = read_supervised(cfg["test"])
+    test = _read(read_supervised, cfg["test"])
     if not test:
         raise CliError("test set is empty")
     index = RankIndex(test.query_ids, test.product_ids, test.labels, cfg["ks"])
@@ -312,8 +323,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        cfg = _config(args)
-        _finish(args, cfg, args.fn(cfg))
+        # A diverging run ends in one ``non-finite logits`` error, not numpy warnings first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = _config(args)
+            _finish(args, cfg, args.fn(cfg))
     except (ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

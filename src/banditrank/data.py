@@ -2,9 +2,9 @@
 
 Both kinds of data are held column-wise: a ``BanditLog`` (contexts, actions,
 propensities, losses) and a ``SupervisedSet`` (contexts, graded labels and
-the normalized relevance rates they come from). Each constructor is the one
-check of its rows and names the first bad one; the readers report it by
-line. ``grade`` is the one graded-label rule, ceil(4 * nrr).
+the normalized relevance rates they come from). Both constructors make one
+shared check of their rows, which names the first bad one; the readers
+report it by line. ``grade`` is the one graded-label rule, ceil(4 * nrr).
 
 Bandit logs are UTF-8 line-delimited JSON, one record per line with keys
 ``query_id``, ``product_id``, ``features``, ``action``, ``propensity``,
@@ -77,7 +77,59 @@ def _column(values, ndim: int, ok, dtype, name: str, rule: str) -> np.ndarray | 
     return LogValidationError(f"{name} {rule}, got {value!r}", row)
 
 
-class BanditLog:
+# A column's rule: (attribute, dimensions of one row, test of each element, dtype,
+# name in messages, what the rule asks). Both row sets state contexts first.
+_CONTEXTS = ("contexts", 1, np.isfinite, np.float64, "context",
+             "must be a flat list of finite numbers as long as the first")
+
+
+class _RowSet:
+    """Rows held column-wise: ``query_ids`` and ``product_ids`` lists, then one
+    read-only array per entry of ``_COLUMNS``, the (n, d) ``contexts`` first.
+
+    ``_store`` is the one check of the columns; a failure names the first
+    offending row across every column.
+    """
+
+    def _store(self, query_ids, product_ids, columns, row_rule=lambda end: []) -> None:
+        """Check ``columns`` against ``_COLUMNS`` and keep them. ``row_rule(end)`` lists the
+        failure, if any, of a rule across columns before ``end``, the first row a column rejects."""
+        n = len(query_ids)
+        names = ["product_ids", *(spec[0] for spec in self._COLUMNS)]
+        for name, col in zip(names, [product_ids, *columns]):
+            if len(col) != n:
+                raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
+        checked = [_column(col, *spec[1:]) for spec, col in zip(self._COLUMNS, columns)]
+        failures = [col for col in checked if isinstance(col, LogValidationError)]
+        failures += row_rule(min((exc.row for exc in failures), default=n))
+        if failures:
+            raise min(failures, key=lambda exc: exc.row)
+        self.query_ids = list(query_ids)
+        self.product_ids = list(product_ids)
+        for spec, col in zip(self._COLUMNS, checked):
+            # a read-only view: a caller's own array is kept without a copy and stays writable
+            view = col.view()
+            view.setflags(write=False)
+            setattr(self, spec[0], view)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.contexts.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __eq__(self, other) -> bool:
+        """Equal ids, array columns and any other attribute (a log's ``metadata``)."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in zip(vars(self).values(), vars(other).values())
+        )
+
+
+class BanditLog(_RowSet):
     """An immutable collection of bandit records, stored column-wise.
 
     Columns (``contexts``, ``actions``, ``propensities``, ``deltas``) are
@@ -85,6 +137,14 @@ class BanditLog:
     without per-record Python overhead. The constructor is the one check of
     the record invariants; a failure names the first offending row.
     """
+
+    _COLUMNS = (
+        _CONTEXTS,
+        ("actions", 0, lambda x: (x == 0) | (x == 1), np.int64, "action", "must be 0 or 1"),
+        ("propensities", 0, lambda x: (x >= MIN_PROPENSITY) & (x <= 1.0), np.float64,
+         "propensity", f"must be a number in [{MIN_PROPENSITY}, 1]"),
+        ("deltas", 0, lambda x: (x == 0) | (x == 1), np.int64, "delta", "must be 0 or 1"),
+    )
 
     def __init__(
         self,
@@ -96,52 +156,8 @@ class BanditLog:
         deltas: np.ndarray,
         metadata: dict[str, str] | None = None,
     ):
-        n = len(query_ids)
-        for name, col in (("product_ids", product_ids), ("contexts", contexts),
-                          ("actions", actions), ("propensities", propensities), ("deltas", deltas)):
-            if len(col) != n:
-                raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
-        columns = [
-            _column(contexts, 1, np.isfinite, np.float64, "context",
-                    "must be a flat list of finite numbers as long as the first"),
-            _column(actions, 0, lambda x: (x == 0) | (x == 1), np.int64,
-                    "action", "must be 0 or 1"),
-            _column(propensities, 0, lambda x: (x >= MIN_PROPENSITY) & (x <= 1.0), np.float64,
-                    "propensity", f"must be a number in [{MIN_PROPENSITY}, 1]"),
-            _column(deltas, 0, lambda x: (x == 0) | (x == 1), np.int64, "delta", "must be 0 or 1"),
-        ]
-        failures = [col for col in columns if isinstance(col, LogValidationError)]
-        if failures:
-            raise min(failures, key=lambda exc: exc.row)
-        self.query_ids = list(query_ids)
-        self.product_ids = list(product_ids)
-        # read-only views: a caller's own array is kept without a copy and stays writable
-        self.contexts, self.actions, self.propensities, self.deltas = (
-            col.view() for col in columns
-        )
+        self._store(query_ids, product_ids, (contexts, actions, propensities, deltas))
         self.metadata = dict(metadata or {})
-        for arr in (self.contexts, self.actions, self.propensities, self.deltas):
-            arr.setflags(write=False)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.contexts.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.query_ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BanditLog):
-            return NotImplemented
-        return (
-            self.query_ids == other.query_ids
-            and self.product_ids == other.product_ids
-            and np.array_equal(self.contexts, other.contexts)
-            and np.array_equal(self.actions, other.actions)
-            and np.array_equal(self.propensities, other.propensities)
-            and np.array_equal(self.deltas, other.deltas)
-            and self.metadata == other.metadata
-        )
 
 
 # ceil(4 * nrr) is taken after rounding nrr to 12 decimals, so a rate that
@@ -164,7 +180,7 @@ class SupervisedRow(NamedTuple):
     nrr: float
 
 
-class SupervisedSet:
+class SupervisedSet(_RowSet):
     """Query-product pairs with a 5-point graded label and its normalized rate,
     stored column-wise like ``BanditLog``.
 
@@ -174,6 +190,13 @@ class SupervisedSet:
     ``grade(nrr)``); a failure names the first offending row.
     """
 
+    _COLUMNS = (
+        _CONTEXTS,
+        ("labels", 0, lambda x: np.isfinite(x) & (x == np.trunc(x)), np.int64,
+         "label", "must be an integer"),
+        ("nrr", 0, lambda x: (x >= 0.0) & (x <= 1.0), np.float64, "nrr", "must lie in [0, 1]"),
+    )
+
     def __init__(
         self,
         query_ids: Sequence[str],
@@ -182,42 +205,18 @@ class SupervisedSet:
         labels: Sequence[int],
         nrr: Sequence[float],
     ):
-        n = len(query_ids)
-        for name, col in (("product_ids", product_ids), ("contexts", contexts),
-                          ("labels", labels), ("nrr", nrr)):
-            if len(col) != n:
-                raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
-        columns = [
-            _column(contexts, 1, np.isfinite, np.float64, "context",
-                    "must be a flat list of finite numbers as long as the first"),
-            _column(labels, 0, lambda x: np.isfinite(x) & (x == np.trunc(x)), np.int64,
-                    "label", "must be an integer"),
-            _column(nrr, 0, lambda x: (x >= 0.0) & (x <= 1.0), np.float64,
-                    "nrr", "must lie in [0, 1]"),
-        ]
-        failures = [col for col in columns if isinstance(col, LogValidationError)]
-        # Every column holds real numbers up to the first failure: check the label rule there.
-        end = min((exc.row for exc in failures), default=n)
-        given = np.asarray(labels[:end]).tolist()
-        rates = np.asarray(nrr[:end], dtype=np.float64).tolist()
-        expected = list(map(grade, rates))
-        if given != expected:
+        def label_rule(end: int) -> list[LogValidationError]:
+            # Every column holds real numbers before ``end``: check the label rule there.
+            given = np.asarray(labels[:end]).tolist()
+            rates = np.asarray(nrr[:end], dtype=np.float64).tolist()
+            expected = list(map(grade, rates))
+            if given == expected:
+                return []
             row = next(i for i, (a, b) in enumerate(zip(given, expected)) if a != b)
-            failures.append(LogValidationError(
-                f"label {given[row]} inconsistent with nrr {rates[row]} (expected {expected[row]})",
-                row,
-            ))
-        if failures:
-            raise min(failures, key=lambda exc: exc.row)
-        self.query_ids = list(query_ids)
-        self.product_ids = list(product_ids)
-        # read-only views: a caller's own array is kept without a copy and stays writable
-        self.contexts, self.labels, self.nrr = (col.view() for col in columns)
-        for arr in (self.contexts, self.labels, self.nrr):
-            arr.setflags(write=False)
+            return [LogValidationError(f"label {given[row]} inconsistent with nrr {rates[row]} "
+                                       f"(expected {expected[row]})", row)]
 
-    def __len__(self) -> int:
-        return len(self.query_ids)
+        self._store(query_ids, product_ids, (contexts, labels, nrr), label_rule)
 
     def __iter__(self) -> Iterator[SupervisedRow]:
         return map(SupervisedRow, self.query_ids, self.product_ids,
@@ -226,17 +225,6 @@ class SupervisedSet:
     def qrels(self) -> dict[tuple[str, str], int]:
         """Each row's label by its (query_id, product_id) pair."""
         return dict(zip(zip(self.query_ids, self.product_ids), self.labels.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SupervisedSet):
-            return NotImplemented
-        return (
-            self.query_ids == other.query_ids
-            and self.product_ids == other.product_ids
-            and np.array_equal(self.contexts, other.contexts)
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.nrr, other.nrr)
-        )
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,8 @@ def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
         estimate=float(estimate),
         n=len(w),
         mean_importance_weight=float(np.mean(w)),
-        effective_sample_size=float(np.sum(w) ** 2 / np.sum(w * w)),
+        # (sum w)^2 / sum w^2 <= n, but with all weights equal it can round a few ulps above n
+        effective_sample_size=min(float(len(w)), float(np.sum(w) ** 2 / np.sum(w * w))),
     )
 
 
@@ -84,8 +85,6 @@ def ips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
 
 def group_mean_losses(log: BanditLog) -> tuple[np.ndarray, np.ndarray]:
     """Per-record mean loss and size of the record's (query, product, action) group."""
-    if len(log) == 0:
-        raise ValueError("log must be non-empty")
     keys = list(zip(log.query_ids, log.product_ids, log.actions.tolist()))
     index: dict[tuple, int] = {}
     group = np.empty(len(log), dtype=np.int64)

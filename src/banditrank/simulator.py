@@ -93,7 +93,6 @@ def simulate_log(
     policy: LoggingPolicy,
     n_interactions: int,
     seed: int,
-    metadata: dict[str, str] | None = None,
 ) -> BanditLog:
     """Sample logged interactions: uniform pair, logged action, 0/1 loss."""
     if n_interactions < 1:
@@ -112,8 +111,6 @@ def simulate_log(
         shown, ~clicks, examines & clicks
     ).astype(np.int64)
     pair_ids = world.pair_ids()
-    meta = {"source": "simulator", "seed": str(seed)}
-    meta.update(metadata or {})
     return BanditLog(
         query_ids=[pair_ids[i][0] for i in idx],
         product_ids=[pair_ids[i][1] for i in idx],
@@ -121,7 +118,7 @@ def simulate_log(
         actions=actions,
         propensities=propensities,
         deltas=deltas,
-        metadata=meta,
+        metadata={"source": "simulator", "seed": str(seed)},
     )
 
 

@@ -133,6 +133,8 @@ def _minibatch_train(
 
     ``full_pass`` returns (S, objective) from one pass over the training set.
     """
+    if log_len == 0 or not dev:
+        raise ValueError("training data and dev set must be non-empty")
     dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
     rng = np.random.default_rng(config.seed)
     params = params0
@@ -177,8 +179,6 @@ def train_crm(
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
     """Minimize the Lagrangian surrogate at the configured fixed lambda."""
-    if len(train_log) == 0 or not dev:
-        raise ValueError("train log and dev set must be non-empty")
     lam = config.lam
 
     def grad_fn(params, idx):
@@ -191,14 +191,10 @@ def train_crm(
             lam,
         )
 
-    return _minibatch_train(
-        log_len=len(train_log),
-        grad_fn=grad_fn,
-        full_pass=lambda p: mean_weight_and_lagrangian(train_log, p, lam),
-        dev=dev,
-        params0=params0,
-        config=config,
-    )
+    def full_pass(params):
+        return mean_weight_and_lagrangian(train_log, params, lam)
+
+    return _minibatch_train(len(train_log), grad_fn, full_pass, dev, params0, config)
 
 
 def train_ea(
@@ -208,8 +204,6 @@ def train_ea(
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
     """Minimize the empirical-average surrogate (no propensity correction)."""
-    if len(train_log) == 0 or not dev:
-        raise ValueError("train log and dev set must be non-empty")
     mean_delta, group_size = group_mean_losses(train_log)
     # per-record share so each (query, product, action) group counts once
     coeffs = mean_delta / group_size
@@ -224,14 +218,7 @@ def train_ea(
         p_a = logged_probabilities(train_log, params)
         return float(np.mean(p_a / train_log.propensities)), float(np.sum(coeffs * p_a))
 
-    return _minibatch_train(
-        log_len=len(train_log),
-        grad_fn=grad_fn,
-        full_pass=full_pass,
-        dev=dev,
-        params0=params0,
-        config=config,
-    )
+    return _minibatch_train(len(train_log), grad_fn, full_pass, dev, params0, config)
 
 
 def train_full_info(
@@ -245,8 +232,6 @@ def train_full_info(
     A row with label l contributes weight (1 + l) / 5, so stronger grades
     pull harder; the target class is 1 whenever l > 0.
     """
-    if not train or not dev:
-        raise ValueError("train and dev sets must be non-empty")
     X = train.contexts
     y = (train.labels > 0).astype(np.int64)
     weights = (1 + train.labels) / 5.0
@@ -265,14 +250,7 @@ def train_full_info(
         p_y = np.clip(P[np.arange(len(train)), y], 1e-300, None)
         return float("nan"), float(np.mean(-weights * np.log(p_y)))
 
-    return _minibatch_train(
-        log_len=len(train),
-        grad_fn=grad_fn,
-        full_pass=full_pass,
-        dev=dev,
-        params0=params0,
-        config=config,
-    )
+    return _minibatch_train(len(train), grad_fn, full_pass, dev, params0, config)
 
 
 def write_history(history: TrainHistory, sink) -> int:

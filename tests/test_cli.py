@@ -201,13 +201,16 @@ def inputs(tmp_path_factory):
     write_json(root / "log_number.json", {"log": 5})
     write_json(root / "diverging.json", {"learning_rate": 1e308, "epochs": 1})
     (root / "one_field.tsv").write_text("q1\tp0\nq1\n")
+    (root / "short_row.tsv").write_text((sim / "dev.tsv").read_text() + "q1\tp1\n")
+    (root / "bad_line.jsonl").write_text((sim / "log.jsonl").read_text() + '{"query_id": 1}\n')
     paths = {
         "log": sim / "log.jsonl", "dev": sim / "dev.tsv", "test": sim / "test.tsv",
         "model": sim / "logging_policy.json", "absent": root / "absent.tsv",
         "empty_log": root / "empty.jsonl", "header_only": root / "header.tsv",
         "bad_json": root / "bad.json", "list_json": root / "list.json",
         "unknown_key": root / "unknown.json", "no_probes": root / "no_probes.json",
-        "one_field": root / "one_field.tsv",
+        "one_field": root / "one_field.tsv", "short_row": root / "short_row.tsv",
+        "bad_line": root / "bad_line.jsonl",
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "hidden_float", "epochs_bool", "ks_strings", "log_number",
             "diverging")},
@@ -261,6 +264,14 @@ ERRORS = [
      "one_field.tsv line 2"),
     ("diverging run", ["train-crm", "--config", "{diverging}", "--log", "{log}", "--dev", "{dev}"],
      1, "non-finite logits"),
+    ("dev row too short", ["train-crm", "--log", "{log}", "--dev", "{short_row}"], 1,
+     "short_row.tsv line 18: expected 8 columns, got 2"),
+    ("test row too short", ["evaluate", "--model", "{model}", "--test", "{short_row}"], 1,
+     "short_row.tsv line 18: expected 8 columns, got 2"),
+    ("training row too short", ["train-fullinfo", "--train", "{short_row}", "--dev", "{dev}"], 1,
+     "short_row.tsv line 18: expected 8 columns, got 2"),
+    ("log line missing keys", ["lambda-sweep", "--log", "{bad_line}", "--dev", "{dev}"], 1,
+     "bad_line.jsonl line 602: missing keys"),
 ]
 
 
@@ -268,13 +279,16 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, code, names", [case[1:] for case in ERRORS], ids=[case[0] for case in ERRORS]
     )
-    def test_exit_code_and_one_error_line(self, inputs, tmp_path, capsys, argv, code, names):
+    def test_exit_code_and_one_error_line(self, inputs, tmp_path, capsys, recwarn, argv, code,
+                                          names):
         argv = [arg.format_map(inputs) for arg in argv]
         assert run([*argv, "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert len(error_lines) == 1 and names in error_lines[0], err
         assert "Traceback" not in err
+        # numpy's warnings would reach stderr before the error line outside pytest
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestConfigPrecedence:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditrank.aggregation import graded_label
+from banditrank.aggregation import aggregate_feedback
 from banditrank.data import (
     BanditLog,
     LogParseError,
@@ -291,6 +291,53 @@ class TestSupervisedSetColumns:
                 column[0] = 0
 
 
+class TestRowSets:
+    """What ``BanditLog`` and ``SupervisedSet`` share: lengths, equality and ``feature_dim``."""
+
+    def log(self, **changes):
+        columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
+                   "contexts": np.zeros((2, 3)), "actions": [1, 0],
+                   "propensities": [0.5, 0.5], "deltas": [0, 1], "metadata": {"source": "t"}}
+        return BanditLog(**{**columns, **changes})
+
+    def rows(self, **changes):
+        columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
+                   "contexts": np.zeros((2, 3)), "labels": [4, 0], "nrr": [1.0, 0.0]}
+        return SupervisedSet(**{**columns, **changes})
+
+    @pytest.mark.parametrize("column", ["product_ids", "contexts", "actions", "deltas"])
+    def test_log_column_of_another_length(self, column):
+        with pytest.raises(LogValidationError, match=f"^{column} has length 1, expected 2$"):
+            self.log(**{column: getattr(self.log(), column)[:1]})
+
+    @pytest.mark.parametrize("column", ["product_ids", "contexts", "labels", "nrr"])
+    def test_set_column_of_another_length(self, column):
+        with pytest.raises(LogValidationError, match=f"^{column} has length 1, expected 2$"):
+            self.rows(**{column: getattr(self.rows(), column)[:1]})
+
+    def test_feature_dim(self):
+        assert self.log().feature_dim == self.rows().feature_dim == 3
+
+    @pytest.mark.parametrize("change", [
+        {"product_ids": ["p1", "p3"]}, {"contexts": np.ones((2, 3))}, {"actions": [1, 1]},
+        {"propensities": [0.5, 0.25]}, {"deltas": [1, 1]}, {"metadata": {"source": "u"}},
+    ])
+    def test_logs_differing_in_one_column_are_unequal(self, change):
+        assert self.log() == self.log()
+        assert self.log(**change) != self.log()
+
+    @pytest.mark.parametrize("change", [
+        {"query_ids": ["q1", "q1"]}, {"contexts": np.ones((2, 3))},
+        {"labels": [3, 0], "nrr": [0.7, 0.0]},
+    ])
+    def test_sets_differing_in_one_column_are_unequal(self, change):
+        assert self.rows() == self.rows()
+        assert self.rows(**change) != self.rows()
+
+    def test_a_log_is_never_a_set(self):
+        assert self.log() != self.rows() and self.rows() != self.log()
+
+
 class TestGrade:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 4), st.integers(-4, 4))
@@ -301,9 +348,13 @@ class TestGrade:
         assert grade(min(max(nrr, 0.0), 1.0)) == k
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.0, 1.0))
-    def test_aggregation_and_constructor_apply_the_rule(self, nrr):
-        assert graded_label(nrr) == grade(nrr)
+    @given(st.floats(0.0, 1.0), st.integers(1, 60), st.integers(0, 60), st.integers(1, 60))
+    def test_aggregation_and_constructor_apply_the_rule(self, nrr, seen, clicked, seen_best):
+        # one query: pair b sets the maximum rate, so pair a's nrr is its rate over b's
+        impressions = [("q", "a")] * seen + [("q", "b")] * seen_best
+        positives = [("q", "a")] * min(clicked, seen) + [("q", "b")] * seen_best
+        for entry in aggregate_feedback(impressions, positives, 1).entries.values():
+            assert entry.label == grade(entry.nrr)
         SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [grade(nrr)], [nrr])
         with pytest.raises(LogValidationError, match="inconsistent"):
             SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [grade(nrr) + 1], [nrr])
@@ -320,7 +371,7 @@ class TestGrade:
     def test_simulator_labels_follow_the_rule(self, seed, top_fraction):
         world = generate_world(SimConfig(3, 8, 2), seed)
         dataset = world_supervised(world, top_fraction=top_fraction)
-        assert dataset.labels.tolist() == [graded_label(x) for x in dataset.nrr.tolist()]
+        assert dataset.labels.tolist() == [grade(x) for x in dataset.nrr.tolist()]
         assert list(dataset.qrels().values()) == dataset.labels.tolist()
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from banditrank.data import BanditLog
+from banditrank.data import MIN_PROPENSITY, BanditLog
 from banditrank.estimators import (
     empirical_average,
     importance_weights,
@@ -13,7 +15,7 @@ from banditrank.estimators import (
     snips,
     snips_denominator,
 )
-from banditrank.policy import batch_probabilities, init_params
+from banditrank.policy import PolicyParams, batch_probabilities, init_params
 from conftest import identity_policy, random_log
 from oracles import (
     brute_ea,
@@ -160,6 +162,30 @@ class TestAgainstBruteForce:
         )
 
 
+@st.composite
+def logs_and_policies(draw, propensities=st.floats(0.01, 1.0)):
+    """A random log of 1 to 40 records with 3 features, and a random linear or MLP policy."""
+    n = draw(st.integers(1, 40))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    log = BanditLog(
+        [f"q{i % 4}" for i in range(n)], [f"p{i % 5}" for i in range(n)],
+        np.array(column(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))).reshape(n, 3),
+        column(st.integers(0, 1)), column(propensities), column(st.integers(0, 1)),
+    )
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    return log, init_params(kind, 3, hidden=2, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def equal_weights_log(n, propensity):
+    """n records logged at one propensity, and a zero-weight policy: every w_i is 0.5 / p."""
+    log = BanditLog([f"q{i}" for i in range(n)], ["p"] * n, np.ones((n, 2)), [1] * n,
+                    [propensity] * n, [i % 2 for i in range(n)])
+    return log, PolicyParams("linear", [np.zeros((2, 2)), np.zeros(2)])
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_snips_bounded(self, seed):
@@ -189,6 +215,52 @@ class TestInvariants:
         empty = BanditLog([], [], np.zeros((0, 0)), [], [], [])
         with pytest.raises(ValueError):
             snips(empty, init_params("linear", 1, seed=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs_and_policies())
+    def test_snips_lies_in_the_unit_interval(self, log_and_policy):
+        assert 0.0 <= snips(*log_and_policy).estimate <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs_and_policies(), st.floats(0.01, 1.0))
+    def test_snips_ignores_a_common_propensity_scale(self, log_and_policy, scale):
+        log, params = log_and_policy
+        # propensities >= 0.01 scaled by >= 0.01 stay within [MIN_PROPENSITY, 1]
+        scaled = BanditLog(log.query_ids, log.product_ids, log.contexts, log.actions,
+                           log.propensities * scale, log.deltas)
+        assert snips(scaled, params).estimate == pytest.approx(
+            snips(log, params).estimate, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs_and_policies(), st.floats(0.0, 1.0))
+    def test_lagrangian_is_ips_less_lambda_times_s(self, log_and_policy, lam):
+        log, params = log_and_policy
+        rhs = ips(log, params).estimate - lam * snips_denominator(log, params)
+        assert lagrangian_risk(log, params, lam) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs_and_policies())
+    def test_ess_lies_in_zero_to_n(self, log_and_policy):
+        for estimator in (snips, ips, empirical_average):
+            report = estimator(*log_and_policy)
+            assert 0 < report.effective_sample_size <= report.n == len(log_and_policy[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.floats(0.01, 1.0))
+    @example(199, 0.5 / 7.7)  # (sum w)^2 / sum w^2 rounds to 199.00000000000017 here
+    def test_equal_weights_give_an_ess_of_n(self, n, propensity):
+        for estimator in (snips, ips, empirical_average):
+            report = estimator(*equal_weights_log(n, propensity))
+            assert report.effective_sample_size == pytest.approx(n, rel=1e-12)
+            assert report.effective_sample_size <= n
+
+    @settings(max_examples=30, deadline=None)
+    @given(logs_and_policies(propensities=st.just(MIN_PROPENSITY)), st.floats(0.0, 1.0))
+    def test_min_propensity_logs_give_finite_estimates(self, log_and_policy, lam):
+        log, params = log_and_policy
+        estimates = [estimator(log, params).estimate for estimator in (snips, ips, empirical_average)]
+        estimates += [snips_denominator(log, params), lagrangian_risk(log, params, lam)]
+        assert np.all(np.isfinite(estimates))
 
 
 def log_gradient(log, params, lam, rows=slice(None)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from banditrank import estimators, policy, training
+from banditrank.data import BanditLog, SupervisedSet
 from banditrank.evaluation import MetricsReport
 from banditrank.estimators import (
     empirical_average,
@@ -154,6 +155,30 @@ class TestTrainCrm:
         with pytest.raises(ValueError):
             train_crm(random_log(10, 4, 0), supervised([]), init_params("linear", 4, seed=0),
                       cfg())
+
+
+class TestEmptyInputs:
+    """Every trainer rejects an empty training set or dev set with a ``ValueError``."""
+
+    @pytest.mark.parametrize("trainer", [train_crm, train_ea])
+    def test_empty_log(self, trainer):
+        empty = BanditLog([], [], np.zeros((0, 4)), [], [], [])
+        with pytest.raises(ValueError, match="must be non-empty"):
+            trainer(empty, toy_dev(), init_params("linear", 4, seed=0), cfg())
+
+    @pytest.mark.parametrize("trainer", [train_crm, train_ea])
+    def test_empty_dev_set_for_a_log(self, trainer):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            trainer(random_log(10, 4, 0), supervised([]), init_params("linear", 4, seed=0), cfg())
+
+    def test_empty_training_set(self):
+        empty = SupervisedSet([], [], np.zeros((0, 4)), [], [])
+        with pytest.raises(ValueError):
+            train_full_info(empty, toy_dev(), init_params("linear", 4, seed=0), cfg())
+
+    def test_empty_dev_set_for_a_training_set(self):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            train_full_info(toy_dev(), supervised([]), init_params("linear", 4, seed=0), cfg())
 
 
 class TestLambdaRule:
