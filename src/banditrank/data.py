@@ -6,10 +6,12 @@ the normalized relevance rates they come from). Both constructors make one
 shared check of their rows, which names the first bad one; the readers
 report it by line. ``grade`` is the one graded-label rule, ceil(4 * nrr).
 
-Bandit logs are UTF-8 line-delimited JSON, one record per line with keys
-``query_id``, ``product_id``, ``features``, ``action``, ``propensity``,
-``delta``. An optional first line holding ``{"_meta": {...}}`` carries log
-metadata. Supervised data is a tab-separated file with a header row:
+Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
+``json.dumps`` with its default separators of a dict with keys ``query_id``,
+``product_id``, ``features``, ``action``, ``propensity``, ``delta`` in that
+order; ``tests/oracles.jsonl_lines`` pins these bytes. An optional first line
+holding ``{"_meta": {...}}`` carries log metadata. Supervised data is a
+tab-separated file with a header row:
 ``query_id  product_id  label  nrr  f0 ... f{d-1}``.
 """
 
@@ -312,22 +314,52 @@ def parse_bandit_log(source: IO | str) -> BanditLog:
         raise LogParseError(exc.message, line_nos[exc.row]) from exc
 
 
+# The writers format and write this many rows at a time: one ``tolist()`` of
+# each column per block rather than per row, and one ``write`` per block. Larger
+# blocks gain no time and hold more memory (about 4 MB more at 4,096 TSV rows).
+_BLOCK_ROWS = 1024
+
+# A record line as ``json.dumps`` of the record's dict gives it. Ids and features
+# are filled in already JSON-encoded; ``%d`` and ``%r`` write an int and a finite
+# float as json does.
+_RECORD_LINE = ('{"query_id": %s, "product_id": %s, "features": %s, '
+                '"action": %d, "propensity": %r, "delta": %d}\n')
+
+
+def _distinct_rows(contexts: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The JSON text of each distinct row of ``contexts``, and each row's index into it.
+
+    Rows are told apart by their bytes, not their values, so -0.0 and 0.0
+    keep their own text.
+    """
+    n, d = contexts.shape
+    if d == 0:  # a zero-width item compares no bytes; every row is []
+        return ["[]"], np.zeros(n, dtype=np.intp)
+    rows = np.ascontiguousarray(contexts)
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * d))).ravel(),
+                                  return_index=True, return_inverse=True)
+    # One row's floats at a time: a tolist() of every distinct row at once lifts the
+    # write's peak memory above the parse's.
+    return [json.dumps(row.tolist()) for row in rows[first]], inverse
+
+
 def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
-    """Write a bandit log; numeric fields keep full precision (repr round-trip)."""
-    rows = zip(log.query_ids, log.product_ids, log.actions.tolist(),
-               log.propensities.tolist(), log.deltas.tolist())
+    """Write a bandit log; numeric fields keep full precision (repr round-trip).
+
+    Each distinct context row is formatted once. No record line carries the
+    log's width, so a log without records reads back with width 0.
+    """
+    texts, text_of_row = _distinct_rows(log.contexts)
     with open_text(sink, "w") as out:
         out.write(json.dumps({"_meta": log.metadata}) + "\n")
-        for i, (query_id, product_id, action, propensity, delta) in enumerate(rows):
-            obj = {
-                "query_id": query_id,
-                "product_id": product_id,
-                "features": log.contexts[i].tolist(),
-                "action": action,
-                "propensity": propensity,
-                "delta": delta,
-            }
-            out.write(json.dumps(obj) + "\n")
+        for start in range(0, len(log), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            records = zip(map(json.dumps, log.query_ids[block]),
+                          map(json.dumps, log.product_ids[block]),
+                          map(texts.__getitem__, text_of_row[block].tolist()),
+                          log.actions[block].tolist(), log.propensities[block].tolist(),
+                          log.deltas[block].tolist())
+            out.write("".join([_RECORD_LINE % record for record in records]))
     return len(log)
 
 
@@ -335,13 +367,17 @@ def write_supervised(rows: SupervisedSet, sink: IO | str) -> int:
     """Write supervised rows as TSV with a header row."""
     header = ["query_id", "product_id", "label", "nrr"]
     header += [f"f{j}" for j in range(rows.contexts.shape[1])]
-    columns = zip(rows.query_ids, rows.product_ids, rows.labels.tolist(), rows.nrr.tolist(),
-                  rows.contexts)
     with open_text(sink, "w") as out:
         out.write("\t".join(header) + "\n")
-        for query_id, product_id, label, nrr, context in columns:
-            out.write("\t".join([query_id, product_id, str(label), repr(nrr),
-                                 *map(repr, context.tolist())]) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            columns = zip(rows.query_ids[block], rows.product_ids[block],
+                          rows.labels[block].tolist(), rows.nrr[block].tolist(),
+                          rows.contexts[block].tolist())
+            out.write("".join([
+                "\t".join([query_id, product_id, str(label), repr(nrr), *map(repr, context)]) + "\n"
+                for query_id, product_id, label, nrr, context in columns
+            ]))
     return len(rows)
 
 

@@ -4,6 +4,7 @@ Everything here is written directly from the defining formulas, one record
 at a time, with no shared code paths with the library being tested.
 """
 
+import json
 import math
 from typing import NamedTuple
 
@@ -28,6 +29,39 @@ def rows(log):
         for fields in zip(log.query_ids, log.product_ids, log.contexts, log.actions.tolist(),
                           log.propensities.tolist(), log.deltas.tolist())
     ]
+
+
+def jsonl_lines(log):
+    """The lines of a ``BanditLog``'s file as the per-record writer wrote them:
+    the ``_meta`` line, then one ``json.dumps`` of each record's dict."""
+    lines = [json.dumps({"_meta": log.metadata}) + "\n"]
+    rows = zip(log.query_ids, log.product_ids, log.actions.tolist(),
+               log.propensities.tolist(), log.deltas.tolist())
+    for i, (query_id, product_id, action, propensity, delta) in enumerate(rows):
+        obj = {
+            "query_id": query_id,
+            "product_id": product_id,
+            "features": log.contexts[i].tolist(),
+            "action": action,
+            "propensity": propensity,
+            "delta": delta,
+        }
+        lines.append(json.dumps(obj) + "\n")
+    return lines
+
+
+def tsv_lines(rows):
+    """The lines of a ``SupervisedSet``'s file as the per-row writer wrote them:
+    the header, then each row's ids, label, ``repr`` of nrr and of each feature."""
+    header = ["query_id", "product_id", "label", "nrr"]
+    header += [f"f{j}" for j in range(rows.contexts.shape[1])]
+    lines = ["\t".join(header) + "\n"]
+    columns = zip(rows.query_ids, rows.product_ids, rows.labels.tolist(), rows.nrr.tolist(),
+                  rows.contexts)
+    for query_id, product_id, label, nrr, context in columns:
+        lines.append("\t".join([query_id, product_id, str(label), repr(nrr),
+                                 *map(repr, context.tolist())]) + "\n")
+    return lines
 
 
 def flatten(params):

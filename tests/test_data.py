@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditrank import data
 from banditrank.aggregation import aggregate_feedback
 from banditrank.data import (
     BanditLog,
     LogParseError,
     LogValidationError,
+    MIN_PROPENSITY,
     SupervisedSet,
     grade,
     parse_bandit_log,
@@ -34,7 +36,7 @@ from banditrank.simulator import (
 )
 from banditrank.training import TrainConfig, train_crm, write_history
 from conftest import random_log, supervised
-from oracles import rows
+from oracles import jsonl_lines, rows, tsv_lines
 
 
 def record_line(qid="q1", pid="p1", features=(0.5, -1.0), action=1, propensity=0.8, delta=0):
@@ -160,6 +162,33 @@ class TestBanditLogColumns:
                 column[0] = 0
 
 
+# The writers' block size while the byte-identity tests run, so that their
+# lengths straddle block boundaries.
+BLOCK = 3
+BLOCK_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@st.composite
+def pooled_logs(draw):
+    """Logs of 0 to 3 features whose rows repeat from a small pool that holds
+    -0.0 and 0.0 twins, with non-ASCII and integer ids, around BLOCK long."""
+    n, d = draw(st.sampled_from(BLOCK_LENGTHS)), draw(st.integers(0, 3))
+    value = st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e16, 5e-324]) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=3))
+    pool += [[-x if x == 0 else x for x in row] for row in pool]  # each zero's sign flipped
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    ids = st.lists(st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size=3) | st.integers(-2, 2**70),
+                   min_size=n, max_size=n)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return BanditLog(
+        draw(ids), draw(ids), np.array([pool[i] for i in picks], dtype=np.float64).reshape(n, d),
+        draw(bits), draw(st.lists(st.floats(MIN_PROPENSITY, 1.0), min_size=n, max_size=n)),
+        draw(bits), metadata=draw(st.dictionaries(st.text(max_size=2), st.text(max_size=2),
+                                                  max_size=2)),
+    )
+
+
 class TestRoundTrip:
     def roundtrip(self, log):
         buf = io.StringIO()
@@ -181,6 +210,24 @@ class TestRoundTrip:
         n, back = self.roundtrip(log)
         assert n == 2
         assert back == log
+
+    def test_zero_width_log(self):
+        log = BanditLog(["q1", "q2"], ["p1", "p2"], np.zeros((2, 0)), [1, 0], [0.5, 0.25], [0, 1])
+        buf = io.StringIO()
+        assert write_bandit_log(log, buf) == 2
+        records = [json.loads(line) for line in buf.getvalue().splitlines()[1:]]
+        assert [r["features"] for r in records] == [[], []]
+        buf.seek(0)
+        assert parse_bandit_log(buf) == log
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_logs())
+    def test_bytes_match_the_per_record_writer(self, log):
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+            write_bandit_log(log, buf)
+        assert buf.getvalue() == "".join(jsonl_lines(log))
 
     def test_tiny_propensity_survives(self):
         log = BanditLog(["q"], ["p"], np.array([[1.0]]), [1], [1e-9], [1])
@@ -211,9 +258,9 @@ class TestRoundTrip:
 
 
 @st.composite
-def supervised_sets(draw):
+def supervised_sets(draw, lengths=st.integers(0, 8)):
     """Random rows labelled by the rule, with 0 to 3 features each; possibly no rows."""
-    n, d = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    n, d = draw(lengths), draw(st.integers(0, 3))
     ids = st.lists(st.text("pq01", max_size=3), min_size=n, max_size=n)
     nrr = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     contexts = draw(st.lists(
@@ -258,6 +305,15 @@ class TestSupervisedFile:
         assert write_supervised(dataset, buf) == len(dataset)
         buf.seek(0)
         assert read_supervised(buf) == dataset
+
+    @settings(max_examples=50, deadline=None)
+    @given(supervised_sets(st.sampled_from(BLOCK_LENGTHS)))
+    def test_bytes_match_the_per_row_writer(self, dataset):
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+            write_supervised(dataset, buf)
+        assert buf.getvalue() == "".join(tsv_lines(dataset))
 
     def test_header_only_file_is_an_empty_set(self):
         back = read_supervised(io.StringIO("query_id\tproduct_id\tlabel\tnrr\tf0\tf1\n"))
