@@ -10,8 +10,17 @@ Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 ``json.dumps`` with its default separators of a dict with keys ``query_id``,
 ``product_id``, ``features``, ``action``, ``propensity``, ``delta`` in that
 order; ``tests/oracles.jsonl_lines`` pins these bytes. An optional first line
-holding ``{"_meta": {...}}`` carries log metadata. Supervised data is a
-tab-separated file with a header row:
+holding ``{"_meta": {...}}`` carries log metadata.
+
+The reader takes a log ``_BLOCK_ROWS`` lines at a time. A record line takes
+the bulk path if it has the writer's exact shape, its ids need no escape, and
+its features and propensity are written in number characters only: one
+``json.loads`` per block decodes the numbers of those lines, each distinct
+features text once. Every other line, and every line of a block whose decode
+fails, is parsed on its own. Both paths give the same log, or the same error
+at the same line, as ``tests/oracles.parse_lines``, the per-line parser.
+
+Supervised data is a tab-separated file with a header row:
 ``query_id  product_id  label  nrr  f0 ... f{d-1}``.
 """
 
@@ -19,9 +28,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -86,8 +97,8 @@ _CONTEXTS = ("contexts", 1, np.isfinite, np.float64, "context",
 
 
 class _RowSet:
-    """Rows held column-wise: ``query_ids`` and ``product_ids`` lists, then one
-    read-only array per entry of ``_COLUMNS``, the (n, d) ``contexts`` first.
+    """Rows held column-wise: ``query_ids`` and ``product_ids`` lists of strings,
+    then one read-only array per entry of ``_COLUMNS``, the (n, d) ``contexts`` first.
 
     ``_store`` is the one check of the columns; a failure names the first
     offending row across every column.
@@ -103,6 +114,12 @@ class _RowSet:
                 raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
         checked = [_column(col, *spec[1:]) for spec, col in zip(self._COLUMNS, columns)]
         failures = [col for col in checked if isinstance(col, LogValidationError)]
+        for name, ids in (("query_id", query_ids), ("product_id", product_ids)):
+            try:
+                "".join(ids)  # the fastest test that every id is a str
+            except TypeError:
+                row = next(row for row, x in enumerate(ids) if not isinstance(x, str))
+                failures.append(LogValidationError(f"{name} must be a string, got {ids[row]!r}", row))
         failures += row_rule(min((exc.row for exc in failures), default=n))
         if failures:
             raise min(failures, key=lambda exc: exc.row)
@@ -257,66 +274,10 @@ def open_text(target: IO[str] | str, mode: str = "r") -> Iterator[IO[str]]:
 
 _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "delta"}
 
-
-def parse_bandit_log(source: IO | str) -> BanditLog:
-    """Parse a line-delimited bandit log straight into columns; a row that
-    ``BanditLog`` rejects is reported by its line number."""
-    metadata: dict[str, str] = {}
-    query_ids, product_ids, actions, propensities, deltas, line_nos = [], [], [], [], [], []
-    # Features go to one flat buffer, so the floats of a parsed line die with the line.
-    flat, width, contexts = array("d"), None, None
-    with open_text(source) as stream:
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(obj, dict):
-                raise LogParseError("expected a JSON object", line_no)
-            if "_meta" in obj:
-                if line_no != 1:
-                    raise LogParseError("metadata line only allowed first", line_no)
-                if not isinstance(obj["_meta"], dict):
-                    raise LogParseError("_meta must be a JSON object", line_no)
-                metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
-                continue
-            missing = _RECORD_KEYS - obj.keys()
-            if missing:
-                raise LogParseError(f"missing keys {sorted(missing)}", line_no)
-            query_ids.append(str(obj["query_id"]))
-            product_ids.append(str(obj["product_id"]))
-            actions.append(obj["action"])
-            propensities.append(obj["propensity"])
-            deltas.append(obj["delta"])
-            line_nos.append(line_no)
-            features = obj["features"]
-            if width is None:
-                width = len(features) if isinstance(features, list) else 0
-            start = len(flat)
-            try:
-                if isinstance(features, list) and len(features) == width:
-                    flat.extend(features)
-                    continue
-            except (TypeError, OverflowError):
-                del flat[start:]
-            # The flat buffer cannot hold this row, so the log is invalid here
-            # or earlier: BanditLog names the first bad row.
-            contexts = [*np.frombuffer(flat).reshape(len(line_nos) - 1, width), features]
-            break
-    if contexts is None:
-        contexts = np.frombuffer(flat).reshape(len(line_nos), width or 0)
-    try:
-        return BanditLog(query_ids, product_ids, contexts, actions, propensities, deltas, metadata)
-    except LogValidationError as exc:
-        raise LogParseError(exc.message, line_nos[exc.row]) from exc
-
-
-# The writers format and write this many rows at a time: one ``tolist()`` of
-# each column per block rather than per row, and one ``write`` per block. Larger
-# blocks gain no time and hold more memory (about 4 MB more at 4,096 TSV rows).
+# The writers format and write this many rows at a time (one ``tolist()`` of each
+# column and one ``write`` per block), and the bandit-log reader reads this many
+# lines at a time (one ``json.loads`` per block). Larger blocks gain no time and
+# hold more memory (about 4 MB more at 4,096 TSV rows).
 _BLOCK_ROWS = 1024
 
 # A record line as ``json.dumps`` of the record's dict gives it. Ids and features
@@ -324,6 +285,145 @@ _BLOCK_ROWS = 1024
 # float as json does.
 _RECORD_LINE = ('{"query_id": %s, "product_id": %s, "features": %s, '
                 '"action": %d, "propensity": %r, "delta": %d}\n')
+
+# The lines of ``_RECORD_LINE``'s shape that the reader's bulk path takes: ids
+# with no escape or control character, which json would read as they stand, and
+# features and propensity written with number characters only. The features'
+# brackets are their own two, so each captured piece is one JSON value or none.
+_WRITTEN_RECORD = re.compile(
+    r'\{"query_id": "([^"\\\x00-\x1f]*)", "product_id": "([^"\\\x00-\x1f]*)", '
+    r'"features": (\[[-+.0-9eE, ]*\]), "action": ([01]), '
+    r'"propensity": ([-+.0-9eE]+), "delta": ([01])\}\n?')
+
+
+def _read_block(block: list[str], known: dict[str, int]) -> tuple[list, dict[str, array]]:
+    """Each line's record if the bulk path takes it, else None, and the features
+    of each features text of those records that is not in ``known``.
+
+    A record is (query_id, product_id, features text, action, propensity, delta).
+    One ``json.loads`` decodes the new features texts and every propensity, so
+    json judges each number. If it raises (bad JSON, or an integer past Python's
+    digit limit) or a feature overflows a float, the path takes no line of the
+    block, so that each is judged on its own.
+    """
+    groups = [match and match.groups() for match in map(_WRITTEN_RECORD.fullmatch, block)]
+    taken = [fields for fields in groups if fields]
+    new = [text for text in dict.fromkeys([fields[2] for fields in taken]) if text not in known]
+    try:
+        values = json.loads("[" + ",".join([*new, *[fields[4] for fields in taken]]) + "]")
+        rows = {text: array("d", features) for text, features in zip(new, values)}
+    except (ValueError, OverflowError):
+        return [None] * len(block), {}
+    propensities = iter(values[len(new):])
+    records = [fields and (*fields[:3], int(fields[3]), next(propensities), int(fields[5]))
+               for fields in groups]
+    return records, rows
+
+
+def _blocks(stream: IO[str], known: dict[str, int]
+            ) -> Iterator[tuple[int, str, tuple | None, dict[str, array]]]:
+    """Each line of ``stream`` with its number and what ``_read_block`` gives for it
+    and for its block of ``_BLOCK_ROWS`` lines."""
+    first = 1
+    while block := list(islice(stream, _BLOCK_ROWS)):
+        records, new_rows = _read_block(block, known)
+        yield from zip(count(first), block, records, repeat(new_rows))
+        first += len(block)
+
+
+def parse_bandit_log(source: IO | str) -> BanditLog:
+    """Parse a line-delimited bandit log straight into columns; a row that
+    ``BanditLog`` rejects is reported by its line number. The module docstring
+    says which lines take the bulk path."""
+    with open_text(source) as stream:
+        metadata, columns, line_nos = _read_log(stream)
+    try:
+        return BanditLog(*columns, metadata)
+    except LogValidationError as exc:
+        raise LogParseError(exc.message, line_nos[exc.row]) from exc
+
+
+def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, list[int]]:
+    """The metadata, the ``BanditLog`` columns and each record's line number of a
+    log. A line that breaks the format raises ``LogParseError``; the reading stops
+    at a context row that no table can hold, which is then the last row. The
+    table and its text index are freed on return, before ``BanditLog`` runs."""
+    metadata: dict[str, str] = {}
+    query_ids, product_ids, actions, propensities, deltas, line_nos = [], [], [], [], [], []
+    share = {}.setdefault  # equal ids on the bulk path share one str
+    # Each record's row of a flat table of context rows. The records of one
+    # features text on the bulk path share its row, which json decodes once.
+    table, n_rows, rows, row_of_text = array("d"), 0, [], {}
+    width = None
+    for line_no, line, record, new_rows in _blocks(stream, row_of_text):
+        if record is not None:
+            query_id, product_id, text, action, propensity, delta = record
+            row = row_of_text.get(text)
+            if row is None:
+                features = new_rows[text]
+                if width is None:
+                    width = len(features)
+                if len(features) == width:  # else the per-line code ends the reading here
+                    row = row_of_text[text] = n_rows
+                    n_rows += 1
+                    table.extend(features)
+            if row is not None:
+                query_ids.append(share(query_id, query_id))
+                product_ids.append(share(product_id, product_id))
+                actions.append(action)
+                propensities.append(propensity)
+                deltas.append(delta)
+                line_nos.append(line_no)
+                rows.append(row)
+                continue
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+        if not isinstance(obj, dict):
+            raise LogParseError("expected a JSON object", line_no)
+        if "_meta" in obj:
+            if line_no != 1:
+                raise LogParseError("metadata line only allowed first", line_no)
+            if not isinstance(obj["_meta"], dict):
+                raise LogParseError("_meta must be a JSON object", line_no)
+            metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
+            continue
+        missing = _RECORD_KEYS - obj.keys()
+        if missing:
+            raise LogParseError(f"missing keys {sorted(missing)}", line_no)
+        for key in ("features", "action", "propensity", "delta"):
+            values = obj[key] if isinstance(obj[key], list) else [obj[key]]
+            if any(isinstance(value, bool) for value in values):
+                raise LogParseError(f"{key} holds a JSON boolean", line_no)
+        query_ids.append(str(obj["query_id"]))
+        product_ids.append(str(obj["product_id"]))
+        actions.append(obj["action"])
+        propensities.append(obj["propensity"])
+        deltas.append(obj["delta"])
+        line_nos.append(line_no)
+        features = obj["features"]
+        if width is None:
+            width = len(features) if isinstance(features, list) else 0
+        start = len(table)
+        try:
+            if isinstance(features, list) and len(features) == width:
+                table.extend(features)
+                rows.append(n_rows)
+                n_rows += 1
+                continue
+        except (TypeError, OverflowError):
+            del table[start:]
+        # The table cannot hold this row, so the log is invalid here or
+        # earlier: BanditLog names the first bad row.
+        contexts = [*np.frombuffer(table).reshape(n_rows, width)[rows], features]
+        break
+    else:
+        contexts = np.frombuffer(table).reshape(n_rows, width or 0)[rows]
+    return metadata, [query_ids, product_ids, contexts, actions, propensities, deltas], line_nos
 
 
 def _distinct_rows(contexts: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -1,14 +1,19 @@
 """Independent brute-force evaluators used as test oracles.
 
 Everything here is written directly from the defining formulas, one record
-at a time, with no shared code paths with the library being tested.
+at a time, with no shared code paths with the library being tested, except
+that ``parse_lines`` builds its log with the library's ``BanditLog`` and so
+shares its check of the rows.
 """
 
 import json
 import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
+
+from banditrank.data import BanditLog, LogParseError, LogValidationError
 
 
 class Record(NamedTuple):
@@ -48,6 +53,66 @@ def jsonl_lines(log):
         }
         lines.append(json.dumps(obj) + "\n")
     return lines
+
+
+def parse_lines(lines):
+    """A ``BanditLog`` from the lines of a log file, one ``json.loads`` per line.
+
+    This is the per-line parser that the block parser replaced, kept as it
+    stood, plus the rule that a JSON boolean is not a number. Its errors, their
+    messages and their line numbers are the ones the block parser must give.
+    """
+    metadata = {}
+    query_ids, product_ids, actions, propensities, deltas, line_nos = [], [], [], [], [], []
+    flat, width, contexts = array("d"), None, None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+        if not isinstance(obj, dict):
+            raise LogParseError("expected a JSON object", line_no)
+        if "_meta" in obj:
+            if line_no != 1:
+                raise LogParseError("metadata line only allowed first", line_no)
+            if not isinstance(obj["_meta"], dict):
+                raise LogParseError("_meta must be a JSON object", line_no)
+            metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
+            continue
+        missing = {"query_id", "product_id", "features", "action", "propensity", "delta"} - obj.keys()
+        if missing:
+            raise LogParseError(f"missing keys {sorted(missing)}", line_no)
+        for key in ("features", "action", "propensity", "delta"):
+            values = obj[key] if isinstance(obj[key], list) else [obj[key]]
+            if any(isinstance(value, bool) for value in values):
+                raise LogParseError(f"{key} holds a JSON boolean", line_no)
+        query_ids.append(str(obj["query_id"]))
+        product_ids.append(str(obj["product_id"]))
+        actions.append(obj["action"])
+        propensities.append(obj["propensity"])
+        deltas.append(obj["delta"])
+        line_nos.append(line_no)
+        features = obj["features"]
+        if width is None:
+            width = len(features) if isinstance(features, list) else 0
+        start = len(flat)
+        try:
+            if isinstance(features, list) and len(features) == width:
+                flat.extend(features)
+                continue
+        except (TypeError, OverflowError):
+            del flat[start:]
+        contexts = [*np.frombuffer(flat).reshape(len(line_nos) - 1, width), features]
+        break
+    if contexts is None:
+        contexts = np.frombuffer(flat).reshape(len(line_nos), width or 0)
+    try:
+        return BanditLog(query_ids, product_ids, contexts, actions, propensities, deltas, metadata)
+    except LogValidationError as exc:
+        raise LogParseError(exc.message, line_nos[exc.row]) from exc
 
 
 def tsv_lines(rows):

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from banditrank.simulator import (
 )
 from banditrank.training import TrainConfig, train_crm, write_history
 from conftest import random_log, supervised
-from oracles import jsonl_lines, rows, tsv_lines
+from oracles import jsonl_lines, parse_lines, rows, tsv_lines
 
 
 def record_line(qid="q1", pid="p1", features=(0.5, -1.0), action=1, propensity=0.8, delta=0):
@@ -99,6 +100,7 @@ class TestParse:
             ("features", [float("nan"), -1.0]), ("features", [0.5, "ab"]), ("features", "ab"),
             ("features", 5), ("features", None), ("features", [[1, 2]]),
             ("features", [0.5, -1.0, 2.0]), ("features", ["1", "2"]),
+            ("action", True), ("propensity", True), ("delta", False), ("features", [True, 0.5]),
         ],
     )
     def test_bad_value_reports_its_line(self, key, value):
@@ -123,8 +125,7 @@ class TestParse:
     @pytest.mark.parametrize(
         "key, value, column, expected",
         [
-            ("action", True, "actions", 1), ("action", 1.0, "actions", 1),
-            ("delta", 0.0, "deltas", 0), ("propensity", True, "propensities", 1.0),
+            ("action", 1.0, "actions", 1), ("delta", 0.0, "deltas", 0),
             ("query_id", 7, "query_ids", "7"),
         ],
     )
@@ -143,7 +144,8 @@ class TestBanditLogColumns:
     @pytest.mark.parametrize(
         "column, values",
         [("actions", [0, 0.5]), ("deltas", [1, 0.7]), ("actions", [1, "1"]),
-         ("propensities", [0.5, None]), ("contexts", [[1.0], [float("inf")]])],
+         ("propensities", [0.5, None]), ("contexts", [[1.0], [float("inf")]]),
+         ("query_ids", ["q1", 7]), ("product_ids", ["p1", None])],
     )
     def test_bad_value_names_its_row(self, column, values):
         columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
@@ -169,17 +171,17 @@ BLOCK_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 
 @st.composite
-def pooled_logs(draw):
+def pooled_logs(draw, id_texts=st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size=3)):
     """Logs of 0 to 3 features whose rows repeat from a small pool that holds
-    -0.0 and 0.0 twins, with non-ASCII and integer ids, around BLOCK long."""
+    -0.0 and 0.0 twins, with ids drawn from ``id_texts`` (by default, mostly ones
+    that json escapes), around BLOCK long."""
     n, d = draw(st.sampled_from(BLOCK_LENGTHS)), draw(st.integers(0, 3))
     value = st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e16, 5e-324]) | st.floats(
         allow_nan=False, allow_infinity=False)
     pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=3))
     pool += [[-x if x == 0 else x for x in row] for row in pool]  # each zero's sign flipped
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-    ids = st.lists(st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size=3) | st.integers(-2, 2**70),
-                   min_size=n, max_size=n)
+    ids = st.lists(id_texts, min_size=n, max_size=n)
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     return BanditLog(
         draw(ids), draw(ids), np.array([pool[i] for i in picks], dtype=np.float64).reshape(n, d),
@@ -257,6 +259,141 @@ class TestRoundTrip:
         assert back == log
 
 
+# Texts of each field that the equivalence property writes into record lines:
+# the writer's numbers and others json reads, and values the parse must reject.
+NUMBER_TEXTS = ["0.5", "1", "0", "-0.0", "5e-324", "1E2", "1e400", "-1e400", "1" + "0" * 400,
+                "NaN", "Infinity", "true", "null", '"1"', "[1]", "[", "01", "1.", "-", "1.2.3"]
+FIELD_TEXTS = {
+    "query_id": ['"q"', '"q\\u00e9"', '"q\u00e9"', '"a\\"b"', '"\\t"', '"q\x01"', '"\x7f "',
+                 "7", "null", '["q"]'],
+    "action": ["0", "1", "2", "-0", "1.0", "true", "false", '"1"', "null"],
+    "propensity": ["0.5", "1", "0.25e1", "5e-324", "1e400", "1" + "0" * 5000, *NUMBER_TEXTS],
+}
+FIELD_TEXTS["product_id"] = FIELD_TEXTS["query_id"]
+FIELD_TEXTS["delta"] = FIELD_TEXTS["action"]
+KEYS = ["query_id", "product_id", "features", "action", "propensity", "delta"]
+# (key order, colon, comma) of a record line: the writer's, then others json reads
+SHAPES = [(KEYS, ": ", ", "), (KEYS[::-1], ": ", ", "), (KEYS, " : ", " ,  "), (KEYS, ":", ",")]
+# The texts of ``record_line()``'s fields
+WRITTEN = {key: json.dumps(value) for key, value in json.loads(record_line()).items()}
+ODD_LINES = ["\n", "  \t\n", "\u00a0\n", "not json\n", "[1, 2]\n", '{"_meta": {"a": 1}}\n',
+             '{"query_id": "q"}\n', '{"query_id": "q", "features": [true]}\n']
+
+
+def record_text(texts, order=KEYS, colon=": ", comma=", "):
+    """A record line, without its end, holding each field's text of ``texts``."""
+    return "{" + comma.join(f'"{key}"{colon}{texts[key]}' for key in order) + "}"
+
+
+@st.composite
+def mutated_log_texts(draw):
+    """``write_bandit_log`` output with lines changed: record fields replaced by
+    other texts, keys reordered or spaced, CRLF or spaces at line ends, and odd
+    lines put in or in place of record lines."""
+    log = draw(pooled_logs(st.sampled_from(["q1", "q2", "p1"]) | st.text("q\u00e9\"\\", max_size=2)))
+    buf = io.StringIO()
+    write_bandit_log(log, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for row in reversed(range(len(log))):
+        fate = draw(st.sampled_from(["keep"] * 6 + ["field"] * 3 + ["shape", "replace", "insert"]))
+        if fate in ("field", "shape"):
+            texts = {"query_id": json.dumps(log.query_ids[row]),
+                     "product_id": json.dumps(log.product_ids[row]),
+                     "features": json.dumps(log.contexts[row].tolist()),
+                     "action": str(log.actions[row]),
+                     "propensity": repr(log.propensities[row].item()),
+                     "delta": str(log.deltas[row])}
+            if fate == "field":
+                key = draw(st.sampled_from(KEYS + ["features", "propensity"] * 2))
+                if key == "features":
+                    width = draw(st.sampled_from([log.feature_dim] * 3 + [log.feature_dim + 1]))
+                    numbers = draw(st.lists(st.sampled_from(NUMBER_TEXTS), min_size=width,
+                                            max_size=width))
+                    texts[key] = "[" + ", ".join(numbers) + "]"
+                else:
+                    texts[key] = draw(st.sampled_from(FIELD_TEXTS[key]))
+            shape = draw(st.sampled_from(SHAPES if fate == "shape" else SHAPES[:1]))
+            lines[row + 1] = record_text(texts, *shape) + draw(st.sampled_from(["\n", "\r\n", " \n"]))
+        elif fate == "replace":
+            lines[row + 1] = draw(st.sampled_from(ODD_LINES))
+        elif fate == "insert":
+            lines.insert(row + 1, draw(st.sampled_from(ODD_LINES)))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines)
+
+
+def parse_outcome(parse, text):
+    """The log ``parse`` reads from ``text`` with the bytes of its float columns,
+    or the type, message and line number of the exception it raises."""
+    try:
+        log = parse(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return log, log.contexts.tobytes(), log.propensities.tobytes()
+
+
+class TestBlockParse:
+    """``parse_bandit_log`` reads in blocks and gives what ``oracles.parse_lines`` gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_log_texts())
+    def test_matches_the_per_line_parser(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+            assert parse_outcome(parse_bandit_log, text) == parse_outcome(parse_lines, text)
+
+    def test_every_field_text_in_the_writers_shape(self):
+        # one line at a time, so that the bulk path meets each text the regex lets by
+        cases = [(key, text) for key, texts in FIELD_TEXTS.items() for text in texts]
+        cases += [("features", f"[{text}, 0.5]") for text in NUMBER_TEXTS]
+        for key, text in cases:
+            lines = ['{"_meta": {}}', record_line(), record_text({**WRITTEN, key: text}),
+                     record_line(qid="q2")]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+                outcome = parse_outcome(parse_bandit_log, "\n".join(lines))
+            assert outcome == parse_outcome(parse_lines, "\n".join(lines)), (key, text)
+
+    @pytest.mark.parametrize("last", ["propensity", "features", "json", "nan"])
+    @pytest.mark.parametrize("first", ["propensity", "features", "json", "nan"])
+    def test_bad_lines_either_side_of_a_block_boundary(self, last, first):
+        # lines 1-3 are one block and lines 4-6 the next
+        bad = {"propensity": record_line(propensity=2.0), "features": record_line(features=[1.0]),
+               "json": record_line().replace("0.8", "0.8.1"),
+               "nan": record_line(features=[float("nan"), 1.0])}
+        text = "\n".join(['{"_meta": {}}', record_line(), bad[last], bad[first], record_line(),
+                          record_line()])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+            outcome = parse_outcome(parse_bandit_log, text)
+        assert outcome == parse_outcome(parse_lines, text)
+        assert outcome[0] is LogParseError and outcome[2] in (3, 4)
+
+    def test_peak_memory_is_no_higher_than_the_per_line_parse(self):
+        # 20k records over 2k distinct (query, product) pairs, each with one context
+        rng = np.random.default_rng(0)
+        pair = rng.integers(0, 2000, 20_000)
+        log = BanditLog([f"q{i // 20}" for i in pair], [f"p{i % 20}" for i in pair],
+                        rng.standard_normal((2000, 10))[pair], rng.integers(0, 2, 20_000),
+                        rng.uniform(0.1, 1.0, 20_000), rng.integers(0, 2, 20_000))
+        buf = io.StringIO()
+        write_bandit_log(log, buf)
+
+        def peak(parse):
+            stream = io.StringIO(buf.getvalue())
+            gc.collect()
+            tracemalloc.start()
+            try:
+                return parse(stream), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (back, peak_blocks), (_, peak_lines) = peak(parse_bandit_log), peak(parse_lines)
+        assert back == log
+        assert peak_blocks <= peak_lines
+
+
 @st.composite
 def supervised_sets(draw, lengths=st.integers(0, 8)):
     """Random rows labelled by the rule, with 0 to 3 features each; possibly no rows."""
@@ -327,7 +464,7 @@ class TestSupervisedSetColumns:
         [("contexts", [[1.0], [float("inf")]]), ("contexts", [[1.0], [1.0, 2.0]]),
          ("nrr", [1.0, 1.5]), ("nrr", [1.0, None]),
          ("labels", [4, 3]), ("labels", [4, "4"]), ("labels", [4, 3.5]),
-         ("labels", [4, float("inf")])],
+         ("labels", [4, float("inf")]), ("query_ids", ["q1", 7]), ("product_ids", ["p1", b"p2"])],
     )
     def test_bad_value_names_its_row(self, column, values):
         columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
