@@ -196,8 +196,15 @@ def _log_inputs(cfg: dict) -> tuple:
     return log, dev, _initial_params(cfg, log.feature_dim), _from_config(TrainConfig, cfg)
 
 
+def _warn(stopped: str | None, run: str = "") -> None:
+    """One ``warning:`` line on stderr for a run that diverged and kept its best checkpoint."""
+    if stopped is not None:
+        print(f"warning: {run}{stopped}", file=sys.stderr)
+
+
 def cmd_train_crm(cfg: dict) -> dict:
     params, history = train_crm(*_log_inputs(cfg))
+    _warn(history.stopped)
     return {
         "model.json": params.save,
         "history.tsv": lambda fh: write_history(history, fh),
@@ -211,6 +218,7 @@ def cmd_train_fullinfo(cfg: dict) -> dict:
         raise CliError("training set is empty")
     params0 = _initial_params(cfg, train.feature_dim)
     params, history = train_full_info(train, dev, params0, _from_config(TrainConfig, cfg))
+    _warn(history.stopped)
     return {
         "model.json": params.save,
         "history.tsv": lambda fh: write_history(history, fh),
@@ -219,6 +227,8 @@ def cmd_train_fullinfo(cfg: dict) -> dict:
 
 def cmd_lambda_sweep(cfg: dict) -> dict:
     lam_star, params, sweep = lambda_search(*_log_inputs(cfg), probe_epochs=cfg["probe_epochs"])
+    for probe in sweep:
+        _warn(probe.stopped, f"lambda {probe.lam!r}: ")
 
     def write_sweep(fh):
         fh.write("lambda\tS\tmap\tndcg@5\n")

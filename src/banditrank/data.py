@@ -2,9 +2,14 @@
 
 Both kinds of data are held column-wise: a ``BanditLog`` (contexts, actions,
 propensities, losses) and a ``SupervisedSet`` (contexts, graded labels and
-the normalized relevance rates they come from). Both constructors make one
-shared check of their rows, which names the first bad one; the readers
-report it by line. ``grade`` is the one graded-label rule, ceil(4 * nrr).
+the normalized relevance rates they come from). A log's records repeat the
+same query-product contexts, so it holds each distinct context row once: a
+table ``context_table`` (k, d) and each record's row index ``context_rows``
+(n,). Its ``contexts`` (n, d) is a computed copy; the simulator, the reader
+and the writer, the estimators and the trainers all work on the table. Both
+constructors make one shared check of their rows, which names the first bad
+one; the readers report it by line. ``grade`` is the one graded-label rule,
+ceil(4 * nrr).
 
 Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 ``json.dumps`` with its default separators of a dict with keys ``query_id``,
@@ -12,11 +17,12 @@ Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 order; ``tests/oracles.jsonl_lines`` pins these bytes. An optional first line
 holding ``{"_meta": {...}}`` carries log metadata.
 
-The reader takes a log ``_BLOCK_ROWS`` lines at a time. A record line takes
-the bulk path if it has the writer's exact shape, its ids need no escape, and
-its features and propensity are written in number characters only: one
-``json.loads`` per block decodes the numbers of those lines, each distinct
-features text once. Every other line, and every line of a block whose decode
+The writer formats each table row once. The reader takes a log
+``_BLOCK_ROWS`` lines at a time. A record line takes the bulk path if it has
+the writer's exact shape, its ids need no escape, and its features and
+propensity are written in number characters only: one ``json.loads`` per
+block decodes the numbers of those lines, each distinct features text once,
+into one table row. Every other line, and every line of a block whose decode
 fails, is parsed on its own. Both paths give the same log, or the same error
 at the same line, as ``tests/oracles.parse_lines``, the per-line parser.
 
@@ -62,10 +68,16 @@ class LogParseError(LogValidationError):
 _REAL_KINDS = "biuf"  # numpy dtype kinds of bool, signed int, unsigned int and float
 
 
-def _column(values, ndim: int, ok, dtype, name: str, rule: str) -> np.ndarray | LogValidationError:
+def _column(values, ndim: int, ok, dtype, name: str, rule: str,
+            rows: np.ndarray | None = None) -> np.ndarray | LogValidationError:
     """``values`` as a ``dtype`` array of rows (numbers, or flat vectors if a row has
     ``ndim`` 1) whose every element passes ``ok``, or the error naming the first row
-    that breaks ``rule``. Rows are judged one by one if the column is not a real array."""
+    that breaks ``rule``. Rows are judged one by one if the column is not a real array.
+
+    With ``rows``, valid indices into ``values``, ``values`` is a table and row i of
+    the column is ``values[rows[i]]``: a bad table row is reported at the first row
+    that uses it, and one that no row uses fails the column as a whole.
+    """
     try:
         col = np.asarray(values)
     except ValueError:  # rows of different lengths
@@ -74,8 +86,18 @@ def _column(values, ndim: int, ok, dtype, name: str, rule: str) -> np.ndarray | 
         good = ok(col)
         if good.all():
             return col.astype(dtype, copy=False)
-        row = int(np.argwhere(~good)[0, 0])
-        return LogValidationError(f"{name} {rule}, got {col[row].tolist()!r}", row)
+        bad = ~good.reshape(len(col), -1).all(axis=1)
+        if rows is None:
+            row = int(np.argmax(bad))
+            return LogValidationError(f"{name} {rule}, got {col[row].tolist()!r}", row)
+        if not bad[rows].any():
+            unused = int(np.argmax(bad))
+            raise LogValidationError(f"{name} table row {unused} {rule}, got "
+                                     f"{col[unused].tolist()!r}, and no record uses it")
+        row = int(np.argmax(bad[rows]))
+        return LogValidationError(f"{name} {rule}, got {col[rows[row]].tolist()!r}", row)
+    if rows is not None:
+        values = [values[i] for i in rows.tolist()]
     for row, value in enumerate(values):
         try:
             item = np.asarray(value)
@@ -90,7 +112,28 @@ def _column(values, ndim: int, ok, dtype, name: str, rule: str) -> np.ndarray | 
     return LogValidationError(f"{name} {rule}, got {value!r}", row)
 
 
-# A column's rule: (attribute, dimensions of one row, test of each element, dtype,
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view: a caller's own array is kept without a copy and stays writable."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def _row_index(rows, n: int, k: int) -> np.ndarray:
+    """``rows`` as n indices into a table of k rows; a bad index is an error naming its row."""
+    col = np.asarray(rows)
+    if col.ndim != 1 or (col.size and col.dtype.kind not in "iu"):
+        raise LogValidationError("context_rows must be a flat array of integers")
+    if len(col) != n:
+        raise LogValidationError(f"context_rows has length {len(col)}, expected {n}", min(len(col), n))
+    bad = (col < 0) | (col >= k)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise LogValidationError(f"context row {col[row]} is not a row of the {k}-row table", row)
+    return col.astype(np.intp, copy=False)
+
+
+# A column's rule: (name, dimensions of one row, test of each element, dtype,
 # name in messages, what the rule asks). Both row sets state contexts first.
 _CONTEXTS = ("contexts", 1, np.isfinite, np.float64, "context",
              "must be a flat list of finite numbers as long as the first")
@@ -98,21 +141,28 @@ _CONTEXTS = ("contexts", 1, np.isfinite, np.float64, "context",
 
 class _RowSet:
     """Rows held column-wise: ``query_ids`` and ``product_ids`` lists of strings,
-    then one read-only array per entry of ``_COLUMNS``, the (n, d) ``contexts`` first.
+    then one read-only array per entry of ``_COLUMNS``, the contexts first.
 
     ``_store`` is the one check of the columns; a failure names the first
     offending row across every column.
     """
 
-    def _store(self, query_ids, product_ids, columns, row_rule=lambda end: []) -> None:
-        """Check ``columns`` against ``_COLUMNS`` and keep them. ``row_rule(end)`` lists the
-        failure, if any, of a rule across columns before ``end``, the first row a column rejects."""
+    def _store(self, query_ids, product_ids, columns, row_rule=lambda end: [], rows=None
+               ) -> list[np.ndarray]:
+        """Check ``columns`` against ``_COLUMNS``, keep the ids and return read-only
+        columns. ``row_rule(end)`` lists the failure, if any, of a rule across columns
+        before ``end``, the first row a column rejects. With ``rows``, each row's
+        checked index into them, the contexts are a table."""
         n = len(query_ids)
         names = ["product_ids", *(spec[0] for spec in self._COLUMNS)]
-        for name, col in zip(names, [product_ids, *columns]):
+        sized = [product_ids, *columns]
+        if rows is not None:
+            sized[1] = rows  # the table may hold any number of rows
+        for name, col in zip(names, sized):
             if len(col) != n:
                 raise LogValidationError(f"{name} has length {len(col)}, expected {n}")
-        checked = [_column(col, *spec[1:]) for spec, col in zip(self._COLUMNS, columns)]
+        checked = [_column(columns[0], *self._COLUMNS[0][1:], rows=rows)]
+        checked += [_column(col, *spec[1:]) for spec, col in zip(self._COLUMNS[1:], columns[1:])]
         failures = [col for col in checked if isinstance(col, LogValidationError)]
         for name, ids in (("query_id", query_ids), ("product_id", product_ids)):
             try:
@@ -125,11 +175,7 @@ class _RowSet:
             raise min(failures, key=lambda exc: exc.row)
         self.query_ids = list(query_ids)
         self.product_ids = list(product_ids)
-        for spec, col in zip(self._COLUMNS, checked):
-            # a read-only view: a caller's own array is kept without a copy and stays writable
-            view = col.view()
-            view.setflags(write=False)
-            setattr(self, spec[0], view)
+        return list(map(_read_only, checked))
 
     @property
     def feature_dim(self) -> int:
@@ -142,19 +188,28 @@ class _RowSet:
         """Equal ids, array columns and any other attribute (a log's ``metadata``)."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return all(
-            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-            for mine, theirs in zip(vars(self).values(), vars(other).values())
-        )
+        return all(map(_same, vars(self).values(), vars(other).values()))
+
+
+def _same(mine, theirs) -> bool:
+    return np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
 
 
 class BanditLog(_RowSet):
     """An immutable collection of bandit records, stored column-wise.
 
-    Columns (``contexts``, ``actions``, ``propensities``, ``deltas``) are
-    numpy arrays so the estimators and trainers can work on whole logs
-    without per-record Python overhead. The constructor is the one check of
-    the record invariants; a failure names the first offending row.
+    Each distinct context row is held once: ``context_table`` (k, d) holds the
+    rows and ``context_rows`` (n,) each record's index into it. ``contexts``
+    is a computed (n, d) copy of the records' rows; the estimators and
+    trainers work on the table. The other columns (``actions``,
+    ``propensities``, ``deltas``) are numpy arrays too, so whole logs are
+    handled without per-record Python overhead.
+
+    Given ``contexts`` alone, they are the table and record i uses row i.
+    Given ``context_rows`` too, ``contexts`` is the table. The constructor is
+    the one check of the record invariants; a failure names the first
+    offending record, and a bad table row is reported at the first record
+    that uses it.
     """
 
     _COLUMNS = (
@@ -174,9 +229,39 @@ class BanditLog(_RowSet):
         propensities: np.ndarray,
         deltas: np.ndarray,
         metadata: dict[str, str] | None = None,
+        context_rows: Sequence[int] | None = None,
     ):
-        self._store(query_ids, product_ids, (contexts, actions, propensities, deltas))
+        rows = None if context_rows is None else _row_index(context_rows, len(query_ids),
+                                                              len(contexts))
+        self.context_table, self.actions, self.propensities, self.deltas = self._store(
+            query_ids, product_ids, (contexts, actions, propensities, deltas), rows=rows)
+        self.context_rows = _read_only(np.arange(len(self)) if rows is None else rows)
         self.metadata = dict(metadata or {})
+
+    @property
+    def contexts(self) -> np.ndarray:
+        """Each record's context, (n, d): a read-only copy gathered from the table."""
+        return _read_only(self.context_table[self.context_rows])
+
+    @property
+    def feature_dim(self) -> int:
+        return self.context_table.shape[1]
+
+    def __eq__(self, other) -> bool:
+        """Equal ids, columns and metadata, and every record's context equal,
+        however each log's table holds the rows."""
+        if not isinstance(other, BanditLog):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        (table, rows), (their_table, their_rows) = [
+            (attrs.pop("context_table"), attrs.pop("context_rows")) for attrs in (mine, theirs)]
+        if (len(self) != len(other) or self.feature_dim != other.feature_dim
+                or not all(map(_same, mine.values(), theirs.values()))):
+            return False
+        # a block of records at a time, so that no (n, d) copy is made
+        return all(np.array_equal(table[rows[start:start + _BLOCK_ROWS]],
+                                  their_table[their_rows[start:start + _BLOCK_ROWS]])
+                   for start in range(0, len(self), _BLOCK_ROWS))
 
 
 # ceil(4 * nrr) is taken after rounding nrr to 12 decimals, so a rate that
@@ -235,7 +320,8 @@ class SupervisedSet(_RowSet):
             return [LogValidationError(f"label {given[row]} inconsistent with nrr {rates[row]} "
                                        f"(expected {expected[row]})", row)]
 
-        self._store(query_ids, product_ids, (contexts, labels, nrr), label_rule)
+        self.contexts, self.labels, self.nrr = self._store(
+            query_ids, product_ids, (contexts, labels, nrr), label_rule)
 
     def __iter__(self) -> Iterator[SupervisedRow]:
         return map(SupervisedRow, self.query_ids, self.product_ids,
@@ -277,8 +363,8 @@ _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "d
 # The writers format and write this many rows at a time (one ``tolist()`` of each
 # column and one ``write`` per block), and the bandit-log reader reads this many
 # lines at a time (one ``json.loads`` per block). Larger blocks gain no time and
-# hold more memory (about 4 MB more at 4,096 TSV rows).
-_BLOCK_ROWS = 1024
+# hold more memory: reading a 30k-record log peaks 1.1 MB higher at 1,024 lines.
+_BLOCK_ROWS = 256
 
 # A record line as ``json.dumps`` of the record's dict gives it. Ids and features
 # are filled in already JSON-encoded; ``%d`` and ``%r`` write an int and a finite
@@ -288,12 +374,13 @@ _RECORD_LINE = ('{"query_id": %s, "product_id": %s, "features": %s, '
 
 # The lines of ``_RECORD_LINE``'s shape that the reader's bulk path takes: ids
 # with no escape or control character, which json would read as they stand, and
-# features and propensity written with number characters only. The features'
+# features and propensity written with number characters only, the propensity
+# with a point or an exponent, so that json reads it as a float. The features'
 # brackets are their own two, so each captured piece is one JSON value or none.
 _WRITTEN_RECORD = re.compile(
     r'\{"query_id": "([^"\\\x00-\x1f]*)", "product_id": "([^"\\\x00-\x1f]*)", '
     r'"features": (\[[-+.0-9eE, ]*\]), "action": ([01]), '
-    r'"propensity": ([-+.0-9eE]+), "delta": ([01])\}\n?')
+    r'"propensity": ([-+0-9]*[.eE][-+.0-9eE]*), "delta": ([01])\}\n?')
 
 
 def _read_block(block: list[str], known: dict[str, int]) -> tuple[list, dict[str, array]]:
@@ -332,29 +419,42 @@ def _blocks(stream: IO[str], known: dict[str, int]
 
 
 def parse_bandit_log(source: IO | str) -> BanditLog:
-    """Parse a line-delimited bandit log straight into columns; a row that
-    ``BanditLog`` rejects is reported by its line number. The module docstring
-    says which lines take the bulk path."""
+    """Parse a line-delimited bandit log straight into a table of its distinct
+    context rows and the other columns; a row that ``BanditLog`` rejects is
+    reported by its line number. The module docstring says which lines take
+    the bulk path."""
     with open_text(source) as stream:
-        metadata, columns, line_nos = _read_log(stream)
+        metadata, columns, rows, line_nos, error = _read_log(stream)
     try:
-        return BanditLog(*columns, metadata)
+        log = BanditLog(*columns, metadata, rows)
     except LogValidationError as exc:
         raise LogParseError(exc.message, line_nos[exc.row]) from exc
+    if error is not None:
+        raise error
+    return log
 
 
-def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, list[int]]:
-    """The metadata, the ``BanditLog`` columns and each record's line number of a
-    log. A line that breaks the format raises ``LogParseError``; the reading stops
-    at a context row that no table can hold, which is then the last row. The
-    table and its text index are freed on return, before ``BanditLog`` runs."""
+def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, array | None, array,
+                                          LogParseError | None]:
+    """The metadata, the ``BanditLog`` columns with the contexts as a table, each
+    record's row of it, each record's line number and the format error that ended
+    the reading, if any. The reading also stops at a context row that no table can
+    hold; the contexts are then one row per record, that row last, and there is
+    no row index. The table's text index is freed on return, before ``BanditLog`` runs.
+
+    The records read before a line's format error go to ``BanditLog`` all the
+    same, so that a bad value on an earlier line is the one reported.
+    """
     metadata: dict[str, str] = {}
-    query_ids, product_ids, actions, propensities, deltas, line_nos = [], [], [], [], [], []
+    query_ids, product_ids, line_nos = [], [], array("q")
+    # The bulk path's numbers, held compactly. A record read on its own may hold
+    # values of any type, which lists keep for BanditLog to judge.
+    actions, propensities, deltas = array("q"), array("d"), array("q")
     share = {}.setdefault  # equal ids on the bulk path share one str
     # Each record's row of a flat table of context rows. The records of one
     # features text on the bulk path share its row, which json decodes once.
-    table, n_rows, rows, row_of_text = array("d"), 0, [], {}
-    width = None
+    table, n_rows, rows, row_of_text = array("d"), 0, array("q"), {}
+    width, contexts, error = None, None, None
     for line_no, line, record, new_rows in _blocks(stream, row_of_text):
         if record is not None:
             query_id, product_id, text, action, propensity, delta = record
@@ -380,25 +480,15 @@ def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, list[int]]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-        if not isinstance(obj, dict):
-            raise LogParseError("expected a JSON object", line_no)
+            obj = _parse_line(line, line_no)
+        except LogParseError as exc:
+            error = exc
+            break
         if "_meta" in obj:
-            if line_no != 1:
-                raise LogParseError("metadata line only allowed first", line_no)
-            if not isinstance(obj["_meta"], dict):
-                raise LogParseError("_meta must be a JSON object", line_no)
             metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
             continue
-        missing = _RECORD_KEYS - obj.keys()
-        if missing:
-            raise LogParseError(f"missing keys {sorted(missing)}", line_no)
-        for key in ("features", "action", "propensity", "delta"):
-            values = obj[key] if isinstance(obj[key], list) else [obj[key]]
-            if any(isinstance(value, bool) for value in values):
-                raise LogParseError(f"{key} holds a JSON boolean", line_no)
+        if isinstance(actions, array):
+            actions, propensities, deltas = actions.tolist(), propensities.tolist(), deltas.tolist()
         query_ids.append(str(obj["query_id"]))
         product_ids.append(str(obj["product_id"]))
         actions.append(obj["action"])
@@ -420,43 +510,55 @@ def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, list[int]]:
         # The table cannot hold this row, so the log is invalid here or
         # earlier: BanditLog names the first bad row.
         contexts = [*np.frombuffer(table).reshape(n_rows, width)[rows], features]
+        rows = None
         break
-    else:
-        contexts = np.frombuffer(table).reshape(n_rows, width or 0)[rows]
-    return metadata, [query_ids, product_ids, contexts, actions, propensities, deltas], line_nos
+    if contexts is None:
+        contexts = np.frombuffer(table).reshape(n_rows, width or 0)
+        rows = np.frombuffer(rows, dtype=np.int64)
+    return metadata, [query_ids, product_ids, contexts, actions, propensities, deltas], rows, \
+        line_nos, error
 
 
-def _distinct_rows(contexts: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The JSON text of each distinct row of ``contexts``, and each row's index into it.
-
-    Rows are told apart by their bytes, not their values, so -0.0 and 0.0
-    keep their own text.
-    """
-    n, d = contexts.shape
-    if d == 0:  # a zero-width item compares no bytes; every row is []
-        return ["[]"], np.zeros(n, dtype=np.intp)
-    rows = np.ascontiguousarray(contexts)
-    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * d))).ravel(),
-                                  return_index=True, return_inverse=True)
-    # One row's floats at a time: a tolist() of every distinct row at once lifts the
-    # write's peak memory above the parse's.
-    return [json.dumps(row.tolist()) for row in rows[first]], inverse
+def _parse_line(line: str, line_no: int) -> dict:
+    """A line's JSON object, a ``_meta`` one checked; a format error raises ``LogParseError``."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise LogParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from exc
+    if not isinstance(obj, dict):
+        raise LogParseError("expected a JSON object", line_no)
+    if "_meta" in obj:
+        if line_no != 1:
+            raise LogParseError("metadata line only allowed first", line_no)
+        if not isinstance(obj["_meta"], dict):
+            raise LogParseError("_meta must be a JSON object", line_no)
+        return obj
+    missing = _RECORD_KEYS - obj.keys()
+    if missing:
+        raise LogParseError(f"missing keys {sorted(missing)}", line_no)
+    for key in ("features", "action", "propensity", "delta"):
+        values = obj[key] if isinstance(obj[key], list) else [obj[key]]
+        if any(isinstance(value, bool) for value in values):
+            raise LogParseError(f"{key} holds a JSON boolean", line_no)
+    return obj
 
 
 def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     """Write a bandit log; numeric fields keep full precision (repr round-trip).
 
-    Each distinct context row is formatted once. No record line carries the
-    log's width, so a log without records reads back with width 0.
+    Each row of the log's context table is formatted once. No record line
+    carries the log's width, so a log without records reads back with width 0.
     """
-    texts, text_of_row = _distinct_rows(log.contexts)
+    # One row's floats at a time: a tolist() of the whole table at once lifts the
+    # write's peak memory above the parse's.
+    texts = [json.dumps(row.tolist()) for row in log.context_table]
     with open_text(sink, "w") as out:
         out.write(json.dumps({"_meta": log.metadata}) + "\n")
         for start in range(0, len(log), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             records = zip(map(json.dumps, log.query_ids[block]),
                           map(json.dumps, log.product_ids[block]),
-                          map(texts.__getitem__, text_of_row[block].tolist()),
+                          map(texts.__getitem__, log.context_rows[block].tolist()),
                           log.actions[block].tolist(), log.propensities[block].tolist(),
                           log.deltas[block].tolist())
             out.write("".join([_RECORD_LINE % record for record in records]))

@@ -52,8 +52,8 @@ def logged_probabilities(log: BanditLog, params: PolicyParams) -> np.ndarray:
     """pi_w(a_i|c_i): the policy's probability of each logged action."""
     if len(log) == 0:
         raise ValueError("log must be non-empty")
-    P = batch_probabilities(params, log.contexts)
-    return P[np.arange(len(log)), log.actions]
+    P = batch_probabilities(params, log.context_table)  # each distinct context once
+    return P[log.context_rows, log.actions]
 
 
 def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:

@@ -17,6 +17,10 @@ import numpy as np
 from banditrank.data import open_text
 
 
+class NonFiniteError(FloatingPointError, ValueError):
+    """Logits or policy parameters that are not finite, as a diverging run makes them."""
+
+
 class PolicyParams:
     """Parameters of a binary-action scorer.
 
@@ -49,7 +53,7 @@ class PolicyParams:
                 raise ValueError(f"bad mlp shapes {[a.shape for a in arrays]}")
         for a in arrays:
             if not np.all(np.isfinite(a)):
-                raise ValueError("policy parameters must be finite")
+                raise NonFiniteError("policy parameters must be finite")
             a.setflags(write=False)
         self.kind = kind
         self.arrays = tuple(arrays)
@@ -133,7 +137,7 @@ def _forward(params: PolicyParams, contexts: np.ndarray):
         H = np.tanh(X @ w1.T + b1)
         logits = H @ w2.T + b2
     if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits")
+        raise NonFiniteError("non-finite logits")
     return X, logits, H
 
 

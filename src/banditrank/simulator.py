@@ -99,11 +99,13 @@ def simulate_log(
         raise ValueError(f"n_interactions must be >= 1, got {n_interactions}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, world.n_pairs, size=n_interactions)
-    X = world.contexts[idx]
+    # the log's context table: each drawn pair's context once, in pair order
+    pairs, rows = np.unique(idx, return_inverse=True)
+    table = world.contexts[pairs]
     r = world.true_relevance[idx]
-    P = batch_probabilities(policy.params, X)
-    actions = (rng.random(n_interactions) < P[:, 1]).astype(np.int64)
-    propensities = P[np.arange(n_interactions), actions]
+    P = batch_probabilities(policy.params, table)
+    actions = (rng.random(n_interactions) < P[rows, 1]).astype(np.int64)
+    propensities = P[rows, actions]
     clicks = rng.random(n_interactions) < r
     examines = rng.random(n_interactions) < world.config.deep_browse_prob
     shown = actions == 1
@@ -114,11 +116,12 @@ def simulate_log(
     return BanditLog(
         query_ids=[pair_ids[i][0] for i in idx],
         product_ids=[pair_ids[i][1] for i in idx],
-        contexts=X.copy(),
+        contexts=table,
         actions=actions,
         propensities=propensities,
         deltas=deltas,
         metadata={"source": "simulator", "seed": str(seed)},
+        context_rows=rows,
     )
 
 

@@ -25,6 +25,7 @@ from banditrank.estimators import (
 )
 from banditrank.evaluation import MetricsReport, RankIndex
 from banditrank.policy import (
+    NonFiniteError,
     PolicyParams,
     batch_probabilities,
     logit_gradient,
@@ -109,6 +110,7 @@ class Checkpoint:
 @dataclass(frozen=True)
 class TrainHistory:
     checkpoints: tuple[Checkpoint, ...]
+    stopped: str | None = None  # why the run ended early, if it diverged
 
     def best(self) -> Checkpoint:
         """The checkpoint with the best dev MAP; ``max`` keeps the earliest among equals."""
@@ -132,6 +134,9 @@ def _minibatch_train(
     """Shared epoch/batch/checkpoint loop over record indices.
 
     ``full_pass`` returns (S, objective) from one pass over the training set.
+    The run stops at the first step whose logits or updated parameters are not
+    finite; the history records why, and the best checkpoint before it is
+    returned. With no checkpoint yet, the error is raised.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
@@ -156,19 +161,25 @@ def _minibatch_train(
             )
         )
 
-    for _ in range(config.epochs):
-        order = rng.permutation(log_len)
-        for start in range(0, log_len, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            grads = grad_fn(params, batch_idx)
-            params, state = adam_step(params, grads, state, config)
-            records_seen += len(batch_idx)
-            if records_seen >= next_eval:
-                checkpoint()
-                next_eval = records_seen + config.eval_every
-    if not checkpoints or checkpoints[-1].records_seen < records_seen:
-        checkpoint()
-    history = TrainHistory(checkpoints=tuple(checkpoints))
+    stopped = None
+    try:
+        for _ in range(config.epochs):
+            order = rng.permutation(log_len)
+            for start in range(0, log_len, config.batch_size):
+                batch_idx = order[start : start + config.batch_size]
+                grads = grad_fn(params, batch_idx)
+                params, state = adam_step(params, grads, state, config)
+                records_seen += len(batch_idx)
+                if records_seen >= next_eval:
+                    checkpoint()
+                    next_eval = records_seen + config.eval_every
+        if not checkpoints or checkpoints[-1].records_seen < records_seen:
+            checkpoint()
+    except NonFiniteError as exc:
+        if not checkpoints:
+            raise
+        stopped = f"training stopped after {records_seen} records: {exc}"
+    history = TrainHistory(checkpoints=tuple(checkpoints), stopped=stopped)
     return history.best().params, history
 
 
@@ -180,10 +191,11 @@ def train_crm(
 ) -> tuple[PolicyParams, TrainHistory]:
     """Minimize the Lagrangian surrogate at the configured fixed lambda."""
     lam = config.lam
+    table, rows = train_log.context_table, train_log.context_rows
 
     def grad_fn(params, idx):
         return lagrangian_gradient(
-            train_log.contexts[idx],
+            table[rows[idx]],
             train_log.actions[idx],
             train_log.propensities[idx],
             train_log.deltas[idx],
@@ -207,10 +219,11 @@ def train_ea(
     mean_delta, group_size = group_mean_losses(train_log)
     # per-record share so each (query, product, action) group counts once
     coeffs = mean_delta / group_size
+    table, rows = train_log.context_table, train_log.context_rows
 
     def grad_fn(params, idx):
         grads = weighted_prob_gradient(
-            params, train_log.contexts[idx], train_log.actions[idx], coeffs[idx]
+            params, table[rows[idx]], train_log.actions[idx], coeffs[idx]
         )
         return [g / len(idx) for g in grads]
 
@@ -269,6 +282,7 @@ class LambdaProbe:
     lam: float
     S: float
     metrics: MetricsReport
+    stopped: str | None = None  # ``TrainHistory.stopped`` of the full run
 
 
 def next_lambda(lam: float, S: float) -> float:
@@ -315,8 +329,9 @@ def lambda_search(
 
     # each full run's best checkpoint holds its returned params; the first
     # probed lambda wins a tie, as the earliest checkpoint does within a run
-    runs = [(lam_j, train_crm(train_log, dev, params0, replace(config, lam=lam_j))[1].best())
+    runs = [(lam_j, train_crm(train_log, dev, params0, replace(config, lam=lam_j))[1])
             for lam_j in probed]
-    lam_star, chosen = max(runs, key=lambda run: run[1].dev_metrics.map)
-    sweep = [LambdaProbe(lam=lam_j, S=cp.S, metrics=cp.dev_metrics) for lam_j, cp in runs]
-    return lam_star, chosen.params, sweep
+    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
+    sweep = [LambdaProbe(lam=lam_j, S=history.best().S, metrics=history.best().dev_metrics,
+                         stopped=history.stopped) for lam_j, history in runs]
+    return lam_star, chosen.best().params, sweep

@@ -40,13 +40,13 @@ def jsonl_lines(log):
     """The lines of a ``BanditLog``'s file as the per-record writer wrote them:
     the ``_meta`` line, then one ``json.dumps`` of each record's dict."""
     lines = [json.dumps({"_meta": log.metadata}) + "\n"]
-    rows = zip(log.query_ids, log.product_ids, log.actions.tolist(),
+    rows = zip(log.query_ids, log.product_ids, log.contexts, log.actions.tolist(),
                log.propensities.tolist(), log.deltas.tolist())
-    for i, (query_id, product_id, action, propensity, delta) in enumerate(rows):
+    for query_id, product_id, context, action, propensity, delta in rows:
         obj = {
             "query_id": query_id,
             "product_id": product_id,
-            "features": log.contexts[i].tolist(),
+            "features": context.tolist(),
             "action": action,
             "propensity": propensity,
             "delta": delta,
@@ -59,36 +59,47 @@ def parse_lines(lines):
     """A ``BanditLog`` from the lines of a log file, one ``json.loads`` per line.
 
     This is the per-line parser that the block parser replaced, kept as it
-    stood, plus the rule that a JSON boolean is not a number. Its errors, their
-    messages and their line numbers are the ones the block parser must give.
+    stood, plus three rules: a JSON boolean is not a number; an integer past
+    Python's digit limit is invalid JSON; and a format error (invalid JSON, not
+    an object, a misplaced or bad ``_meta``, missing keys, a boolean) ends the
+    reading, but the records before it are checked first, so that an earlier
+    line's bad value is the one reported. Its errors, their messages and their
+    line numbers are the ones the block parser must give.
     """
     metadata = {}
     query_ids, product_ids, actions, propensities, deltas, line_nos = [], [], [], [], [], []
-    flat, width, contexts = array("d"), None, None
+    flat, width, contexts, error = array("d"), None, None, None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+        except ValueError as exc:
+            error = LogParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
+            break
         if not isinstance(obj, dict):
-            raise LogParseError("expected a JSON object", line_no)
+            error = LogParseError("expected a JSON object", line_no)
+            break
         if "_meta" in obj:
             if line_no != 1:
-                raise LogParseError("metadata line only allowed first", line_no)
+                error = LogParseError("metadata line only allowed first", line_no)
+                break
             if not isinstance(obj["_meta"], dict):
-                raise LogParseError("_meta must be a JSON object", line_no)
+                error = LogParseError("_meta must be a JSON object", line_no)
+                break
             metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
             continue
         missing = {"query_id", "product_id", "features", "action", "propensity", "delta"} - obj.keys()
         if missing:
-            raise LogParseError(f"missing keys {sorted(missing)}", line_no)
-        for key in ("features", "action", "propensity", "delta"):
-            values = obj[key] if isinstance(obj[key], list) else [obj[key]]
-            if any(isinstance(value, bool) for value in values):
-                raise LogParseError(f"{key} holds a JSON boolean", line_no)
+            error = LogParseError(f"missing keys {sorted(missing)}", line_no)
+            break
+        booleans = [key for key in ("features", "action", "propensity", "delta")
+                    if any(isinstance(value, bool)
+                           for value in (obj[key] if isinstance(obj[key], list) else [obj[key]]))]
+        if booleans:
+            error = LogParseError(f"{booleans[0]} holds a JSON boolean", line_no)
+            break
         query_ids.append(str(obj["query_id"]))
         product_ids.append(str(obj["product_id"]))
         actions.append(obj["action"])
@@ -110,9 +121,12 @@ def parse_lines(lines):
     if contexts is None:
         contexts = np.frombuffer(flat).reshape(len(line_nos), width or 0)
     try:
-        return BanditLog(query_ids, product_ids, contexts, actions, propensities, deltas, metadata)
+        log = BanditLog(query_ids, product_ids, contexts, actions, propensities, deltas, metadata)
     except LogValidationError as exc:
         raise LogParseError(exc.message, line_nos[exc.row]) from exc
+    if error is not None:
+        raise error
+    return log
 
 
 def tsv_lines(rows):

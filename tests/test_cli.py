@@ -2,8 +2,10 @@ import json
 import os
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from banditrank import training
 from banditrank.cli import run
 from banditrank.training import TrainConfig
 
@@ -289,6 +291,35 @@ class TestErrors:
         assert "Traceback" not in err
         # numpy's warnings would reach stderr before the error line outside pytest
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestDivergence:
+    @pytest.fixture
+    def diverging(self, monkeypatch):
+        """Adam steps whose gradients turn infinite after each run's first step."""
+        adam_step = training.adam_step
+
+        def step(params, grads, state, config):
+            if state.t >= 1:
+                grads = [np.full_like(g, np.inf) for g in grads]
+            return adam_step(params, grads, state, config)
+
+        monkeypatch.setattr(training, "adam_step", step)
+
+    @pytest.mark.parametrize("command", ["train-crm", "lambda-sweep"])
+    def test_one_warning_line_per_stopped_run(self, inputs, tmp_path, capsys, diverging, command):
+        # a checkpoint after the first batch of 256, then a step to non-finite parameters
+        out = tmp_path / "out"
+        assert run([command, "--log", inputs["log"], "--dev", inputs["dev"], "--epochs", "2",
+                    "--eval-every", "256", "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        runs = 1 if command == "train-crm" else len((out / "sweep.tsv").read_text().splitlines()) - 1
+        prefix = "warning: " + ("" if command == "train-crm" else "lambda ")
+        reason = "training stopped after 256 records: policy parameters must be finite"
+        assert len(lines) == runs and all(
+            line.startswith(prefix) and line.endswith(reason) for line in lines), lines
+        if command == "train-crm":
+            assert (out / "history.tsv").read_text().splitlines()[1].startswith("256\t")
 
 
 class TestConfigPrecedence:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banditrank import data
@@ -25,7 +25,7 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.estimators import snips
+from banditrank.estimators import mean_weight_and_lagrangian, snips
 from banditrank.evaluation import RankIndex, write_qrels
 from banditrank.policy import PolicyParams, init_params, logit_margin
 from banditrank.simulator import (
@@ -109,14 +109,26 @@ class TestParse:
         with pytest.raises(LogParseError, match="line 3"):
             parse_bandit_log(io.StringIO(src))
 
-    @pytest.mark.parametrize("first, second", [("propensity", "features"), ("delta", "action")])
+    @pytest.mark.parametrize("first, second", [("propensity", "features"), ("delta", "action"),
+                                               ("propensity 2.0", "no delta")])
     def test_first_bad_line_is_reported(self, first, second):
-        bad = {"propensity": "0.8", "features": "ab", "delta": 2, "action": 0.5}
-        lines = [record_line()] + [
-            json.dumps({**json.loads(record_line()), key: bad[key]}) for key in (first, second)
-        ]
-        with pytest.raises(LogParseError, match="line 2"):
-            parse_bandit_log(io.StringIO("\n".join(lines)))
+        record = json.loads(record_line())
+        bad = {"propensity": {**record, "propensity": "0.8"}, "features": {**record, "features": "ab"},
+               "delta": {**record, "delta": 2}, "action": {**record, "action": 0.5},
+               # a bad value ahead of a format error
+               "propensity 2.0": {**record, "propensity": 2.0},
+               "no delta": {key: value for key, value in record.items() if key != "delta"}}
+        lines = [record_line()] + [json.dumps(bad[case]) for case in (first, second)]
+        for parse in (parse_bandit_log, parse_lines):
+            with pytest.raises(LogParseError, match="line 2"):
+                parse(io.StringIO("\n".join(lines)))
+
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self):
+        line = record_line().replace("0.8", "1" + "0" * 5000)
+        text = "\n".join([record_line(), line, record_line()])
+        for parse in (parse_bandit_log, parse_lines):
+            with pytest.raises(LogParseError, match="line 2: invalid JSON .*4300 digits"):
+                parse(io.StringIO(text))
 
     def test_meta_must_be_an_object(self):
         with pytest.raises(LogParseError, match="line 1"):
@@ -171,10 +183,11 @@ BLOCK_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 
 @st.composite
-def pooled_logs(draw, id_texts=st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size=3)):
-    """Logs of 0 to 3 features whose rows repeat from a small pool that holds
-    -0.0 and 0.0 twins, with ids drawn from ``id_texts`` (by default, mostly ones
-    that json escapes), around BLOCK long."""
+def pooled_tables(draw, id_texts=st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size=3)):
+    """``BanditLog`` arguments of 0 to 3 features: a context table of a small pool
+    of rows that holds -0.0 and 0.0 twins, each record's index into it, with
+    repeats, and ids drawn from ``id_texts`` (by default, mostly ones that json
+    escapes), around BLOCK records."""
     n, d = draw(st.sampled_from(BLOCK_LENGTHS)), draw(st.integers(0, 3))
     value = st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e16, 5e-324]) | st.floats(
         allow_nan=False, allow_infinity=False)
@@ -183,12 +196,27 @@ def pooled_logs(draw, id_texts=st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     ids = st.lists(id_texts, min_size=n, max_size=n)
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    return BanditLog(
-        draw(ids), draw(ids), np.array([pool[i] for i in picks], dtype=np.float64).reshape(n, d),
-        draw(bits), draw(st.lists(st.floats(MIN_PROPENSITY, 1.0), min_size=n, max_size=n)),
-        draw(bits), metadata=draw(st.dictionaries(st.text(max_size=2), st.text(max_size=2),
-                                                  max_size=2)),
+    return dict(
+        query_ids=draw(ids), product_ids=draw(ids),
+        contexts=np.array(pool, dtype=np.float64).reshape(len(pool), d),
+        actions=draw(bits),
+        propensities=draw(st.lists(st.floats(MIN_PROPENSITY, 1.0), min_size=n, max_size=n)),
+        deltas=draw(bits),
+        metadata=draw(st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2)),
+        context_rows=np.array(picks, dtype=np.int64),
     )
+
+
+def one_row_per_record(columns):
+    """``BanditLog`` arguments with the table gathered into one context row per record."""
+    rows = columns["context_rows"]
+    return {**columns, "contexts": columns["contexts"][rows], "context_rows": None}
+
+
+@st.composite
+def pooled_logs(draw, id_texts=st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size=3)):
+    """The logs of ``pooled_tables``, given one context row per record."""
+    return BanditLog(**one_row_per_record(draw(pooled_tables(id_texts))))
 
 
 class TestRoundTrip:
@@ -257,6 +285,136 @@ class TestRoundTrip:
         )
         _, back = self.roundtrip(log)
         assert back == log
+
+
+class TestContextTable:
+    """A log given a context table and each record's row index is the log of its rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_tables())
+    def test_equals_the_log_of_its_rows(self, columns):
+        log, flat = BanditLog(**columns), BanditLog(**one_row_per_record(columns))
+        assert log == flat and flat == log
+        assert log.contexts.tobytes() == flat.contexts.tobytes()  # -0.0 keeps its sign
+        assert log.feature_dim == flat.feature_dim
+        assert not log.contexts.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_tables())
+    def test_writes_the_per_record_bytes_and_parses_back(self, columns):
+        log = BanditLog(**columns)
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+            write_bandit_log(log, buf)
+            assert buf.getvalue() == "".join(jsonl_lines(log))
+            buf.seek(0)
+            back = parse_bandit_log(buf)
+        if len(log):  # a log without records reads back with width 0
+            assert back == log and back.contexts.tobytes() == log.contexts.tobytes()
+        else:
+            assert len(back) == 0 and back.metadata == log.metadata
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_tables(), st.data())
+    def test_a_non_finite_table_row_is_reported_at_its_first_record(self, columns, draws):
+        table, rows = columns["contexts"].copy(), columns["context_rows"].tolist()
+        assume(rows and table.shape[1])
+        bad = draws.draw(st.sampled_from(sorted(set(rows))))
+        table[bad, draws.draw(st.integers(0, table.shape[1] - 1))] = draws.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(LogValidationError, match=f"^row {rows.index(bad)}: context must be"):
+            BanditLog(**{**columns, "contexts": table})
+
+    def test_a_bad_row_that_no_record_uses_fails_the_table(self):
+        with pytest.raises(LogValidationError, match=r"table row 1 .* got \[nan\], and no record"):
+            BanditLog(["q"], ["p"], np.array([[0.5], [math.nan]]), [1], [0.5], [0], context_rows=[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_tables(), st.data())
+    def test_a_bad_row_index_is_rejected_naming_its_row(self, columns, draws):
+        rows, k = columns["context_rows"].tolist(), len(columns["contexts"])
+        if draws.draw(st.booleans()) and rows:  # an index out of range
+            row = draws.draw(st.integers(0, len(rows) - 1))
+            rows[row] = draws.draw(st.sampled_from([k, k + 7, -1, -k - 1]))
+            message = f"^row {row}: context row {rows[row]} is not a row of the {k}-row table"
+        else:  # one index too few or too many
+            row = len(rows)
+            rows = rows[:-1] if draws.draw(st.booleans()) and rows else rows + [0]
+            message = f"^row {min(row, len(rows))}: context_rows has length {len(rows)}"
+        with pytest.raises(LogValidationError, match=message):
+            BanditLog(**{**columns, "context_rows": rows})
+
+    def test_row_indices_must_be_integers(self):
+        with pytest.raises(LogValidationError, match="context_rows must be a flat array of integers"):
+            BanditLog(["q"], ["p"], np.zeros((1, 1)), [1], [0.5], [0], context_rows=[0.0])
+
+    def test_callers_table_and_rows_stay_writable(self):
+        table, rows = np.zeros((2, 1)), np.array([1, 0, 1])
+        log = BanditLog(["q"] * 3, ["p"] * 3, table, [1, 0, 1], [0.5] * 3, [0, 1, 0],
+                        context_rows=rows)
+        table[0, 0], rows[1] = 1.0, 1
+        for column in (log.context_table, log.context_rows, log.contexts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+
+def traced_memory(call):
+    """The traced memory that ``call`` holds on return, with what it returns, and
+    its peak while it runs above that."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held, peak - held
+
+
+class TestPeakMemory:
+    """No full-log pass, write or parse holds one context row per record. On a
+    30k-record log of 5k distinct rows of 10 features, each holds less than the
+    2.4 MB of one n x d float64 array on return, and peaks less than that above
+    it. The parse returns the log itself, about 2 MB of columns, which is why its
+    peak is taken above what it returns."""
+
+    n, k, d = 30_000, 5_000, 10
+
+    @pytest.fixture(scope="class")
+    def log_and_text(self):
+        rng = np.random.default_rng(3)
+        rows = np.concatenate([rng.permutation(self.k), rng.integers(0, self.k, self.n - self.k)])
+        log = BanditLog([f"q{i // 50}" for i in rows], [f"p{i % 50}" for i in rows],
+                        rng.standard_normal((self.k, self.d)), rng.integers(0, 2, self.n),
+                        rng.uniform(0.1, 1.0, self.n), rng.integers(0, 2, self.n),
+                        context_rows=rows)
+        buf = io.StringIO()
+        write_bandit_log(log, buf)
+        return log, buf.getvalue()
+
+    @pytest.mark.parametrize("step", ["mean_weight_and_lagrangian", "write_bandit_log",
+                                      "parse_bandit_log"])
+    def test_below_one_n_by_d_array(self, log_and_text, step):
+        log, text = log_and_text
+
+        class Discard:
+            def write(self, text):
+                pass
+
+            def flush(self):
+                pass
+
+        stream = io.StringIO(text)
+        calls = {
+            "mean_weight_and_lagrangian":
+                lambda: mean_weight_and_lagrangian(log, init_params("mlp", self.d, 16), 0.5),
+            "write_bandit_log": lambda: write_bandit_log(log, Discard()),
+            "parse_bandit_log": lambda: parse_bandit_log(stream),
+        }
+        held, peak = traced_memory(calls[step])
+        assert held < self.n * self.d * 8 and peak < self.n * self.d * 8
 
 
 # Texts of each field that the equivalence property writes into record lines:

@@ -373,3 +373,57 @@ class TestOneFullLogPass:
         # gradient batches hold at most 16 rows; only a full pass holds 84
         assert len(train) == 84 and max(r for r in rows if r != 84) <= config.batch_size
         assert rows.count(84) == len(history.checkpoints) >= 3
+
+
+class TestDivergence:
+    """A run whose logits or parameters stop being finite ends at that step with
+    the best checkpoint so far, or raises if it has none."""
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # the runs overflow on purpose
+            yield
+
+    def gradients(self, log, turn_after, how):
+        """The CRM gradient of a batch, which turns non-finite after ``turn_after`` calls:
+        infinite (``"parameters"``) or from contexts too large for finite logits."""
+        calls = []
+
+        def grad_fn(params, idx):
+            calls.append(len(idx))
+            contexts = log.contexts[idx]
+            if len(calls) > turn_after:
+                if how == "parameters":
+                    return [np.full_like(a, np.inf) for a in params.arrays]
+                contexts = contexts * 1e308
+            return lagrangian_gradient(contexts, log.actions[idx], log.propensities[idx],
+                                       log.deltas[idx], params, 0.3)
+
+        return grad_fn
+
+    @pytest.mark.parametrize("how, reason", [("parameters", "policy parameters must be finite"),
+                                             ("logits", "non-finite logits")])
+    def test_stops_after_the_first_checkpoint(self, how, reason):
+        log = random_log(80, 3, seed=31)
+        config = cfg(eval_every=40)  # batches of 16: the first checkpoint is at 48 records
+        grad_fn = self.gradients(log, 3, how)
+        params, history = training._minibatch_train(
+            len(log), grad_fn, lambda p: (1.0, 0.0), toy_dev(3), init_params("linear", 3, seed=32),
+            config)
+        assert [cp.records_seen for cp in history.checkpoints] == [48]
+        assert params == history.checkpoints[0].params
+        assert history.stopped == f"training stopped after 48 records: {reason}"
+
+    @pytest.mark.parametrize("how, error", [("parameters", ValueError),
+                                            ("logits", FloatingPointError)])
+    def test_raises_with_no_checkpoint(self, how, error):
+        log = random_log(80, 3, seed=31)
+        with pytest.raises(error):
+            training._minibatch_train(len(log), self.gradients(log, 0, how), lambda p: (1.0, 0.0),
+                                      toy_dev(3), init_params("linear", 3, seed=32),
+                                      cfg(eval_every=40))
+
+    def test_a_finished_run_has_no_reason(self):
+        _, history = train_crm(random_log(40, 3, seed=33), toy_dev(3),
+                               init_params("linear", 3, seed=34), cfg(eval_every=40))
+        assert history.stopped is None
