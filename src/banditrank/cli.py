@@ -176,11 +176,14 @@ def cmd_aggregate(cfg: dict) -> dict:
 
 
 def _read(reader, path: str):
-    """``reader(path)``, a malformed line reported as ``<path> line N: ...`` like ``aggregate``'s."""
+    """``reader(path)``, a malformed input reported by its path: a bad line as
+    ``<path> line N: ...`` like ``aggregate``'s, anything else as ``<path>: ...``."""
     try:
         return reader(path)
     except LogParseError as exc:
         raise CliError(f"{path} {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _initial_params(cfg: dict, feature_dim: int) -> PolicyParams:
@@ -244,7 +247,7 @@ def cmd_lambda_sweep(cfg: dict) -> dict:
 
 
 def cmd_evaluate(cfg: dict) -> dict:
-    params = PolicyParams.load(cfg["model"])
+    params = _read(PolicyParams.load, cfg["model"])
     test = _read(read_supervised, cfg["test"])
     if not test:
         raise CliError("test set is empty")
@@ -257,29 +260,6 @@ def cmd_evaluate(cfg: dict) -> dict:
         "run.txt": lambda fh: index.write_trec_run(scores, cfg["run_tag"], fh),
         "qrels.txt": lambda fh: write_qrels(test.qrels(), fh),
     }
-
-
-def cmd_learning_curve(cfg: dict) -> dict:
-    with open_text(cfg["history"]) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        rows = {n: line.rstrip("\n").split("\t")
-                for n, line in enumerate(fh, start=2) if line.strip()}
-    needed = ["records_seen", "avg_rank", "avg_dcg", "map", "ndcg@10"]
-    try:
-        idx = [header.index(c) for c in needed]
-    except ValueError as exc:
-        raise CliError(f"history file missing columns {needed}: {exc}") from exc
-    for line_no, row in rows.items():
-        if len(row) != len(header):
-            raise CliError(f"history line {line_no}: expected {len(header)} columns, "
-                           f"got {len(row)}")
-
-    def write_curve(fh):
-        fh.write("\t".join(needed) + "\n")
-        for row in rows.values():
-            fh.write("\t".join(row[i] for i in idx) + "\n")
-
-    return {"curve.tsv": write_curve}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     }, *train_options)
     add("evaluate", cmd_evaluate,
         {"model": None, "test": None, "ks": DEFAULT_KS, "run_tag": "banditrank"}, "ks")
-    add("learning-curve", cmd_learning_curve, {"history": None})
     return parser
 
 

@@ -21,10 +21,12 @@ The writer formats each table row once. The reader takes a log
 ``_BLOCK_ROWS`` lines at a time. A record line takes the bulk path if it has
 the writer's exact shape, its ids need no escape, and its features and
 propensity are written in number characters only: one ``json.loads`` per
-block decodes the numbers of those lines, each distinct features text once,
-into one table row. Every other line, and every line of a block whose decode
-fails, is parsed on its own. Both paths give the same log, or the same error
-at the same line, as ``tests/oracles.parse_lines``, the per-line parser.
+block decodes the numbers of those lines, each distinct features text once.
+Every other line, and every line of a block whose decode fails, is parsed on
+its own. Either way a record takes its row of the one context table by a key:
+its features text on the bulk path, else their float bytes, so a context
+holds at most two rows. Both paths give the same log, or the same error at
+the same line, as ``tests/oracles.parse_lines``, the per-line parser.
 
 Supervised data is a tab-separated file with a header row:
 ``query_id  product_id  label  nrr  f0 ... f{d-1}``.
@@ -206,7 +208,8 @@ class BanditLog(_RowSet):
     handled without per-record Python overhead.
 
     Given ``contexts`` alone, they are the table and record i uses row i.
-    Given ``context_rows`` too, ``contexts`` is the table. The constructor is
+    Given ``context_rows`` too, ``contexts`` is the table. ``metadata`` maps
+    str to str, as the log's file gives it back. The constructor is
     the one check of the record invariants; a failure names the first
     offending record, and a bad table row is reported at the first record
     that uses it.
@@ -231,12 +234,15 @@ class BanditLog(_RowSet):
         metadata: dict[str, str] | None = None,
         context_rows: Sequence[int] | None = None,
     ):
+        self.metadata = dict(metadata or {})
+        for key, value in self.metadata.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise LogValidationError(f"metadata must map str to str, got {key!r}: {value!r}")
         rows = None if context_rows is None else _row_index(context_rows, len(query_ids),
                                                               len(contexts))
         self.context_table, self.actions, self.propensities, self.deltas = self._store(
             query_ids, product_ids, (contexts, actions, propensities, deltas), rows=rows)
         self.context_rows = _read_only(np.arange(len(self)) if rows is None else rows)
-        self.metadata = dict(metadata or {})
 
     @property
     def contexts(self) -> np.ndarray:
@@ -383,7 +389,7 @@ _WRITTEN_RECORD = re.compile(
     r'"propensity": ([-+0-9]*[.eE][-+.0-9eE]*), "delta": ([01])\}\n?')
 
 
-def _read_block(block: list[str], known: dict[str, int]) -> tuple[list, dict[str, array]]:
+def _read_block(block: list[str], known: dict) -> tuple[list, dict[str, array]]:
     """Each line's record if the bulk path takes it, else None, and the features
     of each features text of those records that is not in ``known``.
 
@@ -407,7 +413,7 @@ def _read_block(block: list[str], known: dict[str, int]) -> tuple[list, dict[str
     return records, rows
 
 
-def _blocks(stream: IO[str], known: dict[str, int]
+def _blocks(stream: IO[str], known: dict
             ) -> Iterator[tuple[int, str, tuple | None, dict[str, array]]]:
     """Each line of ``stream`` with its number and what ``_read_block`` gives for it
     and for its block of ``_BLOCK_ROWS`` lines."""
@@ -434,89 +440,85 @@ def parse_bandit_log(source: IO | str) -> BanditLog:
     return log
 
 
-def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, array | None, array,
+def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, np.ndarray, array,
                                           LogParseError | None]:
     """The metadata, the ``BanditLog`` columns with the contexts as a table, each
     record's row of it, each record's line number and the format error that ended
-    the reading, if any. The reading also stops at a context row that no table can
-    hold; the contexts are then one row per record, that row last, and there is
-    no row index. The table's text index is freed on return, before ``BanditLog`` runs.
+    the reading, if any. Each record, on either path, looks up or adds its row in
+    one key-to-row index: a bulk line by its features text, a line parsed on its
+    own by the float bytes of its features, so a context read both ways holds two
+    rows. The index is freed on return, before ``BanditLog`` runs.
 
-    The records read before a line's format error go to ``BanditLog`` all the
-    same, so that a bad value on an earlier line is the one reported.
+    Features that no table row can hold end the reading as the table's last row,
+    as json read them, in a list of rows. The records before them or before a
+    format error go to ``BanditLog`` all the same, so that a bad value on an
+    earlier line is the one reported.
     """
     metadata: dict[str, str] = {}
     query_ids, product_ids, line_nos = [], [], array("q")
     # The bulk path's numbers, held compactly. A record read on its own may hold
     # values of any type, which lists keep for BanditLog to judge.
     actions, propensities, deltas = array("q"), array("d"), array("q")
-    share = {}.setdefault  # equal ids on the bulk path share one str
-    # Each record's row of a flat table of context rows. The records of one
-    # features text on the bulk path share its row, which json decodes once.
-    table, n_rows, rows, row_of_text = array("d"), 0, array("q"), {}
+    share = {}.setdefault  # equal ids share one str
+    # The flat table of context rows, each record's row and the key-to-row index
+    table, rows, row_of = array("d"), array("q"), {}
     width, contexts, error = None, None, None
-    for line_no, line, record, new_rows in _blocks(stream, row_of_text):
+    for line_no, line, record, new_rows in _blocks(stream, row_of):
         if record is not None:
-            query_id, product_id, text, action, propensity, delta = record
-            row = row_of_text.get(text)
-            if row is None:
-                features = new_rows[text]
-                if width is None:
-                    width = len(features)
-                if len(features) == width:  # else the per-line code ends the reading here
-                    row = row_of_text[text] = n_rows
-                    n_rows += 1
-                    table.extend(features)
-            if row is not None:
-                query_ids.append(share(query_id, query_id))
-                product_ids.append(share(product_id, product_id))
-                actions.append(action)
-                propensities.append(propensity)
-                deltas.append(delta)
-                line_nos.append(line_no)
-                rows.append(row)
+            query_id, product_id, key, action, propensity, delta = record
+            features = new_rows.get(key)  # None once the text has a row
+            if features is not None:
+                width = len(features) if width is None else width
+                if len(features) != width:
+                    record = None  # so that the row is reported as json read it
+        if record is None:
+            line = line.strip()
+            if not line:
                 continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = _parse_line(line, line_no)
-        except LogParseError as exc:
-            error = exc
-            break
-        if "_meta" in obj:
-            metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
-            continue
-        if isinstance(actions, array):
-            actions, propensities, deltas = actions.tolist(), propensities.tolist(), deltas.tolist()
-        query_ids.append(str(obj["query_id"]))
-        product_ids.append(str(obj["product_id"]))
-        actions.append(obj["action"])
-        propensities.append(obj["propensity"])
-        deltas.append(obj["delta"])
-        line_nos.append(line_no)
-        features = obj["features"]
-        if width is None:
-            width = len(features) if isinstance(features, list) else 0
-        start = len(table)
-        try:
+            try:
+                obj = _parse_line(line, line_no)
+            except LogParseError as exc:
+                error = exc
+                break
+            if "_meta" in obj:
+                metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
+                continue
+            if isinstance(actions, array):
+                actions, propensities, deltas = actions.tolist(), propensities.tolist(), deltas.tolist()
+            query_id, product_id = str(obj["query_id"]), str(obj["product_id"])
+            features, action = obj["features"], obj["action"]
+            propensity, delta = obj["propensity"], obj["delta"]
+            if width is None:
+                width = len(features) if isinstance(features, list) else 0
+            key = None
             if isinstance(features, list) and len(features) == width:
+                try:
+                    features = array("d", features)
+                    key = features.tobytes()
+                except (TypeError, OverflowError):
+                    pass
+            if key is None:
+                # No table row can hold these features, so the log is invalid
+                # here or earlier: BanditLog names the first bad row.
+                contexts = [*np.frombuffer(table).reshape(len(row_of), width), features]
+        row = row_of.get(key)
+        if row is None:
+            row = row_of[key] = len(row_of)
+            if contexts is None:
                 table.extend(features)
-                rows.append(n_rows)
-                n_rows += 1
-                continue
-        except (TypeError, OverflowError):
-            del table[start:]
-        # The table cannot hold this row, so the log is invalid here or
-        # earlier: BanditLog names the first bad row.
-        contexts = [*np.frombuffer(table).reshape(n_rows, width)[rows], features]
-        rows = None
-        break
+        query_ids.append(share(query_id, query_id))
+        product_ids.append(share(product_id, product_id))
+        actions.append(action)
+        propensities.append(propensity)
+        deltas.append(delta)
+        line_nos.append(line_no)
+        rows.append(row)
+        if contexts is not None:
+            break
     if contexts is None:
-        contexts = np.frombuffer(table).reshape(n_rows, width or 0)
-        rows = np.frombuffer(rows, dtype=np.int64)
-    return metadata, [query_ids, product_ids, contexts, actions, propensities, deltas], rows, \
-        line_nos, error
+        contexts = np.frombuffer(table).reshape(len(row_of), width or 0)
+    return metadata, [query_ids, product_ids, contexts, actions, propensities, deltas], \
+        np.frombuffer(rows, dtype=np.int64), line_nos, error
 
 
 def _parse_line(line: str, line_no: int) -> dict:

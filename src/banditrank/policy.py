@@ -89,12 +89,18 @@ class PolicyParams:
 
     @classmethod
     def load(cls, source: IO | str) -> "PolicyParams":
+        """The parameters ``save`` wrote; a file that holds no model raises ``ValueError``."""
         with open_text(source) as stream:
             obj = json.load(stream)
-        arrays = [
-            np.array(flat, dtype=np.float64).reshape(shape)
-            for flat, shape in zip(obj["arrays"], obj["shapes"])
-        ]
+        if not isinstance(obj, dict) or not {"kind", "arrays", "shapes"} <= obj.keys():
+            raise ValueError("not a model: expected a JSON object with keys kind, arrays, shapes")
+        try:
+            arrays = [
+                np.array(flat, dtype=np.float64).reshape(shape)
+                for flat, shape in zip(obj["arrays"], obj["shapes"])
+            ]
+        except TypeError as exc:
+            raise ValueError(f"not a model: arrays and shapes must be lists ({exc})") from exc
         return cls(obj["kind"], arrays)
 
 

@@ -85,16 +85,6 @@ class TestTrainAndEvaluate:
         assert 0.0 <= float(metrics["map"]) <= 1.0
         assert (eval_dir / "run.txt").read_text().splitlines()[0].split()[1] == "Q0"
 
-        curve_dir = tmp_path / "c1"
-        rc = run([
-            "learning-curve", "--history", str(model_dir / "history.tsv"),
-            "--out", str(curve_dir),
-        ])
-        assert rc == 0
-        curve = (curve_dir / "curve.tsv").read_text().splitlines()
-        assert curve[0] == "records_seen\tavg_rank\tavg_dcg\tmap\tndcg@10"
-        assert len(curve) == len(history)
-
     def test_train_fullinfo(self, sim_run, tmp_path):
         out = tmp_path / "fi"
         rc = run([
@@ -140,20 +130,6 @@ class TestTrainAndEvaluate:
             "--dev", str(tmp_path / "absent.tsv"), "--out", str(tmp_path / "m"),
         ])
         assert rc == 2
-
-
-class TestLearningCurve:
-    def test_short_row_names_its_line(self, tmp_path, capsys):
-        history = tmp_path / "history.tsv"
-        header = "records_seen\tobjective\tS\tmap\tndcg@10\tavg_rank\tavg_dcg"
-        history.write_text(header + "\n1\t2\n")
-        out = tmp_path / "lc"
-        assert run(["learning-curve", "--history", str(history), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        error_lines = [line for line in err.splitlines() if "error:" in line]
-        assert len(error_lines) == 1 and "line 2" in error_lines[0], err
-        assert "Traceback" not in err
-        assert not (out / "curve.tsv").exists()
 
 
 class TestAggregateCommand:
@@ -202,6 +178,9 @@ def inputs(tmp_path_factory):
     write_json(root / "ks_strings.json", {"ks": ["5"]})
     write_json(root / "log_number.json", {"log": 5})
     write_json(root / "diverging.json", {"learning_rate": 1e308, "epochs": 1})
+    write_json(root / "model_list.json", [1, 2])
+    write_json(root / "model_no_arrays.json", {"kind": "linear", "shapes": [[2, 4], [2]]})
+    write_json(root / "model_numbers.json", {"kind": "linear", "arrays": 1, "shapes": 2})
     (root / "one_field.tsv").write_text("q1\tp0\nq1\n")
     (root / "short_row.tsv").write_text((sim / "dev.tsv").read_text() + "q1\tp1\n")
     (root / "bad_line.jsonl").write_text((sim / "log.jsonl").read_text() + '{"query_id": 1}\n')
@@ -215,7 +194,7 @@ def inputs(tmp_path_factory):
         "bad_line": root / "bad_line.jsonl",
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "hidden_float", "epochs_bool", "ks_strings", "log_number",
-            "diverging")},
+            "diverging", "model_list", "model_no_arrays", "model_numbers")},
     }
     return {name: str(path) for name, path in paths.items()}
 
@@ -241,7 +220,13 @@ ERRORS = [
      "--ks"),
     ("ks below 1", ["evaluate", "--model", "{model}", "--test", "{test}", "--ks", "0"], 1,
      "got [0]"),
-    ("history file absent", ["learning-curve", "--history", "{absent}"], 2, "absent.tsv"),
+    ("model not an object", ["evaluate", "--model", "{model_list}", "--test", "{test}"], 1,
+     "model_list.json: not a model: expected a JSON object"),
+    ("model key missing", ["evaluate", "--model", "{model_no_arrays}", "--test", "{test}"], 1,
+     "model_no_arrays.json: not a model: expected a JSON object with keys kind, arrays, shapes"),
+    ("model value of the wrong type",
+     ["evaluate", "--model", "{model_numbers}", "--test", "{test}"], 1,
+     "model_numbers.json: not a model: arrays and shapes must be lists"),
     ("eval_every below 1",
      ["train-crm", "--log", "{log}", "--dev", "{dev}", "--epochs", "1", "--eval-every=0"], 1,
      "eval_every must be >= 1"),

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from banditrank import data
@@ -165,6 +165,14 @@ class TestBanditLogColumns:
                    "propensities": [0.5, 0.5], "deltas": [0, 1]}
         with pytest.raises(LogValidationError, match="row 1"):
             BanditLog(**{**columns, column: values})
+
+    @pytest.mark.parametrize("metadata", [{"seed": 1}, {1: "a"}, {"source": None}])
+    def test_metadata_must_map_str_to_str(self, metadata):
+        # a str is what the log's file gives back for each key and value
+        (key, value), = metadata.items()
+        with pytest.raises(LogValidationError) as info:
+            BanditLog(["q"], ["p"], np.zeros((1, 2)), [1], [0.5], [0], metadata=metadata)
+        assert str(info.value) == f"metadata must map str to str, got {key!r}: {value!r}"
 
     def test_callers_arrays_stay_writable(self):
         contexts, propensities = np.zeros((2, 1)), np.array([0.5, 0.5])
@@ -496,6 +504,9 @@ class TestBlockParse:
 
     @settings(max_examples=200, deadline=None)
     @given(mutated_log_texts())
+    # a bulk line of the wrong width, reported as json read it: 1, not 1.0
+    @example("\n".join(['{"_meta": {}}', record_line(),
+                        record_text({**WRITTEN, "features": "[0.5, 0.5, 1]"})]))
     def test_matches_the_per_line_parser(self, text):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_BLOCK_ROWS", BLOCK)
@@ -527,6 +538,40 @@ class TestBlockParse:
             outcome = parse_outcome(parse_bandit_log, text)
         assert outcome == parse_outcome(parse_lines, text)
         assert outcome[0] is LogParseError and outcome[2] in (3, 4)
+
+    @staticmethod
+    def written(log):
+        buf = io.StringIO()
+        write_bandit_log(log, buf)
+        return buf.getvalue()
+
+    def test_records_read_line_by_line_share_table_rows(self):
+        # json writes "q\u00e9", an escape, so that every line is parsed on its own
+        n, k = 3000, 100
+        rng = np.random.default_rng(0)
+        log = BanditLog(["q\u00e9"] * n, [f"p{i % k}" for i in range(n)],
+                        rng.standard_normal((k, 4)), rng.integers(0, 2, n),
+                        rng.uniform(0.1, 1.0, n), rng.integers(0, 2, n),
+                        context_rows=np.arange(n) % k)
+        back = parse_bandit_log(io.StringIO(self.written(log)))
+        assert back == log
+        assert back.context_table.shape == (k, 4)
+
+    def test_both_paths_over_shared_contexts(self):
+        # each context, -0.0 and 0.0 twins among them, on bulk and per-line records
+        n, k = 2000, 101
+        rng = np.random.default_rng(1)
+        table = rng.standard_normal((k, 3))
+        table[0], table[1] = 0.0, -0.0
+        log = BanditLog([("q1", "q\u00e9")[i % 2] for i in range(n)], ["p"] * n, table,
+                        rng.integers(0, 2, n), rng.uniform(0.1, 1.0, n), rng.integers(0, 2, n),
+                        context_rows=np.arange(n) % k)
+        text = self.written(log)
+        outcome = parse_outcome(parse_bandit_log, text)
+        assert outcome == parse_outcome(parse_lines, text)
+        assert outcome[0] == log
+        # at most one row for a context's text and one for its float bytes
+        assert len(outcome[0].context_table) <= 2 * k
 
     def test_peak_memory_is_no_higher_than_the_per_line_parse(self):
         # 20k records over 2k distinct (query, product) pairs, each with one context
