@@ -548,18 +548,19 @@ def _parse_line(line: str, line_no: int) -> dict:
 def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     """Write a bandit log; numeric fields keep full precision (repr round-trip).
 
-    Each row of the log's context table is formatted once. No record line
-    carries the log's width, so a log without records reads back with width 0.
+    Each context-table row and each distinct id is formatted once. No record
+    line carries the log's width, so a log without records reads back with width 0.
     """
     # One row's floats at a time: a tolist() of the whole table at once lifts the
     # write's peak memory above the parse's.
     texts = [json.dumps(row.tolist()) for row in log.context_table]
+    ids = {i: json.dumps(i) for i in {*log.query_ids, *log.product_ids}}
     with open_text(sink, "w") as out:
         out.write(json.dumps({"_meta": log.metadata}) + "\n")
         for start in range(0, len(log), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            records = zip(map(json.dumps, log.query_ids[block]),
-                          map(json.dumps, log.product_ids[block]),
+            records = zip(map(ids.__getitem__, log.query_ids[block]),
+                          map(ids.__getitem__, log.product_ids[block]),
                           map(texts.__getitem__, log.context_rows[block].tolist()),
                           log.actions[block].tolist(), log.propensities[block].tolist(),
                           log.deltas[block].tolist())

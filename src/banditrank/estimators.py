@@ -53,7 +53,7 @@ def logged_probabilities(log: BanditLog, params: PolicyParams) -> np.ndarray:
     if len(log) == 0:
         raise ValueError("log must be non-empty")
     P = batch_probabilities(params, log.context_table)  # each distinct context once
-    return P[log.context_rows, log.actions]
+    return np.take(P, log.context_rows * 2 + log.actions)  # P is (k, 2) and C-contiguous
 
 
 def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:

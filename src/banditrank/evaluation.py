@@ -72,11 +72,11 @@ def _codes(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
 class RankIndex:
     """Graded (query, product) rows, arranged once to rank and score any score vector.
 
-    Each row's query and product id is held as its position among the
-    sorted distinct ids, so ranking a score vector is one ``np.lexsort``: by
-    query, then score best first, then product id. What does not depend on
-    the scores (each ranked item's query and rank position, the relevant
-    count and the ideal DCG per query and per k) is computed here once.
+    Each row's query and product id is held as its position among the sorted
+    distinct ids. ``grouped`` lists the rows by query, then product id; a stable
+    sort of it by query, then score best first, ranks a score vector. What does
+    not depend on the scores (each ranked item's query and rank position, the
+    relevant count and the ideal DCG per query and per k) is computed here once.
     """
 
     def __init__(
@@ -99,7 +99,7 @@ class RankIndex:
         self.grades = np.asarray(grades, dtype=np.int64)
         queries, self.query = _codes(self.query_ids)
         _, self.product = _codes(self.product_ids)
-        grouped = np.lexsort((self.product, self.query))
+        self.grouped = grouped = np.lexsort((self.product, self.query))
         same = (np.diff(self.query[grouped]) == 0) & (np.diff(self.product[grouped]) == 0)
         if same.any():
             q = queries[self.query[grouped[np.argmax(same)]]]
@@ -136,7 +136,8 @@ class RankIndex:
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             raise ValueError(f"score {scores[bad[0]]} of row {bad[0]} is not finite")
-        return np.lexsort((self.product, -scores, self.query))
+        # self.seg is the query of each row of self.grouped
+        return self.grouped[np.lexsort((-scores[self.grouped], self.seg))]
 
     def report(self, scores: Sequence[float]) -> MetricsReport:
         """MAP, MRR, P@k, NDCG@k and the average rank and DCG of relevant items

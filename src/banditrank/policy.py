@@ -22,11 +22,13 @@ class NonFiniteError(FloatingPointError, ValueError):
 
 
 class PolicyParams:
-    """Parameters of a binary-action scorer.
+    """Parameters of a binary-action scorer, held as one read-only float64 vector.
 
     ``kind`` is ``"linear"`` (weights 2xd, bias 2) or ``"mlp"`` (hidden
     weights hxd, hidden bias h, output weights 2xh, output bias 2).
-    Instances are treated as immutable; training produces new instances.
+    ``flat`` holds every parameter, array after array, each raveled in C
+    order; ``arrays`` are read-only views of it in those shapes. Instances
+    are immutable; training produces new instances.
     """
 
     def __init__(self, kind: str, arrays: Sequence[np.ndarray]):
@@ -51,12 +53,22 @@ class PolicyParams:
                 or b2.shape != (2,)
             ):
                 raise ValueError(f"bad mlp shapes {[a.shape for a in arrays]}")
-        for a in arrays:
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteError("policy parameters must be finite")
-            a.setflags(write=False)
-        self.kind = kind
-        self.arrays = tuple(arrays)
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        layout = tuple(zip([0, *ends], ends, [a.shape for a in arrays]))
+        self._hold(kind, layout, np.concatenate([a.ravel() for a in arrays]))
+
+    def _hold(self, kind: str, layout: tuple, flat: np.ndarray) -> "PolicyParams":
+        """Hold ``flat``, a fresh float64 vector, as arrays at ``layout``'s (start, end, shape)."""
+        if not np.isfinite(flat).all():
+            raise NonFiniteError("policy parameters must be finite")
+        flat.setflags(write=False)
+        self.kind, self._layout, self.flat = kind, layout, flat
+        self.arrays = tuple(flat[start:end].reshape(shape) for start, end, shape in layout)
+        return self
+
+    def _replace_flat(self, flat: np.ndarray) -> "PolicyParams":
+        """This kind and these shapes, checked once already, holding the fresh vector ``flat``."""
+        return object.__new__(PolicyParams)._hold(self.kind, self._layout, flat)
 
     @property
     def feature_dim(self) -> int:
@@ -72,9 +84,8 @@ class PolicyParams:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyParams):
             return NotImplemented
-        return self.kind == other.kind and all(
-            np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays)
-        )
+        return ((self.kind, self._layout) == (other.kind, other._layout)
+                and np.array_equal(self.flat, other.flat))
 
     def save(self, sink: IO | str) -> None:
         obj = {
@@ -89,18 +100,26 @@ class PolicyParams:
 
     @classmethod
     def load(cls, source: IO | str) -> "PolicyParams":
-        """The parameters ``save`` wrote; a file that holds no model raises ``ValueError``."""
+        """The parameters ``save`` wrote: one list of JSON numbers (no booleans) and one list
+        of integers per array. A file that holds no model raises ``ValueError``."""
         with open_text(source) as stream:
             obj = json.load(stream)
         if not isinstance(obj, dict) or not {"kind", "arrays", "shapes"} <= obj.keys():
             raise ValueError("not a model: expected a JSON object with keys kind, arrays, shapes")
+        values, shapes = obj["arrays"], obj["shapes"]
+        if not (isinstance(values, list) and isinstance(shapes, list)
+                and len(values) == len(shapes)):
+            raise ValueError("not a model: arrays and shapes must be lists of equal length")
+        for i, (array, shape) in enumerate(zip(values, shapes)):
+            numbers = isinstance(array, list) and all(type(x) in (int, float) for x in array)
+            if not (numbers and isinstance(shape, list) and all(type(n) is int for n in shape)):
+                raise ValueError(f"not a model: array {i} must be a list of numbers "
+                                 f"and its shape a list of integers")
         try:
-            arrays = [
-                np.array(flat, dtype=np.float64).reshape(shape)
-                for flat, shape in zip(obj["arrays"], obj["shapes"])
-            ]
-        except TypeError as exc:
-            raise ValueError(f"not a model: arrays and shapes must be lists ({exc})") from exc
+            arrays = [np.array(array, dtype=np.float64).reshape(shape)
+                      for array, shape in zip(values, shapes)]
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"not a model: {exc}") from exc
         return cls(obj["kind"], arrays)
 
 
@@ -142,7 +161,7 @@ def _forward(params: PolicyParams, contexts: np.ndarray):
         w1, b1, w2, b2 = params.arrays
         H = np.tanh(X @ w1.T + b1)
         logits = H @ w2.T + b2
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NonFiniteError("non-finite logits")
     return X, logits, H
 
@@ -168,6 +187,9 @@ def logit_margin(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
     return logits[:, 1] - logits[:, 0]
 
 
+_ONE_HOT = np.eye(2)  # row c is the one-hot row of class c
+
+
 def logit_gradient(
     params: PolicyParams, contexts: np.ndarray, classes: np.ndarray, dlogits: Callable
 ) -> list[np.ndarray]:
@@ -179,8 +201,7 @@ def logit_gradient(
     """
     X, logits, H = _forward(params, contexts)
     P = _softmax(logits)
-    onehot = np.zeros_like(P)
-    onehot[np.arange(len(P)), np.asarray(classes, dtype=np.int64)] = 1.0
+    onehot = _ONE_HOT[np.asarray(classes, dtype=np.int64)]
     G = dlogits(P, onehot)
     if params.kind == "linear":
         return [G.T @ X, G.sum(axis=0)]

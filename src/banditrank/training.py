@@ -61,16 +61,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's first and second moment estimates, each one vector laid out like
+    ``PolicyParams.flat``, and the number of steps taken."""
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: PolicyParams) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(a) for a in params.arrays],
-            v=[np.zeros_like(a) for a in params.arrays],
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -79,23 +78,21 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[PolicyParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update of the parameter vector; returns fresh params and state."""
     if len(grads) != len(params.arrays):
         raise ValueError("gradient/parameter count mismatch")
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    t = state.t + 1
-    new_m, new_v, new_arrays = [], [], []
-    for p, g, m, v in zip(params.arrays, grads, state.m, state.v):
+    for p, g in zip(params.arrays, grads):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_arrays.append(p - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return params.replace_arrays(new_arrays), AdamState(m=new_m, v=new_v, t=t)
+    g = np.concatenate([g.ravel() for g in grads])
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    t = state.t + 1
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * g * g
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return params._replace_flat(flat), AdamState(m=m, v=v, t=t)
 
 
 @dataclass(frozen=True)

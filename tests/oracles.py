@@ -3,7 +3,8 @@
 Everything here is written directly from the defining formulas, one record
 at a time, with no shared code paths with the library being tested, except
 that ``parse_lines`` builds its log with the library's ``BanditLog`` and so
-shares its check of the rows.
+shares its check of the rows, and ``adam_step_arrays`` returns the library's
+``PolicyParams`` and reads its Adam constants.
 """
 
 import json
@@ -13,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from banditrank import training
 from banditrank.data import BanditLog, LogParseError, LogValidationError
 
 
@@ -335,3 +337,35 @@ def loop_rank_metrics(runs, labels, ks):
         "avg_dcg": float(np.mean(dcgs)),
         "n_queries": len(runs),
     }
+
+
+class ArrayAdamState(NamedTuple):
+    """Adam's moments as one array per parameter array, and the step count."""
+
+    m: list
+    v: list
+    t: int
+
+
+def adam_step_arrays(params, grads, state, config):
+    """The bias-corrected Adam update made array by array, with the same
+    signature as ``training.adam_step``.
+
+    ``state`` is an ``ArrayAdamState``, or any state with ``t == 0``, from
+    which the moments start at zero.
+    """
+    if state.t == 0:
+        zeros = [np.zeros_like(a) for a in params.arrays]
+        state = ArrayAdamState(zeros, zeros, 0)
+    b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+    t = state.t + 1
+    new_m, new_v, new_arrays = [], [], []
+    for p, g, m, v in zip(params.arrays, grads, state.m, state.v):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        new_arrays.append(p - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return params.replace_arrays(new_arrays), ArrayAdamState(new_m, new_v, t)

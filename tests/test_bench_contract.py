@@ -1,5 +1,6 @@
 """The benchmark's in-process workloads run one pass on this library and pass
-their own output checks. ``bench/workloads.py`` is imported as it is;
+their own output checks, and its tracer records the layers it claims to.
+``bench/workloads.py`` and ``bench/tracer.py`` are imported as they are;
 ``Ingest`` and ``Cli`` are shrunk through subclasses."""
 
 import contextlib
@@ -14,13 +15,30 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return bench_module("workloads")
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """The bench tracer module, with every library function it rebinds given
+    back at teardown."""
+    importlib.import_module("banditrank.cli")  # loads every module the tracer rebinds in
+    for key, module in list(sys.modules.items()):
+        if key == "banditrank" or key.startswith("banditrank."):
+            for attr, value in list(vars(module).items()):
+                if callable(value):
+                    monkeypatch.setattr(module, attr, value)
+    return bench_module("tracer")
 
 
 class StubClock:
@@ -77,3 +95,26 @@ def test_cli_pass(workloads, tmp_path):
     assert [op.name for op in result.ops] == ["simulate", "train-crm", "lambda-sweep", "evaluate"]
     assert all(op.ok for op in result.ops), [op.detail for op in result.ops]
     assert 0.0 < result.quality["test_map"] <= 1.0
+
+
+def test_traced_training_spans(tracer):
+    from banditrank import simulator, training
+    from banditrank.policy import init_params
+
+    world = simulator.generate_world(simulator.SimConfig(10, 8, 3), seed=1)
+    log = simulator.simulate_log(world, world.logging_policy, 600, seed=2)
+    config = training.TrainConfig(batch_size=64, epochs=2, learning_rate=0.01, eval_every=200)
+    traced = tracer.Tracer()
+    traced.install()
+    _, history = training.train_crm(log, simulator.world_supervised(world),
+                                     init_params("linear", 3, seed=0), config)
+    traced.active = False
+    spans = tracer.summarize(traced.spans, 0, len(traced.spans))
+    steps = config.epochs * -(-len(log) // config.batch_size)
+    assert spans["training.train_crm"]["calls"] == 1
+    assert spans["training.adam_step"]["calls"] == steps
+    assert spans["estimators.lagrangian_gradient"]["calls"] == steps
+    assert spans["policy.batch_probabilities"]["calls"] == len(history.checkpoints) >= 3
+    for name in ("training.adam_step", "estimators.lagrangian_gradient",
+                 "policy.batch_probabilities"):
+        assert spans[name]["s"] > 0.0 and spans[name]["errors"] == 0

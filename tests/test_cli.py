@@ -181,6 +181,11 @@ def inputs(tmp_path_factory):
     write_json(root / "model_list.json", [1, 2])
     write_json(root / "model_no_arrays.json", {"kind": "linear", "shapes": [[2, 4], [2]]})
     write_json(root / "model_numbers.json", {"kind": "linear", "arrays": 1, "shapes": 2})
+    model = {"kind": "linear", "arrays": [[0.5] * 8, [0.0, 0.0]], "shapes": [[2, 4], [2]]}
+    write_json(root / "model_bool.json", {**model, "arrays": [[True] + [0.5] * 7, [0.0, False]]})
+    write_json(root / "model_string.json", {**model, "arrays": [["0.1"] + [0.5] * 7, [0.0, 0.0]]})
+    write_json(root / "model_long.json", {**model, "arrays": [*model["arrays"], [1.0]]})
+    write_json(root / "model_short.json", {**model, "arrays": model["arrays"][:1]})
     (root / "one_field.tsv").write_text("q1\tp0\nq1\n")
     (root / "short_row.tsv").write_text((sim / "dev.tsv").read_text() + "q1\tp1\n")
     (root / "bad_line.jsonl").write_text((sim / "log.jsonl").read_text() + '{"query_id": 1}\n')
@@ -194,7 +199,8 @@ def inputs(tmp_path_factory):
         "bad_line": root / "bad_line.jsonl",
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "hidden_float", "epochs_bool", "ks_strings", "log_number",
-            "diverging", "model_list", "model_no_arrays", "model_numbers")},
+            "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
+            "model_string", "model_long", "model_short")},
     }
     return {name: str(path) for name, path in paths.items()}
 
@@ -227,6 +233,17 @@ ERRORS = [
     ("model value of the wrong type",
      ["evaluate", "--model", "{model_numbers}", "--test", "{test}"], 1,
      "model_numbers.json: not a model: arrays and shapes must be lists"),
+    ("model array holding a boolean", ["evaluate", "--model", "{model_bool}", "--test", "{test}"],
+     1, "model_bool.json: not a model: array 0 must be a list of numbers"),
+    ("model array holding a string",
+     ["evaluate", "--model", "{model_string}", "--test", "{test}"], 1,
+     "model_string.json: not a model: array 0 must be a list of numbers"),
+    ("model with more arrays than shapes",
+     ["evaluate", "--model", "{model_long}", "--test", "{test}"], 1,
+     "model_long.json: not a model: arrays and shapes must be lists of equal length"),
+    ("model with fewer arrays than shapes",
+     ["evaluate", "--model", "{model_short}", "--test", "{test}"], 1,
+     "model_short.json: not a model: arrays and shapes must be lists of equal length"),
     ("eval_every below 1",
      ["train-crm", "--log", "{log}", "--dev", "{dev}", "--epochs", "1", "--eval-every=0"], 1,
      "eval_every must be >= 1"),

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banditrank.evaluation import DEFAULT_KS, RankIndex, rank_metrics, write_qrels
-from banditrank.policy import PolicyParams
+from banditrank.policy import PolicyParams, logit_margin
 from banditrank.training import evaluate_policy
 from conftest import supervised
 from oracles import (
@@ -172,6 +172,23 @@ class TestMetricsCore:
         random.shuffle(shuffled)
         assert (evaluate_policy(MARGIN_POLICY, supervised(shuffled))
                 == evaluate_policy(MARGIN_POLICY, supervised(records)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dev_sets())
+    def test_order_and_run_file_match_the_three_key_sort(self, records):
+        rows = supervised(records)
+        index = RankIndex(rows.query_ids, rows.product_ids, rows.labels)
+        scores = logit_margin(MARGIN_POLICY, rows.contexts)
+        expected = np.lexsort((index.product, -scores, index.query))
+        np.testing.assert_array_equal(index.order(scores), expected)
+        lines, rank = [], {}
+        for i in expected.tolist():
+            q = rows.query_ids[i]
+            rank[q] = rank.get(q, 0) + 1
+            lines.append(f"{q} Q0 {rows.product_ids[i]} {rank[q]} {scores[i]:.6f} tag\n")
+        out = io.StringIO()
+        assert index.write_trec_run(scores, "tag", out) == len(rows)
+        assert out.getvalue() == "".join(lines)
 
     def test_duplicate_pair_error(self):
         rec = ("q", "a", np.zeros(2), 4, 1.0)

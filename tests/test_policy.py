@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +177,9 @@ class TestGradActionProb:
             np.testing.assert_allclose(a + b, 0.0, atol=1e-12)
 
 
+LINEAR = {"kind": "linear", "arrays": [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0]], "shapes": [[2, 2], [2]]}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 5)])
     def test_save_load_roundtrip(self, kind, hidden):
@@ -183,3 +188,44 @@ class TestSerialization:
         p.save(buf)
         buf.seek(0)
         assert PolicyParams.load(buf) == p
+
+    def test_integers_load_as_floats(self):
+        model = {**LINEAR, "arrays": [[1, 0, 0, 2], [0, 0]]}
+        loaded = PolicyParams.load(io.StringIO(json.dumps(model)))
+        assert loaded == PolicyParams("linear", [np.array([[1.0, 0.0], [0.0, 2.0]]), np.zeros(2)])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"arrays": [[True, 0.5, 0.5, 0.5], [0.0, False]]}, "array 0 must be a list of numbers"),
+        ({"arrays": [[0.5, 0.5, 0.5, 0.5], ["0.1", 0.0]]}, "array 1 must be a list of numbers"),
+        ({"arrays": [[0.5, 0.5, 0.5, 0.5], [None, 0.0]]}, "array 1 must be a list of numbers"),
+        ({"arrays": [[[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0]]}, "array 0 must be a list of numbers"),
+        ({"shapes": [[2, True], [2]]}, "array 0 must be a list of numbers"),
+        ({"shapes": [[2, 2], "2"]}, "array 1 must be a list of numbers"),
+        ({"arrays": [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0], [1.0]]},
+         "arrays and shapes must be lists of equal length"),
+        ({"shapes": [[2, 2]]}, "arrays and shapes must be lists of equal length"),
+        ({"arrays": 1, "shapes": 2}, "arrays and shapes must be lists"),
+        ({"shapes": [[2, 3], [2]]}, "cannot reshape"),
+        ({"arrays": [[0.5, 0.5, 0.5, 10**400], [0.0, 0.0]]}, "int too large"),
+    ])
+    def test_load_takes_numbers_only(self, change, message):
+        with pytest.raises(ValueError, match=f"^not a model: {re.escape(message)}"):
+            PolicyParams.load(io.StringIO(json.dumps({**LINEAR, **change})))
+
+
+class TestFlatVector:
+    @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 3)])
+    def test_arrays_are_read_only_views_of_flat(self, kind, hidden):
+        p = init_params(kind, 4, hidden=hidden, seed=5)
+        assert p.flat.dtype == np.float64 and not p.flat.flags.writeable
+        assert p.flat.tobytes() == np.concatenate([a.ravel() for a in p.arrays]).tobytes()
+        for a in p.arrays:
+            assert np.shares_memory(a, p.flat) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_the_callers_arrays_are_copied(self):
+        w = np.ones((2, 3))
+        p = PolicyParams("linear", [w, np.zeros(2)])
+        w[0, 0] = 5.0
+        assert w.flags.writeable and p.arrays[0][0, 0] == 1.0

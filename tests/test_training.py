@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditrank import estimators, policy, training
 from banditrank.data import BanditLog, SupervisedSet
@@ -26,6 +28,7 @@ from banditrank.training import (
     train_full_info,
 )
 from conftest import random_log, supervised
+from oracles import adam_step_arrays
 
 
 def cfg(**overrides):
@@ -68,6 +71,76 @@ class TestAdam:
         bad = [np.zeros((2, 4)), np.zeros(2)]
         with pytest.raises(ValueError):
             adam_step(p, bad, AdamState.zeros_like(p), cfg())
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+@st.composite
+def adam_runs(draw):
+    """Parameters, a learning rate and the gradients of 1-50 steps: random at a
+    drawn scale, all zero, or either at each step."""
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    params = init_params(kind, draw(st.integers(1, 5)), hidden=draw(st.integers(1, 4)),
+                         seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
+    zero = draw(st.sampled_from(["never", "always", "sometimes"]))
+    steps = []
+    for _ in range(draw(st.integers(1, 50))):
+        if zero == "always" or (zero == "sometimes" and rng.random() < 0.5):
+            steps.append([np.zeros_like(a) for a in params.arrays])
+        else:
+            steps.append([rng.standard_normal(a.shape) * scale for a in params.arrays])
+    return params, draw(st.sampled_from([1e-3, 0.01, 0.5])), steps
+
+
+class TestAdamOracle:
+    """The one-vector Adam update gives the array-by-array update's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(adam_runs())
+    def test_step_matches_the_oracle_bit_for_bit(self, run):
+        params, lr, steps = run
+        config = cfg(learning_rate=lr)
+        p, state = params, AdamState.zeros_like(params)
+        p_ref, state_ref = params, AdamState.zeros_like(params)
+        for grads in steps:
+            p, state = adam_step(p, grads, state, config)
+            p_ref, state_ref = adam_step_arrays(p_ref, grads, state_ref, config)
+            assert p.flat.tobytes() == flat(p_ref.arrays)
+            assert state.m.tobytes() == flat(state_ref.m)
+            assert state.v.tobytes() == flat(state_ref.v)
+            assert state.t == state_ref.t
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_training_with_the_oracle_gives_the_same_history(self, monkeypatch, kind):
+        log = random_log(120, 3, seed=41)
+        p0 = init_params(kind, 3, hidden=4, seed=42)
+        config = cfg(eval_every=40)
+        _, history = train_crm(log, toy_dev(3), p0, config)
+        monkeypatch.setattr(training, "adam_step", adam_step_arrays)
+        _, oracle_history = train_crm(log, toy_dev(3), p0, config)
+        assert oracle_history == history and len(history.checkpoints) >= 3
+        assert ([cp.params.flat.tobytes() for cp in history.checkpoints]
+                == [flat(cp.params.arrays) for cp in oracle_history.checkpoints])
+
+    def test_checkpoint_params_never_change(self, monkeypatch):
+        made = {}
+        step = training.adam_step
+
+        def recording(params, grads, state, config):
+            params, state = step(params, grads, state, config)
+            made[id(params)] = (params, params.flat.tobytes())
+            return params, state
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        _, history = train_crm(random_log(120, 3, seed=43), toy_dev(3),
+                               init_params("mlp", 3, hidden=4, seed=44), cfg(eval_every=40))
+        assert len(made) == 16 and len(history.checkpoints) >= 3
+        for cp in history.checkpoints:
+            assert cp.params.flat.tobytes() == made[id(cp.params)][1]
 
 
 def toy_dev(d=4, n_queries=3):
