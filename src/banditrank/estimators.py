@@ -138,8 +138,8 @@ def lagrangian_gradient(
     deltas: np.ndarray,
     params: PolicyParams,
     lam: float,
-) -> list[np.ndarray]:
-    """Batch gradient of the Lagrangian surrogate with respect to params.
+) -> np.ndarray:
+    """Batch gradient of the Lagrangian surrogate, laid out like ``params.flat``.
 
     (1/m) sum (delta_i - lambda) / p_i * grad pi_w(a_i | c_i).
     """
@@ -149,6 +149,5 @@ def lagrangian_gradient(
     coeffs = (np.asarray(deltas, dtype=np.float64) - lam) / np.asarray(
         propensities, dtype=np.float64
     )
-    grads = weighted_prob_gradient(params, contexts, actions, coeffs)
-    return [g / m for g in grads]
+    return weighted_prob_gradient(params, contexts, actions, coeffs) / m
 

@@ -2,9 +2,11 @@
 
 A policy scores a context with two logits (one per action) and turns them
 into action probabilities via a numerically stabilized softmax. Two scorer
-families are supported: a linear map and a one-hidden-layer tanh network.
+families are supported: a linear map and a one-hidden-layer tanh network;
+``_shapes`` is the one statement of each family's parameter arrays.
 Analytic gradients of the action probability with respect to every
-parameter are provided for importance-weighted training.
+parameter are provided for importance-weighted training, each as one vector
+laid out like ``PolicyParams.flat``.
 """
 
 from __future__ import annotations
@@ -24,37 +26,22 @@ class NonFiniteError(FloatingPointError, ValueError):
 class PolicyParams:
     """Parameters of a binary-action scorer, held as one read-only float64 vector.
 
-    ``kind`` is ``"linear"`` (weights 2xd, bias 2) or ``"mlp"`` (hidden
-    weights hxd, hidden bias h, output weights 2xh, output bias 2).
+    ``kind`` is ``"linear"`` or ``"mlp"``, with the arrays ``_shapes`` lists.
     ``flat`` holds every parameter, array after array, each raveled in C
     order; ``arrays`` are read-only views of it in those shapes. Instances
     are immutable; training produces new instances.
     """
 
     def __init__(self, kind: str, arrays: Sequence[np.ndarray]):
-        if kind not in ("linear", "mlp"):
-            raise ValueError(f"unknown policy kind {kind!r}")
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-        if kind == "linear":
-            if len(arrays) != 2:
-                raise ValueError("linear policy needs [weights, bias]")
-            w, b = arrays
-            if w.ndim != 2 or w.shape[0] != 2 or b.shape != (2,):
-                raise ValueError(f"bad linear shapes {[a.shape for a in arrays]}")
-        else:
-            if len(arrays) != 4:
-                raise ValueError("mlp policy needs [w1, b1, w2, b2]")
-            w1, b1, w2, b2 = arrays
-            h = w1.shape[0]
-            if (
-                w1.ndim != 2
-                or b1.shape != (h,)
-                or w2.shape != (2, h)
-                or b2.shape != (2,)
-            ):
-                raise ValueError(f"bad mlp shapes {[a.shape for a in arrays]}")
+        shapes = [a.shape for a in arrays]
+        first = shapes[0] if shapes else ()
+        # the first weights are (rows, feature_dim); an MLP's rows are its hidden width
+        hidden, feature_dim = first if len(first) == 2 else (0, 0)
+        if shapes != _shapes(kind, feature_dim, hidden):
+            raise ValueError(f"bad {kind} shapes {shapes}")
         ends = np.cumsum([a.size for a in arrays]).tolist()
-        layout = tuple(zip([0, *ends], ends, [a.shape for a in arrays]))
+        layout = tuple(zip([0, *ends], ends, shapes))
         self._hold(kind, layout, np.concatenate([a.ravel() for a in arrays]))
 
     def _hold(self, kind: str, layout: tuple, flat: np.ndarray) -> "PolicyParams":
@@ -77,9 +64,6 @@ class PolicyParams:
     @property
     def hidden(self) -> int:
         return self.arrays[0].shape[0] if self.kind == "mlp" else 0
-
-    def replace_arrays(self, arrays: Sequence[np.ndarray]) -> "PolicyParams":
-        return PolicyParams(self.kind, arrays)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyParams):
@@ -123,23 +107,29 @@ class PolicyParams:
         return cls(obj["kind"], arrays)
 
 
+def _shapes(kind: str, feature_dim: int, hidden: int) -> list[tuple[int, ...]]:
+    """The array shapes of a ``kind`` policy, layer by layer, each weights before its bias."""
+    if kind == "linear":
+        return [(2, feature_dim), (2,)]
+    if kind == "mlp":
+        return [(hidden, feature_dim), (hidden,), (2, hidden), (2,)]
+    raise ValueError(f"unknown policy kind {kind!r}")
+
+
 def init_params(
     kind: str, feature_dim: int, hidden: int = 0, seed: int = 0
 ) -> PolicyParams:
-    """Seeded init: weights ~ N(0, 1/fan_in), biases zero."""
+    """Seeded init: weights (rows, fan_in) ~ N(0, 1/fan_in), drawn in layer order; biases zero."""
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+    if kind == "mlp" and hidden < 1:
+        raise ValueError(f"hidden must be >= 1 for mlp, got {hidden}")
     rng = np.random.default_rng(seed)
-    if kind == "linear":
-        w = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(2, feature_dim))
-        return PolicyParams("linear", [w, np.zeros(2)])
-    if kind == "mlp":
-        if hidden < 1:
-            raise ValueError(f"hidden must be >= 1 for mlp, got {hidden}")
-        w1 = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(hidden, feature_dim))
-        w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(2, hidden))
-        return PolicyParams("mlp", [w1, np.zeros(hidden), w2, np.zeros(2)])
-    raise ValueError(f"unknown policy kind {kind!r}")
+    return PolicyParams(kind, [
+        rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape) if len(shape) == 2
+        else np.zeros(shape)
+        for shape in _shapes(kind, feature_dim, hidden)
+    ])
 
 
 def _forward(params: PolicyParams, contexts: np.ndarray):
@@ -192,21 +182,22 @@ _ONE_HOT = np.eye(2)  # row c is the one-hot row of class c
 
 def logit_gradient(
     params: PolicyParams, contexts: np.ndarray, classes: np.ndarray, dlogits: Callable
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """One forward and one backward pass over a batch.
 
     ``dlogits(P, onehot)`` gives the gradient at the logits, shape (m, 2),
     from the batch's action probabilities P and the one-hot rows of
-    ``classes``. Returns arrays matching params.arrays, summed over the batch.
+    ``classes``. Returns the gradient summed over the batch, laid out like
+    ``params.flat``.
     """
     X, logits, H = _forward(params, contexts)
     P = _softmax(logits)
     onehot = _ONE_HOT[np.asarray(classes, dtype=np.int64)]
     G = dlogits(P, onehot)
     if params.kind == "linear":
-        return [G.T @ X, G.sum(axis=0)]
+        return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
     dZ = (G @ params.arrays[2]) * (1.0 - H * H)
-    return [dZ.T @ X, dZ.sum(axis=0), G.T @ H, G.sum(axis=0)]
+    return np.concatenate([(dZ.T @ X).ravel(), dZ.sum(axis=0), (G.T @ H).ravel(), G.sum(axis=0)])
 
 
 def weighted_prob_gradient(
@@ -214,8 +205,8 @@ def weighted_prob_gradient(
     contexts: np.ndarray,
     actions: np.ndarray,
     coeffs: np.ndarray,
-) -> list[np.ndarray]:
-    """Sum over a batch of coeff_i * grad pi(a_i | c_i).
+) -> np.ndarray:
+    """Sum over a batch of coeff_i * grad pi(a_i | c_i), laid out like ``params.flat``.
 
     At the logits, grad pi(a|c) is pi(a|c) * (onehot(a) - P).
     """

@@ -12,7 +12,7 @@ dev MAP.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -74,17 +74,14 @@ class AdamState:
 
 def adam_step(
     params: PolicyParams,
-    grads: Sequence[np.ndarray],
+    g: np.ndarray,
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[PolicyParams, AdamState]:
-    """One bias-corrected Adam update of the parameter vector; returns fresh params and state."""
-    if len(grads) != len(params.arrays):
-        raise ValueError("gradient/parameter count mismatch")
-    for p, g in zip(params.arrays, grads):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    g = np.concatenate([g.ravel() for g in grads])
+    """One bias-corrected Adam update of the parameter vector from the gradient ``g``,
+    laid out like ``params.flat``; returns fresh params and state."""
+    if g.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape {params.flat.shape}")
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = state.t + 1
     m = b1 * state.m + (1 - b1) * g
@@ -122,7 +119,7 @@ def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
 
 def _minibatch_train(
     log_len: int,
-    grad_fn: Callable[[PolicyParams, np.ndarray], list[np.ndarray]],
+    grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
     full_pass: Callable[[PolicyParams], tuple[float, float]],
     dev: SupervisedSet,
     params0: PolicyParams,
@@ -164,8 +161,7 @@ def _minibatch_train(
             order = rng.permutation(log_len)
             for start in range(0, log_len, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
-                grads = grad_fn(params, batch_idx)
-                params, state = adam_step(params, grads, state, config)
+                params, state = adam_step(params, grad_fn(params, batch_idx), state, config)
                 records_seen += len(batch_idx)
                 if records_seen >= next_eval:
                     checkpoint()
@@ -219,10 +215,9 @@ def train_ea(
     table, rows = train_log.context_table, train_log.context_rows
 
     def grad_fn(params, idx):
-        grads = weighted_prob_gradient(
+        return weighted_prob_gradient(
             params, table[rows[idx]], train_log.actions[idx], coeffs[idx]
-        )
-        return [g / len(idx) for g in grads]
+        ) / len(idx)
 
     def full_pass(params):
         p_a = logged_probabilities(train_log, params)

@@ -3,8 +3,9 @@
 Everything here is written directly from the defining formulas, one record
 at a time, with no shared code paths with the library being tested, except
 that ``parse_lines`` builds its log with the library's ``BanditLog`` and so
-shares its check of the rows, and ``adam_step_arrays`` returns the library's
-``PolicyParams`` and reads its Adam constants.
+shares its check of the rows, ``unflatten``, ``init_params_by_kind`` and
+``adam_step_arrays`` return the library's ``PolicyParams``, and
+``adam_step_arrays`` reads its Adam constants.
 """
 
 import json
@@ -16,6 +17,7 @@ import numpy as np
 
 from banditrank import training
 from banditrank.data import BanditLog, LogParseError, LogValidationError
+from banditrank.policy import PolicyParams
 
 
 class Record(NamedTuple):
@@ -150,13 +152,37 @@ def flatten(params):
     return np.concatenate([a.ravel() for a in params.arrays])
 
 
-def unflatten(params, flat):
-    """A ``PolicyParams`` shaped like ``params`` holding the values of ``flat``."""
+def split(params, flat):
+    """The values of ``flat``, a vector laid out like ``params.flat``, as one array
+    per array of ``params``, in its shape."""
     out, i = [], 0
     for a in params.arrays:
         out.append(np.asarray(flat[i : i + a.size]).reshape(a.shape).copy())
         i += a.size
-    return params.replace_arrays(out)
+    return out
+
+
+def unflatten(params, flat):
+    """A ``PolicyParams`` shaped like ``params`` holding the values of ``flat``."""
+    return PolicyParams(params.kind, split(params, flat))
+
+
+def init_params_by_kind(kind, feature_dim, hidden=0, seed=0):
+    """The seeded init written out kind by kind: weights ~ N(0, 1/fan_in), drawn
+    first layer first, and zero biases. ``init_params`` must draw the same bytes."""
+    if feature_dim < 1:
+        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+    rng = np.random.default_rng(seed)
+    if kind == "linear":
+        w = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(2, feature_dim))
+        return PolicyParams("linear", [w, np.zeros(2)])
+    if kind == "mlp":
+        if hidden < 1:
+            raise ValueError(f"hidden must be >= 1 for mlp, got {hidden}")
+        w1 = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(hidden, feature_dim))
+        w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(2, hidden))
+        return PolicyParams("mlp", [w1, np.zeros(hidden), w2, np.zeros(2)])
+    raise ValueError(f"unknown policy kind {kind!r}")
 
 
 def brute_snips(records, prob_fn):
@@ -347,9 +373,10 @@ class ArrayAdamState(NamedTuple):
     t: int
 
 
-def adam_step_arrays(params, grads, state, config):
+def adam_step_arrays(params, g, state, config):
     """The bias-corrected Adam update made array by array, with the same
-    signature as ``training.adam_step``.
+    signature as ``training.adam_step``: it splits the gradient ``g``, laid out
+    like ``params.flat``, into one array per parameter array.
 
     ``state`` is an ``ArrayAdamState``, or any state with ``t == 0``, from
     which the moments start at zero.
@@ -359,6 +386,7 @@ def adam_step_arrays(params, grads, state, config):
         state = ArrayAdamState(zeros, zeros, 0)
     b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
     t = state.t + 1
+    grads = split(params, g)
     new_m, new_v, new_arrays = [], [], []
     for p, g, m, v in zip(params.arrays, grads, state.m, state.v):
         m = b1 * m + (1 - b1) * g
@@ -368,4 +396,4 @@ def adam_step_arrays(params, grads, state, config):
         new_arrays.append(p - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
         new_m.append(m)
         new_v.append(v)
-    return params.replace_arrays(new_arrays), ArrayAdamState(new_m, new_v, t)
+    return PolicyParams(params.kind, new_arrays), ArrayAdamState(new_m, new_v, t)

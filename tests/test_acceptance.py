@@ -141,10 +141,8 @@ def test_criterion_4_gradient_correctness():
             numeric = np.array(
                 finite_difference_gradient(risk_of, flatten(params).tolist(), 1e-5)
             )
-            analytic = np.concatenate(
-                [g.ravel() for g in lagrangian_gradient(
-                    log.contexts, log.actions, log.propensities, log.deltas, params, lam
-                )]
+            analytic = lagrangian_gradient(
+                log.contexts, log.actions, log.propensities, log.deltas, params, lam
             )
             checked += 1
             if not np.allclose(analytic, numeric, rtol=1e-4, atol=1e-8):
@@ -160,9 +158,7 @@ def test_criterion_4_gradient_correctness():
             numeric_p = np.array(
                 finite_difference_gradient(p_of, flatten(params).tolist(), 1e-5)
             )
-            analytic_p = np.concatenate(
-                [g.ravel() for g in weighted_prob_gradient(params, x[None], [action], [1.0])]
-            )
+            analytic_p = weighted_prob_gradient(params, x[None], [action], [1.0])
             if not np.allclose(analytic_p, numeric_p, rtol=1e-4, atol=1e-8):
                 failures += 1
     verdict(4, failures == 0, f"{checked} instances x 2 gradients, {failures} mismatches")

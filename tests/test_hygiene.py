@@ -79,3 +79,44 @@ def test_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"banditrank.{module}"), function, None)):
             missing.append(name)
     assert traced and missing == []
+
+
+# Public names in ``src/`` that nothing in ``src/`` names, each with its reason.
+UNCALLED_BY_DESIGN = {
+    "evaluate_policy": "the benchmark traces it and calls it by name",
+    "lagrangian_risk": "the benchmark traces it by name",
+    "rank_metrics": "the benchmark traces it by name",
+    "snips_denominator": "the benchmark traces it and calls it by name",
+    "true_risk": "the benchmark traces it and calls it by name",
+    "build_supervised": "the benchmark traces it and calls it by name",
+    "snips": "an estimator of the paper, kept for library users (ROADMAP direction 3)",
+    "ips": "an estimator of the paper, kept for library users (ROADMAP direction 3)",
+    "empirical_average": "an estimator of the paper, kept for library users (ROADMAP direction 3)",
+    "train_ea": "the empirical-average learner that acceptance criterion 8 compares",
+    "load_world": "the reader of the world.json that the simulate command writes",
+}
+
+
+def uncalled_public_names(trees: list[ast.Module]) -> set[str]:
+    """Public functions, classes and methods defined in ``trees`` whose name no
+    expression in ``trees`` reads, as a variable or as an attribute."""
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return defined - named
+
+
+def test_public_names_have_callers():
+    """No public helper in ``src/`` without a caller in ``src/``, but the listed ones."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("src/**/*.py")]
+    assert uncalled_public_names(trees) == set(UNCALLED_BY_DESIGN)

@@ -16,7 +16,7 @@ from banditrank.policy import (
 )
 from banditrank.training import evaluate_policy
 from conftest import identity_policy, supervised
-from oracles import finite_difference_gradient, flatten, unflatten
+from oracles import finite_difference_gradient, flatten, init_params_by_kind, unflatten
 
 
 class TestInit:
@@ -37,6 +37,37 @@ class TestInit:
             init_params("linear", 0)
         with pytest.raises(ValueError):
             init_params("mlp", 3, hidden=0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown policy kind 'conv'"):
+            init_params("conv", 3, hidden=2)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("feature_dim, hidden", [(1, 1), (3, 2), (7, 16)])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_draws_the_bytes_of_the_per_kind_init(self, kind, feature_dim, hidden, seed):
+        p = init_params(kind, feature_dim, hidden=hidden, seed=seed)
+        expected = init_params_by_kind(kind, feature_dim, hidden=hidden, seed=seed)
+        assert p == expected and p.flat.tobytes() == expected.flat.tobytes()
+
+
+class TestConstruction:
+    """``PolicyParams`` takes only the arrays of its kind, in their shapes."""
+
+    @pytest.mark.parametrize("kind, shapes", [
+        ("conv", [(2, 3), (2,)]),
+        ("linear", [(2, 3)]),
+        ("linear", [(2, 3), (2,), (2,)]),
+        ("linear", [(3,), (2,)]),
+        ("linear", [(3, 3), (2,)]),
+        ("linear", [(2, 3), (3,)]),
+        ("mlp", [(4, 3), (3,), (2, 4), (2,)]),
+        ("mlp", [(4, 3), (4,), (4, 2), (2,)]),
+        ("mlp", [(4, 3), (4,), (2, 4)]),
+    ])
+    def test_bad_arrays_raise(self, kind, shapes):
+        with pytest.raises(ValueError):
+            PolicyParams(kind, [np.zeros(shape) for shape in shapes])
 
 
 class TestActionProbabilities:
@@ -154,9 +185,9 @@ class TestGradActionProb:
         # at equal logits, d p1 / d w1 = p1 * (1 - p1) * x = 0.25 x
         p = PolicyParams("linear", [np.zeros((2, 3)), np.zeros(2)])
         x = np.array([1.0, -2.0, 0.5])
-        g = prob_gradient(p, x, 1)
-        np.testing.assert_allclose(g[0][1], 0.25 * x, rtol=1e-12)
-        np.testing.assert_allclose(g[0][0], -0.25 * x, rtol=1e-12)
+        g = prob_gradient(p, x, 1)  # weights (2, 3), then the bias
+        np.testing.assert_allclose(g[3:6], 0.25 * x, rtol=1e-12)
+        np.testing.assert_allclose(g[0:3], -0.25 * x, rtol=1e-12)
 
     @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 4)])
     @pytest.mark.parametrize("action", [0, 1])
@@ -164,7 +195,7 @@ class TestGradActionProb:
         for trial in range(5):
             params = init_params(kind, 3, hidden=hidden, seed=trial)
             x = rng.standard_normal(3)
-            analytic = np.concatenate([a.ravel() for a in prob_gradient(params, x, action)])
+            analytic = prob_gradient(params, x, action)
             numeric = fd_prob_gradient(params, x, action)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
 
@@ -173,8 +204,7 @@ class TestGradActionProb:
         x = rng.standard_normal(4)
         g0 = prob_gradient(params, x, 0)
         g1 = prob_gradient(params, x, 1)
-        for a, b in zip(g0, g1):
-            np.testing.assert_allclose(a + b, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g0 + g1, 0.0, atol=1e-12)
 
 
 LINEAR = {"kind": "linear", "arrays": [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0]], "shapes": [[2, 2], [2]]}

@@ -41,8 +41,7 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         p = init_params("linear", 3, seed=0)
         state = AdamState.zeros_like(p)
-        grads = [np.zeros_like(a) for a in p.arrays]
-        p2, state2 = adam_step(p, grads, state, cfg())
+        p2, state2 = adam_step(p, np.zeros_like(p.flat), state, cfg())
         assert p2 == p
         assert state2.t == 1
 
@@ -52,7 +51,7 @@ class TestAdam:
         p = init_params("linear", 2, seed=1)
         config = cfg(learning_rate=0.05)
         state = AdamState.zeros_like(p)
-        g = [np.full_like(a, 2.0) for a in p.arrays]
+        g = np.full_like(p.flat, 2.0)
         for _ in range(300):
             p, state = adam_step(p, g, state, config)
         p2, _ = adam_step(p, g, state, config)
@@ -61,14 +60,14 @@ class TestAdam:
 
     def test_deterministic(self):
         p = init_params("mlp", 3, hidden=2, seed=2)
-        g = [np.ones_like(a) * 0.1 for a in p.arrays]
+        g = np.ones_like(p.flat) * 0.1
         a1, _ = adam_step(p, g, AdamState.zeros_like(p), cfg())
         a2, _ = adam_step(p, g, AdamState.zeros_like(p), cfg())
         assert a1 == a2
 
     def test_shape_mismatch(self):
         p = init_params("linear", 3, seed=0)
-        bad = [np.zeros((2, 4)), np.zeros(2)]
+        bad = np.zeros(p.flat.size + 2)  # laid out like a 4-feature policy's
         with pytest.raises(ValueError):
             adam_step(p, bad, AdamState.zeros_like(p), cfg())
 
@@ -90,9 +89,9 @@ def adam_runs(draw):
     steps = []
     for _ in range(draw(st.integers(1, 50))):
         if zero == "always" or (zero == "sometimes" and rng.random() < 0.5):
-            steps.append([np.zeros_like(a) for a in params.arrays])
+            steps.append(np.zeros_like(params.flat))
         else:
-            steps.append([rng.standard_normal(a.shape) * scale for a in params.arrays])
+            steps.append(rng.standard_normal(params.flat.shape) * scale)
     return params, draw(st.sampled_from([1e-3, 0.01, 0.5])), steps
 
 
@@ -467,7 +466,7 @@ class TestDivergence:
             contexts = log.contexts[idx]
             if len(calls) > turn_after:
                 if how == "parameters":
-                    return [np.full_like(a, np.inf) for a in params.arrays]
+                    return np.full_like(params.flat, np.inf)
                 contexts = contexts * 1e308
             return lagrangian_gradient(contexts, log.actions[idx], log.propensities[idx],
                                        log.deltas[idx], params, 0.3)
