@@ -36,9 +36,10 @@ class PolicyParams:
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
         shapes = [a.shape for a in arrays]
         first = shapes[0] if shapes else ()
-        # the first weights are (rows, feature_dim); an MLP's rows are its hidden width
+        # the first weights are (rows, feature_dim); an MLP's rows are its hidden width,
+        # and a policy with no features or no hidden units is refused as init_params does
         hidden, feature_dim = first if len(first) == 2 else (0, 0)
-        if shapes != _shapes(kind, feature_dim, hidden):
+        if shapes != _shapes(kind, feature_dim, hidden) or min(hidden, feature_dim) < 1:
             raise ValueError(f"bad {kind} shapes {shapes}")
         ends = np.cumsum([a.size for a in arrays]).tolist()
         layout = tuple(zip([0, *ends], ends, shapes))

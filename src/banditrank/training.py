@@ -6,7 +6,8 @@ or lambda picked by the mean-weight-guided search), the empirical-average
 surrogate, and the full-information weighted cross-entropy baseline; they
 differ only in their gradient at the logits. Training checkpoints the model
 on a fixed cadence of records seen and returns the checkpoint with the best
-dev MAP.
+dev MAP. The lambda search trains each probed lambda once: its probe is the
+first ``probe_epochs`` epochs of that lambda's full run.
 """
 
 from __future__ import annotations
@@ -125,12 +126,36 @@ def _minibatch_train(
     params0: PolicyParams,
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
-    """Shared epoch/batch/checkpoint loop over record indices.
+    """One run of ``config.epochs`` epochs of the shared epoch/batch/checkpoint
+    loop over record indices.
 
     ``full_pass`` returns (S, objective) from one pass over the training set.
     The run stops at the first step whose logits or updated parameters are not
     finite; the history records why, and the best checkpoint before it is
     returned. With no checkpoint yet, the error is raised.
+    """
+    (result,) = _minibatch_runs(log_len, grad_fn, full_pass, dev, params0, config,
+                                (config.epochs,))
+    return _returned(result)
+
+
+def _minibatch_runs(
+    log_len: int,
+    grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
+    full_pass: Callable[[PolicyParams], tuple[float, float]],
+    dev: SupervisedSet,
+    params0: PolicyParams,
+    config: TrainConfig,
+    epoch_ends: tuple[int, ...],
+) -> list[tuple[PolicyParams, TrainHistory] | NonFiniteError]:
+    """What ``_minibatch_train`` gives for a run of e epochs, for each e in
+    ``epoch_ends``, all from one run of the longest.
+
+    A run of e epochs is this run's first e epochs: its checkpoints up to
+    the end of epoch e, plus the end-of-run checkpoint it takes there when
+    its last checkpoint is earlier. That one stays out of the longer runs
+    and does not move their checkpoint cadence. Each result is (params,
+    history), or the ``NonFiniteError`` that the run raises.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
@@ -141,39 +166,50 @@ def _minibatch_train(
     checkpoints: list[Checkpoint] = []
     records_seen = 0
     next_eval = config.eval_every
+    results: dict[int, tuple[PolicyParams, TrainHistory] | NonFiniteError] = {}
 
-    def checkpoint():
+    def checkpoint() -> Checkpoint:
         dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
         S, objective = full_pass(params)
-        checkpoints.append(
-            Checkpoint(
-                records_seen=records_seen,
-                dev_metrics=dev_metrics,
-                S=S,
-                objective=objective,
-                params=params,
-            )
-        )
+        return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, S=S,
+                          objective=objective, params=params)
 
-    stopped = None
+    def result(kept: list[Checkpoint], exc: NonFiniteError | None = None):
+        if exc is not None and not kept:
+            return exc
+        stopped = None if exc is None else f"training stopped after {records_seen} records: {exc}"
+        history = TrainHistory(checkpoints=tuple(kept), stopped=stopped)
+        return history.best().params, history
+
     try:
-        for _ in range(config.epochs):
+        for epoch in range(1, max(epoch_ends) + 1):
             order = rng.permutation(log_len)
             for start in range(0, log_len, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
                 params, state = adam_step(params, grad_fn(params, batch_idx), state, config)
                 records_seen += len(batch_idx)
                 if records_seen >= next_eval:
-                    checkpoint()
+                    checkpoints.append(checkpoint())
                     next_eval = records_seen + config.eval_every
-        if not checkpoints or checkpoints[-1].records_seen < records_seen:
-            checkpoint()
+            if epoch in epoch_ends:
+                kept = checkpoints.copy()
+                try:
+                    if not kept or kept[-1].records_seen < records_seen:
+                        kept.append(checkpoint())
+                    results[epoch] = result(kept)
+                except NonFiniteError as exc:
+                    results[epoch] = result(kept, exc)
     except NonFiniteError as exc:
-        if not checkpoints:
-            raise
-        stopped = f"training stopped after {records_seen} records: {exc}"
-    history = TrainHistory(checkpoints=tuple(checkpoints), stopped=stopped)
-    return history.best().params, history
+        for epochs in epoch_ends:
+            results.setdefault(epochs, result(checkpoints, exc))
+    return [results[epochs] for epochs in epoch_ends]
+
+
+def _returned(result: tuple[PolicyParams, TrainHistory] | NonFiniteError):
+    """A run's (params, history), or the error it raised, raised again."""
+    if isinstance(result, NonFiniteError):
+        raise result
+    return result
 
 
 def train_crm(
@@ -183,6 +219,19 @@ def train_crm(
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
     """Minimize the Lagrangian surrogate at the configured fixed lambda."""
+    (result,) = _crm_runs(train_log, dev, params0, config, (config.epochs,))
+    return _returned(result)
+
+
+def _crm_runs(
+    train_log: BanditLog,
+    dev: SupervisedSet,
+    params0: PolicyParams,
+    config: TrainConfig,
+    epoch_ends: tuple[int, ...],
+) -> list[tuple[PolicyParams, TrainHistory] | NonFiniteError]:
+    """``train_crm``'s result for a run of e epochs, for each e in ``epoch_ends``,
+    all from one run of the longest (see ``_minibatch_runs``)."""
     lam = config.lam
     table, rows = train_log.context_table, train_log.context_rows
 
@@ -199,7 +248,7 @@ def train_crm(
     def full_pass(params):
         return mean_weight_and_lagrangian(train_log, params, lam)
 
-    return _minibatch_train(len(train_log), grad_fn, full_pass, dev, params0, config)
+    return _minibatch_runs(len(train_log), grad_fn, full_pass, dev, params0, config, epoch_ends)
 
 
 def train_ea(
@@ -300,19 +349,27 @@ def lambda_search(
     and step lambda down 10% when S > 1, up 10% otherwise, until S lands in
     [0.95, 1.05], ``config.max_probes`` probes are spent, or the next lambda
     was probed already (at the cap of 1). Every probed
-    lambda then gets a full training run; the one whose best checkpoint has
+    lambda also gets a full training run; the one whose best checkpoint has
     the best dev MAP wins.
+
+    Each probed lambda is trained once, for the longer of ``probe_epochs``
+    and ``config.epochs``: its probe is the first ``probe_epochs`` epochs of
+    that run and its full run the first ``config.epochs``, each with the
+    end-of-run checkpoint a run of that length takes. The results are those
+    of training the probe and the full run apart.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
     rng = np.random.default_rng(config.seed)
     lam = float(rng.uniform(0.0, 1.0))
     probed: list[float] = []
+    full_runs = []
     for _ in range(config.max_probes):
         probed.append(lam)
-        probe_cfg = replace(config, lam=lam, epochs=probe_epochs)
-        _, probe_history = train_crm(train_log, dev, params0, probe_cfg)
-        S = probe_history.best().S
+        probe, full = _crm_runs(train_log, dev, params0, replace(config, lam=lam),
+                                (probe_epochs, config.epochs))
+        full_runs.append(full)
+        S = _returned(probe)[1].best().S
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
@@ -321,8 +378,7 @@ def lambda_search(
 
     # each full run's best checkpoint holds its returned params; the first
     # probed lambda wins a tie, as the earliest checkpoint does within a run
-    runs = [(lam_j, train_crm(train_log, dev, params0, replace(config, lam=lam_j))[1])
-            for lam_j in probed]
+    runs = [(lam_j, _returned(full)[1]) for lam_j, full in zip(probed, full_runs)]
     lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
     sweep = [LambdaProbe(lam=lam_j, S=history.best().S, metrics=history.best().dev_metrics,
                          stopped=history.stopped) for lam_j, history in runs]

@@ -4,10 +4,12 @@ Everything here is written directly from the defining formulas, one record
 at a time, with no shared code paths with the library being tested, except
 that ``parse_lines`` builds its log with the library's ``BanditLog`` and so
 shares its check of the rows, ``unflatten``, ``init_params_by_kind`` and
-``adam_step_arrays`` return the library's ``PolicyParams``, and
-``adam_step_arrays`` reads its Adam constants.
+``adam_step_arrays`` return the library's ``PolicyParams``,
+``adam_step_arrays`` reads its Adam constants, and
+``lambda_search_by_probes`` trains with the library's public ``train_crm``.
 """
 
+import dataclasses
 import json
 import math
 from array import array
@@ -397,3 +399,34 @@ def adam_step_arrays(params, g, state, config):
         new_m.append(m)
         new_v.append(v)
     return PolicyParams(params.kind, new_arrays), ArrayAdamState(new_m, new_v, t)
+
+
+def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
+    """``training.lambda_search`` as two rounds of ``training.train_crm`` calls:
+    every probe first, each a run of ``probe_epochs`` epochs from ``params0``,
+    then one full run of ``config.epochs`` epochs per probed lambda. The same
+    10% step on S, the same stopping rule, and the same choice of lambda."""
+    if probe_epochs < 1:
+        raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
+    rng = np.random.default_rng(config.seed)
+    lam = float(rng.uniform(0.0, 1.0))
+    probed = []
+    for _ in range(config.max_probes):
+        probed.append(lam)
+        probe_cfg = dataclasses.replace(config, lam=lam, epochs=probe_epochs)
+        _, probe_history = training.train_crm(train_log, dev, params0, probe_cfg)
+        S = probe_history.best().S
+        if 0.95 <= S <= 1.05:
+            break
+        lam = lam * 0.9 if S > 1.0 else min(1.0, lam * 1.1)
+        if lam in probed:
+            break
+
+    runs = [(lam_j, training.train_crm(train_log, dev, params0,
+                                       dataclasses.replace(config, lam=lam_j))[1])
+            for lam_j in probed]
+    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
+    sweep = [training.LambdaProbe(lam=lam_j, S=history.best().S,
+                                  metrics=history.best().dev_metrics, stopped=history.stopped)
+             for lam_j, history in runs]
+    return lam_star, chosen.best().params, sweep

@@ -186,6 +186,8 @@ def inputs(tmp_path_factory):
     write_json(root / "model_string.json", {**model, "arrays": [["0.1"] + [0.5] * 7, [0.0, 0.0]]})
     write_json(root / "model_long.json", {**model, "arrays": [*model["arrays"], [1.0]]})
     write_json(root / "model_short.json", {**model, "arrays": model["arrays"][:1]})
+    write_json(root / "model_no_hidden.json", {"kind": "mlp", "arrays": [[], [], [], [0.0, 1.0]],
+                                                "shapes": [[0, 4], [0], [2, 0], [2]]})
     (root / "one_field.tsv").write_text("q1\tp0\nq1\n")
     (root / "short_row.tsv").write_text((sim / "dev.tsv").read_text() + "q1\tp1\n")
     (root / "bad_line.jsonl").write_text((sim / "log.jsonl").read_text() + '{"query_id": 1}\n')
@@ -200,7 +202,7 @@ def inputs(tmp_path_factory):
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "hidden_float", "epochs_bool", "ks_strings", "log_number",
             "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
-            "model_string", "model_long", "model_short")},
+            "model_string", "model_long", "model_short", "model_no_hidden")},
     }
     return {name: str(path) for name, path in paths.items()}
 
@@ -244,6 +246,9 @@ ERRORS = [
     ("model with fewer arrays than shapes",
      ["evaluate", "--model", "{model_short}", "--test", "{test}"], 1,
      "model_short.json: not a model: arrays and shapes must be lists of equal length"),
+    ("model with no hidden units",
+     ["evaluate", "--model", "{model_no_hidden}", "--test", "{test}"], 1,
+     "model_no_hidden.json: bad mlp shapes"),
     ("eval_every below 1",
      ["train-crm", "--log", "{log}", "--dev", "{dev}", "--epochs", "1", "--eval-every=0"], 1,
      "eval_every must be >= 1"),

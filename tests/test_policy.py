@@ -64,6 +64,9 @@ class TestConstruction:
         ("mlp", [(4, 3), (3,), (2, 4), (2,)]),
         ("mlp", [(4, 3), (4,), (4, 2), (2,)]),
         ("mlp", [(4, 3), (4,), (2, 4)]),
+        ("linear", [(2, 0), (2,)]),  # no features
+        ("mlp", [(0, 3), (0,), (2, 0), (2,)]),  # no hidden units
+        ("mlp", [(4, 0), (4,), (2, 4), (2,)]),
     ])
     def test_bad_arrays_raise(self, kind, shapes):
         with pytest.raises(ValueError):
@@ -241,6 +244,13 @@ class TestSerialization:
     def test_load_takes_numbers_only(self, change, message):
         with pytest.raises(ValueError, match=f"^not a model: {re.escape(message)}"):
             PolicyParams.load(io.StringIO(json.dumps({**LINEAR, **change})))
+
+    def test_an_mlp_with_no_hidden_units_does_not_load(self):
+        model = {"kind": "mlp", "arrays": [[], [], [], [0.0, 1.0]],
+                 "shapes": [[0, 3], [0], [2, 0], [2]]}
+        message = "bad mlp shapes [(0, 3), (0,), (2, 0), (2,)]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PolicyParams.load(io.StringIO(json.dumps(model)))
 
 
 class TestFlatVector:

@@ -1,10 +1,14 @@
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banditrank import estimators, policy, training
-from banditrank.data import BanditLog, SupervisedSet
+from banditrank.data import BanditLog, SupervisedSet, grade
 from banditrank.evaluation import MetricsReport
 from banditrank.estimators import (
     empirical_average,
@@ -28,7 +32,7 @@ from banditrank.training import (
     train_full_info,
 )
 from conftest import random_log, supervised
-from oracles import adam_step_arrays
+from oracles import adam_step_arrays, lambda_search_by_probes
 
 
 def cfg(**overrides):
@@ -329,20 +333,21 @@ class TestLambdaStoppingRule:
                                 n_queries=1)
         calls = []
 
-        def fixed_s_train_crm(train_log, dev, params0, config):
-            calls.append((config.lam, config.epochs))
+        def fixed_s_crm_runs(train_log, dev, params0, config, epoch_ends):
+            calls.append((config.lam, epoch_ends))
             checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics, S=S,
                                     objective=0.0, params=params0)
-            return params0, TrainHistory(checkpoints=(checkpoint,))
+            return [(params0, TrainHistory(checkpoints=(checkpoint,)))] * len(epoch_ends)
 
-        monkeypatch.setattr(training, "train_crm", fixed_s_train_crm)
+        # each probed lambda trains once: its probe of 2 epochs and its full run of 5
+        monkeypatch.setattr(training, "_crm_runs", fixed_s_crm_runs)
         lam_star, _, sweep = lambda_search(
             random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
             cfg(epochs=5, max_probes=max_probes), probe_epochs=2,
         )
-        probes = [lam for lam, epochs in calls if epochs == 2]
-        full_runs = [lam for lam, epochs in calls if epochs == 5]
-        assert len(probes) + len(full_runs) == len(calls)
+        probes = [lam for lam, epoch_ends in calls if 2 in epoch_ends]
+        full_runs = [lam for lam, epoch_ends in calls if 5 in epoch_ends]
+        assert all(epoch_ends == (2, 5) for _, epoch_ends in calls)
         assert [p.lam for p in sweep] == full_runs and lam_star == full_runs[0]
         return probes, full_runs
 
@@ -361,6 +366,139 @@ class TestLambdaStoppingRule:
     @pytest.mark.parametrize("S", [1.0, 1.04, 0.95, 1.05])
     def test_s_in_the_band_stops_after_one_probe(self, monkeypatch, S):
         assert self.search(monkeypatch, S) == ([self.lam0], [self.lam0])
+
+
+@st.composite
+def searches(draw):
+    """A lambda search's inputs, and maybe a divergence after a drawn number of
+    steps of each run: to infinite parameters, or to logits too large to be finite."""
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    n = draw(st.integers(8, 60))
+    batch_size = draw(st.sampled_from([4, 8, 16, 64]))
+    epochs, probe_epochs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    eval_every = draw(st.one_of(
+        st.integers(1, 2).map(lambda k: k * n),  # aligned with epoch ends
+        st.integers(1, 2 * n),  # mostly not
+        st.just(10**9),  # only the end-of-run checkpoints
+    ))
+    config = cfg(batch_size=batch_size, epochs=epochs, eval_every=eval_every,
+                 learning_rate=draw(st.sampled_from([0.01, 0.1, 0.5])),
+                 seed=draw(st.integers(0, 2**16)), max_probes=draw(st.integers(1, 4)))
+    steps = max(epochs, probe_epochs) * -(-n // batch_size)
+    divergence = draw(st.one_of(
+        st.none(), st.tuples(st.sampled_from(["parameters", "logits"]), st.integers(1, steps))))
+    log = random_log(n, 3, seed=draw(st.integers(0, 2**16)))
+    dev = log_dev(log)
+    assume(np.any(dev.labels > 0))
+    p0 = init_params(kind, 3, hidden=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+    return log, dev, p0, config, probe_epochs, divergence
+
+
+def log_dev(log):
+    """A dev set of the log's (query, product) pairs, graded by the share of
+    their records that showed the product at no loss, so that training moves
+    its MAP."""
+    contexts, shown, seen = {}, Counter(), Counter()
+    for pair, context, action, delta in zip(zip(log.query_ids, log.product_ids), log.contexts,
+                                            log.actions, log.deltas):
+        contexts[pair] = context
+        shown[pair] += int(action == 1 and delta == 0)
+        seen[pair] += 1
+    rates = {pair: shown[pair] / seen[pair] for pair in seen}
+    return supervised([(q, p, contexts[q, p], grade(rate), rate)
+                       for (q, p), rate in rates.items()])
+
+
+def diverging_adam_step(how, after):
+    """``training.adam_step``, whose steps after a run's first ``after`` make
+    infinite parameters (``"parameters"``) or finite ones too large for finite logits."""
+    adam_step = training.adam_step
+
+    def step(params, grads, state, config):
+        if state.t >= after:
+            if how == "parameters":
+                grads = np.full_like(grads, np.inf)
+            else:
+                return params._replace_flat(np.full_like(params.flat, 1e308)), state
+        return adam_step(params, grads, state, config)
+
+    return step
+
+
+@contextmanager
+def diverging(divergence):
+    """Training whose runs diverge as a drawn ``(how, after)`` says, or do not for ``None``."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        if divergence:
+            mp.setattr(training, "adam_step", diverging_adam_step(*divergence))
+        yield
+
+
+def search_outcome(search, log, dev, p0, config, probe_epochs):
+    """A search's λ*, parameter bits and sweep, or the type and message of its error."""
+    try:
+        lam_star, params, sweep = search(log, dev, p0, config, probe_epochs)
+    except policy.NonFiniteError as exc:
+        return type(exc), str(exc)
+    return lam_star, params.kind, params.flat.tobytes(), sweep
+
+
+class TestOneRunPerLambda:
+    """Each probed lambda trains once, and the search gives what it gave when
+    its probes and full runs trained apart."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(searches())
+    def test_equals_the_search_by_probes(self, search):
+        log, dev, p0, config, probe_epochs, divergence = search
+        with diverging(divergence):
+            expected = search_outcome(lambda_search_by_probes, log, dev, p0, config, probe_epochs)
+            assert search_outcome(lambda_search, log, dev, p0, config, probe_epochs) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(searches())
+    def test_each_length_equals_its_own_train_crm(self, search):
+        log, dev, p0, config, probe_epochs, divergence = search
+        ends = (probe_epochs, config.epochs)
+        with diverging(divergence):
+            results = training._crm_runs(log, dev, p0, config, ends)
+            for epochs, result in zip(ends, results):
+                try:
+                    assert result == train_crm(log, dev, p0, replace(config, epochs=epochs))
+                except policy.NonFiniteError as exc:
+                    assert (type(result), str(result)) == (type(exc), str(exc))
+
+    def test_a_full_run_diverging_after_its_probe_with_no_checkpoint_raises(self, monkeypatch):
+        # 2 steps per epoch: the probe ends after step 2, and the full run
+        # diverges at step 4 with no checkpoint before its end
+        monkeypatch.setattr(training, "adam_step", diverging_adam_step("parameters", 3))
+        log, p0 = random_log(32, 3, seed=53), init_params("linear", 3, seed=54)
+        config = cfg(batch_size=16, epochs=3, eval_every=10**9)
+        with np.errstate(invalid="ignore"):  # Adam's inf / inf
+            expected = search_outcome(lambda_search_by_probes, log, log_dev(log), p0, config, 1)
+            assert expected == (policy.NonFiniteError, "policy parameters must be finite")
+            assert search_outcome(lambda_search, log, log_dev(log), p0, config, 1) == expected
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
+    def test_one_run_of_the_longer_length_per_probed_lambda(self, monkeypatch, kind,
+                                                            probe_epochs, epochs):
+        steps = []
+        adam_step = training.adam_step
+
+        def counted(params, grads, state, config):
+            steps.append(state.t)
+            return adam_step(params, grads, state, config)
+
+        monkeypatch.setattr(training, "adam_step", counted)
+        log = random_log(50, 3, seed=51)
+        config = cfg(batch_size=16, epochs=epochs, eval_every=40, learning_rate=0.5,
+                     max_probes=4)
+        lam_star, params, sweep = lambda_search(
+            log, toy_dev(3), init_params(kind, 3, hidden=3, seed=52), config, probe_epochs)
+        assert len(sweep) > 1
+        assert len(steps) == len(sweep) * max(probe_epochs, epochs) * 4  # 4 batches of 50
+        assert all(p.stopped is None for p in sweep)
 
 
 class TestTrainFullInfo:
