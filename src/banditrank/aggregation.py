@@ -107,7 +107,7 @@ def build_supervised(
     never positively labeled (and that survived the visibility filter).
     Deterministic for a fixed seed; queries are processed in sorted order.
     """
-    if negative_ratio <= 0:
+    if not negative_ratio > 0:  # NaN too
         raise ValueError(f"negative_ratio must be positive, got {negative_ratio}")
     rng = np.random.default_rng(seed)
     pairs: list[tuple[str, str]] = []

@@ -630,7 +630,7 @@ def split_queries(
     ids = sorted(set(query_ids))
     if not ids:
         raise ValueError("query set must be non-empty")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise ValueError(f"ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")

@@ -61,6 +61,15 @@ def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:
     return logged_probabilities(log, params) / log.propensities
 
 
+def _some_weight(w: np.ndarray) -> np.ndarray:
+    """``w``, if any weight is positive: with every weight 0, S is 0 and both the
+    ESS and the SNIPS ratio would be 0 / 0."""
+    if not np.any(w):
+        raise ValueError("every importance weight is 0: the policy gives no logged action "
+                         "a positive probability")
+    return w
+
+
 def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
     return EstimatorReport(
         estimate=float(estimate),
@@ -73,13 +82,13 @@ def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
 
 def snips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     """Self-normalized estimate: sum(delta * w) / sum(w). Bounded by [0, 1]."""
-    w = importance_weights(log, params)
+    w = _some_weight(importance_weights(log, params))
     return _report(np.sum(log.deltas * w) / np.sum(w), w)
 
 
 def ips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     """Inverse-propensity estimate: mean(delta * w). Unbiased but unbounded."""
-    w = importance_weights(log, params)
+    w = _some_weight(importance_weights(log, params))
     return _report(np.mean(log.deltas * w), w)
 
 
@@ -103,9 +112,9 @@ def empirical_average(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     """
     mean_delta, group_size = group_mean_losses(log)
     p_a = logged_probabilities(log, params)
+    w = _some_weight(p_a / log.propensities)
     # each group contributes delta_bar * pi once: divide by its size
-    estimate = np.sum(mean_delta * p_a / group_size)
-    return _report(estimate, p_a / log.propensities)
+    return _report(np.sum(mean_delta * p_a / group_size), w)
 
 
 def snips_denominator(log: BanditLog, params: PolicyParams) -> float:

@@ -39,7 +39,7 @@ class SimConfig:
             raise ValueError(f"dimensions must be positive: {self}")
         if not 0.0 <= self.deep_browse_prob <= 1.0:
             raise ValueError(f"deep_browse_prob must lie in [0, 1]: {self}")
-        if self.noise_scale < 0 or self.temperature <= 0:
+        if not (self.noise_scale >= 0 and self.temperature > 0):  # NaN too
             raise ValueError(f"bad noise/temperature: {self}")
 
 

@@ -6,14 +6,17 @@ or lambda picked by the mean-weight-guided search), the empirical-average
 surrogate, and the full-information weighted cross-entropy baseline; they
 differ only in their gradient at the logits. Training checkpoints the model
 on a fixed cadence of records seen and returns the checkpoint with the best
-dev MAP. The lambda search trains each probed lambda once: its probe is the
-first ``probe_epochs`` epochs of that lambda's full run.
+dev MAP. Training is one open-ended loop, and a run of e epochs is what that
+loop gives after epoch e, so the lambda search reads each probed lambda's probe
+and full run from one training of the longer length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import cache, partial
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,7 +57,7 @@ class TrainConfig:
             raise ValueError(f"batch_size, epochs and eval_every must be >= 1: {self}")
         if self.max_probes < 1:
             raise ValueError(f"max_probes must be >= 1: {self}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ValueError(f"learning_rate must be positive: {self}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1]: {self}")
@@ -118,98 +121,74 @@ def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
     return index.report(logit_margin(params, rows.contexts))
 
 
-def _minibatch_train(
+def _epochs(
     log_len: int,
     grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
     full_pass: Callable[[PolicyParams], tuple[float, float]],
     dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
-) -> tuple[PolicyParams, TrainHistory]:
-    """One run of ``config.epochs`` epochs of the shared epoch/batch/checkpoint
-    loop over record indices.
+) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
+    """The shared epoch/batch/checkpoint loop over record indices, for as many
+    epochs as the caller reads.
 
-    ``full_pass`` returns (S, objective) from one pass over the training set.
-    The run stops at the first step whose logits or updated parameters are not
-    finite; the history records why, and the best checkpoint before it is
-    returned. With no checkpoint yet, the error is raised.
-    """
-    (result,) = _minibatch_runs(log_len, grad_fn, full_pass, dev, params0, config,
-                                (config.epochs,))
-    return _returned(result)
-
-
-def _minibatch_runs(
-    log_len: int,
-    grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
-    full_pass: Callable[[PolicyParams], tuple[float, float]],
-    dev: SupervisedSet,
-    params0: PolicyParams,
-    config: TrainConfig,
-    epoch_ends: tuple[int, ...],
-) -> list[tuple[PolicyParams, TrainHistory] | NonFiniteError]:
-    """What ``_minibatch_train`` gives for a run of e epochs, for each e in
-    ``epoch_ends``, all from one run of the longest.
-
-    A run of e epochs is this run's first e epochs: its checkpoints up to
-    the end of epoch e, plus the end-of-run checkpoint it takes there when
-    its last checkpoint is earlier. That one stays out of the longer runs
-    and does not move their checkpoint cadence. Each result is (params,
-    history), or the ``NonFiniteError`` that the run raises.
+    After epoch e it yields a memoised function that returns what a run of e
+    epochs returns: the checkpoints so far, plus the end-of-run checkpoint such
+    a run takes when its last checkpoint is earlier, made at the first call and
+    kept out of the longer runs. ``full_pass`` returns (S, objective) from one
+    pass over the training set. Training stops at the first step whose logits
+    or updated parameters are not finite; that epoch and every later one yield
+    the stopped run, whose history records why, or which raises the error when
+    it has no checkpoint.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
     dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
     rng = np.random.default_rng(config.seed)
-    params = params0
-    state = AdamState.zeros_like(params0)
+    params, state = params0, AdamState.zeros_like(params0)
     checkpoints: list[Checkpoint] = []
     records_seen = 0
     next_eval = config.eval_every
-    results: dict[int, tuple[PolicyParams, TrainHistory] | NonFiniteError] = {}
 
-    def checkpoint() -> Checkpoint:
+    def checkpoint(params: PolicyParams, records_seen: int) -> Checkpoint:
         dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
         S, objective = full_pass(params)
         return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, S=S,
                           objective=objective, params=params)
 
-    def result(kept: list[Checkpoint], exc: NonFiniteError | None = None):
+    def run(kept, params, records_seen, exc=None):
+        """What a run that ends after ``records_seen`` records returns."""
+        if exc is None and (not kept or kept[-1].records_seen < records_seen):
+            try:
+                kept = (*kept, checkpoint(params, records_seen))
+            except NonFiniteError as err:
+                exc = err
         if exc is not None and not kept:
-            return exc
+            raise exc
         stopped = None if exc is None else f"training stopped after {records_seen} records: {exc}"
-        history = TrainHistory(checkpoints=tuple(kept), stopped=stopped)
+        history = TrainHistory(checkpoints=kept, stopped=stopped)
         return history.best().params, history
 
     try:
-        for epoch in range(1, max(epoch_ends) + 1):
+        while True:
             order = rng.permutation(log_len)
             for start in range(0, log_len, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
                 params, state = adam_step(params, grad_fn(params, batch_idx), state, config)
                 records_seen += len(batch_idx)
                 if records_seen >= next_eval:
-                    checkpoints.append(checkpoint())
+                    checkpoints.append(checkpoint(params, records_seen))
                     next_eval = records_seen + config.eval_every
-            if epoch in epoch_ends:
-                kept = checkpoints.copy()
-                try:
-                    if not kept or kept[-1].records_seen < records_seen:
-                        kept.append(checkpoint())
-                    results[epoch] = result(kept)
-                except NonFiniteError as exc:
-                    results[epoch] = result(kept, exc)
+            yield cache(partial(run, tuple(checkpoints), params, records_seen))
     except NonFiniteError as exc:
-        for epochs in epoch_ends:
-            results.setdefault(epochs, result(checkpoints, exc))
-    return [results[epochs] for epochs in epoch_ends]
+        stopped = cache(partial(run, tuple(checkpoints), params, records_seen, exc))
+        while True:
+            yield stopped
 
 
-def _returned(result: tuple[PolicyParams, TrainHistory] | NonFiniteError):
-    """A run's (params, history), or the error it raised, raised again."""
-    if isinstance(result, NonFiniteError):
-        raise result
-    return result
+def _run_of(epochs: int, runs: Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]):
+    """What a run of ``epochs`` epochs returns, read from an ``_epochs`` loop."""
+    return next(islice(runs, epochs - 1, None))()
 
 
 def train_crm(
@@ -219,19 +198,16 @@ def train_crm(
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
     """Minimize the Lagrangian surrogate at the configured fixed lambda."""
-    (result,) = _crm_runs(train_log, dev, params0, config, (config.epochs,))
-    return _returned(result)
+    return _run_of(config.epochs, _crm_epochs(train_log, dev, params0, config))
 
 
-def _crm_runs(
+def _crm_epochs(
     train_log: BanditLog,
     dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
-    epoch_ends: tuple[int, ...],
-) -> list[tuple[PolicyParams, TrainHistory] | NonFiniteError]:
-    """``train_crm``'s result for a run of e epochs, for each e in ``epoch_ends``,
-    all from one run of the longest (see ``_minibatch_runs``)."""
+) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
+    """``train_crm``'s ``_epochs`` loop."""
     lam = config.lam
     table, rows = train_log.context_table, train_log.context_rows
 
@@ -248,7 +224,7 @@ def _crm_runs(
     def full_pass(params):
         return mean_weight_and_lagrangian(train_log, params, lam)
 
-    return _minibatch_runs(len(train_log), grad_fn, full_pass, dev, params0, config, epoch_ends)
+    return _epochs(len(train_log), grad_fn, full_pass, dev, params0, config)
 
 
 def train_ea(
@@ -272,7 +248,7 @@ def train_ea(
         p_a = logged_probabilities(train_log, params)
         return float(np.mean(p_a / train_log.propensities)), float(np.sum(coeffs * p_a))
 
-    return _minibatch_train(len(train_log), grad_fn, full_pass, dev, params0, config)
+    return _run_of(config.epochs, _epochs(len(train_log), grad_fn, full_pass, dev, params0, config))
 
 
 def train_full_info(
@@ -304,7 +280,7 @@ def train_full_info(
         p_y = np.clip(P[np.arange(len(train)), y], 1e-300, None)
         return float("nan"), float(np.mean(-weights * np.log(p_y)))
 
-    return _minibatch_train(len(train), grad_fn, full_pass, dev, params0, config)
+    return _run_of(config.epochs, _epochs(len(train), grad_fn, full_pass, dev, params0, config))
 
 
 def write_history(history: TrainHistory, sink) -> int:
@@ -344,19 +320,15 @@ def lambda_search(
 ) -> tuple[float, PolicyParams, list[LambdaProbe]]:
     """Mean-weight-guided search for lambda.
 
-    Starting from a seeded random lambda in [0, 1], train ``probe_epochs``
-    from scratch, measure the mean importance weight S on the training log,
-    and step lambda down 10% when S > 1, up 10% otherwise, until S lands in
-    [0.95, 1.05], ``config.max_probes`` probes are spent, or the next lambda
-    was probed already (at the cap of 1). Every probed
-    lambda also gets a full training run; the one whose best checkpoint has
-    the best dev MAP wins.
-
-    Each probed lambda is trained once, for the longer of ``probe_epochs``
-    and ``config.epochs``: its probe is the first ``probe_epochs`` epochs of
-    that run and its full run the first ``config.epochs``, each with the
-    end-of-run checkpoint a run of that length takes. The results are those
-    of training the probe and the full run apart.
+    Starting from a seeded random lambda in [0, 1], train it and read its
+    probe, a run of ``probe_epochs`` epochs: the mean importance weight S of
+    the probe's best checkpoint steps lambda down 10% when S > 1, up 10%
+    otherwise, until S lands in [0.95, 1.05], ``config.max_probes`` probes are
+    spent, or the next lambda was probed already (at the cap of 1). Each probed
+    lambda's full run, of ``config.epochs`` epochs, comes from the same
+    training as its probe, which lasts the longer of the two lengths; the
+    lambda whose full run's best checkpoint has the best dev MAP wins. The
+    results are those of a ``train_crm`` run of each length apart.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
@@ -366,10 +338,10 @@ def lambda_search(
     full_runs = []
     for _ in range(config.max_probes):
         probed.append(lam)
-        probe, full = _crm_runs(train_log, dev, params0, replace(config, lam=lam),
-                                (probe_epochs, config.epochs))
-        full_runs.append(full)
-        S = _returned(probe)[1].best().S
+        run_after = list(islice(_crm_epochs(train_log, dev, params0, replace(config, lam=lam)),
+                                max(probe_epochs, config.epochs)))
+        full_runs.append(run_after[config.epochs - 1])
+        S = run_after[probe_epochs - 1]()[1].best().S
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
@@ -378,7 +350,7 @@ def lambda_search(
 
     # each full run's best checkpoint holds its returned params; the first
     # probed lambda wins a tie, as the earliest checkpoint does within a run
-    runs = [(lam_j, _returned(full)[1]) for lam_j, full in zip(probed, full_runs)]
+    runs = [(lam_j, full()[1]) for lam_j, full in zip(probed, full_runs)]
     lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
     sweep = [LambdaProbe(lam=lam_j, S=history.best().S, metrics=history.best().dev_metrics,
                          stopped=history.stopped) for lam_j, history in runs]

@@ -124,6 +124,12 @@ class TestBuildSupervised:
         assert len(positives) == 2
         assert len(negatives) == 4
 
+    @pytest.mark.parametrize("negative_ratio", [0.0, -1.0, float("nan")])
+    def test_negative_ratio_must_be_positive(self, negative_ratio):
+        table = toy_table()
+        with pytest.raises(ValueError, match="negative_ratio must be positive"):
+            build_supervised(table, {"q": {"p02"}}, self.contexts(table), negative_ratio)
+
     def test_no_candidates_warns(self, caplog):
         table = toy_table()
         shown = {"q": {"p00", "p01"}}  # only the positives were shown

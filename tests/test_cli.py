@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -173,6 +174,11 @@ def inputs(tmp_path_factory):
     write_json(root / "no_probes.json", {"max_probes": 0})
     write_json(root / "ratios_str.json", {"split_ratios": "0.5"})
     write_json(root / "two_ratios.json", {"split_ratios": [0.5, 0.5]})
+    # json reads NaN, so a config file can hold it
+    write_json(root / "nan_ratio.json", {"split_ratios": [math.nan, 0.2, 0.2], "n_queries": 5,
+                                         "n_interactions": 50})
+    write_json(root / "nan_temperature.json", {"temperature": math.nan})
+    write_json(root / "nan_learning_rate.json", {"learning_rate": math.nan})
     write_json(root / "hidden_float.json", {"policy": "mlp", "hidden": 2.7})
     write_json(root / "epochs_bool.json", {"epochs": True})
     write_json(root / "ks_strings.json", {"ks": ["5"]})
@@ -200,7 +206,8 @@ def inputs(tmp_path_factory):
         "one_field": root / "one_field.tsv", "short_row": root / "short_row.tsv",
         "bad_line": root / "bad_line.jsonl",
         **{name: root / f"{name}.json" for name in (
-            "ratios_str", "two_ratios", "hidden_float", "epochs_bool", "ks_strings", "log_number",
+            "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "nan_learning_rate",
+            "hidden_float", "epochs_bool", "ks_strings", "log_number",
             "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
             "model_string", "model_long", "model_short", "model_no_hidden")},
     }
@@ -259,6 +266,12 @@ ERRORS = [
      "split_ratios: expected list of float, got '0.5'"),
     ("two split ratios", ["simulate", "--config", "{two_ratios}"], 1,
      "ratios must be three positive numbers"),
+    ("NaN train split ratio", ["simulate", "--config", "{nan_ratio}"], 1,
+     "ratios must be three positive numbers"),
+    ("NaN temperature", ["simulate", "--config", "{nan_temperature}"], 1,
+     "bad noise/temperature"),
+    ("NaN learning rate", ["train-crm", "--config", "{nan_learning_rate}", "--log", "{log}",
+                           "--dev", "{dev}"], 1, "learning_rate must be positive"),
     ("float for an int", ["train-crm", "--config", "{hidden_float}", "--log", "{log}", "--dev",
                           "{dev}"], 1, "hidden: expected int, got 2.7"),
     ("bool for an int", ["train-crm", "--config", "{epochs_bool}", "--log", "{log}", "--dev",

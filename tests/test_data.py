@@ -829,6 +829,12 @@ class TestSplitQueries:
         with pytest.raises(ValueError):
             split_queries({"a", "b", "c"}, (0.5, 0.2, 0.2), 0)
 
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.2, 0.2), (0.6, math.nan, 0.2),
+                                        (0.6, 0.2, math.nan), (0.0, 0.5, 0.5), (1.2, -0.1, -0.1)])
+    def test_a_ratio_that_is_not_positive_is_rejected(self, ratios):
+        with pytest.raises(ValueError, match="ratios must be three positive numbers"):
+            split_queries({"a", "b", "c"}, ratios, 0)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 200), st.integers(0, 2**32 - 1))
     def test_disjoint_cover_property(self, n, seed):

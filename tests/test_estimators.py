@@ -274,6 +274,15 @@ class TestInvariants:
         assert rep.mean_importance_weight > 0
         assert 0 < rep.effective_sample_size <= rep.n
 
+    @pytest.mark.parametrize("estimator", [snips, ips, empirical_average])
+    def test_a_policy_that_gives_no_logged_action_a_probability_is_rejected(self, estimator):
+        # the logged action 1 has logit -2000: its probability is 0, and so is S
+        log = BanditLog(["q"], ["p"], np.array([[1.0]]), [1], [0.5], [1])
+        params = PolicyParams("linear", [np.array([[0.0], [-2000.0]]), np.zeros(2)])
+        assert snips_denominator(log, params) == 0.0
+        with pytest.raises(ValueError, match="every importance weight is 0"):
+            estimator(log, params)
+
     def test_empty_log_errors(self):
         empty = BanditLog([], [], np.zeros((0, 0)), [], [], [])
         with pytest.raises(ValueError):

@@ -97,26 +97,42 @@ UNCALLED_BY_DESIGN = {
 }
 
 
-def uncalled_public_names(trees: list[ast.Module]) -> set[str]:
-    """Public functions, classes and methods defined in ``trees`` whose name no
-    expression in ``trees`` reads, as a variable or as an attribute."""
-    defined = {
+def definitions(trees: list[ast.Module]) -> set[str]:
+    """The names of the functions, classes and methods defined in ``trees``."""
+    return {
         node.name
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
     }
+
+
+def uncalled(trees: list[ast.Module]) -> set[str]:
+    """The functions, classes and methods defined in ``trees`` whose name no
+    expression in ``trees`` reads, as a variable or as an attribute."""
     named = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    return defined - named
+    return definitions(trees) - named
+
+
+def source_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("src/**/*.py")]
 
 
 def test_public_names_have_callers():
     """No public helper in ``src/`` without a caller in ``src/``, but the listed ones."""
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("src/**/*.py")]
-    assert uncalled_public_names(trees) == set(UNCALLED_BY_DESIGN)
+    public = {name for name in uncalled(source_trees()) if not name.startswith("_")}
+    assert public == set(UNCALLED_BY_DESIGN)
+
+
+def test_private_names_have_callers():
+    """No private helper in ``src/`` without a caller in ``src/``: one left
+    behind when its callers went is dead code."""
+    trees = source_trees()
+    private = {name for name in definitions(trees) if name.startswith("_")
+               and not name.startswith("__")}
+    assert private and private & uncalled(trees) == set()

@@ -23,6 +23,14 @@ def small_config(**overrides):
     return SimConfig(**base)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("bad", [dict(noise_scale=-0.1), dict(noise_scale=float("nan")),
+                                     dict(temperature=0.0), dict(temperature=float("nan"))])
+    def test_bad_noise_or_temperature_rejected(self, bad):
+        with pytest.raises(ValueError, match="bad noise/temperature"):
+            small_config(**bad)
+
+
 class TestGenerateWorld:
     def test_counts(self):
         w = generate_world(SimConfig(100, 100, 10), seed=0)

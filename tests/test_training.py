@@ -1,6 +1,7 @@
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -302,6 +303,11 @@ class TestLambdaSearch:
         assert chosen.S == snips_denominator(log, params)
         assert chosen.metrics == evaluate_policy(params, dev)
 
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan")])
+    def test_learning_rate_validated(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            cfg(learning_rate=learning_rate)
+
     def test_max_probes_validated(self):
         with pytest.raises(ValueError, match="max_probes must be >= 1"):
             cfg(max_probes=0)
@@ -331,23 +337,30 @@ class TestLambdaStoppingRule:
         metrics = MetricsReport(map=0.5, mrr=0.5, p_at={5: 0.5, 10: 0.5},
                                 ndcg_at={5: 0.5, 10: 0.5}, avg_rank=1.0, avg_dcg=1.0,
                                 n_queries=1)
-        calls = []
+        runs, calls = [], []
 
-        def fixed_s_crm_runs(train_log, dev, params0, config, epoch_ends):
-            calls.append((config.lam, epoch_ends))
+        def fixed_s_crm_epochs(train_log, dev, params0, config):
+            run = len(runs)
+            runs.append(config.lam)
             checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics, S=S,
                                     objective=0.0, params=params0)
-            return [(params0, TrainHistory(checkpoints=(checkpoint,)))] * len(epoch_ends)
+            for epoch in count(1):
+                def result(epoch=epoch):
+                    calls.append((run, config.lam, epoch))
+                    return params0, TrainHistory(checkpoints=(checkpoint,))
+                yield result
 
-        # each probed lambda trains once: its probe of 2 epochs and its full run of 5
-        monkeypatch.setattr(training, "_crm_runs", fixed_s_crm_runs)
+        # each probed lambda trains once: its probe reads epoch 2 of that
+        # training and its full run epoch 5
+        monkeypatch.setattr(training, "_crm_epochs", fixed_s_crm_epochs)
         lam_star, _, sweep = lambda_search(
             random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
             cfg(epochs=5, max_probes=max_probes), probe_epochs=2,
         )
-        probes = [lam for lam, epoch_ends in calls if 2 in epoch_ends]
-        full_runs = [lam for lam, epoch_ends in calls if 5 in epoch_ends]
-        assert all(epoch_ends == (2, 5) for _, epoch_ends in calls)
+        probes = [lam for _, lam, epoch in calls if epoch == 2]
+        full_runs = [lam for _, lam, epoch in calls if epoch == 5]
+        assert calls == [*((run, lam, 2) for run, lam in enumerate(runs)),
+                         *((run, lam, 5) for run, lam in enumerate(runs))]
         assert [p.lam for p in sweep] == full_runs and lam_star == full_runs[0]
         return probes, full_runs
 
@@ -434,6 +447,14 @@ def diverging(divergence):
         yield
 
 
+def returned(run):
+    """What ``run()`` returns, or the type and message of the ``NonFiniteError`` it raises."""
+    try:
+        return run()
+    except policy.NonFiniteError as exc:
+        return type(exc), str(exc)
+
+
 def search_outcome(search, log, dev, p0, config, probe_epochs):
     """A search's λ*, parameter bits and sweep, or the type and message of its error."""
     try:
@@ -461,12 +482,10 @@ class TestOneRunPerLambda:
         log, dev, p0, config, probe_epochs, divergence = search
         ends = (probe_epochs, config.epochs)
         with diverging(divergence):
-            results = training._crm_runs(log, dev, p0, config, ends)
-            for epochs, result in zip(ends, results):
-                try:
-                    assert result == train_crm(log, dev, p0, replace(config, epochs=epochs))
-                except policy.NonFiniteError as exc:
-                    assert (type(result), str(result)) == (type(exc), str(exc))
+            run_after = list(islice(training._crm_epochs(log, dev, p0, config), max(ends)))
+            for epochs in ends:
+                assert returned(run_after[epochs - 1]) == returned(
+                    lambda: train_crm(log, dev, p0, replace(config, epochs=epochs)))
 
     def test_a_full_run_diverging_after_its_probe_with_no_checkpoint_raises(self, monkeypatch):
         # 2 steps per epoch: the probe ends after step 2, and the full run
@@ -479,26 +498,48 @@ class TestOneRunPerLambda:
             assert expected == (policy.NonFiniteError, "policy parameters must be finite")
             assert search_outcome(lambda_search, log, log_dev(log), p0, config, 1) == expected
 
-    @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
-    def test_one_run_of_the_longer_length_per_probed_lambda(self, monkeypatch, kind,
-                                                            probe_epochs, epochs):
-        steps = []
-        adam_step = training.adam_step
+    def counted_search(self, monkeypatch, kind, probe_epochs, epochs, eval_every):
+        """The sweep of a search on a log of 4 batches, the steps of its Adam
+        updates and the lambdas of its full-log passes."""
+        steps, full_passes = [], []
+        adam_step, full_pass = training.adam_step, training.mean_weight_and_lagrangian
 
-        def counted(params, grads, state, config):
+        def counted_step(params, grads, state, config):
             steps.append(state.t)
             return adam_step(params, grads, state, config)
 
-        monkeypatch.setattr(training, "adam_step", counted)
+        def counted_pass(log, params, lam):
+            full_passes.append(lam)
+            return full_pass(log, params, lam)
+
+        monkeypatch.setattr(training, "adam_step", counted_step)
+        monkeypatch.setattr(training, "mean_weight_and_lagrangian", counted_pass)
         log = random_log(50, 3, seed=51)
-        config = cfg(batch_size=16, epochs=epochs, eval_every=40, learning_rate=0.5,
+        config = cfg(batch_size=16, epochs=epochs, eval_every=eval_every, learning_rate=0.5,
                      max_probes=4)
-        lam_star, params, sweep = lambda_search(
+        _, _, sweep = lambda_search(
             log, toy_dev(3), init_params(kind, 3, hidden=3, seed=52), config, probe_epochs)
         assert len(sweep) > 1
         assert len(steps) == len(sweep) * max(probe_epochs, epochs) * 4  # 4 batches of 50
         assert all(p.stopped is None for p in sweep)
+        return sweep, full_passes
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
+    def test_one_run_of_the_longer_length_per_probed_lambda(self, monkeypatch, kind,
+                                                            probe_epochs, epochs):
+        sweep, full_passes = self.counted_search(monkeypatch, kind, probe_epochs, epochs, 40)
+        # a checkpoint every 40 records falls once in each epoch (at 48, 98, ...),
+        # never at its end: each length adds its end-of-run checkpoint, made once
+        assert len(full_passes) == len(sweep) * (max(probe_epochs, epochs)
+                                                 + len({probe_epochs, epochs}))
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
+    def test_one_full_pass_per_length_with_only_end_of_run_checkpoints(
+            self, monkeypatch, kind, probe_epochs, epochs):
+        sweep, full_passes = self.counted_search(monkeypatch, kind, probe_epochs, epochs, 10**9)
+        assert len(full_passes) == len(sweep) * len({probe_epochs, epochs})
 
 
 class TestTrainFullInfo:
@@ -617,9 +658,9 @@ class TestDivergence:
         log = random_log(80, 3, seed=31)
         config = cfg(eval_every=40)  # batches of 16: the first checkpoint is at 48 records
         grad_fn = self.gradients(log, 3, how)
-        params, history = training._minibatch_train(
+        params, history = training._run_of(config.epochs, training._epochs(
             len(log), grad_fn, lambda p: (1.0, 0.0), toy_dev(3), init_params("linear", 3, seed=32),
-            config)
+            config))
         assert [cp.records_seen for cp in history.checkpoints] == [48]
         assert params == history.checkpoints[0].params
         assert history.stopped == f"training stopped after 48 records: {reason}"
@@ -627,11 +668,11 @@ class TestDivergence:
     @pytest.mark.parametrize("how, error", [("parameters", ValueError),
                                             ("logits", FloatingPointError)])
     def test_raises_with_no_checkpoint(self, how, error):
-        log = random_log(80, 3, seed=31)
+        log, config = random_log(80, 3, seed=31), cfg(eval_every=40)
         with pytest.raises(error):
-            training._minibatch_train(len(log), self.gradients(log, 0, how), lambda p: (1.0, 0.0),
-                                      toy_dev(3), init_params("linear", 3, seed=32),
-                                      cfg(eval_every=40))
+            training._run_of(config.epochs, training._epochs(
+                len(log), self.gradients(log, 0, how), lambda p: (1.0, 0.0), toy_dev(3),
+                init_params("linear", 3, seed=32), config))
 
     def test_a_finished_run_has_no_reason(self):
         _, history = train_crm(random_log(40, 3, seed=33), toy_dev(3),
