@@ -107,8 +107,8 @@ def build_supervised(
     never positively labeled (and that survived the visibility filter).
     Deterministic for a fixed seed; queries are processed in sorted order.
     """
-    if not negative_ratio > 0:  # NaN too
-        raise ValueError(f"negative_ratio must be positive, got {negative_ratio}")
+    if not 0 < negative_ratio < math.inf:  # NaN too
+        raise ValueError(f"negative_ratio must be positive and finite, got {negative_ratio}")
     rng = np.random.default_rng(seed)
     pairs: list[tuple[str, str]] = []
     for q, products in table.by_query().items():
@@ -135,9 +135,8 @@ def build_supervised(
 
 def _supervised_set(table: RelevanceTable, pairs: list[tuple[str, str]], contexts) -> SupervisedSet:
     """The table's ``pairs``, in order, with their ``contexts``."""
-    entries = [table[pair] for pair in pairs]
     return SupervisedSet([q for q, _ in pairs], [p for _, p in pairs], contexts,
-                         [e.label for e in entries], [e.nrr for e in entries])
+                         [table[pair].nrr for pair in pairs])
 
 
 def export_relevance_table(table: RelevanceTable, sink: IO | str) -> int:

@@ -9,7 +9,8 @@ table ``context_table`` (k, d) and each record's row index ``context_rows``
 and the writer, the estimators and the trainers all work on the table. Both
 constructors make one shared check of their rows, which names the first bad
 one; the readers report it by line. ``grade`` is the one graded-label rule,
-ceil(4 * nrr).
+ceil(4 * nrr): a ``SupervisedSet`` derives its labels from its nrr, and the
+supervised reader checks a file's label column against them.
 
 Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 ``json.dumps`` with its default separators of a dict with keys ``query_id``,
@@ -149,12 +150,10 @@ class _RowSet:
     offending row across every column.
     """
 
-    def _store(self, query_ids, product_ids, columns, row_rule=lambda end: [], rows=None
-               ) -> list[np.ndarray]:
+    def _store(self, query_ids, product_ids, columns, rows=None) -> list[np.ndarray]:
         """Check ``columns`` against ``_COLUMNS``, keep the ids and return read-only
-        columns. ``row_rule(end)`` lists the failure, if any, of a rule across columns
-        before ``end``, the first row a column rejects. With ``rows``, each row's
-        checked index into them, the contexts are a table."""
+        columns. With ``rows``, each row's checked index into them, the contexts
+        are a table."""
         n = len(query_ids)
         names = ["product_ids", *(spec[0] for spec in self._COLUMNS)]
         sized = [product_ids, *columns]
@@ -172,7 +171,6 @@ class _RowSet:
             except TypeError:
                 row = next(row for row, x in enumerate(ids) if not isinstance(x, str))
                 failures.append(LogValidationError(f"{name} must be a string, got {ids[row]!r}", row))
-        failures += row_rule(min((exc.row for exc in failures), default=n))
         if failures:
             raise min(failures, key=lambda exc: exc.row)
         self.query_ids = list(query_ids)
@@ -291,43 +289,24 @@ class SupervisedRow(NamedTuple):
 
 
 class SupervisedSet(_RowSet):
-    """Query-product pairs with a 5-point graded label and its normalized rate,
-    stored column-wise like ``BanditLog``.
+    """Query-product pairs with a normalized relevance rate and its 5-point
+    graded label, stored column-wise like ``BanditLog``.
 
     Columns: ``query_ids``, ``product_ids``, read-only arrays ``contexts``
-    (n, d), ``labels`` and ``nrr``. The constructor is the one check of the
-    row invariants (finite contexts of one width, nrr in [0, 1], label =
-    ``grade(nrr)``); a failure names the first offending row.
+    (n, d), ``nrr`` and ``labels``. The constructor is the one check of the
+    row invariants (finite contexts of one width, nrr in [0, 1]); a failure
+    names the first offending row. Each label is derived, ``grade(nrr)``.
     """
 
     _COLUMNS = (
         _CONTEXTS,
-        ("labels", 0, lambda x: np.isfinite(x) & (x == np.trunc(x)), np.int64,
-         "label", "must be an integer"),
         ("nrr", 0, lambda x: (x >= 0.0) & (x <= 1.0), np.float64, "nrr", "must lie in [0, 1]"),
     )
 
-    def __init__(
-        self,
-        query_ids: Sequence[str],
-        product_ids: Sequence[str],
-        contexts: np.ndarray,
-        labels: Sequence[int],
-        nrr: Sequence[float],
-    ):
-        def label_rule(end: int) -> list[LogValidationError]:
-            # Every column holds real numbers before ``end``: check the label rule there.
-            given = np.asarray(labels[:end]).tolist()
-            rates = np.asarray(nrr[:end], dtype=np.float64).tolist()
-            expected = list(map(grade, rates))
-            if given == expected:
-                return []
-            row = next(i for i, (a, b) in enumerate(zip(given, expected)) if a != b)
-            return [LogValidationError(f"label {given[row]} inconsistent with nrr {rates[row]} "
-                                       f"(expected {expected[row]})", row)]
-
-        self.contexts, self.labels, self.nrr = self._store(
-            query_ids, product_ids, (contexts, labels, nrr), label_rule)
+    def __init__(self, query_ids: Sequence[str], product_ids: Sequence[str],
+                 contexts: np.ndarray, nrr: Sequence[float]):
+        self.contexts, self.nrr = self._store(query_ids, product_ids, (contexts, nrr))
+        self.labels = _read_only(np.fromiter(map(grade, self.nrr.tolist()), np.int64, len(self)))
 
     def __iter__(self) -> Iterator[SupervisedRow]:
         return map(SupervisedRow, self.query_ids, self.product_ids,
@@ -588,7 +567,8 @@ def write_supervised(rows: SupervisedSet, sink: IO | str) -> int:
 
 def read_supervised(source: IO | str) -> SupervisedSet:
     """Read the TSV format of ``write_supervised`` straight into columns; a row
-    that ``SupervisedSet`` rejects is reported by its line number."""
+    that ``SupervisedSet`` rejects, or whose label is not the set's, is reported
+    by its line number, the first such row by either rule."""
     query_ids, product_ids, labels, line_nos = [], [], [], []
     # Each row's nrr and features go to one flat buffer, (n, 1 + d) once reshaped.
     flat = array("d")
@@ -612,11 +592,20 @@ def read_supervised(source: IO | str) -> SupervisedSet:
             product_ids.append(cols[1])
             line_nos.append(line_no)
     values = np.frombuffer(flat).reshape(len(line_nos), len(header) - 3)
+    nrr, contexts = values[:, 0], np.ascontiguousarray(values[:, 1:])
     try:
-        return SupervisedSet(query_ids, product_ids, np.ascontiguousarray(values[:, 1:]),
-                             labels, values[:, 0])
+        rows, error = SupervisedSet(query_ids, product_ids, contexts, nrr), None
     except LogValidationError as exc:
-        raise LogParseError(exc.message, line_nos[exc.row]) from exc
+        rows, error = None, exc
+    # every row before a rejected one has a valid nrr, so its label is checked first
+    expected = list(map(grade, nrr[:error.row].tolist())) if error else rows.labels.tolist()
+    if labels[:len(expected)] != expected:
+        row = next(i for i, (a, b) in enumerate(zip(labels, expected)) if a != b)
+        raise LogParseError(f"label {labels[row]} inconsistent with nrr {float(nrr[row])} "
+                            f"(expected {expected[row]})", line_nos[row])
+    if error:
+        raise LogParseError(error.message, line_nos[error.row]) from error
+    return rows
 
 
 def split_queries(

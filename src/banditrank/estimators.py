@@ -71,12 +71,13 @@ def _some_weight(w: np.ndarray) -> np.ndarray:
 
 
 def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
+    scaled = w / np.max(w)  # so that no square of a weight below about 1e-154 underflows to 0
     return EstimatorReport(
         estimate=float(estimate),
         n=len(w),
         mean_importance_weight=float(np.mean(w)),
-        # (sum w)^2 / sum w^2 <= n, but with all weights equal it can round a few ulps above n
-        effective_sample_size=min(float(len(w)), float(np.sum(w) ** 2 / np.sum(w * w))),
+        # (sum w)^2 / sum w^2 <= n, but with nearly equal weights it can round a few ulps above n
+        effective_sample_size=min(float(len(w)), float(np.sum(scaled) ** 2 / np.sum(scaled**2))),
     )
 
 

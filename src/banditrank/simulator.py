@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from banditrank.data import NRR_DECIMALS, BanditLog, SupervisedSet, grade, open_text
+from banditrank.data import NRR_DECIMALS, BanditLog, SupervisedSet, open_text
 from banditrank.policy import PolicyParams, batch_probabilities
 
 
@@ -35,11 +35,15 @@ class SimConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.n_queries < 1 or self.products_per_query < 1 or self.feature_dim < 1:
+        dims = (self.n_queries, self.products_per_query, self.feature_dim)
+        if not all(isinstance(x, (int, np.integer)) and type(x) is not bool for x in dims):
+            raise ValueError(f"dimensions must be integers: {self}")
+        if min(dims) < 1:
             raise ValueError(f"dimensions must be positive: {self}")
         if not 0.0 <= self.deep_browse_prob <= 1.0:
             raise ValueError(f"deep_browse_prob must lie in [0, 1]: {self}")
-        if not (self.noise_scale >= 0 and self.temperature > 0):  # NaN too
+        # NaN fails too; an infinite temperature is the uniform logger's limit
+        if not (0 <= self.noise_scale < np.inf and self.temperature > 0):
             raise ValueError(f"bad noise/temperature: {self}")
 
 
@@ -143,7 +147,7 @@ def world_supervised(
     Only the ``top_fraction`` most relevant products of each query are
     relevant (mirroring sparse positive feedback): their nrr is relevance
     over the query's maximum, rounded to ``NRR_DECIMALS`` places, and every
-    other product has nrr 0. Each label is ``grade(nrr)``.
+    other product has nrr 0. ``SupervisedSet`` grades each nrr into its label.
     """
     ppq = world.config.products_per_query
     n_rel = max(1, int(round(top_fraction * ppq)))
@@ -156,13 +160,11 @@ def world_supervised(
         if query_ids is None or f"q{qi}" in query_ids
     ]
     rows = (np.array(queries, dtype=np.int64)[:, None] * ppq + np.arange(ppq)).ravel()
-    nrr = nrr.ravel()[rows]
     return SupervisedSet(
         [f"q{qi}" for qi in queries for _ in range(ppq)],
         [f"p{pi}" for pi in range(ppq)] * len(queries),
         world.contexts[rows],
-        list(map(grade, nrr.tolist())),
-        nrr,
+        nrr.ravel()[rows],
     )
 
 

@@ -53,12 +53,16 @@ class TrainConfig:
     max_probes: int = 10
 
     def __post_init__(self):
+        counts = (self.batch_size, self.epochs, self.eval_every, self.max_probes, self.seed)
+        if not all(isinstance(x, (int, np.integer)) and type(x) is not bool for x in counts):
+            raise ValueError(f"batch_size, epochs, eval_every, max_probes, seed must be integers: "
+                             f"{self}")
         if min(self.batch_size, self.epochs, self.eval_every) < 1:
             raise ValueError(f"batch_size, epochs and eval_every must be >= 1: {self}")
         if self.max_probes < 1:
             raise ValueError(f"max_probes must be >= 1: {self}")
-        if not self.learning_rate > 0:  # NaN too
-            raise ValueError(f"learning_rate must be positive: {self}")
+        if not 0 < self.learning_rate < np.inf:  # NaN too
+            raise ValueError(f"learning_rate must be positive and finite: {self}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1]: {self}")
 

@@ -31,8 +31,14 @@ def random_log(n, d, seed, n_queries=5, n_products=4):
 
 
 def supervised(rows):
-    """A ``SupervisedSet`` of (query_id, product_id, context, label, nrr) rows."""
-    return SupervisedSet(*zip(*rows)) if rows else SupervisedSet([], [], np.zeros((0, 0)), [], [])
+    """A ``SupervisedSet`` of (query_id, product_id, context, label, nrr) rows, built
+    from each row's nrr; each stated label must be the one the set derives."""
+    if not rows:
+        return SupervisedSet([], [], np.zeros((0, 0)), [])
+    query_ids, product_ids, contexts, labels, nrr = zip(*rows)
+    dataset = SupervisedSet(query_ids, product_ids, contexts, nrr)
+    assert dataset.labels.tolist() == list(labels)
+    return dataset
 
 
 def identity_policy(d=1):

@@ -124,7 +124,7 @@ class TestBuildSupervised:
         assert len(positives) == 2
         assert len(negatives) == 4
 
-    @pytest.mark.parametrize("negative_ratio", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("negative_ratio", [0.0, -1.0, float("nan"), float("inf")])
     def test_negative_ratio_must_be_positive(self, negative_ratio):
         table = toy_table()
         with pytest.raises(ValueError, match="negative_ratio must be positive"):

@@ -608,7 +608,7 @@ def supervised_sets(draw, lengths=st.integers(0, 8)):
         min_size=n, max_size=n,
     ))
     return SupervisedSet(draw(ids), draw(ids), np.array(contexts, dtype=np.float64).reshape(n, d),
-                         [grade(x) for x in nrr], nrr)
+                         nrr)
 
 
 class TestSupervisedFile:
@@ -635,8 +635,24 @@ class TestSupervisedFile:
             read_supervised(io.StringIO(src))
 
     def test_label_nrr_consistency_enforced(self):
-        with pytest.raises(LogValidationError):
-            SupervisedSet(["q"], ["p"], np.array([[1.0]]), [3], [0.5])
+        src = "query_id\tproduct_id\tlabel\tnrr\tf0\nq\tp\t3\t0.5\t1.0\n"
+        with pytest.raises(LogValidationError,
+                           match=r"^line 2: label 3 inconsistent with nrr 0.5 \(expected 2\)$"):
+            read_supervised(io.StringIO(src))
+
+    @pytest.mark.parametrize("first, second, line", [
+        ("q1\tp1\t3\t1.0\t0.0", "q2\tp2\t2\t1.5\t0.0", "line 2: label 3 inconsistent"),
+        ("q1\tp1\t3\t1.0\t0.0", "q2\tp2\t2\t0.5\tinf", "line 2: label 3 inconsistent"),
+        ("q1\tp1\t4\t1.5\t0.0", "q2\tp2\t3\t0.5\t0.0", "line 2: nrr must lie in"),
+        ("q1\tp1\t4\t1.0\tnan", "q2\tp2\t3\t0.5\t0.0", "line 2: context must be"),
+        ("q1\tp1\t3\t1.5\t0.0", "q2\tp2\t3\t0.5\t0.0", "line 2: nrr must lie in"),
+    ])
+    def test_first_bad_line_by_either_rule_is_reported(self, first, second, line):
+        # a label the set does not derive and a row the set rejects: the earlier line
+        # wins, and on one line the row's own error, as its label has no rate to check
+        src = f"query_id\tproduct_id\tlabel\tnrr\tf0\n{first}\n{second}\n"
+        with pytest.raises(LogParseError, match=f"^{line}"):
+            read_supervised(io.StringIO(src))
 
     @settings(max_examples=50, deadline=None)
     @given(supervised_sets())
@@ -665,20 +681,22 @@ class TestSupervisedSetColumns:
     @pytest.mark.parametrize(
         "column, values",
         [("contexts", [[1.0], [float("inf")]]), ("contexts", [[1.0], [1.0, 2.0]]),
-         ("nrr", [1.0, 1.5]), ("nrr", [1.0, None]),
-         ("labels", [4, 3]), ("labels", [4, "4"]), ("labels", [4, 3.5]),
-         ("labels", [4, float("inf")]), ("query_ids", ["q1", 7]), ("product_ids", ["p1", b"p2"])],
+         ("nrr", [1.0, 1.5]), ("nrr", [1.0, None]), ("nrr", [1.0, -0.25]),
+         ("nrr", [1.0, "1.0"]), ("nrr", [1.0, float("nan")]), ("nrr", [1.0, float("inf")]),
+         ("query_ids", ["q1", 7]), ("product_ids", ["p1", b"p2"])],
     )
     def test_bad_value_names_its_row(self, column, values):
         columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
-                   "contexts": np.zeros((2, 1)), "labels": [4, 4], "nrr": [1.0, 1.0]}
+                   "contexts": np.zeros((2, 1)), "nrr": [1.0, 1.0]}
         with pytest.raises(LogValidationError, match="row 1"):
             SupervisedSet(**{**columns, column: values})
 
     def test_first_bad_row_is_reported(self):
-        # row 0's label breaks the rule, row 1's nrr lies outside [0, 1]
-        with pytest.raises(LogValidationError, match="row 0"):
-            SupervisedSet(["q1", "q2"], ["p1", "p2"], np.zeros((2, 1)), [3, 4], [1.0, 1.5])
+        # line 2's label breaks the rule, line 3's nrr lies outside [0, 1]
+        src = ("query_id\tproduct_id\tlabel\tnrr\tf0\n"
+               "q1\tp1\t3\t1.0\t0.0\nq2\tp2\t4\t1.5\t0.0\n")
+        with pytest.raises(LogValidationError, match="line 2"):
+            read_supervised(io.StringIO(src))
 
     def test_columns_are_read_only(self):
         dataset = supervised([("q", "p", np.zeros(1), 4, 1.0)])
@@ -698,7 +716,7 @@ class TestRowSets:
 
     def rows(self, **changes):
         columns = {"query_ids": ["q1", "q2"], "product_ids": ["p1", "p2"],
-                   "contexts": np.zeros((2, 3)), "labels": [4, 0], "nrr": [1.0, 0.0]}
+                   "contexts": np.zeros((2, 3)), "nrr": [1.0, 0.0]}
         return SupervisedSet(**{**columns, **changes})
 
     @pytest.mark.parametrize("column", ["product_ids", "contexts", "actions", "deltas"])
@@ -706,7 +724,7 @@ class TestRowSets:
         with pytest.raises(LogValidationError, match=f"^{column} has length 1, expected 2$"):
             self.log(**{column: getattr(self.log(), column)[:1]})
 
-    @pytest.mark.parametrize("column", ["product_ids", "contexts", "labels", "nrr"])
+    @pytest.mark.parametrize("column", ["product_ids", "contexts", "nrr"])
     def test_set_column_of_another_length(self, column):
         with pytest.raises(LogValidationError, match=f"^{column} has length 1, expected 2$"):
             self.rows(**{column: getattr(self.rows(), column)[:1]})
@@ -724,7 +742,7 @@ class TestRowSets:
 
     @pytest.mark.parametrize("change", [
         {"query_ids": ["q1", "q1"]}, {"contexts": np.ones((2, 3))},
-        {"labels": [3, 0], "nrr": [0.7, 0.0]},
+        {"nrr": [0.7, 0.0]},
     ])
     def test_sets_differing_in_one_column_are_unequal(self, change):
         assert self.rows() == self.rows()
@@ -751,9 +769,10 @@ class TestGrade:
         positives = [("q", "a")] * min(clicked, seen) + [("q", "b")] * seen_best
         for entry in aggregate_feedback(impressions, positives, 1).entries.values():
             assert entry.label == grade(entry.nrr)
-        SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [grade(nrr)], [nrr])
+        assert SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [nrr]).labels.tolist() == [grade(nrr)]
+        src = f"query_id\tproduct_id\tlabel\tnrr\nq\tp\t{grade(nrr) + 1}\t{nrr!r}\n"
         with pytest.raises(LogValidationError, match="inconsistent"):
-            SupervisedSet(["q"], ["p"], np.zeros((1, 0)), [grade(nrr) + 1], [nrr])
+            read_supervised(io.StringIO(src))
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1.0))

@@ -323,8 +323,16 @@ class TestInvariants:
     def test_equal_weights_give_an_ess_of_n(self, n, propensity):
         for estimator in (snips, ips, empirical_average):
             report = estimator(*equal_weights_log(n, propensity))
-            assert report.effective_sample_size == pytest.approx(n, rel=1e-12)
-            assert report.effective_sample_size <= n
+            assert report.effective_sample_size == n
+
+    def test_one_vanishing_weight_gives_an_ess_of_1(self):
+        # w = 3.8e-174, whose square underflows to 0
+        log = BanditLog(["q"], ["p"], np.ones((1, 1)), [1], [0.5], [1])
+        params = PolicyParams("linear", [np.array([[0.0], [-400.0]]), np.zeros(2)])
+        for estimator in (snips, ips, empirical_average):
+            report = estimator(log, params)
+            assert 0 < report.mean_importance_weight < 1e-170
+            assert report.effective_sample_size == 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(logs_and_policies(propensities=st.just(MIN_PROPENSITY)), st.floats(0.0, 1.0))

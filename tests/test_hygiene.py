@@ -34,6 +34,19 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def test_grammar_of_the_oldest_supported_python():
+    """Every file under ``src/`` and ``tests/`` parses with Python 3.10's grammar,
+    the floor that ``pyproject.toml``'s ``requires-python`` declares. This checks
+    syntax only: a library API newer than 3.10 goes unseen."""
+    unparsed = {}
+    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        except SyntaxError as exc:
+            unparsed[str(path.relative_to(ROOT))] = f"line {exc.lineno}: {exc.msg}"
+    assert unparsed == {}
+
+
 def builtin_open_calls(tree: ast.Module, opener: str | None = None) -> list[int]:
     """Lines of the calls to the builtin ``open`` in ``tree``, outside the function ``opener``."""
     exempt = {

@@ -25,10 +25,21 @@ def small_config(**overrides):
 
 class TestSimConfig:
     @pytest.mark.parametrize("bad", [dict(noise_scale=-0.1), dict(noise_scale=float("nan")),
-                                     dict(temperature=0.0), dict(temperature=float("nan"))])
+                                     dict(temperature=0.0), dict(temperature=float("nan")),
+                                     dict(noise_scale=float("inf"))])
     def test_bad_noise_or_temperature_rejected(self, bad):
         with pytest.raises(ValueError, match="bad noise/temperature"):
             small_config(**bad)
+
+    @pytest.mark.parametrize("bad", [dict(n_queries=2.5), dict(products_per_query=True),
+                                     dict(feature_dim=4.0)])
+    def test_dimensions_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            small_config(**bad)
+
+    def test_infinite_temperature_is_the_uniform_logger(self):
+        w = generate_world(small_config(temperature=float("inf")), seed=3)
+        assert np.all(batch_probabilities(w.logging_policy.params, w.contexts) == 0.5)
 
 
 class TestGenerateWorld:

@@ -249,7 +249,7 @@ class TestEmptyInputs:
             trainer(random_log(10, 4, 0), supervised([]), init_params("linear", 4, seed=0), cfg())
 
     def test_empty_training_set(self):
-        empty = SupervisedSet([], [], np.zeros((0, 4)), [], [])
+        empty = SupervisedSet([], [], np.zeros((0, 4)), [])
         with pytest.raises(ValueError):
             train_full_info(empty, toy_dev(), init_params("linear", 4, seed=0), cfg())
 
@@ -303,10 +303,18 @@ class TestLambdaSearch:
         assert chosen.S == snips_denominator(log, params)
         assert chosen.metrics == evaluate_policy(params, dev)
 
-    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan")])
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
     def test_learning_rate_validated(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             cfg(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("epochs", 2.5), ("epochs", True), ("eval_every", 100.0),
+        ("max_probes", 2.5), ("seed", 1.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match="must be integers"):
+            cfg(**{field: value})
 
     def test_max_probes_validated(self):
         with pytest.raises(ValueError, match="max_probes must be >= 1"):
