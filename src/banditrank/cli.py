@@ -92,11 +92,13 @@ def _type_name(default) -> str:
 
 
 def _fits(value, default) -> bool:
-    """Whether a config file ``value`` has the type of its key's ``default``; a bool is no int."""
+    """Whether a config file ``value`` has the type of its key's ``default``; a bool is no
+    int, and an int serves for a float only if a float can hold it."""
     if isinstance(default, (list, tuple)):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     wanted = str if default is None else type(default)
-    return type(value) is wanted or (type(value) is int and wanted is float)
+    return type(value) is wanted or (
+        type(value) is int and wanted is float and abs(value) <= sys.float_info.max)
 
 
 def _config(args) -> dict:
@@ -191,12 +193,14 @@ def _initial_params(cfg: dict, feature_dim: int) -> PolicyParams:
 
 
 def _log_inputs(cfg: dict) -> tuple:
-    """The training log, dev set, initial policy and ``TrainConfig`` of a log-trained subcommand."""
+    """The training log, dev set, initial policy and ``TrainConfig`` of a log-trained subcommand;
+    the config is checked before any input is read."""
+    config = _from_config(TrainConfig, cfg)
     log = _read(parse_bandit_log, cfg["log"])
     dev = _read(read_supervised, cfg["dev"])
     if len(log) == 0:
         raise CliError("bandit log is empty")
-    return log, dev, _initial_params(cfg, log.feature_dim), _from_config(TrainConfig, cfg)
+    return log, dev, _initial_params(cfg, log.feature_dim), config
 
 
 def _warn(stopped: str | None, run: str = "") -> None:
@@ -215,12 +219,13 @@ def cmd_train_crm(cfg: dict) -> dict:
 
 
 def cmd_train_fullinfo(cfg: dict) -> dict:
+    config = _from_config(TrainConfig, cfg)  # checked before any input is read
     train = _read(read_supervised, cfg["train"])
     dev = _read(read_supervised, cfg["dev"])
     if not train:
         raise CliError("training set is empty")
     params0 = _initial_params(cfg, train.feature_dim)
-    params, history = train_full_info(train, dev, params0, _from_config(TrainConfig, cfg))
+    params, history = train_full_info(train, dev, params0, config)
     _warn(history.stopped)
     return {
         "model.json": params.save,

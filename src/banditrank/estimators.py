@@ -138,7 +138,8 @@ def mean_weight_and_lagrangian(
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     w = importance_weights(log, params)
-    return float(np.mean(w)), float(np.mean((log.deltas - lam) * w))
+    # sum / n is np.mean's arithmetic, a pairwise sum and one division
+    return float(w.sum() / len(w)), float(((log.deltas - lam) * w).sum() / len(w))
 
 
 def lagrangian_gradient(

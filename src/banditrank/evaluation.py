@@ -62,6 +62,12 @@ def _sums(values: np.ndarray, seg: np.ndarray, n_queries: int) -> np.ndarray:
     return np.bincount(seg, weights=values, minlength=n_queries)
 
 
+def _mean(x: np.ndarray) -> float:
+    """``np.mean(x)`` as a float: the same pairwise sum and one division, without its
+    dispatch."""
+    return float(x.sum() / len(x))
+
+
 def _codes(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The distinct keys in sorted order, and each key's position among them."""
     distinct = sorted(set(keys))
@@ -73,10 +79,14 @@ class RankIndex:
     """Graded (query, product) rows, arranged once to rank and score any score vector.
 
     Each row's query and product id is held as its position among the sorted
-    distinct ids. ``grouped`` lists the rows by query, then product id; a stable
-    sort of it by query, then score best first, ranks a score vector. What does
-    not depend on the scores (each ranked item's query and rank position, the
-    relevant count and the ideal DCG per query and per k) is computed here once.
+    distinct ids. ``grouped`` lists the rows by query, then product id. A score
+    vector is ranked by two stable sorts: of ``grouped`` by score, best first,
+    then of that order by query code. The codes are held in the smallest
+    unsigned type that counts the queries, so the second sort is a radix sort
+    of 8- or 16-bit keys. What does not depend on the scores is computed here
+    once: each ranked position's query code, rank and discount log2(rank + 1),
+    the positions within each cut-off k and their query codes, and per query
+    the relevant count and the ideal DCG at each k.
     """
 
     def __init__(
@@ -106,9 +116,14 @@ class RankIndex:
             raise ValueError(f"duplicate product in ranking for query {q}")
         self.n_queries = len(queries)
         lengths = np.bincount(self.query)
-        # query and 1-based rank of each position of a ranking, queries in sorted order
-        self.seg = np.repeat(np.arange(self.n_queries), lengths)
+        # query code, 1-based rank and discount of each position of a ranking,
+        # queries in sorted order
+        self.seg = np.repeat(np.arange(self.n_queries, dtype=np.min_scalar_type(self.n_queries)),
+                             lengths)
         self.rank = _positions(lengths) + 1
+        self.discount = np.log2(self.rank + 1)
+        self.top = [np.flatnonzero(self.rank <= k) for k in self.ks]
+        self.top_seg = [self.seg[top] for top in self.top]
         self.n_rel = np.bincount(self.query[self.grades > 0], minlength=self.n_queries)
         self.judged = self.n_rel > 0
         # 1-based count of relevant items up to each relevant item, query by query
@@ -118,14 +133,14 @@ class RankIndex:
         self.ideal_dcg = self._dcg(ideal)[:-1, self.judged]
 
     def _dcg(self, grades: np.ndarray) -> np.ndarray:
-        """DCG per query at each k and over the whole list, shape (len(ks) + 1, n_queries)."""
-        gained = grades != 0
-        seg, rank = self.seg[gained], self.rank[gained]
-        terms = (np.ldexp(1.0, grades[gained]) - 1.0) / np.log2(rank + 1)
-        cuts = [rank <= k for k in self.ks]
+        """DCG per query at each k and over the whole list, shape (len(ks) + 1, n_queries).
+
+        A grade of 0 adds a term of exactly 0.0, which leaves each sum as it is.
+        """
+        terms = (np.ldexp(1.0, grades) - 1.0) / self.discount
         return np.array(
-            [_sums(terms[cut], seg[cut], self.n_queries) for cut in cuts]
-            + [_sums(terms, seg, self.n_queries)]
+            [_sums(terms[top], seg, self.n_queries) for top, seg in zip(self.top, self.top_seg)]
+            + [_sums(terms, self.seg, self.n_queries)]
         )
 
     def order(self, scores: Sequence[float]) -> np.ndarray:
@@ -136,8 +151,10 @@ class RankIndex:
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             raise ValueError(f"score {scores[bad[0]]} of row {bad[0]} is not finite")
-        # self.seg is the query of each row of self.grouped
-        return self.grouped[np.lexsort((-scores[self.grouped], self.seg))]
+        # self.seg is the query of each row of self.grouped; both sorts are stable,
+        # so rows of one query and one score keep grouped's product order
+        by_score = np.argsort(-scores[self.grouped], kind="stable")
+        return self.grouped[by_score[np.argsort(self.seg[by_score], kind="stable")]]
 
     def report(self, scores: Sequence[float]) -> MetricsReport:
         """MAP, MRR, P@k, NDCG@k and the average rank and DCG of relevant items
@@ -152,14 +169,15 @@ class RankIndex:
         dcg = self._dcg(ranked)[:, judged]
         ideal = self.ideal_dcg
         ndcg = np.where(ideal > 0, dcg[:-1] / np.where(ideal > 0, ideal, 1.0), 0.0)
-        hits_at = {k: np.bincount(rel_seg[rel_rank <= k], minlength=self.n_queries) for k in self.ks}
+        p_at = [_sums(rel[top], seg, self.n_queries)[judged] / k
+                for k, top, seg in zip(self.ks, self.top, self.top_seg)]
         return MetricsReport(
-            map=float(np.mean(ap)),
-            mrr=float(np.mean(1.0 / rel_rank[self.first_hit])),
-            p_at={k: float(np.mean(hits[judged] / k)) for k, hits in hits_at.items()},
-            ndcg_at={k: float(np.mean(row)) for k, row in zip(self.ks, ndcg)},
-            avg_rank=float(np.mean(rel_rank)),
-            avg_dcg=float(np.mean(dcg[-1])),
+            map=_mean(ap),
+            mrr=_mean(1.0 / rel_rank[self.first_hit]),
+            p_at={k: _mean(p) for k, p in zip(self.ks, p_at)},
+            ndcg_at={k: _mean(row) for k, row in zip(self.ks, ndcg)},
+            avg_rank=_mean(rel_rank),
+            avg_dcg=_mean(dcg[-1]),
             n_queries=self.n_queries,
         )
 

@@ -145,6 +145,11 @@ def _forward(params: PolicyParams, contexts: np.ndarray):
     if X.shape[1] != params.feature_dim:
         raise ValueError(f"context dimension {X.shape[1]} does not match policy "
                          f"dimension {params.feature_dim}")
+    if len(X) == 1:
+        # BLAS takes a matrix-vector kernel for one row, which rounds unlike the
+        # matrix-matrix kernel of a larger batch: compute the row twice, keep one.
+        _, logits, H = _forward(params, np.repeat(X, 2, axis=0))
+        return X, logits[:1], None if H is None else H[:1]
     if params.kind == "linear":
         w, b = params.arrays
         logits, H = X @ w.T + b, None

@@ -17,6 +17,7 @@ form rather than sampled.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,8 +43,11 @@ class SimConfig:
             raise ValueError(f"dimensions must be positive: {self}")
         if not 0.0 <= self.deep_browse_prob <= 1.0:
             raise ValueError(f"deep_browse_prob must lie in [0, 1]: {self}")
-        # NaN fails too; an infinite temperature is the uniform logger's limit
-        if not (0 <= self.noise_scale < np.inf and self.temperature > 0):
+        # NaN fails too, and so does an integer that no float can hold; an infinite
+        # temperature is the uniform logger's limit
+        largest = sys.float_info.max
+        if not (0 <= self.noise_scale <= largest
+                and (0 < self.temperature <= largest or self.temperature == np.inf)):
             raise ValueError(f"bad noise/temperature: {self}")
 
 

@@ -13,6 +13,7 @@ and full run from one training of the longer length.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import islice
@@ -61,7 +62,10 @@ class TrainConfig:
             raise ValueError(f"batch_size, epochs and eval_every must be >= 1: {self}")
         if self.max_probes < 1:
             raise ValueError(f"max_probes must be >= 1: {self}")
-        if not 0 < self.learning_rate < np.inf:  # NaN too
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self}")
+        # NaN fails too, and so does an integer that no float can hold
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError(f"learning_rate must be positive and finite: {self}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1]: {self}")
@@ -217,7 +221,7 @@ def _crm_epochs(
 
     def grad_fn(params, idx):
         return lagrangian_gradient(
-            table[rows[idx]],
+            np.take(table, rows[idx], axis=0),
             train_log.actions[idx],
             train_log.propensities[idx],
             train_log.deltas[idx],

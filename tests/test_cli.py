@@ -179,6 +179,10 @@ def inputs(tmp_path_factory):
                                          "n_interactions": 50})
     write_json(root / "nan_temperature.json", {"temperature": math.nan})
     write_json(root / "nan_learning_rate.json", {"learning_rate": math.nan})
+    # JSON integers past the largest float, which no float key can take
+    write_json(root / "huge_noise.json", {"noise_scale": 10**400})
+    write_json(root / "huge_temperature.json", {"temperature": 10**400})
+    write_json(root / "huge_learning_rate.json", {"learning_rate": 10**400})
     write_json(root / "hidden_float.json", {"policy": "mlp", "hidden": 2.7})
     write_json(root / "epochs_bool.json", {"epochs": True})
     write_json(root / "ks_strings.json", {"ks": ["5"]})
@@ -207,6 +211,7 @@ def inputs(tmp_path_factory):
         "bad_line": root / "bad_line.jsonl",
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "nan_learning_rate",
+            "huge_noise", "huge_temperature", "huge_learning_rate",
             "hidden_float", "epochs_bool", "ks_strings", "log_number",
             "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
             "model_string", "model_long", "model_short", "model_no_hidden")},
@@ -272,6 +277,19 @@ ERRORS = [
      "bad noise/temperature"),
     ("NaN learning rate", ["train-crm", "--config", "{nan_learning_rate}", "--log", "{log}",
                            "--dev", "{dev}"], 1, "learning_rate must be positive"),
+    ("int past a float for noise_scale", ["simulate", "--config", "{huge_noise}"], 1,
+     "noise_scale: expected float, got 1000"),
+    ("int past a float for temperature", ["simulate", "--config", "{huge_temperature}"], 1,
+     "temperature: expected float, got 1000"),
+    ("int past a float for learning_rate",
+     ["train-crm", "--config", "{huge_learning_rate}", "--log", "{log}", "--dev", "{dev}"], 1,
+     "learning_rate: expected float, got 1000"),
+    # the config is checked before the (absent) log or training set is read
+    ("negative seed", ["train-crm", "--log", "{absent}", "--dev", "{dev}", "--seed=-1"], 1,
+     "seed must be >= 0"),
+    ("negative seed, full information",
+     ["train-fullinfo", "--train", "{absent}", "--dev", "{dev}", "--seed=-1"], 1,
+     "seed must be >= 0"),
     ("float for an int", ["train-crm", "--config", "{hidden_float}", "--log", "{log}", "--dev",
                           "{dev}"], 1, "hidden: expected int, got 2.7"),
     ("bool for an int", ["train-crm", "--config", "{epochs_bool}", "--log", "{log}", "--dev",

@@ -144,6 +144,30 @@ def dev_sets(draw):
     return draw(st.permutations(records))
 
 
+def wide_dev_set(seed, n_queries=300):
+    """Rows like those ``dev_sets`` draws, of more queries than 8-bit query codes
+    count: ragged lengths of 1 to 12 items, every seventh query with no relevant
+    item, and margins from a 5 x 5 context grid, so many tie."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for q in range(n_queries):
+        n = 1 if q % 10 == 0 else int(rng.integers(1, 13))
+        labels = [0] * n if q % 7 == 0 else rng.choice([0, 0, 0, 1, 2, 4], n).tolist()
+        for i, label in enumerate(labels):
+            x = rng.integers(-2, 3, 2).astype(float)
+            records.append((f"q{q}", f"{rng.integers(1000)}-{i}", x, label, label / 4))
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+def brute_runs(records):
+    """Each query's product ids ranked by margin, best first, then by product id;
+    queries in sorted order."""
+    by_query = {}
+    for q, pid, x, _, _ in records:
+        by_query.setdefault(q, []).append((-brute_margin(x), pid))
+    return [(q, [pid for _, pid in sorted(items)]) for q, items in sorted(by_query.items())]
+
+
 class TestMetricsCore:
     @settings(max_examples=200, deadline=None)
     @given(dev_sets())
@@ -154,10 +178,7 @@ class TestMetricsCore:
         margins = [brute_margin(x) for _, _, x, _, _ in records]
         assert report == rank_metrics(rows.query_ids, rows.product_ids, margins, labels,
                                       DEFAULT_KS)
-        by_query = {}
-        for q, pid, x, _, _ in records:
-            by_query.setdefault(q, []).append((-brute_margin(x), pid))
-        runs = [(q, [pid for _, pid in sorted(items)]) for q, items in sorted(by_query.items())]
+        runs = brute_runs(records)
         assert dataclasses.asdict(report) == loop_rank_metrics(runs, labels, DEFAULT_KS)
         run = dict(runs)
         assert report.map == pytest.approx(trec_eval_map(run, labels), abs=1e-12)
@@ -189,6 +210,20 @@ class TestMetricsCore:
         out = io.StringIO()
         assert index.write_trec_run(scores, "tag", out) == len(rows)
         assert out.getvalue() == "".join(lines)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_more_queries_than_8_bit_codes_count(self, seed):
+        records = wide_dev_set(seed)
+        rows = supervised(records)
+        ks = (1, 5, 13)  # 13 is above every query's length
+        index = RankIndex(rows.query_ids, rows.product_ids, rows.labels, ks)
+        assert index.seg.dtype == np.uint16
+        scores = logit_margin(MARGIN_POLICY, rows.contexts)
+        np.testing.assert_array_equal(index.order(scores),
+                                      np.lexsort((index.product, -scores, index.query)))
+        labels = {(q, pid): label for q, pid, _, label, _ in records}
+        assert (dataclasses.asdict(index.report(scores))
+                == loop_rank_metrics(brute_runs(records), labels, ks))
 
     def test_duplicate_pair_error(self):
         rec = ("q", "a", np.zeros(2), 4, 1.0)

@@ -107,6 +107,16 @@ class TestActionProbabilities:
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((P > 0) & (P < 1))
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_one_row_matches_its_row_of_a_batch_bit_for_bit(self, kind, rng):
+        # a one-row product would take BLAS's matrix-vector kernel, which rounds
+        # unlike the matrix-matrix one for some of these seeds
+        for seed in range(200):
+            p = init_params(kind, 2, hidden=2, seed=seed)
+            X = rng.normal(0.0, 10.0, size=(2, 2))
+            assert np.array_equal(batch_probabilities(p, X[:1]), batch_probabilities(p, X)[:1])
+            assert np.array_equal(batch_probabilities(p, X[0]), batch_probabilities(p, X)[:1])
+
     def test_dimension_mismatch(self):
         p = init_params("linear", 3, seed=0)
         with pytest.raises(ValueError):

@@ -26,7 +26,9 @@ def small_config(**overrides):
 class TestSimConfig:
     @pytest.mark.parametrize("bad", [dict(noise_scale=-0.1), dict(noise_scale=float("nan")),
                                      dict(temperature=0.0), dict(temperature=float("nan")),
-                                     dict(noise_scale=float("inf"))])
+                                     dict(noise_scale=float("inf")), dict(noise_scale=10**400),
+                                     dict(temperature=10**400),
+                                     dict(temperature=-float("inf"))])
     def test_bad_noise_or_temperature_rejected(self, bad):
         with pytest.raises(ValueError, match="bad noise/temperature"):
             small_config(**bad)

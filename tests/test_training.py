@@ -303,10 +303,16 @@ class TestLambdaSearch:
         assert chosen.S == snips_denominator(log, params)
         assert chosen.metrics == evaluate_policy(params, dev)
 
-    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf"),
+                                               pytest.param(10**400, id="int past a float")])
     def test_learning_rate_validated(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             cfg(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_seed_must_be_non_negative(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cfg(seed=seed)
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 2.5), ("epochs", 2.5), ("epochs", True), ("eval_every", 100.0),
