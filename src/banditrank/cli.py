@@ -40,7 +40,7 @@ from banditrank.data import (
     write_supervised,
 )
 from banditrank.evaluation import DEFAULT_KS, RankIndex, write_qrels
-from banditrank.policy import PolicyParams, init_params, logit_margin
+from banditrank.policy import PolicyParams, _checked_shapes, init_params, logit_margin
 from banditrank.training import (
     TrainConfig,
     lambda_search,
@@ -146,6 +146,8 @@ def _finish(args, cfg: dict, writers: dict) -> None:
 
 def cmd_simulate(cfg: dict) -> dict:
     seed = cfg["seed"]
+    if seed < 0:
+        raise CliError(f"seed must be >= 0, got {seed}")
     world = simulator.generate_world(_from_config(simulator.SimConfig, cfg), seed)
     log = simulator.simulate_log(world, world.logging_policy, cfg["n_interactions"], seed + 1)
     split = split_queries({q for q, _ in world.pair_ids()}, tuple(cfg["split_ratios"]), seed)
@@ -192,10 +194,18 @@ def _initial_params(cfg: dict, feature_dim: int) -> PolicyParams:
     return init_params(cfg["policy"], feature_dim, cfg["hidden"], cfg["seed"])
 
 
+def _train_config(cfg: dict) -> TrainConfig:
+    """A training subcommand's ``TrainConfig``, with its ``policy`` and ``hidden`` checked
+    as ``init_params`` checks them, so that a bad config fails before any input is read."""
+    config = _from_config(TrainConfig, cfg)
+    _checked_shapes(cfg["policy"], 1, cfg["hidden"])
+    return config
+
+
 def _log_inputs(cfg: dict) -> tuple:
     """The training log, dev set, initial policy and ``TrainConfig`` of a log-trained subcommand;
     the config is checked before any input is read."""
-    config = _from_config(TrainConfig, cfg)
+    config = _train_config(cfg)
     log = _read(parse_bandit_log, cfg["log"])
     dev = _read(read_supervised, cfg["dev"])
     if len(log) == 0:
@@ -219,7 +229,7 @@ def cmd_train_crm(cfg: dict) -> dict:
 
 
 def cmd_train_fullinfo(cfg: dict) -> dict:
-    config = _from_config(TrainConfig, cfg)  # checked before any input is read
+    config = _train_config(cfg)
     train = _read(read_supervised, cfg["train"])
     dev = _read(read_supervised, cfg["dev"])
     if not train:

@@ -117,19 +117,26 @@ def _shapes(kind: str, feature_dim: int, hidden: int) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
-def init_params(
-    kind: str, feature_dim: int, hidden: int = 0, seed: int = 0
-) -> PolicyParams:
-    """Seeded init: weights (rows, fan_in) ~ N(0, 1/fan_in), drawn in layer order; biases zero."""
+def _checked_shapes(kind: str, feature_dim: int, hidden: int) -> list[tuple[int, ...]]:
+    """``_shapes`` of a policy that ``init_params`` builds; sizes or a kind that no policy
+    has raise ``ValueError``, with no array made."""
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if kind == "mlp" and hidden < 1:
         raise ValueError(f"hidden must be >= 1 for mlp, got {hidden}")
+    return _shapes(kind, feature_dim, hidden)
+
+
+def init_params(
+    kind: str, feature_dim: int, hidden: int = 0, seed: int = 0
+) -> PolicyParams:
+    """Seeded init: weights (rows, fan_in) ~ N(0, 1/fan_in), drawn in layer order; biases zero."""
+    shapes = _checked_shapes(kind, feature_dim, hidden)
     rng = np.random.default_rng(seed)
     return PolicyParams(kind, [
         rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape) if len(shape) == 2
         else np.zeros(shape)
-        for shape in _shapes(kind, feature_dim, hidden)
+        for shape in shapes
     ])
 
 

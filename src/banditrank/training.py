@@ -9,12 +9,18 @@ on a fixed cadence of records seen and returns the checkpoint with the best
 dev MAP. Training is one open-ended loop, and a run of e epochs is what that
 loop gives after epoch e, so the lambda search reads each probed lambda's probe
 and full run from one training of the longer length.
+
+A checkpoint ranks the dev set at once, since selection reads its dev MAP, and
+forwards the training set at once to check that its logits are finite. Its S
+and objective, the rest of a pass over the training set, are computed at the
+first read of either and kept: the lambda search reads them only at each
+run's best checkpoint.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from itertools import islice
 from typing import Callable, Iterator
@@ -32,6 +38,7 @@ from banditrank.evaluation import MetricsReport, RankIndex
 from banditrank.policy import (
     NonFiniteError,
     PolicyParams,
+    _forward,
     batch_probabilities,
     logit_gradient,
     logit_margin,
@@ -104,13 +111,31 @@ def adam_step(
     return params._replace_flat(flat), AdamState(m=m, v=v, t=t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
+    """A model taken during training and its dev metrics. ``full_pass()`` returns
+    its (S, objective) over the training set; the trainers give a memoised one,
+    so the pass runs at the first read of ``S`` or ``objective`` and never again."""
     records_seen: int
     dev_metrics: MetricsReport
-    S: float
-    objective: float
     params: PolicyParams
+    full_pass: Callable[[], tuple[float, float]] = field(repr=False)
+
+    @property
+    def S(self) -> float:
+        return self.full_pass()[0]
+
+    @property
+    def objective(self) -> float:
+        return self.full_pass()[1]
+
+    def _values(self) -> tuple:
+        return self.records_seen, self.dev_metrics, self.S, self.objective, self.params
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Checkpoint):
+            return NotImplemented
+        return self._values() == other._values()
 
 
 @dataclass(frozen=True)
@@ -132,6 +157,7 @@ def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
 def _epochs(
     log_len: int,
     grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
+    table: np.ndarray,
     full_pass: Callable[[PolicyParams], tuple[float, float]],
     dev: SupervisedSet,
     params0: PolicyParams,
@@ -144,10 +170,12 @@ def _epochs(
     epochs returns: the checkpoints so far, plus the end-of-run checkpoint such
     a run takes when its last checkpoint is earlier, made at the first call and
     kept out of the longer runs. ``full_pass`` returns (S, objective) from one
-    pass over the training set. Training stops at the first step whose logits
-    or updated parameters are not finite; that epoch and every later one yield
-    the stopped run, whose history records why, or which raises the error when
-    it has no checkpoint.
+    pass over the training set, whose contexts ``table`` holds. A checkpoint
+    ranks the dev set and forwards ``table`` at once, and calls ``full_pass``
+    at the first read of its S or objective, memoised. Training stops at the
+    first step or checkpoint whose logits or updated parameters are not
+    finite; that epoch and every later one yield the stopped run, whose
+    history records why, or which raises the error when it has no checkpoint.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
@@ -160,9 +188,9 @@ def _epochs(
 
     def checkpoint(params: PolicyParams, records_seen: int) -> Checkpoint:
         dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
-        S, objective = full_pass(params)
-        return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, S=S,
-                          objective=objective, params=params)
+        _forward(params, table)  # the one check of the full pass that can raise
+        return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, params=params,
+                          full_pass=cache(partial(full_pass, params)))
 
     def run(kept, params, records_seen, exc=None):
         """What a run that ends after ``records_seen`` records returns."""
@@ -232,7 +260,7 @@ def _crm_epochs(
     def full_pass(params):
         return mean_weight_and_lagrangian(train_log, params, lam)
 
-    return _epochs(len(train_log), grad_fn, full_pass, dev, params0, config)
+    return _epochs(len(train_log), grad_fn, table, full_pass, dev, params0, config)
 
 
 def train_ea(
@@ -256,7 +284,8 @@ def train_ea(
         p_a = logged_probabilities(train_log, params)
         return float(np.mean(p_a / train_log.propensities)), float(np.sum(coeffs * p_a))
 
-    return _run_of(config.epochs, _epochs(len(train_log), grad_fn, full_pass, dev, params0, config))
+    return _run_of(config.epochs,
+                   _epochs(len(train_log), grad_fn, table, full_pass, dev, params0, config))
 
 
 def train_full_info(
@@ -288,7 +317,7 @@ def train_full_info(
         p_y = np.clip(P[np.arange(len(train)), y], 1e-300, None)
         return float("nan"), float(np.mean(-weights * np.log(p_y)))
 
-    return _run_of(config.epochs, _epochs(len(train), grad_fn, full_pass, dev, params0, config))
+    return _run_of(config.epochs, _epochs(len(train), grad_fn, X, full_pass, dev, params0, config))
 
 
 def write_history(history: TrainHistory, sink) -> int:

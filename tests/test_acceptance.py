@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from banditrank import training
 from banditrank.aggregation import aggregate_feedback
 from banditrank.data import BanditLog, split_queries
 from banditrank.estimators import (
@@ -206,15 +207,25 @@ def crm_learning_run():
         lam=0.5, eval_every=2000, max_probes=6,
     )
     p0 = init_params("linear", 10, seed=0)
-    lam_star, _, sweep = lambda_search(log, dev, p0, config, probe_epochs=2)
+    full_passes = []
+    full_pass = training.mean_weight_and_lagrangian
+
+    def counted_pass(log, params, lam):
+        full_passes.append(lam)
+        return full_pass(log, params, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "mean_weight_and_lagrangian", counted_pass)
+        lam_star, _, sweep = lambda_search(log, dev, p0, config, probe_epochs=2)
     params, history = train_crm(
         log, dev, p0, dataclasses.replace(config, lam=lam_star)
     )
-    return world, log, dev, test, params, history, lam_star
+    search_passes = (len(full_passes), len(sweep))
+    return world, log, dev, test, params, history, lam_star, search_passes
 
 
 def test_criterion_7_crm_learning(crm_learning_run):
-    world, log, dev, test, params, history, lam_star = crm_learning_run
+    world, log, dev, test, params, history, lam_star, search_passes = crm_learning_run
     risk_logger = true_risk(world, world.logging_policy.params)
     risk_trained = true_risk(world, params)
     map_logger = evaluate_policy(world.logging_policy.params, test).map
@@ -225,6 +236,9 @@ def test_criterion_7_crm_learning(crm_learning_run):
         f"lambda*={lam_star:.3f}; risk {risk_trained:.4f} < {risk_logger:.4f}; "
         f"test MAP {map_trained:.4f} > {map_logger:.4f}",
     )
+    # the search reads S at the best checkpoint of each probe and each full run only
+    passes, probed = search_passes
+    assert passes <= 2 * probed, f"{passes} full-log passes for {probed} probed lambdas"
 
 
 def test_criterion_8_estimator_ordering():
@@ -335,7 +349,7 @@ def test_criterion_11_aggregation_pipeline():
 
 
 def test_criterion_12_learning_progress_shape(crm_learning_run):
-    _, _, _, _, _, history, _ = crm_learning_run
+    _, _, _, _, _, history, _, _ = crm_learning_run
     first = history.checkpoints[0].dev_metrics
     last = history.checkpoints[-1].dev_metrics
     ok = last.avg_rank < first.avg_rank and last.avg_dcg > first.avg_dcg

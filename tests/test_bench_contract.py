@@ -5,6 +5,7 @@ their own output checks, and its tracer records the layers it claims to.
 
 import contextlib
 import importlib
+import io
 import logging
 import sys
 import time
@@ -108,6 +109,7 @@ def test_traced_training_spans(tracer):
     traced.install()
     _, history = training.train_crm(log, simulator.world_supervised(world),
                                      init_params("linear", 3, seed=0), config)
+    training.write_history(history, io.StringIO())  # one full pass per checkpoint, at its S
     traced.active = False
     spans = tracer.summarize(traced.spans, 0, len(traced.spans))
     steps = config.epochs * -(-len(log) // config.batch_size)

@@ -184,6 +184,8 @@ def inputs(tmp_path_factory):
     write_json(root / "huge_temperature.json", {"temperature": 10**400})
     write_json(root / "huge_learning_rate.json", {"learning_rate": 10**400})
     write_json(root / "hidden_float.json", {"policy": "mlp", "hidden": 2.7})
+    write_json(root / "no_hidden.json", {"policy": "mlp", "hidden": 0})
+    write_json(root / "tree.json", {"policy": "tree"})
     write_json(root / "epochs_bool.json", {"epochs": True})
     write_json(root / "ks_strings.json", {"ks": ["5"]})
     write_json(root / "log_number.json", {"log": 5})
@@ -212,7 +214,7 @@ def inputs(tmp_path_factory):
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "nan_learning_rate",
             "huge_noise", "huge_temperature", "huge_learning_rate",
-            "hidden_float", "epochs_bool", "ks_strings", "log_number",
+            "hidden_float", "no_hidden", "tree", "epochs_bool", "ks_strings", "log_number",
             "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
             "model_string", "model_long", "model_short", "model_no_hidden")},
     }
@@ -290,6 +292,25 @@ ERRORS = [
     ("negative seed, full information",
      ["train-fullinfo", "--train", "{absent}", "--dev", "{dev}", "--seed=-1"], 1,
      "seed must be >= 0"),
+    ("mlp with no hidden units",
+     ["train-crm", "--config", "{no_hidden}", "--log", "{absent}", "--dev", "{dev}"], 1,
+     "hidden must be >= 1 for mlp, got 0"),
+    ("mlp with no hidden units, lambda sweep",
+     ["lambda-sweep", "--config", "{no_hidden}", "--log", "{absent}", "--dev", "{dev}"], 1,
+     "hidden must be >= 1 for mlp, got 0"),
+    ("mlp with no hidden units, full information",
+     ["train-fullinfo", "--config", "{no_hidden}", "--train", "{absent}", "--dev", "{dev}"], 1,
+     "hidden must be >= 1 for mlp, got 0"),
+    ("unknown policy kind",
+     ["train-crm", "--config", "{tree}", "--log", "{absent}", "--dev", "{dev}"], 1,
+     "unknown policy kind 'tree'"),
+    ("unknown policy kind, lambda sweep",
+     ["lambda-sweep", "--config", "{tree}", "--log", "{absent}", "--dev", "{dev}"], 1,
+     "unknown policy kind 'tree'"),
+    ("unknown policy kind, full information",
+     ["train-fullinfo", "--config", "{tree}", "--train", "{absent}", "--dev", "{dev}"], 1,
+     "unknown policy kind 'tree'"),
+    ("negative simulate seed", ["simulate", "--seed=-1"], 1, "seed must be >= 0, got -1"),
     ("float for an int", ["train-crm", "--config", "{hidden_float}", "--log", "{log}", "--dev",
                           "{dev}"], 1, "hidden: expected int, got 2.7"),
     ("bool for an int", ["train-crm", "--config", "{epochs_bool}", "--log", "{log}", "--dev",

@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -31,6 +32,7 @@ from banditrank.training import (
     train_crm,
     train_ea,
     train_full_info,
+    write_history,
 )
 from conftest import random_log, supervised
 from oracles import adam_step_arrays, lambda_search_by_probes
@@ -356,8 +358,8 @@ class TestLambdaStoppingRule:
         def fixed_s_crm_epochs(train_log, dev, params0, config):
             run = len(runs)
             runs.append(config.lam)
-            checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics, S=S,
-                                    objective=0.0, params=params0)
+            checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics,
+                                    params=params0, full_pass=lambda: (S, 0.0))
             for epoch in count(1):
                 def result(epoch=epoch):
                     calls.append((run, config.lam, epoch))
@@ -514,7 +516,9 @@ class TestOneRunPerLambda:
 
     def counted_search(self, monkeypatch, kind, probe_epochs, epochs, eval_every):
         """The sweep of a search on a log of 4 batches, the steps of its Adam
-        updates and the lambdas of its full-log passes."""
+        updates, the (lambda, parameter bytes) of its full-log passes, and the
+        (lambda, parameter bytes) of each distinct best checkpoint of a probe or
+        full run, the ones whose S the search reads."""
         steps, full_passes = [], []
         adam_step, full_pass = training.adam_step, training.mean_weight_and_lagrangian
 
@@ -523,36 +527,50 @@ class TestOneRunPerLambda:
             return adam_step(params, grads, state, config)
 
         def counted_pass(log, params, lam):
-            full_passes.append(lam)
+            full_passes.append((lam, params.flat.tobytes()))
             return full_pass(log, params, lam)
 
         monkeypatch.setattr(training, "adam_step", counted_step)
         monkeypatch.setattr(training, "mean_weight_and_lagrangian", counted_pass)
-        log = random_log(50, 3, seed=51)
+        log, dev = random_log(50, 3, seed=51), toy_dev(3)
+        p0 = init_params(kind, 3, hidden=3, seed=52)
         config = cfg(batch_size=16, epochs=epochs, eval_every=eval_every, learning_rate=0.5,
                      max_probes=4)
-        _, _, sweep = lambda_search(
-            log, toy_dev(3), init_params(kind, 3, hidden=3, seed=52), config, probe_epochs)
+        _, _, sweep = lambda_search(log, dev, p0, config, probe_epochs)
         assert len(sweep) > 1
         assert len(steps) == len(sweep) * max(probe_epochs, epochs) * 4  # 4 batches of 50
         assert all(p.stopped is None for p in sweep)
-        return sweep, full_passes
+        searched = list(full_passes)
+        best_read = []
+        for probe in sweep:
+            runs = training._crm_epochs(log, dev, p0, replace(config, lam=probe.lam))
+            run_after = list(islice(runs, max(probe_epochs, epochs)))
+            best = {cp.records_seen: cp for cp in (run_after[n - 1]()[1].best()
+                                                   for n in (probe_epochs, epochs))}
+            best_read += [(probe.lam, cp.params.flat.tobytes()) for cp in best.values()]
+        assert full_passes == searched  # finding the best checkpoints reads no S
+        return sweep, searched, best_read
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
     def test_one_run_of_the_longer_length_per_probed_lambda(self, monkeypatch, kind,
                                                             probe_epochs, epochs):
-        sweep, full_passes = self.counted_search(monkeypatch, kind, probe_epochs, epochs, 40)
+        sweep, full_passes, best_read = self.counted_search(monkeypatch, kind, probe_epochs,
+                                                            epochs, 40)
         # a checkpoint every 40 records falls once in each epoch (at 48, 98, ...),
-        # never at its end: each length adds its end-of-run checkpoint, made once
-        assert len(full_passes) == len(sweep) * (max(probe_epochs, epochs)
-                                                 + len({probe_epochs, epochs}))
+        # never at its end, but only the best checkpoint of each probe and each
+        # full run makes a full pass, once even when both read it
+        assert Counter(full_passes) == Counter(best_read)
+        assert len(sweep) <= len(full_passes) <= len(sweep) * len({probe_epochs, epochs})
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
     def test_one_full_pass_per_length_with_only_end_of_run_checkpoints(
             self, monkeypatch, kind, probe_epochs, epochs):
-        sweep, full_passes = self.counted_search(monkeypatch, kind, probe_epochs, epochs, 10**9)
+        sweep, full_passes, best_read = self.counted_search(monkeypatch, kind, probe_epochs,
+                                                            epochs, 10**9)
+        # each length's one checkpoint is its best, read once
+        assert Counter(full_passes) == Counter(best_read)
         assert len(full_passes) == len(sweep) * len({probe_epochs, epochs})
 
 
@@ -586,7 +604,8 @@ class TestTrainFullInfo:
 
 
 class TestOneFullLogPass:
-    """A checkpoint gets S and the objective from one pass over the training set."""
+    """A checkpoint gets S and the objective from one pass over the training set,
+    made at the first read of either."""
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_crm_matches_the_estimators(self, kind):
@@ -611,19 +630,22 @@ class TestOneFullLogPass:
 
     @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
     def test_one_pass_per_checkpoint(self, monkeypatch, trainer):
-        # rows of each gradient batch (at its one forward and backward pass)
-        # and of each full pass (at batch_probabilities)
-        rows = []
+        # rows of each checkpoint's finiteness check (training's own _forward),
+        # of each gradient batch (at its one forward and backward pass) and of
+        # each full pass (at batch_probabilities)
+        rows = {"_forward": [], "logit_gradient": [], "batch_probabilities": []}
 
-        def counting(original):
+        def counting(name):
+            original = getattr(policy, name)
+
             def counted(params, contexts, *args):
-                rows.append(len(contexts))
+                rows[name].append(len(contexts))
                 return original(params, contexts, *args)
             return counted
 
-        for name in ("batch_probabilities", "logit_gradient"):
-            counted = counting(getattr(policy, name))
-            for module in (policy, estimators, training):
+        for name in rows:
+            counted = counting(name)
+            for module in (training,) if name == "_forward" else (policy, estimators, training):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         p0 = init_params("linear", 3, seed=25)
@@ -635,9 +657,17 @@ class TestOneFullLogPass:
             train = random_log(84, 3, seed=26)
             fit = train_crm if trainer == "crm" else train_ea
             _, history = fit(train, toy_dev(3), p0, config)
-        # gradient batches hold at most 16 rows; only a full pass holds 84
-        assert len(train) == 84 and max(r for r in rows if r != 84) <= config.batch_size
-        assert rows.count(84) == len(history.checkpoints) >= 3
+        # gradient batches hold at most 16 rows; each checkpoint's check holds 84
+        checkpoints = history.checkpoints
+        assert len(train) == 84 and max(rows["logit_gradient"]) <= config.batch_size
+        assert rows["_forward"] == [84] * len(checkpoints) and len(checkpoints) >= 3
+        assert rows["batch_probabilities"] == []  # no S or objective was read
+        first, last = checkpoints[0], checkpoints[-1]
+        first.S, first.objective, last.objective, last.S  # one pass each, at its first read
+        assert rows["batch_probabilities"] == [84, 84]
+        write_history(history, io.StringIO())  # reads every S and objective
+        assert rows["batch_probabilities"] == [84] * len(checkpoints)
+        assert rows["_forward"] == [84] * len(checkpoints)
 
 
 class TestDivergence:
@@ -673,8 +703,8 @@ class TestDivergence:
         config = cfg(eval_every=40)  # batches of 16: the first checkpoint is at 48 records
         grad_fn = self.gradients(log, 3, how)
         params, history = training._run_of(config.epochs, training._epochs(
-            len(log), grad_fn, lambda p: (1.0, 0.0), toy_dev(3), init_params("linear", 3, seed=32),
-            config))
+            len(log), grad_fn, log.context_table, lambda p: (1.0, 0.0), toy_dev(3),
+            init_params("linear", 3, seed=32), config))
         assert [cp.records_seen for cp in history.checkpoints] == [48]
         assert params == history.checkpoints[0].params
         assert history.stopped == f"training stopped after 48 records: {reason}"
@@ -685,8 +715,52 @@ class TestDivergence:
         log, config = random_log(80, 3, seed=31), cfg(eval_every=40)
         with pytest.raises(error):
             training._run_of(config.epochs, training._epochs(
-                len(log), self.gradients(log, 0, how), lambda p: (1.0, 0.0), toy_dev(3),
-                init_params("linear", 3, seed=32), config))
+                len(log), self.gradients(log, 0, how), log.context_table, lambda p: (1.0, 0.0),
+                toy_dev(3), init_params("linear", 3, seed=32), config))
+
+    def far_row_run(self, x, eval_every):
+        """A CRM run of one epoch (5 steps of 16 records) on a log whose first
+        record's context is (x, 0, 0), and the largest first-feature weight of
+        the initial parameters and after each step. From x = 1e6 the row's two
+        logits lie so far apart that its gradient is exactly 0, so the steps do
+        not depend on x, and its logits overflow once that weight passes FMAX / x."""
+        log = random_log(80, 3, seed=30)
+        contexts = log.contexts.copy()
+        contexts[0] = (x, 0.0, 0.0)
+        log = BanditLog(log.query_ids, log.product_ids, contexts, log.actions,
+                        log.propensities, log.deltas)
+        p0 = init_params("linear", 3, seed=30)
+        config = cfg(batch_size=16, epochs=1, learning_rate=0.5, eval_every=eval_every)
+        return lambda: train_crm(log, toy_dev(3), p0, config), p0
+
+    def far_row_weights(self):
+        """The parameters after each step of ``far_row_run`` and their largest
+        first-feature weight, the initial ones first."""
+        run, p0 = self.far_row_run(1e6, eval_every=16)
+        params = [p0, *(cp.params for cp in run()[1].checkpoints)]
+        return params, [float(np.abs(p.arrays[0][:, 0]).max()) for p in params]
+
+    def test_a_checkpoint_whose_training_logits_overflow_stops_the_run(self):
+        # no step's batch overflows: the far row's logits first overflow at the
+        # second checkpoint's forward pass over the whole training set
+        params, weights = self.far_row_weights()
+        assert weights[2] > 1.05 * max(weights[:2])
+        x = np.finfo(np.float64).max / np.sqrt(max(weights[:2]) * weights[2])
+        run, _ = self.far_row_run(x, eval_every=16)
+        _, history = run()
+        assert [(cp.records_seen, cp.params) for cp in history.checkpoints] == [(16, params[1])]
+        assert np.isfinite(history.checkpoints[0].S)
+        assert history.stopped == "training stopped after 32 records: non-finite logits"
+
+    def test_an_end_of_run_checkpoint_whose_training_logits_overflow_raises(self):
+        # the far row's logits stay finite at every step, the fifth too, and
+        # overflow at the end-of-run checkpoint, the run's only one
+        _, weights = self.far_row_weights()
+        assert weights[5] > 1.05 * max(weights[:5])
+        x = np.finfo(np.float64).max / np.sqrt(max(weights[:5]) * weights[5])
+        run, _ = self.far_row_run(x, eval_every=10**9)
+        with pytest.raises(policy.NonFiniteError, match="non-finite logits"):
+            run()
 
     def test_a_finished_run_has_no_reason(self):
         _, history = train_crm(random_log(40, 3, seed=33), toy_dev(3),
