@@ -39,6 +39,7 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
+from banditrank.estimators import mean_weight_and_lagrangian
 from banditrank.evaluation import DEFAULT_KS, RankIndex, write_qrels
 from banditrank.policy import PolicyParams, _checked_shapes, init_params, logit_margin
 from banditrank.training import (
@@ -46,6 +47,7 @@ from banditrank.training import (
     lambda_search,
     train_crm,
     train_full_info,
+    weighted_cross_entropy,
     write_history,
 )
 
@@ -220,11 +222,17 @@ def _warn(stopped: str | None, run: str = "") -> None:
 
 
 def cmd_train_crm(cfg: dict) -> dict:
-    params, history = train_crm(*_log_inputs(cfg))
+    log, dev, params0, config = _log_inputs(cfg)
+    params, history = train_crm(log, dev, params0, config)
     _warn(history.stopped)
+
+    def numbers(params):
+        S, objective = mean_weight_and_lagrangian(log, params, config.lam)
+        return {"objective": objective, "S": S}
+
     return {
         "model.json": params.save,
-        "history.tsv": lambda fh: write_history(history, fh),
+        "history.tsv": lambda fh: write_history(history, numbers, fh),
     }
 
 
@@ -239,7 +247,9 @@ def cmd_train_fullinfo(cfg: dict) -> dict:
     _warn(history.stopped)
     return {
         "model.json": params.save,
-        "history.tsv": lambda fh: write_history(history, fh),
+        # a full-information run has no importance weights, so no S
+        "history.tsv": lambda fh: write_history(
+            history, lambda p: {"objective": weighted_cross_entropy(train, p)}, fh),
     }
 
 

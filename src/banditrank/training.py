@@ -10,17 +10,16 @@ dev MAP. Training is one open-ended loop, and a run of e epochs is what that
 loop gives after epoch e, so the lambda search reads each probed lambda's probe
 and full run from one training of the longer length.
 
-A checkpoint ranks the dev set at once, since selection reads its dev MAP, and
-forwards the training set at once to check that its logits are finite. Its S
-and objective, the rest of a pass over the training set, are computed at the
-first read of either and kept: the lambda search reads them only at each
-run's best checkpoint.
+A checkpoint is a plain record: records seen, dev metrics (selection reads its
+dev MAP) and params, whose training-set logits it checks are finite. Whoever
+reads its S or objective computes them from its params: the lambda search at
+each run's best checkpoint, ``write_history`` at every checkpoint.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import islice
 from typing import Callable, Iterator
@@ -31,7 +30,6 @@ from banditrank.data import BanditLog, SupervisedSet, open_text
 from banditrank.estimators import (
     group_mean_losses,
     lagrangian_gradient,
-    logged_probabilities,
     mean_weight_and_lagrangian,
 )
 from banditrank.evaluation import MetricsReport, RankIndex
@@ -111,31 +109,12 @@ def adam_step(
     return params._replace_flat(flat), AdamState(m=m, v=v, t=t)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Checkpoint:
-    """A model taken during training and its dev metrics. ``full_pass()`` returns
-    its (S, objective) over the training set; the trainers give a memoised one,
-    so the pass runs at the first read of ``S`` or ``objective`` and never again."""
+    """A model taken during training and its dev metrics."""
     records_seen: int
     dev_metrics: MetricsReport
     params: PolicyParams
-    full_pass: Callable[[], tuple[float, float]] = field(repr=False)
-
-    @property
-    def S(self) -> float:
-        return self.full_pass()[0]
-
-    @property
-    def objective(self) -> float:
-        return self.full_pass()[1]
-
-    def _values(self) -> tuple:
-        return self.records_seen, self.dev_metrics, self.S, self.objective, self.params
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Checkpoint):
-            return NotImplemented
-        return self._values() == other._values()
 
 
 @dataclass(frozen=True)
@@ -158,7 +137,6 @@ def _epochs(
     log_len: int,
     grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
     table: np.ndarray,
-    full_pass: Callable[[PolicyParams], tuple[float, float]],
     dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
@@ -169,13 +147,12 @@ def _epochs(
     After epoch e it yields a memoised function that returns what a run of e
     epochs returns: the checkpoints so far, plus the end-of-run checkpoint such
     a run takes when its last checkpoint is earlier, made at the first call and
-    kept out of the longer runs. ``full_pass`` returns (S, objective) from one
-    pass over the training set, whose contexts ``table`` holds. A checkpoint
-    ranks the dev set and forwards ``table`` at once, and calls ``full_pass``
-    at the first read of its S or objective, memoised. Training stops at the
-    first step or checkpoint whose logits or updated parameters are not
-    finite; that epoch and every later one yield the stopped run, whose
-    history records why, or which raises the error when it has no checkpoint.
+    kept out of the longer runs. A checkpoint ranks the dev set and forwards
+    ``table``, the training set's contexts, to check that their logits are
+    finite; it computes no S or objective. Training stops at the first step or
+    checkpoint whose logits or updated parameters are not finite; that epoch
+    and every later one yield the stopped run, whose history records why, or
+    which raises the error when it has no checkpoint.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
@@ -188,9 +165,8 @@ def _epochs(
 
     def checkpoint(params: PolicyParams, records_seen: int) -> Checkpoint:
         dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
-        _forward(params, table)  # the one check of the full pass that can raise
-        return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, params=params,
-                          full_pass=cache(partial(full_pass, params)))
+        _forward(params, table)  # raises if a training-set logit is not finite
+        return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, params=params)
 
     def run(kept, params, records_seen, exc=None):
         """What a run that ends after ``records_seen`` records returns."""
@@ -244,23 +220,14 @@ def _crm_epochs(
     config: TrainConfig,
 ) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
     """``train_crm``'s ``_epochs`` loop."""
-    lam = config.lam
     table, rows = train_log.context_table, train_log.context_rows
 
     def grad_fn(params, idx):
-        return lagrangian_gradient(
-            np.take(table, rows[idx], axis=0),
-            train_log.actions[idx],
-            train_log.propensities[idx],
-            train_log.deltas[idx],
-            params,
-            lam,
-        )
+        return lagrangian_gradient(np.take(table, rows[idx], axis=0), train_log.actions[idx],
+                                   train_log.propensities[idx], train_log.deltas[idx], params,
+                                   config.lam)
 
-    def full_pass(params):
-        return mean_weight_and_lagrangian(train_log, params, lam)
-
-    return _epochs(len(train_log), grad_fn, table, full_pass, dev, params0, config)
+    return _epochs(len(train_log), grad_fn, table, dev, params0, config)
 
 
 def train_ea(
@@ -280,12 +247,12 @@ def train_ea(
             params, table[rows[idx]], train_log.actions[idx], coeffs[idx]
         ) / len(idx)
 
-    def full_pass(params):
-        p_a = logged_probabilities(train_log, params)
-        return float(np.mean(p_a / train_log.propensities)), float(np.sum(coeffs * p_a))
+    return _run_of(config.epochs, _epochs(len(train_log), grad_fn, table, dev, params0, config))
 
-    return _run_of(config.epochs,
-                   _epochs(len(train_log), grad_fn, table, full_pass, dev, params0, config))
+
+def _classes_and_weights(rows: SupervisedSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's target class, 1 whenever its label l > 0, and its weight (1 + l) / 5."""
+    return (rows.labels > 0).astype(np.int64), (1 + rows.labels) / 5.0
 
 
 def train_full_info(
@@ -300,8 +267,7 @@ def train_full_info(
     pull harder; the target class is 1 whenever l > 0.
     """
     X = train.contexts
-    y = (train.labels > 0).astype(np.int64)
-    weights = (1 + train.labels) / 5.0
+    y, weights = _classes_and_weights(train)
     if not np.any(y):
         raise ValueError("training set has no positive labels")
 
@@ -312,21 +278,30 @@ def train_full_info(
             params, X[idx], y[idx], lambda P, onehot: wb * (P - onehot) / len(idx)
         )
 
-    def full_pass(params):
-        P = batch_probabilities(params, X)
-        p_y = np.clip(P[np.arange(len(train)), y], 1e-300, None)
-        return float("nan"), float(np.mean(-weights * np.log(p_y)))
-
-    return _run_of(config.epochs, _epochs(len(train), grad_fn, X, full_pass, dev, params0, config))
+    return _run_of(config.epochs, _epochs(len(train), grad_fn, X, dev, params0, config))
 
 
-def write_history(history: TrainHistory, sink) -> int:
-    """Export the checkpoint series as TSV."""
+def weighted_cross_entropy(rows: SupervisedSet, params: PolicyParams) -> float:
+    """``train_full_info``'s objective over ``rows``: the mean weighted cross-entropy,
+    each row's probability of its target class clipped at 1e-300."""
+    y, weights = _classes_and_weights(rows)
+    P = batch_probabilities(params, rows.contexts)
+    p_y = np.clip(P[np.arange(len(rows)), y], 1e-300, None)
+    return float(np.mean(-weights * np.log(p_y)))
+
+
+def write_history(history: TrainHistory, numbers: Callable[[PolicyParams], dict], sink) -> int:
+    """Export the checkpoint series as TSV: records seen, the named numbers that
+    ``numbers`` computes from the params, such as S and the objective over the
+    training set (one call per checkpoint, made here), and the dev metrics."""
     with open_text(sink, "w") as out:
-        out.write("records_seen\tobjective\tS\tmap\tndcg@10\tavg_rank\tavg_dcg\n")
-        for cp in history.checkpoints:
+        for i, cp in enumerate(history.checkpoints):
+            named = numbers(cp.params)
+            if i == 0:
+                header = ["records_seen", *named, "map", "ndcg@10", "avg_rank", "avg_dcg"]
+                out.write("\t".join(header) + "\n")
             m = cp.dev_metrics
-            row = [cp.objective, cp.S, m.map, m.ndcg_at[10], m.avg_rank, m.avg_dcg]
+            row = [*named.values(), m.map, m.ndcg_at[10], m.avg_rank, m.avg_dcg]
             out.write("\t".join([str(cp.records_seen), *map(repr, row)]) + "\n")
     return len(history.checkpoints)
 
@@ -366,6 +341,10 @@ def lambda_search(
     training as its probe, which lasts the longer of the two lengths; the
     lambda whose full run's best checkpoint has the best dev MAP wins. The
     results are those of a ``train_crm`` run of each length apart.
+
+    Finding a best checkpoint reads no S. The search computes S, one pass over
+    the log, at the best checkpoint of each probe and each full run, once when
+    a lambda's two runs share it.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
@@ -373,12 +352,21 @@ def lambda_search(
     lam = float(rng.uniform(0.0, 1.0))
     probed: list[float] = []
     full_runs = []
+    known_S = {}  # by lambda and records seen, which name one checkpoint of one training
+
+    def best_S(lam: float, history: TrainHistory) -> float:
+        best = history.best()
+        key = lam, best.records_seen
+        if key not in known_S:
+            known_S[key] = mean_weight_and_lagrangian(train_log, best.params, lam)[0]
+        return known_S[key]
+
     for _ in range(config.max_probes):
         probed.append(lam)
         run_after = list(islice(_crm_epochs(train_log, dev, params0, replace(config, lam=lam)),
                                 max(probe_epochs, config.epochs)))
         full_runs.append(run_after[config.epochs - 1])
-        S = run_after[probe_epochs - 1]()[1].best().S
+        S = best_S(lam, run_after[probe_epochs - 1]()[1])
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
@@ -389,6 +377,6 @@ def lambda_search(
     # probed lambda wins a tie, as the earliest checkpoint does within a run
     runs = [(lam_j, full()[1]) for lam_j, full in zip(probed, full_runs)]
     lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
-    sweep = [LambdaProbe(lam=lam_j, S=history.best().S, metrics=history.best().dev_metrics,
+    sweep = [LambdaProbe(lam=lam_j, S=best_S(lam_j, history), metrics=history.best().dev_metrics,
                          stopped=history.stopped) for lam_j, history in runs]
     return lam_star, chosen.best().params, sweep

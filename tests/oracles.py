@@ -6,7 +6,9 @@ that ``parse_lines`` builds its log with the library's ``BanditLog`` and so
 shares its check of the rows, ``unflatten``, ``init_params_by_kind`` and
 ``adam_step_arrays`` return the library's ``PolicyParams``,
 ``adam_step_arrays`` reads its Adam constants, and
-``lambda_search_by_probes`` trains with the library's public ``train_crm``.
+``lambda_search_by_probes`` trains with the library's public ``train_crm``
+and takes each best checkpoint's S from ``estimators.snips_denominator``, the
+``np.mean`` formula, not the search's own pass over the log.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from banditrank import training
+from banditrank import estimators, training
 from banditrank.data import BanditLog, LogParseError, LogValidationError
 from banditrank.policy import PolicyParams
 
@@ -415,7 +417,7 @@ def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
         probed.append(lam)
         probe_cfg = dataclasses.replace(config, lam=lam, epochs=probe_epochs)
         _, probe_history = training.train_crm(train_log, dev, params0, probe_cfg)
-        S = probe_history.best().S
+        S = estimators.snips_denominator(train_log, probe_history.best().params)
         if 0.95 <= S <= 1.05:
             break
         lam = lam * 0.9 if S > 1.0 else min(1.0, lam * 1.1)
@@ -426,7 +428,7 @@ def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
                                        dataclasses.replace(config, lam=lam_j))[1])
             for lam_j in probed]
     lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
-    sweep = [training.LambdaProbe(lam=lam_j, S=history.best().S,
-                                  metrics=history.best().dev_metrics, stopped=history.stopped)
-             for lam_j, history in runs]
+    sweep = [training.LambdaProbe(
+        lam=lam_j, S=estimators.snips_denominator(train_log, history.best().params),
+        metrics=history.best().dev_metrics, stopped=history.stopped) for lam_j, history in runs]
     return lam_star, chosen.best().params, sweep

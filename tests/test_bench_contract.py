@@ -99,7 +99,7 @@ def test_cli_pass(workloads, tmp_path):
 
 
 def test_traced_training_spans(tracer):
-    from banditrank import simulator, training
+    from banditrank import estimators, simulator, training
     from banditrank.policy import init_params
 
     world = simulator.generate_world(simulator.SimConfig(10, 8, 3), seed=1)
@@ -109,7 +109,10 @@ def test_traced_training_spans(tracer):
     traced.install()
     _, history = training.train_crm(log, simulator.world_supervised(world),
                                      init_params("linear", 3, seed=0), config)
-    training.write_history(history, io.StringIO())  # one full pass per checkpoint, at its S
+    # one full pass per checkpoint, for its S and objective
+    training.write_history(history, lambda p: dict(zip(
+        ("S", "objective"), estimators.mean_weight_and_lagrangian(log, p, config.lam))),
+        io.StringIO())
     traced.active = False
     spans = tracer.summarize(traced.spans, 0, len(traced.spans))
     steps = config.epochs * -(-len(log) // config.batch_size)

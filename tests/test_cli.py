@@ -96,6 +96,18 @@ class TestTrainAndEvaluate:
         assert rc == 0
         assert (out / "model.json").exists()
 
+    def test_train_fullinfo_history_has_no_s_column(self, sim_run, tmp_path):
+        # a full-information run has no importance weights, so no S to write
+        out = tmp_path / "fi"
+        assert run(["train-fullinfo", "--train", str(sim_run / "dev.tsv"), "--dev",
+                    str(sim_run / "dev.tsv"), "--epochs", "2", "--eval-every", "10",
+                    "--out", str(out)]) == 0
+        header, *rows = (out / "history.tsv").read_text().splitlines()
+        assert header == "records_seen\tobjective\tmap\tndcg@10\tavg_rank\tavg_dcg"
+        assert len(rows) >= 2
+        fields = [row.split("\t") for row in rows]
+        assert all(len(f) == 6 and all(math.isfinite(float(x)) for x in f) for f in fields)
+
     def test_lambda_sweep(self, sim_run, tmp_path):
         out = tmp_path / "sw"
         cfg = tmp_path / "sweep.json"

@@ -25,7 +25,7 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.estimators import mean_weight_and_lagrangian, snips
+from banditrank.estimators import lagrangian_risk, mean_weight_and_lagrangian, snips
 from banditrank.evaluation import RankIndex, write_qrels
 from banditrank.policy import PolicyParams, init_params, logit_margin
 from banditrank.simulator import (
@@ -815,7 +815,8 @@ class TestFileHandles:
             assert PolicyParams.load(path("model.json")) == params
             save_world(world, path("world.json"))
             assert load_world(path("world.json")).seed == 2
-            write_history(history, path("history.tsv"))
+            write_history(history, lambda p: {"objective": lagrangian_risk(log, p, 0.5)},
+                          path("history.tsv"))
             history.checkpoints[-1].dev_metrics.write(path("metrics.txt"))
             snips(log, params).write(path("snips.txt"))
             RankIndex(dev.query_ids, dev.product_ids, dev.labels).write_trec_run(

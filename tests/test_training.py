@@ -1,4 +1,5 @@
 import io
+import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -9,11 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from banditrank import estimators, policy, training
-from banditrank.data import BanditLog, SupervisedSet, grade
+from banditrank import cli, estimators, policy, training
+from banditrank.data import BanditLog, SupervisedSet, grade, write_bandit_log, write_supervised
 from banditrank.evaluation import MetricsReport
 from banditrank.estimators import (
-    empirical_average,
     lagrangian_gradient,
     lagrangian_risk,
     snips_denominator,
@@ -192,10 +192,8 @@ class TestTrainCrm:
         p0 = init_params("linear", 3, seed=4)
         _, h1 = train_crm(log, dev, p0, cfg())
         _, h2 = train_crm(log, dev, p0, cfg())
-        assert len(h1.checkpoints) == len(h2.checkpoints)
-        for a, b in zip(h1.checkpoints, h2.checkpoints):
-            assert a.params == b.params
-            assert a.objective == b.objective
+        assert len(h1.checkpoints) >= 2
+        assert h1 == h2  # records seen, dev metrics, params and why it stopped
 
     def test_model_selection_is_best_dev(self):
         log = random_log(200, 3, seed=5)
@@ -214,7 +212,7 @@ class TestTrainCrm:
         config = cfg(batch_size=16, epochs=500, eval_every=10**9, lam=0.5)
         params, history = train_crm(log, dev, p0, config)
         initial = lagrangian_risk(log, p0, 0.5)
-        final = history.checkpoints[-1].objective
+        final = lagrangian_risk(log, history.checkpoints[-1].params, 0.5)
         assert final < initial
 
     def test_improves_over_logging_policy(self):
@@ -359,7 +357,7 @@ class TestLambdaStoppingRule:
             run = len(runs)
             runs.append(config.lam)
             checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics,
-                                    params=params0, full_pass=lambda: (S, 0.0))
+                                    params=params0)
             for epoch in count(1):
                 def result(epoch=epoch):
                     calls.append((run, config.lam, epoch))
@@ -369,6 +367,7 @@ class TestLambdaStoppingRule:
         # each probed lambda trains once: its probe reads epoch 2 of that
         # training and its full run epoch 5
         monkeypatch.setattr(training, "_crm_epochs", fixed_s_crm_epochs)
+        monkeypatch.setattr(training, "mean_weight_and_lagrangian", lambda log, p, lam: (S, 0.0))
         lam_star, _, sweep = lambda_search(
             random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
             cfg(epochs=5, max_probes=max_probes), probe_epochs=2,
@@ -599,34 +598,49 @@ class TestTrainFullInfo:
         p0 = init_params("linear", 2, seed=3)
         _, h1 = train_full_info(train, train, p0, cfg(epochs=3))
         _, h2 = train_full_info(train, train, p0, cfg(epochs=3))
-        for a, b in zip(h1.checkpoints, h2.checkpoints):
-            assert a.params == b.params
+        assert len(h1.checkpoints) >= 2
+        assert h1 == h2
 
 
 class TestOneFullLogPass:
-    """A checkpoint gets S and the objective from one pass over the training set,
-    made at the first read of either."""
+    """Training computes no S or objective. ``write_history`` computes them from
+    each checkpoint's params, one pass over the training set per checkpoint."""
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_crm_matches_the_estimators(self, kind):
-        log = random_log(80, 3, seed=21)
+    def test_crm_matches_the_estimators(self, kind, tmp_path):
+        log, dev = random_log(80, 3, seed=21), toy_dev(3)
         config = cfg(eval_every=40)
-        _, history = train_crm(log, toy_dev(3), init_params(kind, 3, hidden=4, seed=22), config)
-        for cp in history.checkpoints:
-            assert cp.S == snips_denominator(log, cp.params)
-            assert cp.objective == lagrangian_risk(log, cp.params, config.lam)
+        _, history = train_crm(log, dev, init_params(kind, 3, hidden=4, seed=config.seed), config)
+        write_bandit_log(log, str(tmp_path / "log.jsonl"))
+        write_supervised(dev, str(tmp_path / "dev.tsv"))
+        cli_cfg = {"policy": kind, "hidden": 4, "lambda": config.lam, **{
+            key: getattr(config, key) for key in ("batch_size", "epochs", "learning_rate",
+                                                  "seed", "eval_every")}}
+        (tmp_path / "train.json").write_text(json.dumps(cli_cfg))
+        assert cli.run(["train-crm", "--config", str(tmp_path / "train.json"), "--log",
+                        str(tmp_path / "log.jsonl"), "--dev", str(tmp_path / "dev.tsv"),
+                        "--out", str(tmp_path / "run")]) == 0
+        header, *rows = (tmp_path / "run" / "history.tsv").read_text().splitlines()
+        assert header.split("\t")[:3] == ["records_seen", "objective", "S"]
+        assert len(rows) == len(history.checkpoints) >= 2
+        for cp, row in zip(history.checkpoints, rows):
+            records_seen, objective, S = row.split("\t")[:3]
+            assert int(records_seen) == cp.records_seen
+            assert float(S) == snips_denominator(log, cp.params)
+            assert float(objective) == lagrangian_risk(log, cp.params, config.lam)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_ea_matches_the_estimators(self, kind):
-        log = random_log(80, 3, seed=23)
-        _, history = train_ea(log, toy_dev(3), init_params(kind, 3, hidden=4, seed=24),
-                              cfg(eval_every=40))
+    def test_full_info_matches_the_cross_entropy(self, kind):
+        train = toy_dev(3, n_queries=5)
+        _, history = train_full_info(train, toy_dev(3), init_params(kind, 3, hidden=4, seed=27),
+                                     cfg(eval_every=40))
         for cp in history.checkpoints:
-            assert cp.S == snips_denominator(log, cp.params)
-            # the same sum, with the group size divided out in another order
-            assert cp.objective == pytest.approx(
-                empirical_average(log, cp.params).estimate, rel=1e-12
-            )
+            # one row at a time: -(1 + l) / 5 * log P(l > 0 | x), P clipped at 1e-300
+            terms = [-(1 + label) / 5 * np.log(max(P[0, int(label > 0)], 1e-300))
+                     for x, label in zip(train.contexts, train.labels.tolist())
+                     for P in [policy.batch_probabilities(cp.params, x[None, :])]]
+            assert training.weighted_cross_entropy(train, cp.params) == pytest.approx(
+                np.mean(terms), rel=1e-12)
 
     @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
     def test_one_pass_per_checkpoint(self, monkeypatch, trainer):
@@ -653,19 +667,23 @@ class TestOneFullLogPass:
         if trainer == "full_info":
             train = toy_dev(3, n_queries=14)
             _, history = train_full_info(train, toy_dev(3), p0, config)
+
+            def numbers(params):
+                return {"objective": training.weighted_cross_entropy(train, params)}
         else:
             train = random_log(84, 3, seed=26)
             fit = train_crm if trainer == "crm" else train_ea
             _, history = fit(train, toy_dev(3), p0, config)
+
+            def numbers(params):  # train-crm's: S and the objective at the run's lambda
+                S, objective = estimators.mean_weight_and_lagrangian(train, params, config.lam)
+                return {"objective": objective, "S": S}
         # gradient batches hold at most 16 rows; each checkpoint's check holds 84
         checkpoints = history.checkpoints
         assert len(train) == 84 and max(rows["logit_gradient"]) <= config.batch_size
         assert rows["_forward"] == [84] * len(checkpoints) and len(checkpoints) >= 3
-        assert rows["batch_probabilities"] == []  # no S or objective was read
-        first, last = checkpoints[0], checkpoints[-1]
-        first.S, first.objective, last.objective, last.S  # one pass each, at its first read
-        assert rows["batch_probabilities"] == [84, 84]
-        write_history(history, io.StringIO())  # reads every S and objective
+        assert rows["batch_probabilities"] == []  # training computes no S or objective
+        write_history(history, numbers, io.StringIO())
         assert rows["batch_probabilities"] == [84] * len(checkpoints)
         assert rows["_forward"] == [84] * len(checkpoints)
 
@@ -703,8 +721,8 @@ class TestDivergence:
         config = cfg(eval_every=40)  # batches of 16: the first checkpoint is at 48 records
         grad_fn = self.gradients(log, 3, how)
         params, history = training._run_of(config.epochs, training._epochs(
-            len(log), grad_fn, log.context_table, lambda p: (1.0, 0.0), toy_dev(3),
-            init_params("linear", 3, seed=32), config))
+            len(log), grad_fn, log.context_table, toy_dev(3), init_params("linear", 3, seed=32),
+            config))
         assert [cp.records_seen for cp in history.checkpoints] == [48]
         assert params == history.checkpoints[0].params
         assert history.stopped == f"training stopped after 48 records: {reason}"
@@ -715,15 +733,15 @@ class TestDivergence:
         log, config = random_log(80, 3, seed=31), cfg(eval_every=40)
         with pytest.raises(error):
             training._run_of(config.epochs, training._epochs(
-                len(log), self.gradients(log, 0, how), log.context_table, lambda p: (1.0, 0.0),
-                toy_dev(3), init_params("linear", 3, seed=32), config))
+                len(log), self.gradients(log, 0, how), log.context_table, toy_dev(3),
+                init_params("linear", 3, seed=32), config))
 
     def far_row_run(self, x, eval_every):
         """A CRM run of one epoch (5 steps of 16 records) on a log whose first
-        record's context is (x, 0, 0), and the largest first-feature weight of
-        the initial parameters and after each step. From x = 1e6 the row's two
-        logits lie so far apart that its gradient is exactly 0, so the steps do
-        not depend on x, and its logits overflow once that weight passes FMAX / x."""
+        record's context is (x, 0, 0), its initial parameters and that log. From
+        x = 1e6 the row's two logits lie so far apart that its gradient is
+        exactly 0, so the steps do not depend on x, and its logits overflow once
+        the largest first-feature weight passes FMAX / x."""
         log = random_log(80, 3, seed=30)
         contexts = log.contexts.copy()
         contexts[0] = (x, 0.0, 0.0)
@@ -731,12 +749,12 @@ class TestDivergence:
                         log.propensities, log.deltas)
         p0 = init_params("linear", 3, seed=30)
         config = cfg(batch_size=16, epochs=1, learning_rate=0.5, eval_every=eval_every)
-        return lambda: train_crm(log, toy_dev(3), p0, config), p0
+        return lambda: train_crm(log, toy_dev(3), p0, config), p0, log
 
     def far_row_weights(self):
         """The parameters after each step of ``far_row_run`` and their largest
         first-feature weight, the initial ones first."""
-        run, p0 = self.far_row_run(1e6, eval_every=16)
+        run, p0, _ = self.far_row_run(1e6, eval_every=16)
         params = [p0, *(cp.params for cp in run()[1].checkpoints)]
         return params, [float(np.abs(p.arrays[0][:, 0]).max()) for p in params]
 
@@ -746,10 +764,10 @@ class TestDivergence:
         params, weights = self.far_row_weights()
         assert weights[2] > 1.05 * max(weights[:2])
         x = np.finfo(np.float64).max / np.sqrt(max(weights[:2]) * weights[2])
-        run, _ = self.far_row_run(x, eval_every=16)
+        run, _, log = self.far_row_run(x, eval_every=16)
         _, history = run()
         assert [(cp.records_seen, cp.params) for cp in history.checkpoints] == [(16, params[1])]
-        assert np.isfinite(history.checkpoints[0].S)
+        assert np.isfinite(snips_denominator(log, history.checkpoints[0].params))
         assert history.stopped == "training stopped after 32 records: non-finite logits"
 
     def test_an_end_of_run_checkpoint_whose_training_logits_overflow_raises(self):
@@ -758,7 +776,7 @@ class TestDivergence:
         _, weights = self.far_row_weights()
         assert weights[5] > 1.05 * max(weights[:5])
         x = np.finfo(np.float64).max / np.sqrt(max(weights[:5]) * weights[5])
-        run, _ = self.far_row_run(x, eval_every=10**9)
+        run, _, _ = self.far_row_run(x, eval_every=10**9)
         with pytest.raises(policy.NonFiniteError, match="non-finite logits"):
             run()
 
