@@ -169,6 +169,27 @@ def _forward(params: PolicyParams, contexts: np.ndarray):
     return X, logits, H
 
 
+# far below the largest float (1.8e308), so that no rounding of a bounded sum reaches it
+_LOGIT_BOUND = 1e300
+
+
+def _logits_bounded(params: PolicyParams, x_max: float) -> bool:
+    """Whether the logits of any contexts whose entries lie within ±``x_max`` are
+    proved finite, with no forward pass.
+
+    Parameters are finite, so a pre-activation is at most Σ|w|·x_max + |b| in size;
+    an MLP's tanh units lie in [−1, 1], so its logits are at most Σ|w₂| + |b₂|. The
+    proof holds when every such bound is below ``_LOGIT_BOUND``; False proves nothing.
+    """
+    w, b = params.arrays[:2]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound fails
+        bounds = [np.abs(w).sum(axis=1) * x_max + np.abs(b)]
+        if params.kind == "mlp":
+            w2, b2 = params.arrays[2:]
+            bounds.append(np.abs(w2).sum(axis=1) + np.abs(b2))
+    return all(bound.max() < _LOGIT_BOUND for bound in bounds)
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     # Two logits per row: slices beat a reduction over axis 1 several times over.
     e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
@@ -205,7 +226,7 @@ def logit_gradient(
     """
     X, logits, H = _forward(params, contexts)
     P = _softmax(logits)
-    onehot = _ONE_HOT[np.asarray(classes, dtype=np.int64)]
+    onehot = np.take(_ONE_HOT, np.asarray(classes, dtype=np.int64), axis=0)
     G = dlogits(P, onehot)
     if params.kind == "linear":
         return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])

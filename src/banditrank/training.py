@@ -11,9 +11,11 @@ loop gives after epoch e, so the lambda search reads each probed lambda's probe
 and full run from one training of the longer length.
 
 A checkpoint is a plain record: records seen, dev metrics (selection reads its
-dev MAP) and params, whose training-set logits it checks are finite. Whoever
-reads its S or objective computes them from its params: the lambda search at
-each run's best checkpoint, ``write_history`` at every checkpoint.
+dev MAP) and params, whose training-set logits are finite: a bound from the
+params and the table's largest entry proves it, and the table is forwarded only
+where the bound fails. Whoever reads its S or objective computes them from its
+params: the lambda search at each run's best checkpoint, ``write_history`` at
+every checkpoint.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from banditrank.policy import (
     NonFiniteError,
     PolicyParams,
     _forward,
+    _logits_bounded,
     batch_probabilities,
     logit_gradient,
     logit_margin,
@@ -147,12 +150,13 @@ def _epochs(
     After epoch e it yields a memoised function that returns what a run of e
     epochs returns: the checkpoints so far, plus the end-of-run checkpoint such
     a run takes when its last checkpoint is earlier, made at the first call and
-    kept out of the longer runs. A checkpoint ranks the dev set and forwards
-    ``table``, the training set's contexts, to check that their logits are
-    finite; it computes no S or objective. Training stops at the first step or
-    checkpoint whose logits or updated parameters are not finite; that epoch
-    and every later one yield the stopped run, whose history records why, or
-    which raises the error when it has no checkpoint.
+    kept out of the longer runs. A checkpoint ranks the dev set and checks that
+    the logits of ``table``, the training set's contexts, are finite: by
+    ``_logits_bounded`` from the table's largest entry, or, where that bound
+    fails, by forwarding the table. It computes no S or objective. Training
+    stops at the first step or checkpoint whose logits or updated parameters
+    are not finite; that epoch and every later one yield the stopped run, whose
+    history records why, or which raises the error when it has no checkpoint.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
@@ -162,10 +166,12 @@ def _epochs(
     checkpoints: list[Checkpoint] = []
     records_seen = 0
     next_eval = config.eval_every
+    x_max = float(np.abs(table).max(initial=0.0))
 
     def checkpoint(params: PolicyParams, records_seen: int) -> Checkpoint:
         dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
-        _forward(params, table)  # raises if a training-set logit is not finite
+        if not _logits_bounded(params, x_max):
+            _forward(params, table)  # raises if a training-set logit is not finite
         return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, params=params)
 
     def run(kept, params, records_seen, exc=None):
@@ -244,7 +250,7 @@ def train_ea(
 
     def grad_fn(params, idx):
         return weighted_prob_gradient(
-            params, table[rows[idx]], train_log.actions[idx], coeffs[idx]
+            params, np.take(table, rows[idx], axis=0), train_log.actions[idx], coeffs[idx]
         ) / len(idx)
 
     return _run_of(config.epochs, _epochs(len(train_log), grad_fn, table, dev, params0, config))

@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from banditrank import policy
 from banditrank.evaluation import RankIndex
 from banditrank.policy import (
     PolicyParams,
@@ -17,6 +20,8 @@ from banditrank.policy import (
 from banditrank.training import evaluate_policy
 from conftest import identity_policy, supervised
 from oracles import finite_difference_gradient, flatten, init_params_by_kind, unflatten
+
+FLOAT_MAX = np.finfo(np.float64).max
 
 
 class TestInit:
@@ -279,3 +284,46 @@ class TestFlatVector:
         p = PolicyParams("linear", [w, np.zeros(2)])
         w[0, 0] = 5.0
         assert w.flags.writeable and p.arrays[0][0, 0] == 1.0
+
+
+@st.composite
+def bounded_cases(draw):
+    """A linear or MLP policy of up to 64 features and a table of up to 8 rows. The
+    size of each array and of the first weights' bound Σ|w|·max|x| over the table is
+    log-uniform from 1e-3 up to the overflow edge or, half the time, within a factor
+    2 of it. The table's last row takes the signs of the first weights at the table's
+    largest entry, so that its first pre-activation meets that bound, and an MLP's
+    first output weights take the signs of that row's hidden units."""
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    d, hidden = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def size():
+        return FLOAT_MAX * 10.0 ** -rng.uniform(0.0, 0.3 if draw(st.booleans()) else 311.0)
+
+    arrays = [rng.uniform(-1.0, 1.0, shape) * size() for shape in policy._shapes(kind, d, hidden)]
+    w = arrays[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_max = min(size() / np.abs(w).sum(), FLOAT_MAX)
+        far = np.sign(w) * x_max
+        if kind == "mlp":
+            h = np.tanh(arrays[0] @ far + arrays[1])
+            arrays[2][0] = np.abs(arrays[2][0]) * np.where(h < 0, -1.0, 1.0)
+    table = rng.uniform(-1.0, 1.0, (draw(st.integers(1, 7)), d)) * x_max
+    return PolicyParams(kind, arrays), np.vstack([table, far])
+
+
+class TestLogitBound:
+    @settings(max_examples=500, deadline=None)
+    @given(bounded_cases())
+    def test_accepted_logits_are_finite(self, case):
+        params, table = case
+        if policy._logits_bounded(params, float(np.abs(table).max())):
+            assert np.isfinite(policy._forward(params, table)[1]).all()
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_an_initial_policy_is_accepted_and_a_far_entry_is_not(self, kind):
+        params = init_params(kind, 10, hidden=16, seed=0)
+        assert policy._logits_bounded(params, 1e6)
+        assert not policy._logits_bounded(params, 1e301)
+        assert not policy._logits_bounded(params, np.inf)

@@ -642,11 +642,12 @@ class TestOneFullLogPass:
             assert training.weighted_cross_entropy(train, cp.params) == pytest.approx(
                 np.mean(terms), rel=1e-12)
 
-    @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
-    def test_one_pass_per_checkpoint(self, monkeypatch, trainer):
-        # rows of each checkpoint's finiteness check (training's own _forward),
-        # of each gradient batch (at its one forward and backward pass) and of
-        # each full pass (at batch_probabilities)
+    @staticmethod
+    def counted_rows(monkeypatch):
+        """The rows that each later call sees, by name: of training's own _forward (a
+        checkpoint's forward of the table where the bound fails), of each gradient batch
+        (at its one forward and backward pass) and of each full pass (at
+        batch_probabilities)."""
         rows = {"_forward": [], "logit_gradient": [], "batch_probabilities": []}
 
         def counting(name):
@@ -662,30 +663,68 @@ class TestOneFullLogPass:
             for module in (training,) if name == "_forward" else (policy, estimators, training):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        p0 = init_params("linear", 3, seed=25)
-        config = cfg(eval_every=40)
+        return rows
+
+    @staticmethod
+    def fit(trainer, far=None):
+        """A linear run of ``trainer`` on 84 training rows, the first row's first entry
+        set to ``far`` if given: its training set, its history and the numbers that
+        train-crm or train-fullinfo writes for it."""
+        p0, config = init_params("linear", 3, seed=25), cfg(eval_every=40)
         if trainer == "full_info":
             train = toy_dev(3, n_queries=14)
+            if far is not None:
+                contexts = train.contexts.copy()
+                contexts[0, 0] = far
+                train = SupervisedSet(train.query_ids, train.product_ids, contexts, train.nrr)
             _, history = train_full_info(train, toy_dev(3), p0, config)
 
             def numbers(params):
                 return {"objective": training.weighted_cross_entropy(train, params)}
         else:
             train = random_log(84, 3, seed=26)
+            if far is not None:
+                contexts = train.contexts.copy()
+                contexts[0, 0] = far
+                train = BanditLog(train.query_ids, train.product_ids, contexts, train.actions,
+                                  train.propensities, train.deltas)
             fit = train_crm if trainer == "crm" else train_ea
             _, history = fit(train, toy_dev(3), p0, config)
 
             def numbers(params):  # train-crm's: S and the objective at the run's lambda
                 S, objective = estimators.mean_weight_and_lagrangian(train, params, config.lam)
                 return {"objective": objective, "S": S}
-        # gradient batches hold at most 16 rows; each checkpoint's check holds 84
+        return train, history, numbers
+
+    @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
+    def test_one_pass_per_checkpoint(self, monkeypatch, trainer):
+        rows = self.counted_rows(monkeypatch)
+        train, history, numbers = self.fit(trainer)
+        # gradient batches hold at most 16 rows; the bound proves every checkpoint's
+        # training logits finite, so none forwards the table
         checkpoints = history.checkpoints
-        assert len(train) == 84 and max(rows["logit_gradient"]) <= config.batch_size
-        assert rows["_forward"] == [84] * len(checkpoints) and len(checkpoints) >= 3
+        assert len(train) == 84 and max(rows["logit_gradient"]) <= 16
+        assert rows["_forward"] == [] and len(checkpoints) >= 3
         assert rows["batch_probabilities"] == []  # training computes no S or objective
         write_history(history, numbers, io.StringIO())
         assert rows["batch_probabilities"] == [84] * len(checkpoints)
-        assert rows["_forward"] == [84] * len(checkpoints)
+        assert rows["_forward"] == []
+
+    @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
+    def test_a_far_entry_forwards_the_table_at_each_checkpoint(self, monkeypatch, trainer):
+        # an entry of -1e301 fails the bound (the weights of logit 1 sum to about 1.9 in
+        # size) while every logit stays finite; the far row's probabilities saturate (at
+        # its target class, for full information), so its gradient is 0 and no step
+        # overflows
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(training, "_logits_bounded", lambda params, x_max: False)
+            expected = self.fit(trainer, far=-1e301)[1]
+        rows = self.counted_rows(monkeypatch)
+        _, history, _ = self.fit(trainer, far=-1e301)
+        checkpoints = history.checkpoints
+        assert not any(policy._logits_bounded(cp.params, 1e301) for cp in checkpoints)
+        assert rows["_forward"] == [84] * len(checkpoints) and len(checkpoints) >= 3
+        assert history == expected and history.stopped is None
 
 
 class TestDivergence:
