@@ -18,16 +18,15 @@ Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 order; ``tests/oracles.jsonl_lines`` pins these bytes. An optional first line
 holding ``{"_meta": {...}}`` carries log metadata.
 
-The writer formats each table row once. The reader takes a log
-``_BLOCK_ROWS`` lines at a time. A record line takes the bulk path if it has
-the writer's exact shape, its ids need no escape, and its features and
-propensity are written in number characters only: one ``json.loads`` per
-block decodes the numbers of those lines, each distinct features text once.
-Every other line, and every line of a block whose decode fails, is parsed on
-its own. Either way a record takes its row of the one context table by a key:
-its features text on the bulk path, else their float bytes, so a context
-holds at most two rows. Both paths give the same log, or the same error at
-the same line, as ``tests/oracles.parse_lines``, the per-line parser.
+The writer formats each table row once. The reader takes ``_BLOCK_ROWS``
+lines at a time. In each block, a run of lines of the writer's exact shape, with
+ids that need no escape and numbers in number characters only, takes the bulk
+path as a whole if one ``json.loads`` decodes its new features texts, each
+once, into rows of the log's width, and its propensities; every other line is
+parsed on its own. Either way a record takes its row of the one context table
+by a key, its features text on the bulk path, else their float bytes, so a
+context holds at most two rows. Both paths give the same log, or the same
+error at the same line, as ``tests/oracles.parse_lines``, the per-line parser.
 
 Supervised data is a tab-separated file with a header row:
 ``query_id  product_id  label  nrr  f0 ... f{d-1}``.
@@ -41,7 +40,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import groupby, islice
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -347,8 +346,8 @@ _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "d
 
 # The writers format and write this many rows at a time (one ``tolist()`` of each
 # column and one ``write`` per block), and the bandit-log reader reads this many
-# lines at a time (one ``json.loads`` per block). Larger blocks gain no time and
-# hold more memory: reading a 30k-record log peaks 1.1 MB higher at 1,024 lines.
+# lines at a time (one ``json.loads`` per run of bulk lines). Larger blocks gain no
+# time and hold more memory: reading a 30k-record log peaks 1.1 MB higher at 1,024.
 _BLOCK_ROWS = 256
 
 # A record line as ``json.dumps`` of the record's dict gives it. Ids and features
@@ -368,39 +367,25 @@ _WRITTEN_RECORD = re.compile(
     r'"propensity": ([-+0-9]*[.eE][-+.0-9eE]*), "delta": ([01])\}\n?')
 
 
-def _read_block(block: list[str], known: dict) -> tuple[list, dict[str, array]]:
-    """Each line's record if the bulk path takes it, else None, and the features
-    of each features text of those records that is not in ``known``.
-
-    A record is (query_id, product_id, features text, action, propensity, delta).
-    One ``json.loads`` decodes the new features texts and every propensity, so
-    json judges each number. If it raises (bad JSON, or an integer past Python's
-    digit limit) or a feature overflows a float, the path takes no line of the
-    block, so that each is judged on its own.
-    """
-    groups = [match and match.groups() for match in map(_WRITTEN_RECORD.fullmatch, block)]
-    taken = [fields for fields in groups if fields]
-    new = [text for text in dict.fromkeys([fields[2] for fields in taken]) if text not in known]
-    try:
-        values = json.loads("[" + ",".join([*new, *[fields[4] for fields in taken]]) + "]")
-        rows = {text: array("d", features) for text, features in zip(new, values)}
+def _read_run(groups: list[tuple], row_of: dict, table: array, width, share) -> tuple | None:
+    """The log's width (None before any record) and the record columns of a run of
+    lines' ``_WRITTEN_RECORD`` groups if one ``json.loads`` decodes its propensities
+    and its features texts not in ``row_of`` into float rows of that width, which
+    are then added to ``row_of`` and ``table``; else None."""
+    qids, pids, texts, actions, propensities, deltas = zip(*groups)
+    new = [text for text in dict.fromkeys(texts) if text not in row_of]
+    try:  # bad JSON, an integer past Python's digit limit or past a float's range
+        values = json.loads("[" + ",".join([*new, *propensities]) + "]")
+        width = len(values[0]) if width is None else width
+        if any(len(row) != width for row in values[:len(new)]):
+            return None
+        new_rows = array("d", [x for row in values[:len(new)] for x in row])
     except (ValueError, OverflowError):
-        return [None] * len(block), {}
-    propensities = iter(values[len(new):])
-    records = [fields and (*fields[:3], int(fields[3]), next(propensities), int(fields[5]))
-               for fields in groups]
-    return records, rows
-
-
-def _blocks(stream: IO[str], known: dict
-            ) -> Iterator[tuple[int, str, tuple | None, dict[str, array]]]:
-    """Each line of ``stream`` with its number and what ``_read_block`` gives for it
-    and for its block of ``_BLOCK_ROWS`` lines."""
-    first = 1
-    while block := list(islice(stream, _BLOCK_ROWS)):
-        records, new_rows = _read_block(block, known)
-        yield from zip(count(first), block, records, repeat(new_rows))
-        first += len(block)
+        return None
+    row_of.update(zip(new, range(len(row_of), len(row_of) + len(new))))
+    table.extend(new_rows)
+    return width, (map(share, qids, qids), map(share, pids, pids), map(row_of.__getitem__, texts),
+                   map(int, actions), values[len(new):], map(int, deltas))
 
 
 def parse_bandit_log(source: IO | str) -> BanditLog:
@@ -423,10 +408,9 @@ def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, np.ndarray, array,
                                           LogParseError | None]:
     """The metadata, the ``BanditLog`` columns with the contexts as a table, each
     record's row of it, each record's line number and the format error that ended
-    the reading, if any. Each record, on either path, looks up or adds its row in
-    one key-to-row index: a bulk line by its features text, a line parsed on its
-    own by the float bytes of its features, so a context read both ways holds two
-    rows. The index is freed on return, before ``BanditLog`` runs.
+    the reading, if any. Each record looks up or adds its row in one key-to-row
+    index, in line order: by its features text if it was read in a bulk run, else
+    by their float bytes. The index is freed on return, before ``BanditLog`` runs.
 
     Features that no table row can hold end the reading as the table's last row,
     as json read them, in a list of rows. The records before them or before a
@@ -441,59 +425,66 @@ def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, np.ndarray, array,
     share = {}.setdefault  # equal ids share one str
     # The flat table of context rows, each record's row and the key-to-row index
     table, rows, row_of = array("d"), array("q"), {}
-    width, contexts, error = None, None, None
-    for line_no, line, record, new_rows in _blocks(stream, row_of):
-        if record is not None:
-            query_id, product_id, key, action, propensity, delta = record
-            features = new_rows.get(key)  # None once the text has a row
-            if features is not None:
-                width = len(features) if width is None else width
-                if len(features) != width:
-                    record = None  # so that the row is reported as json read it
-        if record is None:
-            line = line.strip()
-            if not line:
+    width, contexts, error, end = None, None, None, 0  # end: the lines read so far
+    while (error is None and contexts is None
+           and (block := list(islice(stream, _BLOCK_ROWS)))):
+        start = end  # the lines before the block
+        groups = [match and match.groups() for match in map(_WRITTEN_RECORD.fullmatch, block)]
+        for shaped, run in groupby(groups, bool):
+            run = list(run)
+            first, end = end + 1, end + len(run)
+            taken = shaped and _read_run(run, row_of, table, width, share)
+            if taken:
+                width, bulk = taken
+                for column, values in zip((query_ids, product_ids, rows, actions, propensities,
+                                           deltas, line_nos), (*bulk, range(first, end + 1))):
+                    column.extend(values)
                 continue
-            try:
-                obj = _parse_line(line, line_no)
-            except LogParseError as exc:
-                error = exc
-                break
-            if "_meta" in obj:
-                metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
-                continue
-            if isinstance(actions, array):
-                actions, propensities, deltas = actions.tolist(), propensities.tolist(), deltas.tolist()
-            query_id, product_id = str(obj["query_id"]), str(obj["product_id"])
-            features, action = obj["features"], obj["action"]
-            propensity, delta = obj["propensity"], obj["delta"]
-            if width is None:
-                width = len(features) if isinstance(features, list) else 0
-            key = None
-            if isinstance(features, list) and len(features) == width:
+            for line_no, line in enumerate(block[first - 1 - start:end - start], first):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    features = array("d", features)
-                    key = features.tobytes()
-                except (TypeError, OverflowError):
-                    pass
-            if key is None:
-                # No table row can hold these features, so the log is invalid
-                # here or earlier: BanditLog names the first bad row.
-                contexts = [*np.frombuffer(table).reshape(len(row_of), width), features]
-        row = row_of.get(key)
-        if row is None:
-            row = row_of[key] = len(row_of)
-            if contexts is None:
-                table.extend(features)
-        query_ids.append(share(query_id, query_id))
-        product_ids.append(share(product_id, product_id))
-        actions.append(action)
-        propensities.append(propensity)
-        deltas.append(delta)
-        line_nos.append(line_no)
-        rows.append(row)
-        if contexts is not None:
-            break
+                    obj = _parse_line(line, line_no)
+                except LogParseError as exc:
+                    error = exc
+                    break
+                if "_meta" in obj:
+                    metadata = {str(k): str(v) for k, v in obj["_meta"].items()}
+                    continue
+                if isinstance(actions, array):
+                    actions, propensities, deltas = list(actions), list(propensities), list(deltas)
+                query_id, product_id = str(obj["query_id"]), str(obj["product_id"])
+                features = obj["features"]
+                if width is None:
+                    width = len(features) if isinstance(features, list) else 0
+                key = None
+                if isinstance(features, list) and len(features) == width:
+                    try:
+                        features = array("d", features)
+                        key = features.tobytes()
+                    except (TypeError, OverflowError):
+                        pass
+                if key is None:
+                    # No table row can hold these features, so the log is invalid
+                    # here or earlier: BanditLog names the first bad row.
+                    contexts = [*np.frombuffer(table).reshape(len(row_of), width), features]
+                row = row_of.get(key)
+                if row is None:
+                    row = row_of[key] = len(row_of)
+                    if contexts is None:
+                        table.extend(features)
+                query_ids.append(share(query_id, query_id))
+                product_ids.append(share(product_id, product_id))
+                actions.append(obj["action"])
+                propensities.append(obj["propensity"])
+                deltas.append(obj["delta"])
+                line_nos.append(line_no)
+                rows.append(row)
+                if contexts is not None:
+                    break
+            if error is not None or contexts is not None:
+                break
     if contexts is None:
         contexts = np.frombuffer(table).reshape(len(row_of), width or 0)
     return metadata, [query_ids, product_ids, contexts, actions, propensities, deltas], \
@@ -530,9 +521,11 @@ def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     Each context-table row and each distinct id is formatted once. No record
     line carries the log's width, so a log without records reads back with width 0.
     """
-    # One row's floats at a time: a tolist() of the whole table at once lifts the
-    # write's peak memory above the parse's.
-    texts = [json.dumps(row.tolist()) for row in log.context_table]
+    # A block of rows at a time, as a tolist() of the whole table lifts the write's
+    # peak memory above the parse's; str of a list of finite floats is json.dumps's.
+    table = log.context_table
+    texts = [str(row) for start in range(0, len(table), _BLOCK_ROWS)
+             for row in table[start:start + _BLOCK_ROWS].tolist()]
     ids = {i: json.dumps(i) for i in {*log.query_ids, *log.product_ids}}
     with open_text(sink, "w") as out:
         out.write(json.dumps({"_meta": log.metadata}) + "\n")
@@ -548,7 +541,13 @@ def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
 
 
 def write_supervised(rows: SupervisedSet, sink: IO | str) -> int:
-    """Write supervised rows as TSV with a header row."""
+    """Write supervised rows as TSV with a header row. An id that holds a tab or a
+    line end fails, naming its row, before any line is written."""
+    breaks = re.compile(r"[\t\n\r]").search  # reading with universal newlines splits at "\r" too
+    if breaks("".join(rows.query_ids) + "".join(rows.product_ids)):
+        row, bad = next((row, i) for row, ids in enumerate(zip(rows.query_ids, rows.product_ids))
+                        for i in ids if breaks(i))
+        raise LogValidationError(f"id {bad!r} holds a tab or a line end, unfit for TSV", row)
     header = ["query_id", "product_id", "label", "nrr"]
     header += [f"f{j}" for j in range(rows.contexts.shape[1])]
     with open_text(sink, "w") as out:

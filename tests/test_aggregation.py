@@ -1,3 +1,4 @@
+import io
 import logging
 
 import numpy as np
@@ -10,6 +11,7 @@ from banditrank.aggregation import (
     RelevanceTable,
     aggregate_feedback,
     build_supervised,
+    export_relevance_table,
 )
 from banditrank.data import grade
 from oracles import brute_aggregate
@@ -64,6 +66,13 @@ class TestAggregateFeedback:
         impressions = stream({("q", "a"): 60, ("q", "b"): 70})
         table = aggregate_feedback(impressions, [], 50)
         assert all(table[k].nrr == 0.0 and table[k].label == 0 for k in table.entries)
+
+    def test_export_rejects_an_id_that_tsv_cannot_hold(self):
+        table = aggregate_feedback(stream({("q1", "a"): 50, ("q2", "b\r"): 50}), [], 50)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"^row 1: id 'b\\r' holds a tab or a line end"):
+            export_relevance_table(table, buf)
+        assert buf.getvalue() == ""
 
     def test_positives_exceed_visibility(self):
         with pytest.raises(ValueError):

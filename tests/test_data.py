@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -295,8 +296,36 @@ class TestRoundTrip:
         assert back == log
 
 
+@st.composite
+def first_use_tables(draw):
+    """``BanditLog`` arguments whose ids json writes as they stand and whose
+    table rows are distinct and each first used in row order: the table that
+    the bulk path builds back from the log's file."""
+    columns = draw(pooled_tables(st.text("qp01 ._-", max_size=3)))
+    pool, picks = columns["contexts"], columns["context_rows"].tolist()
+    assume(picks)
+    keys = [pool[i].tobytes() for i in picks]
+    order = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+    table = np.frombuffer(b"".join(order)).reshape(len(order), pool.shape[1])
+    return {**columns, "contexts": table, "context_rows": np.array([order[key] for key in keys])}
+
+
 class TestContextTable:
     """A log given a context table and each record's row index is the log of its rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(first_use_tables(), st.sampled_from([1, BLOCK, 256]))
+    def test_parse_of_the_written_log_keeps_its_table_layout(self, columns, block):
+        log = BanditLog(**columns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_ROWS", block)
+            buf = io.StringIO()
+            write_bandit_log(log, buf)
+            buf.seek(0)
+            back = parse_bandit_log(buf)
+        assert back.context_table.shape == log.context_table.shape
+        assert back.context_table.tobytes() == log.context_table.tobytes()
+        assert back.context_rows.tobytes() == log.context_rows.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(pooled_tables())
@@ -507,6 +536,20 @@ class TestBlockParse:
     # a bulk line of the wrong width, reported as json read it: 1, not 1.0
     @example("\n".join(['{"_meta": {}}', record_line(),
                         record_text({**WRITTEN, "features": "[0.5, 0.5, 1]"})]))
+    # no _meta line: the first block is one run in the writer's shape, and the
+    # next run holds a row of the wrong width
+    @example("\n".join([record_line(), record_line(qid="q2"), record_line(qid="q3"),
+                        record_line(features=[1.0]), record_line(qid="q3", features=[0.25, 2.0])]))
+    # a blank first line
+    @example("\n".join(["", record_line(), record_line(qid="q2"), record_line(features=[0.0, 1.0])]))
+    # a block whose last line alone is odd (its id is escaped): a bulk run, then
+    # that line on its own, both over the same contexts
+    @example("\n".join(['{"_meta": {}}', record_line(), record_line(features=[-0.0, 1.0]),
+                        record_line(), record_line(features=[-0.0, 1.0]), record_line(qid="q\u00e9"),
+                        record_line(features=[-0.0, 1.0])]))
+    # an odd line between two bulk runs of one block
+    @example("\n".join(['{"_meta": {}}', record_line(), record_line(qid="q\u00e9", features=[0.0, 1.0]),
+                        record_line(features=[0.0, 1.0])]))
     def test_matches_the_per_line_parser(self, text):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_BLOCK_ROWS", BLOCK)
@@ -558,20 +601,40 @@ class TestBlockParse:
         assert back.context_table.shape == (k, 4)
 
     def test_both_paths_over_shared_contexts(self):
-        # each context, -0.0 and 0.0 twins among them, on bulk and per-line records
+        # each context, -0.0 and 0.0 twins among them, on bulk and per-line records:
+        # ids that json writes as they stand or escaped ("q\u00e9"), switching at
+        # each record and at each block's worth of records
         n, k = 2000, 101
         rng = np.random.default_rng(1)
         table = rng.standard_normal((k, 3))
         table[0], table[1] = 0.0, -0.0
-        log = BanditLog([("q1", "q\u00e9")[i % 2] for i in range(n)], ["p"] * n, table,
-                        rng.integers(0, 2, n), rng.uniform(0.1, 1.0, n), rng.integers(0, 2, n),
+        for stride in (1, BLOCK):
+            log = BanditLog([("q1", "q\u00e9")[i // stride % 2] for i in range(n)], ["p"] * n,
+                            table, rng.integers(0, 2, n), rng.uniform(0.1, 1.0, n),
+                            rng.integers(0, 2, n), context_rows=np.arange(n) % k)
+            text = self.written(log)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_BLOCK_ROWS", BLOCK)
+                outcome = parse_outcome(parse_bandit_log, text)
+            assert outcome == parse_outcome(parse_lines, text)
+            assert outcome[0] == log
+            # one row for a context's text and one for its float bytes, at most:
+            # more than k rows shows that both keys were used
+            assert k < len(outcome[0].context_table) <= 2 * k
+
+    def test_an_odd_line_leaves_the_rest_of_its_block_on_the_bulk_path(self):
+        # one escaped id (json writes "q\u00e9") among 2000 records over k contexts
+        n, k = 2000, 101
+        rng = np.random.default_rng(2)
+        log = BanditLog(["q1"] * 300 + ["q\u00e9"] + ["q1"] * (n - 301), ["p"] * n,
+                        rng.standard_normal((k, 3)), rng.integers(0, 2, n),
+                        rng.uniform(0.1, 1.0, n), rng.integers(0, 2, n),
                         context_rows=np.arange(n) % k)
-        text = self.written(log)
-        outcome = parse_outcome(parse_bandit_log, text)
-        assert outcome == parse_outcome(parse_lines, text)
-        assert outcome[0] == log
-        # at most one row for a context's text and one for its float bytes
-        assert len(outcome[0].context_table) <= 2 * k
+        back = parse_bandit_log(io.StringIO(self.written(log)))
+        assert back == log
+        # the text-keyed table and a second row for the odd line's float bytes
+        assert len(back.context_table) == k + 1
+        assert back.context_table[:k].tobytes() == log.context_table.tobytes()
 
     def test_peak_memory_is_no_higher_than_the_per_line_parse(self):
         # 20k records over 2k distinct (query, product) pairs, each with one context
@@ -670,6 +733,17 @@ class TestSupervisedFile:
             mp.setattr(data, "_BLOCK_ROWS", BLOCK)
             write_supervised(dataset, buf)
         assert buf.getvalue() == "".join(tsv_lines(dataset))
+
+    @pytest.mark.parametrize("column", ["query_id", "product_id"])
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "\r\n"])
+    def test_an_id_that_tsv_cannot_hold_fails_before_any_line(self, column, bad):
+        ids = {"query_id": ["q1", "q2", "q3"], "product_id": ["p1", "p2", "p3"]}
+        ids[column][1] = bad
+        rows = SupervisedSet(ids["query_id"], ids["product_id"], np.zeros((3, 1)), [0.0] * 3)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^row 1: id {re.escape(repr(bad))} holds a tab"):
+            write_supervised(rows, buf)
+        assert buf.getvalue() == ""
 
     def test_header_only_file_is_an_empty_set(self):
         back = read_supervised(io.StringIO("query_id\tproduct_id\tlabel\tnrr\tf0\tf1\n"))

@@ -76,6 +76,22 @@ def test_one_file_opener():
     assert found == {}
 
 
+def test_no_splitlines_in_src():
+    """No code in ``src/`` calls ``splitlines``. File iteration splits only at
+    "\\n", but ``str.splitlines`` also splits at "\\r", "\\x1c" to "\\x1e",
+    "\\x85", "\\u2028" and other characters that an id may hold."""
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in sorted(ROOT.glob("src/**/*.py"))
+        if (lines := sorted(
+            node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "splitlines"
+        ))
+    }
+    assert found == {}
+
+
 def test_traced_names_exist():
     """Each function the benchmark's tracer rebinds, read from ``bench/tracer.py``
     without importing it, is still a function of the package."""
