@@ -22,7 +22,8 @@ from typing import IO
 import numpy as np
 
 from banditrank.data import BanditLog, open_text
-from banditrank.policy import PolicyParams, batch_probabilities, weighted_prob_gradient
+from banditrank.policy import (PolicyParams, _length_error, batch_probabilities,
+                               weighted_prob_gradient)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,10 @@ def logged_probabilities(log: BanditLog, params: PolicyParams) -> np.ndarray:
     """pi_w(a_i|c_i): the policy's probability of each logged action."""
     if len(log) == 0:
         raise ValueError("log must be non-empty")
-    P = batch_probabilities(params, log.context_table)  # each distinct context once
-    return np.take(P, log.context_rows * 2 + log.actions)  # P is (k, 2) and C-contiguous
+    # each distinct context once: batch_probabilities' (k, 2) result is the transpose
+    # of the action-major (2, k) array, whose row a holds action a's probabilities
+    P = batch_probabilities(params, log.context_table).T
+    return np.take(P, log.actions * P.shape[1] + log.context_rows)
 
 
 def importance_weights(log: BanditLog, params: PolicyParams) -> np.ndarray:
@@ -157,8 +160,11 @@ def lagrangian_gradient(
     m = len(actions)
     if m == 0:
         raise ValueError("batch must be non-empty")
-    coeffs = (np.asarray(deltas, dtype=np.float64) - lam) / np.asarray(
-        propensities, dtype=np.float64
-    )
-    return weighted_prob_gradient(params, contexts, actions, coeffs) / m
+    deltas = np.asarray(deltas, dtype=np.float64)
+    propensities = np.asarray(propensities, dtype=np.float64)
+    if deltas.shape != (m,) or propensities.shape != (m,):
+        raise _length_error(contexts, deltas=deltas, propensities=propensities, actions=actions)
+    g = weighted_prob_gradient(params, contexts, actions, (deltas - lam) / propensities)
+    g /= m
+    return g
 

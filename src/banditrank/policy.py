@@ -7,6 +7,12 @@ families are supported: a linear map and a one-hidden-layer tanh network;
 Analytic gradients of the action probability with respect to every
 parameter are provided for importance-weighted training, each as one vector
 laid out like ``PolicyParams.flat``.
+
+Inside a pass, a batch of m contexts has action-major logits and
+probabilities, each (2, m) with row c for action c, so that the softmax and
+the gradient at the logits run over two contiguous rows of m entries. The
+products that read them take the layout of a C-ordered (m, 2) array, which
+keeps their bits; every public result is (m, 2) or (m,).
 """
 
 from __future__ import annotations
@@ -143,8 +149,9 @@ def init_params(
 def _forward(params: PolicyParams, contexts: np.ndarray):
     """One forward pass over a batch of contexts.
 
-    Returns the checked batch X (m, d), its finite logits (m, 2) and, for an
-    MLP, the hidden activations (m, h) that the backward pass reuses.
+    Returns the checked batch X (m, d); its finite logits, action-major: Z (2, m),
+    whose row c holds every context's logit of action c; and, for an MLP, the
+    hidden activations H (m, h) that the backward pass reuses.
     """
     X = np.asarray(contexts, dtype=np.float64)
     if X.ndim == 1:
@@ -155,18 +162,22 @@ def _forward(params: PolicyParams, contexts: np.ndarray):
     if len(X) == 1:
         # BLAS takes a matrix-vector kernel for one row, which rounds unlike the
         # matrix-matrix kernel of a larger batch: compute the row twice, keep one.
-        _, logits, H = _forward(params, np.repeat(X, 2, axis=0))
-        return X, logits[:1], None if H is None else H[:1]
+        _, Z, H = _forward(params, np.repeat(X, 2, axis=0))
+        return X, Z[:, :1], None if H is None else H[:1]
     if params.kind == "linear":
-        w, b = params.arrays
-        logits, H = X @ w.T + b, None
+        (w, b), H = params.arrays, None
     else:
-        w1, b1, w2, b2 = params.arrays
-        H = np.tanh(X @ w1.T + b1)
-        logits = H @ w2.T + b2
-    if not np.isfinite(logits).all():
+        w1, b1, w, b = params.arrays
+        H = X @ w1.T
+        H += b1
+        np.tanh(H, out=H)
+    Z = np.empty((2, len(X)))
+    # the product (X or H) @ w.T, written through Z's transpose: the same BLAS call and bits
+    np.matmul(X if H is None else H, w.T, out=Z.T)
+    np.add(Z, b[:, None], out=Z)
+    if not np.isfinite(Z).all():
         raise NonFiniteError("non-finite logits")
-    return X, logits, H
+    return X, Z, H
 
 
 # far below the largest float (1.8e308), so that no rounding of a bounded sum reaches it
@@ -190,15 +201,18 @@ def _logits_bounded(params: PolicyParams, x_max: float) -> bool:
     return all(bound.max() < _LOGIT_BOUND for bound in bounds)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    # Two logits per row: slices beat a reduction over axis 1 several times over.
-    e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
-    return e / (e[:, :1] + e[:, 1:])
+def _softmax(Z: np.ndarray) -> np.ndarray:
+    """The action probabilities of action-major logits Z (2, m), in Z's layout."""
+    # each entry's arithmetic is that of a row of two logits, run over two rows of m
+    e = np.subtract(Z, np.maximum(Z[0], Z[1]))
+    np.exp(e, out=e)
+    return np.divide(e, np.add(e[0], e[1]), out=e)
 
 
 def batch_probabilities(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
-    """Action probabilities for a batch of contexts, shape (m, 2)."""
-    return _softmax(_forward(params, contexts)[1])
+    """Action probabilities for a batch of contexts, shape (m, 2): the transpose of
+    the action-major (2, m) array."""
+    return _softmax(_forward(params, contexts)[1]).T
 
 
 def logit_margin(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
@@ -207,31 +221,53 @@ def logit_margin(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
     p1 = sigmoid(z1 - z0), so the margin orders contexts like p1 does, but
     it stays distinct where p1 rounds to exactly 1.0 (margins above ~37).
     """
-    logits = _forward(params, contexts)[1]
-    return logits[:, 1] - logits[:, 0]
+    Z = _forward(params, contexts)[1]
+    return Z[1] - Z[0]
 
 
-_ONE_HOT = np.eye(2)  # row c is the one-hot row of class c
+_ONE_HOT = np.eye(2)  # column c is the one-hot of class c
+
+
+def _length_error(contexts, **columns) -> ValueError:
+    """The error for per-record columns, some of which do not hold one entry per row
+    of ``contexts``, a batch or a single context: it names the first such column."""
+    rows = len(contexts) if np.ndim(contexts) > 1 else 1
+    name, shape = next((name, np.shape(c)) for name, c in columns.items()
+                       if np.shape(c) != (rows,))
+    return ValueError(f"{name} of shape {shape} for a batch of {rows} rows")
 
 
 def logit_gradient(
     params: PolicyParams, contexts: np.ndarray, classes: np.ndarray, dlogits: Callable
 ) -> np.ndarray:
-    """One forward and one backward pass over a batch.
+    """One forward and one backward pass over a batch of m contexts.
 
-    ``dlogits(P, onehot)`` gives the gradient at the logits, shape (m, 2),
-    from the batch's action probabilities P and the one-hot rows of
-    ``classes``. Returns the gradient summed over the batch, laid out like
+    ``dlogits(P, onehot, out)`` writes the gradient at the logits into ``out``.
+    All three are action-major, (2, m) with row c for action c: P holds the
+    batch's action probabilities and ``onehot`` the one-hot columns of
+    ``classes``, one class per context. ``out`` is the transpose of a C-ordered
+    (m, 2) array G, the layout whose products and sums the backward pass
+    reads. Returns the gradient summed over the batch, laid out like
     ``params.flat``.
     """
-    X, logits, H = _forward(params, contexts)
-    P = _softmax(logits)
-    onehot = np.take(_ONE_HOT, np.asarray(classes, dtype=np.int64), axis=0)
-    G = dlogits(P, onehot)
-    if params.kind == "linear":
-        return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
-    dZ = (G @ params.arrays[2]) * (1.0 - H * H)
-    return np.concatenate([(dZ.T @ X).ravel(), dZ.sum(axis=0), (G.T @ H).ravel(), G.sum(axis=0)])
+    X, Z, H = _forward(params, contexts)
+    classes = np.asarray(classes, dtype=np.int64)
+    if classes.shape != (len(X),):
+        raise _length_error(X, classes=classes)
+    G = np.empty((len(X), 2))
+    dlogits(_softmax(Z), np.take(_ONE_HOT, classes, axis=1), G.T)
+    grad = np.empty(params.flat.size)
+    parts = [grad[start:end].reshape(shape) for start, end, shape in params._layout]
+    if params.kind == "mlp":
+        dZ = G @ params.arrays[2]
+        dZ *= 1.0 - H * H
+        np.matmul(dZ.T, X, out=parts[0])
+        np.sum(dZ, axis=0, out=parts[1])
+    np.matmul(G.T, X if H is None else H, out=parts[-2])
+    # G's column sums as G.sum(axis=0) adds them, in sequence from +0.0: here in
+    # sequence from the first entry, then plus +0.0, which turns only a -0.0 into +0.0
+    np.add(np.add.accumulate(G.T, axis=1)[:, -1], 0.0, out=parts[-1])
+    return grad
 
 
 def weighted_prob_gradient(
@@ -244,8 +280,11 @@ def weighted_prob_gradient(
 
     At the logits, grad pi(a|c) is pi(a|c) * (onehot(a) - P).
     """
-    actions = np.asarray(actions, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    rows = np.arange(len(actions))
-    return logit_gradient(params, contexts, actions,
-                          lambda P, onehot: (coeffs * P[rows, actions])[:, None] * (onehot - P))
+
+    def dlogits(P, onehot, out):
+        if coeffs.shape != (P.shape[1],):
+            raise _length_error(contexts, coefficients=coeffs)
+        np.multiply(onehot - P, coeffs * np.where(onehot[1], P[1], P[0]), out=out)
+
+    return logit_gradient(params, contexts, actions, dlogits)

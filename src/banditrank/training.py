@@ -104,12 +104,24 @@ def adam_step(
         raise ValueError(f"gradient shape {g.shape} != parameter shape {params.flat.shape}")
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = state.t + 1
-    m = b1 * state.m + (1 - b1) * g
-    v = b2 * state.v + (1 - b2) * g * g
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    return params._replace_flat(flat), AdamState(m=m, v=v, t=t)
+    # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and the new
+    # flat - lr * m_hat / (sqrt(v_hat) + eps), one operation at a time in that order,
+    # made in place on the four arrays that this step allocates
+    m = b1 * state.m
+    step = (1 - b1) * g
+    m += step
+    v = b2 * state.v
+    sq = (1 - b2) * g
+    sq *= g
+    v += sq
+    np.divide(m, 1 - b1**t, out=step)
+    step *= config.learning_rate
+    np.divide(v, 1 - b2**t, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += eps
+    step /= sq
+    np.subtract(params.flat, step, out=step)
+    return params._replace_flat(step), AdamState(m=m, v=v, t=t)
 
 
 @dataclass(frozen=True)
@@ -261,6 +273,12 @@ def _classes_and_weights(rows: SupervisedSet) -> tuple[np.ndarray, np.ndarray]:
     return (rows.labels > 0).astype(np.int64), (1 + rows.labels) / 5.0
 
 
+def _cross_entropy_dlogits(weights: np.ndarray) -> Callable:
+    """The ``dlogits`` of ``logit_gradient`` for the mean weighted cross-entropy over a
+    batch whose rows have ``weights``: w * (P - onehot(y)) / m at the logits."""
+    return lambda P, onehot, out: np.divide((P - onehot) * weights, len(weights), out=out)
+
+
 def train_full_info(
     train: SupervisedSet,
     dev: SupervisedSet,
@@ -278,11 +296,7 @@ def train_full_info(
         raise ValueError("training set has no positive labels")
 
     def grad_fn(params, idx):
-        wb = weights[idx][:, None]
-        # the mean cross-entropy's gradient at the logits: w * (P - onehot(y)) / m
-        return logit_gradient(
-            params, X[idx], y[idx], lambda P, onehot: wb * (P - onehot) / len(idx)
-        )
+        return logit_gradient(params, X[idx], y[idx], _cross_entropy_dlogits(weights[idx]))
 
     return _run_of(config.epochs, _epochs(len(train), grad_fn, X, dev, params0, config))
 

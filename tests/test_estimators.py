@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -381,3 +382,27 @@ class TestLagrangianGradient:
         batch = log_gradient(log, params, 0.2)
         per_record = [log_gradient(log, params, 0.2, slice(i, i + 1)) for i in range(len(log))]
         np.testing.assert_allclose(batch, np.mean(per_record, axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("column, length", [
+        ("propensities", 1), ("propensities", 6), ("deltas", 1), ("deltas", 4),
+    ])
+    def test_a_column_of_another_length_than_the_batch_fails(self, column, length):
+        X = np.arange(10.0).reshape(5, 2) / 10
+        columns = {"propensities": np.full(5, 0.5), "deltas": np.ones(5)}
+        columns[column] = columns[column][:1].repeat(length)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{column} of shape ({length},) for a batch of 5 rows")):
+            lagrangian_gradient(X, np.ones(5, dtype=np.int64), columns["propensities"],
+                                columns["deltas"], init_params("linear", 2, seed=0), 0.5)
+
+    def test_actions_of_another_length_than_the_batch_fail(self):
+        X = np.arange(10.0).reshape(5, 2) / 10
+        with pytest.raises(ValueError, match=re.escape("actions of shape (3,) for a batch of 5")):
+            lagrangian_gradient(X, np.ones(3, dtype=np.int64), np.full(5, 0.5), np.ones(5),
+                                init_params("linear", 2, seed=0), 0.5)
+
+    def test_columns_that_agree_but_not_with_the_batch_fail(self):
+        X = np.arange(10.0).reshape(5, 2) / 10
+        with pytest.raises(ValueError, match=re.escape("classes of shape (3,) for a batch of 5")):
+            lagrangian_gradient(X, [1, 1, 1], [0.5] * 3, [1.0] * 3,
+                                init_params("linear", 2, seed=0), 0.5)

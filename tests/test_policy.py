@@ -8,18 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditrank import policy
+from banditrank import policy, training
+from banditrank.estimators import lagrangian_gradient
 from banditrank.evaluation import RankIndex
 from banditrank.policy import (
     PolicyParams,
     batch_probabilities,
     init_params,
+    logit_gradient,
     logit_margin,
     weighted_prob_gradient,
 )
 from banditrank.training import evaluate_policy
 from conftest import identity_policy, supervised
 from oracles import finite_difference_gradient, flatten, init_params_by_kind, unflatten
+from row_major import (
+    coefficient_dlogits,
+    cross_entropy_dlogits,
+    row_major_logit_gradient,
+    row_major_margin,
+    row_major_probabilities,
+)
 
 FLOAT_MAX = np.finfo(np.float64).max
 
@@ -223,6 +232,88 @@ class TestGradActionProb:
         g0 = prob_gradient(params, x, 0)
         g1 = prob_gradient(params, x, 1)
         np.testing.assert_allclose(g0 + g1, 0.0, atol=1e-12)
+
+
+@st.composite
+def batches(draw):
+    """A linear or MLP policy (hidden 1-16) of 1-64 features, a batch of 1-300 contexts,
+    and per-record classes, coefficients (a fifth of them 0, the rest either sign) and
+    full-information weights (1 + l) / 5. Every array is uniform in [-1, 1] at a scale:
+    the first weights' is log-uniform, so that tanh units saturate, and the output
+    layer's bounds the logits by a reach log-uniform up to 700, so that the softmax
+    saturates too."""
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    d, hidden, m = draw(st.integers(1, 64)), draw(st.integers(1, 16)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = [rng.uniform(-1.0, 1.0, shape) for shape in policy._shapes(kind, d, hidden)]
+    reach = 10.0 ** rng.uniform(-3.0, math.log10(700.0))
+    if kind == "mlp":
+        arrays[0] *= 10.0 ** rng.uniform(-2.0, 1.0)
+    arrays[-2] *= reach / 2 / arrays[-2].shape[1]  # |x| and |h| are at most 1
+    arrays[-1] *= reach / 2
+    coeffs = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(-5.0, 5.0, m))
+    return (PolicyParams(kind, arrays), rng.uniform(-1.0, 1.0, (m, d)),
+            rng.integers(0, 2, m), coeffs, (1 + rng.integers(0, 5, m)) / 5.0)
+
+
+class TestRowMajorOracle:
+    """The action-major pass gives the bytes of the row-major pass it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches())
+    def test_every_output_matches_the_oracle_bit_for_bit(self, batch):
+        params, X, classes, coeffs, weights = batch
+        assert (batch_probabilities(params, X).tobytes()
+                == row_major_probabilities(params, X).tobytes())
+        assert logit_margin(params, X).tobytes() == row_major_margin(params, X).tobytes()
+        expected = row_major_logit_gradient(params, X, classes,
+                                            coefficient_dlogits(classes, coeffs))
+        assert weighted_prob_gradient(params, X, classes, coeffs).tobytes() == expected.tobytes()
+        # the CRM step's coefficients, (delta - lambda) / p, and its mean over the batch
+        deltas, propensities = (coeffs > 0).astype(np.float64), np.abs(coeffs) / 5.0 + 0.01
+        crm = row_major_logit_gradient(params, X, classes, coefficient_dlogits(
+            classes, (deltas - 0.3) / propensities)) / len(X)
+        assert (lagrangian_gradient(X, classes, propensities, deltas, params, 0.3).tobytes()
+                == crm.tobytes())
+        full_info = row_major_logit_gradient(params, X, classes,
+                                             cross_entropy_dlogits(weights))
+        assert (logit_gradient(params, X, classes, training._cross_entropy_dlogits(weights))
+                .tobytes() == full_info.tobytes())
+
+
+X_5ROWS = np.arange(10.0).reshape(5, 2) / 10
+
+
+class TestBatchLengths:
+    """A per-record column whose length is not the batch's fails and names both."""
+
+    @pytest.mark.parametrize("actions, coeffs, message", [
+        ([1], [1.0], "classes of shape (1,) for a batch of 5 rows"),
+        ([1, 0, 1, 0, 1], [1.0], "coefficients of shape (1,) for a batch of 5 rows"),
+        ([1, 0, 1], [1.0] * 5, "classes of shape (3,) for a batch of 5 rows"),
+        ([1, 0, 1, 0, 1], [1.0] * 6, "coefficients of shape (6,) for a batch of 5 rows"),
+        ([1, 0, 1, 0, 1], 1.0, "coefficients of shape () for a batch of 5 rows"),
+        ([[1, 0, 1, 0, 1]], [1.0] * 5, "classes of shape (1, 5) for a batch of 5 rows"),
+    ])
+    def test_weighted_prob_gradient(self, actions, coeffs, message):
+        params = init_params("linear", 2, seed=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weighted_prob_gradient(params, X_5ROWS, actions, coeffs)
+
+    @pytest.mark.parametrize("classes", [[0, 1], [0] * 6, 1])
+    def test_logit_gradient(self, classes):
+        params = init_params("mlp", 2, hidden=3, seed=0)
+        shape = np.shape(classes)
+        with pytest.raises(ValueError, match=re.escape(f"classes of shape {shape} for a batch "
+                                                       f"of 5 rows")):
+            logit_gradient(params, X_5ROWS, classes, training._cross_entropy_dlogits(np.ones(5)))
+
+    def test_one_context_takes_one_entry_per_column(self):
+        params = init_params("linear", 2, seed=0)
+        with pytest.raises(ValueError, match=re.escape("coefficients of shape (2,) for a "
+                                                       "batch of 1 rows")):
+            weighted_prob_gradient(params, X_5ROWS[0], [1], [1.0, 1.0])
+        assert weighted_prob_gradient(params, X_5ROWS[0], [1], [1.0]).shape == (6,)
 
 
 LINEAR = {"kind": "linear", "arrays": [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0]], "shapes": [[2, 2], [2]]}

@@ -120,6 +120,23 @@ class TestAdamOracle:
             assert state.v.tobytes() == flat(state_ref.v)
             assert state.t == state_ref.t
 
+    @settings(max_examples=100, deadline=None)
+    @given(adam_runs())
+    def test_a_step_writes_only_arrays_it_made(self, run):
+        params, lr, steps = run
+        config = cfg(learning_rate=lr)
+        p, state = params, AdamState.zeros_like(params)
+        for g in steps:
+            inputs = (state.m, state.v, p.flat, g)
+            before = [a.tobytes() for a in inputs]
+            p_next, state_next = adam_step(p, g, state, config)
+            assert [a.tobytes() for a in inputs] == before
+            assert not p_next.flat.flags.writeable
+            made = (p_next.flat, state_next.m, state_next.v)
+            assert not any(np.shares_memory(a, b) for a in made for b in inputs)
+            assert not np.shares_memory(state_next.m, state_next.v)
+            p, state = p_next, state_next
+
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_training_with_the_oracle_gives_the_same_history(self, monkeypatch, kind):
         log = random_log(120, 3, seed=41)
