@@ -6,7 +6,8 @@ Library layout:
                   the graded-label rule, file formats, query splits
 - ``aggregation`` feedback-rate aggregation, graded labels, negative sampling
 - ``policy``      stochastic binary-action softmax policies (linear / mlp)
-- ``estimators``  SNIPS / IPS / empirical-average risk estimators, Lagrangian
+- ``estimators``  SNIPS / IPS / empirical-average risk estimators and the Lagrangian,
+                  each an ``EstimatorReport`` with S and the ESS (``_report``)
 - ``training``    minibatch Adam training, lambda search, full-info baseline
 - ``simulator``   synthetic worlds with exactly computable true risk
 - ``evaluation``  the one ranking routine (``RankIndex``: rank any score vector,

@@ -39,7 +39,7 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.estimators import mean_weight_and_lagrangian
+from banditrank.estimators import lagrangian_risk
 from banditrank.evaluation import DEFAULT_KS, RankIndex, write_qrels
 from banditrank.policy import PolicyParams, _checked_shapes, init_params, logit_margin
 from banditrank.training import (
@@ -227,8 +227,8 @@ def cmd_train_crm(cfg: dict) -> dict:
     _warn(history.stopped)
 
     def numbers(params):
-        S, objective = mean_weight_and_lagrangian(log, params, config.lam)
-        return {"objective": objective, "S": S}
+        report = lagrangian_risk(log, params, config.lam)
+        return {"objective": report.estimate, "S": report.mean_importance_weight}
 
     return {
         "model.json": params.save,

@@ -8,10 +8,13 @@ p_i is the logged propensity. Three risk estimates are provided:
 - empirical average (group-mean losses weighted by the policy's own
   action probabilities, no propensity correction).
 
-The mean importance weight S = (1/n) sum w_i has expectation 1 under the
-logging policy and is reported as a diagnostic; the Lagrangian surrogate
-(1/n) sum (delta_i - lambda) w_i equals ips - lambda * S and is the
-objective actually optimized during training.
+Every report is made by ``_report``, the one place that turns importance
+weights into the mean importance weight S = (1/n) sum w_i, which has
+expectation 1 under the logging policy, and the effective sample size
+(ESS). ``lagrangian_risk`` is the one place that computes the Lagrangian
+surrogate (1/n) sum (delta_i - lambda) w_i, which equals ips - lambda * S
+and is the objective actually optimized during training; its report gives
+S for the lambda search and both numbers for a training history.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ class EstimatorReport:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("report requires n >= 1")
+        if self.mean_importance_weight == 0 == self.effective_sample_size:
+            return  # every weight is 0: a policy that gives no logged action a probability
         if not self.mean_importance_weight > 0:
-            raise ValueError("mean importance weight must be positive")
+            raise ValueError("mean importance weight must be positive, or 0 with an ESS of 0")
         if not 0 < self.effective_sample_size <= self.n:
             raise ValueError("effective sample size must lie in (0, n]")
 
@@ -74,14 +79,16 @@ def _some_weight(w: np.ndarray) -> np.ndarray:
 
 
 def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
-    scaled = w / np.max(w)  # so that no square of a weight below about 1e-154 underflows to 0
-    return EstimatorReport(
-        estimate=float(estimate),
-        n=len(w),
-        mean_importance_weight=float(np.mean(w)),
+    """``estimate`` with S and the ESS of the weights ``w``; both are 0 when every weight is."""
+    n, top = len(w), np.max(w)
+    ess = 0.0
+    if top > 0:
+        scaled = w / top  # so that no square of a weight below about 1e-154 underflows to 0
         # (sum w)^2 / sum w^2 <= n, but with nearly equal weights it can round a few ulps above n
-        effective_sample_size=min(float(len(w)), float(np.sum(scaled) ** 2 / np.sum(scaled**2))),
-    )
+        ess = min(float(n), float(np.sum(scaled) ** 2 / np.sum(scaled**2)))
+    # sum / n is np.mean's arithmetic, a pairwise sum and one division
+    return EstimatorReport(estimate=float(estimate), n=n,
+                           mean_importance_weight=float(w.sum() / n), effective_sample_size=ess)
 
 
 def snips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
@@ -121,28 +128,18 @@ def empirical_average(log: BanditLog, params: PolicyParams) -> EstimatorReport:
     return _report(np.sum(mean_delta * p_a / group_size), w)
 
 
-def snips_denominator(log: BanditLog, params: PolicyParams) -> float:
-    """Mean importance weight S; equals 1 exactly when pi_w is the logger."""
-    return float(np.mean(importance_weights(log, params)))
-
-
-def lagrangian_risk(log: BanditLog, params: PolicyParams, lam: float) -> float:
-    """(1/n) sum (delta_i - lambda) w_i; equals ips - lambda * S."""
-    return mean_weight_and_lagrangian(log, params, lam)[1]
-
-
-def mean_weight_and_lagrangian(
-    log: BanditLog, params: PolicyParams, lam: float
-) -> tuple[float, float]:
-    """S and the Lagrangian risk from one forward pass over the log.
-
-    Equal to ``snips_denominator`` and ``lagrangian_risk`` bit for bit.
-    """
+def lagrangian_risk(log: BanditLog, params: PolicyParams, lam: float) -> EstimatorReport:
+    """The report of the Lagrangian (1/n) sum (delta_i - lambda) w_i, which equals
+    ips - lambda * S, from one forward pass over the log."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     w = importance_weights(log, params)
-    # sum / n is np.mean's arithmetic, a pairwise sum and one division
-    return float(w.sum() / len(w)), float(((log.deltas - lam) * w).sum() / len(w))
+    return _report(((log.deltas - lam) * w).sum() / len(w), w)
+
+
+def snips_denominator(log: BanditLog, params: PolicyParams) -> float:
+    """Mean importance weight S; equals 1 exactly when pi_w is the logger."""
+    return lagrangian_risk(log, params, 0.0).mean_importance_weight
 
 
 def lagrangian_gradient(

@@ -245,13 +245,16 @@ def logit_gradient(
     ``dlogits(P, onehot, out)`` writes the gradient at the logits into ``out``.
     All three are action-major, (2, m) with row c for action c: P holds the
     batch's action probabilities and ``onehot`` the one-hot columns of
-    ``classes``, one class per context. ``out`` is the transpose of a C-ordered
+    ``classes``, one class, 0 or 1, per context. ``out`` is the transpose of a C-ordered
     (m, 2) array G, the layout whose products and sums the backward pass
     reads. Returns the gradient summed over the batch, laid out like
     ``params.flat``.
     """
-    X, Z, H = _forward(params, contexts)
     classes = np.asarray(classes, dtype=np.int64)
+    if np.count_nonzero(classes >> 1):  # a class outside {0, 1}: np.take would wrap -1 and -2
+        row = np.flatnonzero(classes >> 1)[0]
+        raise ValueError(f"class {classes.ravel()[row]} at row {row}: classes must be 0 or 1")
+    X, Z, H = _forward(params, contexts)
     if classes.shape != (len(X),):
         raise _length_error(X, classes=classes)
     G = np.empty((len(X), 2))

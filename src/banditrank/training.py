@@ -14,8 +14,9 @@ A checkpoint is a plain record: records seen, dev metrics (selection reads its
 dev MAP) and params, whose training-set logits are finite: a bound from the
 params and the table's largest entry proves it, and the table is forwarded only
 where the bound fails. Whoever reads its S or objective computes them from its
-params: the lambda search at each run's best checkpoint, ``write_history`` at
-every checkpoint.
+params through ``estimators.lagrangian_risk``'s report: the lambda search reads
+S by ``snips_denominator`` at each run's best checkpoint, and ``write_history``
+reads the numbers its caller computes at every checkpoint.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from banditrank.data import BanditLog, SupervisedSet, open_text
-from banditrank.estimators import (
-    group_mean_losses,
-    lagrangian_gradient,
-    mean_weight_and_lagrangian,
-)
+from banditrank.estimators import group_mean_losses, lagrangian_gradient, snips_denominator
 from banditrank.evaluation import MetricsReport, RankIndex
 from banditrank.policy import (
     NonFiniteError,
@@ -378,7 +375,7 @@ def lambda_search(
         best = history.best()
         key = lam, best.records_seen
         if key not in known_S:
-            known_S[key] = mean_weight_and_lagrangian(train_log, best.params, lam)[0]
+            known_S[key] = snips_denominator(train_log, best.params)
         return known_S[key]
 
     for _ in range(config.max_probes):

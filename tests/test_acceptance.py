@@ -119,7 +119,7 @@ def test_criterion_3_lagrangian_identity():
         log = random_log(int(rng.integers(2, 50)), 3, seed)
         params = init_params("linear", 3, seed=seed)
         lam = float(rng.uniform(0, 1))
-        lhs = lagrangian_risk(log, params, lam)
+        lhs = lagrangian_risk(log, params, lam).estimate
         rhs = ips(log, params).estimate - lam * snips_denominator(log, params)
         worst = max(worst, abs(lhs - rhs))
     verdict(3, worst < 1e-12, f"max |lagrangian - (ips - lam*S)| = {worst:.2e}")
@@ -208,14 +208,14 @@ def crm_learning_run():
     )
     p0 = init_params("linear", 10, seed=0)
     full_passes = []
-    full_pass = training.mean_weight_and_lagrangian
+    full_pass = training.snips_denominator
 
-    def counted_pass(log, params, lam):
-        full_passes.append(lam)
-        return full_pass(log, params, lam)
+    def counted_pass(log, params):
+        full_passes.append(params)
+        return full_pass(log, params)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "mean_weight_and_lagrangian", counted_pass)
+        mp.setattr(training, "snips_denominator", counted_pass)
         lam_star, _, sweep = lambda_search(log, dev, p0, config, probe_epochs=2)
     params, history = train_crm(
         log, dev, p0, dataclasses.replace(config, lam=lam_star)

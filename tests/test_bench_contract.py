@@ -109,10 +109,11 @@ def test_traced_training_spans(tracer):
     traced.install()
     _, history = training.train_crm(log, simulator.world_supervised(world),
                                      init_params("linear", 3, seed=0), config)
-    # one full pass per checkpoint, for its S and objective
-    training.write_history(history, lambda p: dict(zip(
-        ("S", "objective"), estimators.mean_weight_and_lagrangian(log, p, config.lam))),
-        io.StringIO())
+    def numbers(p):  # one full pass per checkpoint, for its S and objective
+        report = estimators.lagrangian_risk(log, p, config.lam)
+        return {"S": report.mean_importance_weight, "objective": report.estimate}
+
+    training.write_history(history, numbers, io.StringIO())
     traced.active = False
     spans = tracer.summarize(traced.spans, 0, len(traced.spans))
     steps = config.epochs * -(-len(log) // config.batch_size)
@@ -120,6 +121,7 @@ def test_traced_training_spans(tracer):
     assert spans["training.adam_step"]["calls"] == steps
     assert spans["estimators.lagrangian_gradient"]["calls"] == steps
     assert spans["policy.batch_probabilities"]["calls"] == len(history.checkpoints) >= 3
+    assert spans["estimators.lagrangian_risk"]["calls"] == len(history.checkpoints)
     for name in ("training.adam_step", "estimators.lagrangian_gradient",
                  "policy.batch_probabilities"):
         assert spans[name]["s"] > 0.0 and spans[name]["errors"] == 0

@@ -26,7 +26,7 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.estimators import lagrangian_risk, mean_weight_and_lagrangian, snips
+from banditrank.estimators import lagrangian_risk, snips
 from banditrank.evaluation import RankIndex, write_qrels
 from banditrank.policy import PolicyParams, init_params, logit_margin
 from banditrank.simulator import (
@@ -431,7 +431,7 @@ class TestPeakMemory:
         write_bandit_log(log, buf)
         return log, buf.getvalue()
 
-    @pytest.mark.parametrize("step", ["mean_weight_and_lagrangian", "write_bandit_log",
+    @pytest.mark.parametrize("step", ["lagrangian_risk", "write_bandit_log",
                                       "parse_bandit_log"])
     def test_below_one_n_by_d_array(self, log_and_text, step):
         log, text = log_and_text
@@ -445,8 +445,7 @@ class TestPeakMemory:
 
         stream = io.StringIO(text)
         calls = {
-            "mean_weight_and_lagrangian":
-                lambda: mean_weight_and_lagrangian(log, init_params("mlp", self.d, 16), 0.5),
+            "lagrangian_risk": lambda: lagrangian_risk(log, init_params("mlp", self.d, 16), 0.5),
             "write_bandit_log": lambda: write_bandit_log(log, Discard()),
             "parse_bandit_log": lambda: parse_bandit_log(stream),
         }
@@ -889,7 +888,7 @@ class TestFileHandles:
             assert PolicyParams.load(path("model.json")) == params
             save_world(world, path("world.json"))
             assert load_world(path("world.json")).seed == 2
-            write_history(history, lambda p: {"objective": lagrangian_risk(log, p, 0.5)},
+            write_history(history, lambda p: {"objective": lagrangian_risk(log, p, 0.5).estimate},
                           path("history.tsv"))
             history.checkpoints[-1].dev_metrics.write(path("metrics.txt"))
             snips(log, params).write(path("snips.txt"))

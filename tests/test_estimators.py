@@ -14,13 +14,13 @@ from banditrank.estimators import (
     lagrangian_gradient,
     lagrangian_risk,
     logged_probabilities,
-    mean_weight_and_lagrangian,
     snips,
     snips_denominator,
 )
 from banditrank.policy import PolicyParams, batch_probabilities, init_params
 from banditrank.simulator import SimConfig, generate_world, simulate_log
-from conftest import identity_policy, random_log
+from banditrank.training import Checkpoint, TrainHistory, evaluate_policy, write_history
+from conftest import identity_policy, random_log, supervised
 from oracles import (
     brute_ea,
     brute_ips,
@@ -87,7 +87,7 @@ class TestWorkedExample:
         )
 
     def test_lagrangian_half(self):
-        val = lagrangian_risk(self.log, self.params, 0.5)
+        val = lagrangian_risk(self.log, self.params, 0.5).estimate
         assert val == pytest.approx(0.8 / 3 - 0.5 * 3.4 / 3, rel=1e-12)
         assert val == pytest.approx(-0.3, abs=1e-6)
 
@@ -161,7 +161,7 @@ class TestAgainstBruteForce:
     def test_lagrangian(self, lam):
         log = random_log(15, 2, seed=8)
         params = init_params("linear", 2, seed=9)
-        assert lagrangian_risk(log, params, lam) == pytest.approx(
+        assert lagrangian_risk(log, params, lam).estimate == pytest.approx(
             brute_lagrangian(rows(log), record_prob_fn(params), lam), abs=1e-12
         )
 
@@ -221,15 +221,17 @@ class TestContextTable:
     @given(table_logs_and_policies(), st.floats(0.0, 1.0))
     def test_table_and_rows_match_one_row_per_record(self, logs, lam):
         log, flat, params = logs
-        found = [logged_probabilities(log, params), mean_weight_and_lagrangian(log, params, lam),
+        found = [logged_probabilities(log, params), lagrangian_risk(log, params, lam),
                  snips(log, params)]
-        expected = [logged_probabilities(flat, params),
-                    mean_weight_and_lagrangian(flat, params, lam), snips(flat, params)]
+        expected = [logged_probabilities(flat, params), lagrangian_risk(flat, params, lam),
+                    snips(flat, params)]
         if params.kind == "linear":
             assert np.array_equal(found[0], expected[0]) and found[1:] == expected[1:]
         else:
             np.testing.assert_array_max_ulp(found[0], expected[0], maxulp=64)
-            assert found[1] == pytest.approx(expected[1], rel=1e-12, abs=1e-15)
+            (S, objective), (S_flat, objective_flat) = [
+                (r.mean_importance_weight, r.estimate) for r in (found[1], expected[1])]
+            assert (S, objective) == pytest.approx((S_flat, objective_flat), rel=1e-12, abs=1e-15)
             assert found[2].estimate == pytest.approx(expected[2].estimate, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("kind, hidden", [("linear", 0), ("mlp", 16), ("mlp", 64)])
@@ -250,6 +252,10 @@ def equal_weights_log(n, propensity):
     return log, PolicyParams("linear", [np.zeros((2, 2)), np.zeros(2)])
 
 
+def lagrangian_at_half(log, params):
+    return lagrangian_risk(log, params, 0.5)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_snips_bounded(self, seed):
@@ -263,7 +269,7 @@ class TestInvariants:
         log = random_log(60, 3, seed)
         params = init_params("linear", 3, seed=seed + 50)
         lam = np.random.default_rng(seed).uniform(0, 1)
-        lhs = lagrangian_risk(log, params, lam)
+        lhs = lagrangian_risk(log, params, lam).estimate
         rhs = ips(log, params).estimate - lam * snips_denominator(log, params)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -283,6 +289,27 @@ class TestInvariants:
         assert snips_denominator(log, params) == 0.0
         with pytest.raises(ValueError, match="every importance weight is 0"):
             estimator(log, params)
+
+    def test_a_policy_that_gives_no_logged_action_a_probability_reports_zeros(self, tmp_path):
+        log = BanditLog(["q"], ["p"], np.array([[1.0]]), [1], [0.5], [1])
+        params = PolicyParams("linear", [np.array([[0.0], [-2000.0]]), np.zeros(2)])
+        report = lagrangian_risk(log, params, 0.5)
+        assert (report.estimate, report.mean_importance_weight,
+                report.effective_sample_size) == (0.0, 0.0, 0.0)
+        # train-crm's history.tsv numbers: S and the objective at the run's lambda
+        dev = supervised([("q", "p", np.array([1.0]), 4, 1.0),
+                          ("q", "p2", np.array([0.0]), 0, 0.0)])
+        checkpoint = Checkpoint(records_seen=1, dev_metrics=evaluate_policy(params, dev),
+                                params=params)
+
+        def numbers(p):
+            report = lagrangian_risk(log, p, 0.5)
+            return {"objective": report.estimate, "S": report.mean_importance_weight}
+
+        write_history(TrainHistory(checkpoints=(checkpoint,)), numbers, str(tmp_path / "h.tsv"))
+        header, row = (tmp_path / "h.tsv").read_text().splitlines()
+        assert header.split("\t")[:3] == ["records_seen", "objective", "S"]
+        assert row.split("\t")[:3] == ["1", "0.0", "0.0"]
 
     def test_empty_log_errors(self):
         empty = BanditLog([], [], np.zeros((0, 0)), [], [], [])
@@ -309,12 +336,21 @@ class TestInvariants:
     def test_lagrangian_is_ips_less_lambda_times_s(self, log_and_policy, lam):
         log, params = log_and_policy
         rhs = ips(log, params).estimate - lam * snips_denominator(log, params)
-        assert lagrangian_risk(log, params, lam) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        lhs = lagrangian_risk(log, params, lam).estimate
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs_and_policies(), st.floats(0.0, 1.0))
+    def test_lagrangian_reports_the_s_and_ess_of_snips(self, log_and_policy, lam):
+        lagrangian, ratio = lagrangian_risk(*log_and_policy, lam), snips(*log_and_policy)
+        assert (lagrangian.n, lagrangian.mean_importance_weight.hex(),
+                lagrangian.effective_sample_size.hex()) == (
+            ratio.n, ratio.mean_importance_weight.hex(), ratio.effective_sample_size.hex())
 
     @settings(max_examples=60, deadline=None)
     @given(logs_and_policies())
     def test_ess_lies_in_zero_to_n(self, log_and_policy):
-        for estimator in (snips, ips, empirical_average):
+        for estimator in (snips, ips, empirical_average, lagrangian_at_half):
             report = estimator(*log_and_policy)
             assert 0 < report.effective_sample_size <= report.n == len(log_and_policy[0])
 
@@ -322,7 +358,7 @@ class TestInvariants:
     @given(st.integers(1, 300), st.floats(0.01, 1.0))
     @example(199, 0.5 / 7.7)  # (sum w)^2 / sum w^2 rounds to 199.00000000000017 here
     def test_equal_weights_give_an_ess_of_n(self, n, propensity):
-        for estimator in (snips, ips, empirical_average):
+        for estimator in (snips, ips, empirical_average, lagrangian_at_half):
             report = estimator(*equal_weights_log(n, propensity))
             assert report.effective_sample_size == n
 
@@ -330,7 +366,7 @@ class TestInvariants:
         # w = 3.8e-174, whose square underflows to 0
         log = BanditLog(["q"], ["p"], np.ones((1, 1)), [1], [0.5], [1])
         params = PolicyParams("linear", [np.array([[0.0], [-400.0]]), np.zeros(2)])
-        for estimator in (snips, ips, empirical_average):
+        for estimator in (snips, ips, empirical_average, lagrangian_at_half):
             report = estimator(log, params)
             assert 0 < report.mean_importance_weight < 1e-170
             assert report.effective_sample_size == 1.0
@@ -340,7 +376,7 @@ class TestInvariants:
     def test_min_propensity_logs_give_finite_estimates(self, log_and_policy, lam):
         log, params = log_and_policy
         estimates = [estimator(log, params).estimate for estimator in (snips, ips, empirical_average)]
-        estimates += [snips_denominator(log, params), lagrangian_risk(log, params, lam)]
+        estimates += [snips_denominator(log, params), lagrangian_risk(log, params, lam).estimate]
         assert np.all(np.isfinite(estimates))
 
 

@@ -113,9 +113,7 @@ def test_traced_names_exist():
 # Public names in ``src/`` that nothing in ``src/`` names, each with its reason.
 UNCALLED_BY_DESIGN = {
     "evaluate_policy": "the benchmark traces it and calls it by name",
-    "lagrangian_risk": "the benchmark traces it by name",
     "rank_metrics": "the benchmark traces it by name",
-    "snips_denominator": "the benchmark traces it and calls it by name",
     "true_risk": "the benchmark traces it and calls it by name",
     "build_supervised": "the benchmark traces it and calls it by name",
     "snips": "an estimator of the paper, kept for library users (ROADMAP direction 3)",

@@ -316,6 +316,33 @@ class TestBatchLengths:
         assert weighted_prob_gradient(params, X_5ROWS[0], [1], [1.0]).shape == (6,)
 
 
+class TestClassValues:
+    """A class outside {0, 1} fails before the forward pass and names its row and value;
+    ``np.take`` would otherwise read class -1 as 1 and -2 as 0."""
+
+    @pytest.mark.parametrize("bad", [-1, -2, 2])
+    @pytest.mark.parametrize("gradient", ["logit_gradient", "weighted_prob_gradient",
+                                          "lagrangian_gradient"])
+    def test_a_class_outside_0_and_1_fails(self, monkeypatch, gradient, bad):
+        params, classes = init_params("mlp", 2, hidden=3, seed=0), [1, 0, 1, bad, bad]
+        calls = {
+            "logit_gradient": lambda: logit_gradient(
+                params, X_5ROWS, classes, training._cross_entropy_dlogits(np.ones(5))),
+            "weighted_prob_gradient": lambda: weighted_prob_gradient(
+                params, X_5ROWS, classes, np.ones(5)),
+            "lagrangian_gradient": lambda: lagrangian_gradient(
+                X_5ROWS, classes, np.full(5, 0.5), np.ones(5), params, 0.5),
+        }
+
+        def no_forward(*args):
+            raise AssertionError("forward pass over a batch with a bad class")
+
+        monkeypatch.setattr(policy, "_forward", no_forward)
+        with pytest.raises(ValueError, match=re.escape(
+                f"class {bad} at row 3: classes must be 0 or 1")):
+            calls[gradient]()
+
+
 LINEAR = {"kind": "linear", "arrays": [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0]], "shapes": [[2, 2], [2]]}
 
 

@@ -228,8 +228,8 @@ class TestTrainCrm:
         p0 = init_params("linear", 4, seed=8)
         config = cfg(batch_size=16, epochs=500, eval_every=10**9, lam=0.5)
         params, history = train_crm(log, dev, p0, config)
-        initial = lagrangian_risk(log, p0, 0.5)
-        final = lagrangian_risk(log, history.checkpoints[-1].params, 0.5)
+        initial = lagrangian_risk(log, p0, 0.5).estimate
+        final = lagrangian_risk(log, history.checkpoints[-1].params, 0.5).estimate
         assert final < initial
 
     def test_improves_over_logging_policy(self):
@@ -384,7 +384,7 @@ class TestLambdaStoppingRule:
         # each probed lambda trains once: its probe reads epoch 2 of that
         # training and its full run epoch 5
         monkeypatch.setattr(training, "_crm_epochs", fixed_s_crm_epochs)
-        monkeypatch.setattr(training, "mean_weight_and_lagrangian", lambda log, p, lam: (S, 0.0))
+        monkeypatch.setattr(training, "snips_denominator", lambda log, p: S)
         lam_star, _, sweep = lambda_search(
             random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
             cfg(epochs=5, max_probes=max_probes), probe_epochs=2,
@@ -535,19 +535,21 @@ class TestOneRunPerLambda:
         updates, the (lambda, parameter bytes) of its full-log passes, and the
         (lambda, parameter bytes) of each distinct best checkpoint of a probe or
         full run, the ones whose S the search reads."""
-        steps, full_passes = [], []
-        adam_step, full_pass = training.adam_step, training.mean_weight_and_lagrangian
+        steps, full_passes, trained_at = [], [], {}
+        adam_step, full_pass = training.adam_step, training.snips_denominator
 
         def counted_step(params, grads, state, config):
             steps.append(state.t)
-            return adam_step(params, grads, state, config)
+            params, state = adam_step(params, grads, state, config)
+            trained_at[params.flat.tobytes()] = config.lam  # the lambda each params came from
+            return params, state
 
-        def counted_pass(log, params, lam):
-            full_passes.append((lam, params.flat.tobytes()))
-            return full_pass(log, params, lam)
+        def counted_pass(log, params):
+            full_passes.append((trained_at[params.flat.tobytes()], params.flat.tobytes()))
+            return full_pass(log, params)
 
         monkeypatch.setattr(training, "adam_step", counted_step)
-        monkeypatch.setattr(training, "mean_weight_and_lagrangian", counted_pass)
+        monkeypatch.setattr(training, "snips_denominator", counted_pass)
         log, dev = random_log(50, 3, seed=51), toy_dev(3)
         p0 = init_params(kind, 3, hidden=3, seed=52)
         config = cfg(batch_size=16, epochs=epochs, eval_every=eval_every, learning_rate=0.5,
@@ -644,7 +646,7 @@ class TestOneFullLogPass:
             records_seen, objective, S = row.split("\t")[:3]
             assert int(records_seen) == cp.records_seen
             assert float(S) == snips_denominator(log, cp.params)
-            assert float(objective) == lagrangian_risk(log, cp.params, config.lam)
+            assert float(objective) == lagrangian_risk(log, cp.params, config.lam).estimate
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_full_info_matches_the_cross_entropy(self, kind):
@@ -709,8 +711,8 @@ class TestOneFullLogPass:
             _, history = fit(train, toy_dev(3), p0, config)
 
             def numbers(params):  # train-crm's: S and the objective at the run's lambda
-                S, objective = estimators.mean_weight_and_lagrangian(train, params, config.lam)
-                return {"objective": objective, "S": S}
+                report = estimators.lagrangian_risk(train, params, config.lam)
+                return {"objective": report.estimate, "S": report.mean_importance_weight}
         return train, history, numbers
 
     @pytest.mark.parametrize("trainer", ["crm", "ea", "full_info"])
