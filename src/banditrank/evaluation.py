@@ -19,7 +19,7 @@ import numpy as np
 from banditrank.data import open_text
 
 # Cut-offs k of P@k and NDCG@k: the default of ``RankIndex``, and so of the
-# dev-set metrics of training checkpoints and of the CLI's ``evaluate``.
+# dev-set metrics of training runs and of the CLI's ``evaluate``.
 DEFAULT_KS = (5, 10)
 
 
@@ -87,6 +87,10 @@ class RankIndex:
     once: each ranked position's query code, rank and discount log2(rank + 1),
     the positions within each cut-off k and their query codes, and per query
     the relevant count and the ideal DCG at each k.
+
+    ``report`` scores a ranking by every metric; ``map`` by its MAP alone, as a
+    training checkpoint needs it for model selection. Both take the MAP from one
+    average precision routine, so that the two give the same bits.
     """
 
     def __init__(
@@ -156,23 +160,38 @@ class RankIndex:
         by_score = np.argsort(-scores[self.grouped], kind="stable")
         return self.grouped[by_score[np.argsort(self.seg[by_score], kind="stable")]]
 
+    def _ranked(self, scores: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The grades of the ranking by ``scores``, and which of them are relevant."""
+        if not self.judged.any():
+            raise ValueError("no query has a relevant item")
+        ranked = self.grades[self.order(scores)]
+        return ranked, ranked > 0
+
+    def _map(self, rel: np.ndarray) -> float:
+        """The MAP of a ranking whose relevant positions are ``rel``: the one average
+        precision routine, which ``map`` and ``report`` share."""
+        judged = self.judged
+        ap = _sums(self.hits / self.rank[rel], self.seg[rel], self.n_queries)[judged]
+        return _mean(ap / self.n_rel[judged])
+
+    def map(self, scores: Sequence[float]) -> float:
+        """The MAP of the ranking by ``scores``: ``report(scores).map``, bit for bit,
+        with no other metric computed."""
+        return self._map(self._ranked(scores)[1])
+
     def report(self, scores: Sequence[float]) -> MetricsReport:
         """MAP, MRR, P@k, NDCG@k and the average rank and DCG of relevant items
         of the ranking by ``scores``."""
         judged = self.judged
-        if not judged.any():
-            raise ValueError("no query has a relevant item")
-        ranked = self.grades[self.order(scores)]
-        rel = ranked > 0
-        rel_seg, rel_rank = self.seg[rel], self.rank[rel]
-        ap = _sums(self.hits / rel_rank, rel_seg, self.n_queries)[judged] / self.n_rel[judged]
+        ranked, rel = self._ranked(scores)
+        rel_rank = self.rank[rel]
         dcg = self._dcg(ranked)[:, judged]
         ideal = self.ideal_dcg
         ndcg = np.where(ideal > 0, dcg[:-1] / np.where(ideal > 0, ideal, 1.0), 0.0)
         p_at = [_sums(rel[top], seg, self.n_queries)[judged] / k
                 for k, top, seg in zip(self.ks, self.top, self.top_seg)]
         return MetricsReport(
-            map=_mean(ap),
+            map=self._map(rel),
             mrr=_mean(1.0 / rel_rank[self.first_hit]),
             p_at={k: _mean(p) for k, p in zip(self.ks, p_at)},
             ndcg_at={k: _mean(row) for k, row in zip(self.ks, ndcg)},

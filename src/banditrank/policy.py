@@ -245,15 +245,26 @@ def logit_gradient(
     ``dlogits(P, onehot, out)`` writes the gradient at the logits into ``out``.
     All three are action-major, (2, m) with row c for action c: P holds the
     batch's action probabilities and ``onehot`` the one-hot columns of
-    ``classes``, one class, 0 or 1, per context. ``out`` is the transpose of a C-ordered
+    ``classes``, one class, 0 or 1, per context: an int64 array is read as it is,
+    and any other array of numbers holds values equal to 0 or 1, so that the floats
+    0.0 and 1.0 and the booleans are classes, while 0.5 or 1.7, which a cast to
+    int64 would truncate, is refused by a ``ValueError`` that names its row, as a
+    class outside {0, 1} is. ``out`` is the transpose of a C-ordered
     (m, 2) array G, the layout whose products and sums the backward pass
     reads. Returns the gradient summed over the batch, laid out like
     ``params.flat``.
     """
-    classes = np.asarray(classes, dtype=np.int64)
-    if np.count_nonzero(classes >> 1):  # a class outside {0, 1}: np.take would wrap -1 and -2
-        row = np.flatnonzero(classes >> 1)[0]
-        raise ValueError(f"class {classes.ravel()[row]} at row {row}: classes must be 0 or 1")
+    given = np.asarray(classes)
+    if given.dtype == np.int64:
+        outside = given >> 1  # nonzero outside {0, 1}: np.take would wrap -1 and -2
+    elif given.dtype.kind in "biuf":
+        outside = (given != 0) & (given != 1)
+    else:
+        raise ValueError(f"classes must be numbers, got dtype {given.dtype}")
+    if np.count_nonzero(outside):
+        row = np.flatnonzero(outside)[0]
+        raise ValueError(f"class {given.ravel()[row]} at row {row}: classes must be 0 or 1")
+    classes = given.astype(np.int64, copy=False)
     X, Z, H = _forward(params, contexts)
     if classes.shape != (len(X),):
         raise _length_error(X, classes=classes)

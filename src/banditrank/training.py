@@ -10,13 +10,17 @@ dev MAP. Training is one open-ended loop, and a run of e epochs is what that
 loop gives after epoch e, so the lambda search reads each probed lambda's probe
 and full run from one training of the longer length.
 
-A checkpoint is a plain record: records seen, dev metrics (selection reads its
-dev MAP) and params, whose training-set logits are finite: a bound from the
-params and the table's largest entry proves it, and the table is forwarded only
-where the bound fails. Whoever reads its S or objective computes them from its
-params through ``estimators.lagrangian_risk``'s report: the lambda search reads
-S by ``snips_denominator`` at each run's best checkpoint, and ``write_history``
-reads the numbers its caller computes at every checkpoint.
+A checkpoint is a plain record: records seen, the dev MAP that selection reads
+and params, whose training-set logits are finite: a bound from the params and
+the table's largest entry proves it, and the table is forwarded only where the
+bound fails. It ranks the dev set for its MAP alone, by ``RankIndex.map``, which
+gives the bits of ``RankIndex.report(...).map``. Whoever reads another number of
+a checkpoint computes it from the checkpoint's params: its S or objective through
+``estimators.lagrangian_risk``'s report, its other dev metrics through a
+``RankIndex.report`` of its dev margins (``evaluate_policy``). The lambda search
+reads S by ``snips_denominator`` at the best checkpoint of each probe and full
+run, and the dev report at that of each full run; ``write_history`` writes the
+numbers, dev columns included, that its caller computes at every checkpoint.
 """
 
 from __future__ import annotations
@@ -123,9 +127,10 @@ def adam_step(
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A model taken during training and its dev metrics."""
+    """A model taken during training: the records seen, the MAP of its ranking of
+    the dev set and its params. Any other metric of it is computed from its params."""
     records_seen: int
-    dev_metrics: MetricsReport
+    dev_map: float
     params: PolicyParams
 
 
@@ -135,8 +140,9 @@ class TrainHistory:
     stopped: str | None = None  # why the run ended early, if it diverged
 
     def best(self) -> Checkpoint:
-        """The checkpoint with the best dev MAP; ``max`` keeps the earliest among equals."""
-        return max(self.checkpoints, key=lambda cp: cp.dev_metrics.map)
+        """The checkpoint with the best dev MAP, the one number a checkpoint holds
+        besides its params; ``max`` keeps the earliest among equals."""
+        return max(self.checkpoints, key=lambda cp: cp.dev_map)
 
 
 def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
@@ -152,6 +158,7 @@ def _epochs(
     dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
+    dev_index: RankIndex | None = None,
 ) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
     """The shared epoch/batch/checkpoint loop over record indices, for as many
     epochs as the caller reads.
@@ -159,17 +166,21 @@ def _epochs(
     After epoch e it yields a memoised function that returns what a run of e
     epochs returns: the checkpoints so far, plus the end-of-run checkpoint such
     a run takes when its last checkpoint is earlier, made at the first call and
-    kept out of the longer runs. A checkpoint ranks the dev set and checks that
-    the logits of ``table``, the training set's contexts, are finite: by
-    ``_logits_bounded`` from the table's largest entry, or, where that bound
-    fails, by forwarding the table. It computes no S or objective. Training
-    stops at the first step or checkpoint whose logits or updated parameters
-    are not finite; that epoch and every later one yield the stopped run, whose
-    history records why, or which raises the error when it has no checkpoint.
+    kept out of the longer runs. A checkpoint ranks the dev set for its MAP
+    alone (``RankIndex.map``) and checks that the logits of ``table``, the
+    training set's contexts, are finite: by ``_logits_bounded`` from the table's
+    largest entry, or, where that bound fails, by forwarding the table. It
+    computes no other dev metric, S or objective. Training stops at the first
+    step or checkpoint whose logits or updated parameters are not finite; that
+    epoch and every later one yield the stopped run, whose history records why,
+    or which raises the error when it has no checkpoint. ``dev_index`` is the
+    ``RankIndex`` of ``dev``, built here if not given: a caller that trains
+    on one dev set many times builds it once.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
-    dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
+    if dev_index is None:
+        dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
     rng = np.random.default_rng(config.seed)
     params, state = params0, AdamState.zeros_like(params0)
     checkpoints: list[Checkpoint] = []
@@ -178,10 +189,10 @@ def _epochs(
     x_max = float(np.abs(table).max(initial=0.0))
 
     def checkpoint(params: PolicyParams, records_seen: int) -> Checkpoint:
-        dev_metrics = dev_index.report(logit_margin(params, dev.contexts))
+        dev_map = dev_index.map(logit_margin(params, dev.contexts))
         if not _logits_bounded(params, x_max):
             _forward(params, table)  # raises if a training-set logit is not finite
-        return Checkpoint(records_seen=records_seen, dev_metrics=dev_metrics, params=params)
+        return Checkpoint(records_seen=records_seen, dev_map=dev_map, params=params)
 
     def run(kept, params, records_seen, exc=None):
         """What a run that ends after ``records_seen`` records returns."""
@@ -233,6 +244,7 @@ def _crm_epochs(
     dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
+    dev_index: RankIndex | None = None,
 ) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
     """``train_crm``'s ``_epochs`` loop."""
     table, rows = train_log.context_table, train_log.context_rows
@@ -242,7 +254,7 @@ def _crm_epochs(
                                    train_log.propensities[idx], train_log.deltas[idx], params,
                                    config.lam)
 
-    return _epochs(len(train_log), grad_fn, table, dev, params0, config)
+    return _epochs(len(train_log), grad_fn, table, dev, params0, config, dev_index)
 
 
 def train_ea(
@@ -308,18 +320,17 @@ def weighted_cross_entropy(rows: SupervisedSet, params: PolicyParams) -> float:
 
 
 def write_history(history: TrainHistory, numbers: Callable[[PolicyParams], dict], sink) -> int:
-    """Export the checkpoint series as TSV: records seen, the named numbers that
-    ``numbers`` computes from the params, such as S and the objective over the
-    training set (one call per checkpoint, made here), and the dev metrics."""
+    """Export the checkpoint series as TSV: records seen, then the named numbers
+    that ``numbers`` computes from the params, one call per checkpoint, made here.
+    A checkpoint holds no metric but its dev MAP, so the caller computes every
+    column, such as S and the objective over the training set and the dev metrics
+    of a ``RankIndex.report``."""
     with open_text(sink, "w") as out:
         for i, cp in enumerate(history.checkpoints):
             named = numbers(cp.params)
             if i == 0:
-                header = ["records_seen", *named, "map", "ndcg@10", "avg_rank", "avg_dcg"]
-                out.write("\t".join(header) + "\n")
-            m = cp.dev_metrics
-            row = [*named.values(), m.map, m.ndcg_at[10], m.avg_rank, m.avg_dcg]
-            out.write("\t".join([str(cp.records_seen), *map(repr, row)]) + "\n")
+                out.write("\t".join(["records_seen", *named]) + "\n")
+            out.write("\t".join([str(cp.records_seen), *map(repr, named.values())]) + "\n")
     return len(history.checkpoints)
 
 
@@ -361,7 +372,10 @@ def lambda_search(
 
     Finding a best checkpoint reads no S. The search computes S, one pass over
     the log, at the best checkpoint of each probe and each full run, once when
-    a lambda's two runs share it.
+    a lambda's two runs share it. Each full run's ``LambdaProbe.metrics`` is the
+    one full dev report the search makes of it, at its best checkpoint. Every
+    training and every report of the search ranks the dev set by one
+    ``RankIndex``.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
@@ -370,6 +384,8 @@ def lambda_search(
     probed: list[float] = []
     full_runs = []
     known_S = {}  # by lambda and records seen, which name one checkpoint of one training
+    # an empty dev set fails in _epochs, as it does in every trainer
+    dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels) if dev else None
 
     def best_S(lam: float, history: TrainHistory) -> float:
         best = history.best()
@@ -380,8 +396,8 @@ def lambda_search(
 
     for _ in range(config.max_probes):
         probed.append(lam)
-        run_after = list(islice(_crm_epochs(train_log, dev, params0, replace(config, lam=lam)),
-                                max(probe_epochs, config.epochs)))
+        loop = _crm_epochs(train_log, dev, params0, replace(config, lam=lam), dev_index)
+        run_after = list(islice(loop, max(probe_epochs, config.epochs)))
         full_runs.append(run_after[config.epochs - 1])
         S = best_S(lam, run_after[probe_epochs - 1]()[1])
         if 0.95 <= S <= 1.05:
@@ -393,7 +409,11 @@ def lambda_search(
     # each full run's best checkpoint holds its returned params; the first
     # probed lambda wins a tie, as the earliest checkpoint does within a run
     runs = [(lam_j, full()[1]) for lam_j, full in zip(probed, full_runs)]
-    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
-    sweep = [LambdaProbe(lam=lam_j, S=best_S(lam_j, history), metrics=history.best().dev_metrics,
+    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_map)
+
+    def dev_report(history: TrainHistory) -> MetricsReport:
+        return dev_index.report(logit_margin(history.best().params, dev.contexts))
+
+    sweep = [LambdaProbe(lam=lam_j, S=best_S(lam_j, history), metrics=dev_report(history),
                          stopped=history.stopped) for lam_j, history in runs]
     return lam_star, chosen.best().params, sweep

@@ -427,8 +427,9 @@ def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
     runs = [(lam_j, training.train_crm(train_log, dev, params0,
                                        dataclasses.replace(config, lam=lam_j))[1])
             for lam_j in probed]
-    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_metrics.map)
+    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_map)
     sweep = [training.LambdaProbe(
         lam=lam_j, S=estimators.snips_denominator(train_log, history.best().params),
-        metrics=history.best().dev_metrics, stopped=history.stopped) for lam_j, history in runs]
+        metrics=training.evaluate_policy(history.best().params, dev), stopped=history.stopped)
+        for lam_j, history in runs]
     return lam_star, chosen.best().params, sweep

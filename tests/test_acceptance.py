@@ -349,9 +349,9 @@ def test_criterion_11_aggregation_pipeline():
 
 
 def test_criterion_12_learning_progress_shape(crm_learning_run):
-    _, _, _, _, _, history, _, _ = crm_learning_run
-    first = history.checkpoints[0].dev_metrics
-    last = history.checkpoints[-1].dev_metrics
+    _, _, dev, _, _, history, _, _ = crm_learning_run
+    first = evaluate_policy(history.checkpoints[0].params, dev)
+    last = evaluate_policy(history.checkpoints[-1].params, dev)
     ok = last.avg_rank < first.avg_rank and last.avg_dcg > first.avg_dcg
     verdict(
         12, ok,

@@ -36,7 +36,7 @@ from banditrank.simulator import (
     save_world,
     world_supervised,
 )
-from banditrank.training import TrainConfig, train_crm, write_history
+from banditrank.training import TrainConfig, evaluate_policy, train_crm, write_history
 from conftest import random_log, supervised
 from oracles import jsonl_lines, parse_lines, rows, tsv_lines
 
@@ -890,7 +890,7 @@ class TestFileHandles:
             assert load_world(path("world.json")).seed == 2
             write_history(history, lambda p: {"objective": lagrangian_risk(log, p, 0.5).estimate},
                           path("history.tsv"))
-            history.checkpoints[-1].dev_metrics.write(path("metrics.txt"))
+            evaluate_policy(history.checkpoints[-1].params, dev).write(path("metrics.txt"))
             snips(log, params).write(path("snips.txt"))
             RankIndex(dev.query_ids, dev.product_ids, dev.labels).write_trec_run(
                 logit_margin(params, dev.contexts), "t", path("run.txt"))

@@ -299,7 +299,7 @@ class TestInvariants:
         # train-crm's history.tsv numbers: S and the objective at the run's lambda
         dev = supervised([("q", "p", np.array([1.0]), 4, 1.0),
                           ("q", "p2", np.array([0.0]), 0, 0.0)])
-        checkpoint = Checkpoint(records_seen=1, dev_metrics=evaluate_policy(params, dev),
+        checkpoint = Checkpoint(records_seen=1, dev_map=evaluate_policy(params, dev).map,
                                 params=params)
 
         def numbers(p):

@@ -225,6 +225,24 @@ class TestMetricsCore:
         assert (dataclasses.asdict(index.report(scores))
                 == loop_rank_metrics(brute_runs(records), labels, ks))
 
+    @settings(max_examples=200, deadline=None)
+    @given(dev_sets(), st.lists(st.integers(1, 15), min_size=1, max_size=3, unique=True))
+    def test_map_alone_is_the_report_and_loop_map(self, records, ks):
+        # the MAP a training checkpoint takes; ks above a query's length included
+        rows = supervised(records)
+        index = RankIndex(rows.query_ids, rows.product_ids, rows.labels, ks)
+        scores = logit_margin(MARGIN_POLICY, rows.contexts)
+        labels = {(q, pid): label for q, pid, _, label, _ in records}
+        expected = loop_rank_metrics(brute_runs(records), labels, ks)["map"]
+        assert index.map(scores) == index.report(scores).map == expected
+
+    def test_map_without_a_relevant_item_fails_like_the_report(self):
+        run, _ = make_run("q", [0, 0])
+        index = RankIndex(run[0], run[1], [0, 0])
+        for score in (index.map, index.report):
+            with pytest.raises(ValueError, match="no query has a relevant item"):
+                score(run[2])
+
     def test_duplicate_pair_error(self):
         rec = ("q", "a", np.zeros(2), 4, 1.0)
         with pytest.raises(ValueError, match="duplicate product"):

@@ -318,7 +318,8 @@ class TestBatchLengths:
 
 class TestClassValues:
     """A class outside {0, 1} fails before the forward pass and names its row and value;
-    ``np.take`` would otherwise read class -1 as 1 and -2 as 0."""
+    ``np.take`` would otherwise read class -1 as 1 and -2 as 0. Classes of any number
+    type are accepted when they equal 0 or 1."""
 
     @pytest.mark.parametrize("bad", [-1, -2, 2])
     @pytest.mark.parametrize("gradient", ["logit_gradient", "weighted_prob_gradient",
@@ -341,6 +342,40 @@ class TestClassValues:
         with pytest.raises(ValueError, match=re.escape(
                 f"class {bad} at row 3: classes must be 0 or 1")):
             calls[gradient]()
+
+    @staticmethod
+    def gradients(classes):
+        """The gradient of ``classes`` on five rows by each function that takes classes."""
+        params = init_params("mlp", 2, hidden=3, seed=0)
+        return {
+            "weighted_prob_gradient": lambda: weighted_prob_gradient(
+                params, X_5ROWS, classes, np.linspace(-1.0, 1.0, 5)),
+            "lagrangian_gradient": lambda: lagrangian_gradient(
+                X_5ROWS, classes, np.full(5, 0.5), np.linspace(0.0, 1.0, 5), params, 0.3),
+        }
+
+    @pytest.mark.parametrize("bad", [0.5, 1.7, -0.5, 2.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("gradient", ["weighted_prob_gradient", "lagrangian_gradient"])
+    def test_a_float_class_that_is_not_0_or_1_fails(self, gradient, bad):
+        # a cast to int64 would train 0.5 as 0 and 1.7 as 1
+        classes = np.array([1.0, 0.0, 1.0, bad, 0.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"class {bad} at row 3: classes must be 0 or 1")):
+            self.gradients(classes)[gradient]()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, np.uint8, np.int32])
+    @pytest.mark.parametrize("gradient", ["weighted_prob_gradient", "lagrangian_gradient"])
+    def test_classes_equal_to_0_or_1_of_any_number_type_are_accepted(self, gradient, dtype):
+        # the floats 0.0 and 1.0 are classes: they give the bits of the int64 classes
+        classes = np.array([1, 0, 1, 1, 0])
+        expected = self.gradients(classes)[gradient]()
+        assert np.array_equal(self.gradients(classes.astype(dtype))[gradient](), expected)
+        assert np.array_equal(self.gradients(classes.astype(dtype).tolist())[gradient](),
+                              expected)
+
+    def test_classes_that_are_not_numbers_fail(self):
+        with pytest.raises(ValueError, match="classes must be numbers"):
+            self.gradients(np.array(["1", "0", "1", "1", "0"]))["weighted_prob_gradient"]()
 
 
 LINEAR = {"kind": "linear", "arrays": [[0.5, 0.5, 0.5, 0.5], [0.0, 0.0]], "shapes": [[2, 2], [2]]}

@@ -11,8 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banditrank import cli, estimators, policy, training
-from banditrank.data import BanditLog, SupervisedSet, grade, write_bandit_log, write_supervised
-from banditrank.evaluation import MetricsReport
+from banditrank.data import (
+    BanditLog,
+    SupervisedSet,
+    grade,
+    split_queries,
+    write_bandit_log,
+    write_supervised,
+)
 from banditrank.estimators import (
     lagrangian_gradient,
     lagrangian_risk,
@@ -218,9 +224,9 @@ class TestTrainCrm:
         p0 = init_params("linear", 3, seed=6)
         config = cfg(epochs=4, eval_every=64)
         params, history = train_crm(log, dev, p0, config)
-        best = max(c.dev_metrics.map for c in history.checkpoints)
+        best = max(c.dev_map for c in history.checkpoints)
         chosen = [c for c in history.checkpoints if c.params == params]
-        assert chosen and chosen[0].dev_metrics.map == best
+        assert chosen and chosen[0].dev_map == best
 
     def test_single_batch_overfit(self):
         log = random_log(16, 4, seed=7)
@@ -365,16 +371,12 @@ class TestLambdaStoppingRule:
 
     def search(self, monkeypatch, S, max_probes=10):
         """The lambdas of the probes and of the full runs, in call order."""
-        metrics = MetricsReport(map=0.5, mrr=0.5, p_at={5: 0.5, 10: 0.5},
-                                ndcg_at={5: 0.5, 10: 0.5}, avg_rank=1.0, avg_dcg=1.0,
-                                n_queries=1)
         runs, calls = [], []
 
-        def fixed_s_crm_epochs(train_log, dev, params0, config):
+        def fixed_s_crm_epochs(train_log, dev, params0, config, dev_index=None):
             run = len(runs)
             runs.append(config.lam)
-            checkpoint = Checkpoint(records_seen=len(train_log), dev_metrics=metrics,
-                                    params=params0)
+            checkpoint = Checkpoint(records_seen=len(train_log), dev_map=0.5, params=params0)
             for epoch in count(1):
                 def result(epoch=epoch):
                     calls.append((run, config.lam, epoch))
@@ -744,6 +746,78 @@ class TestOneFullLogPass:
         assert not any(policy._logits_bounded(cp.params, 1e301) for cp in checkpoints)
         assert rows["_forward"] == [84] * len(checkpoints) and len(checkpoints) >= 3
         assert history == expected and history.stopped is None
+
+
+class TestCheckpointMeaning:
+    """A checkpoint holds its dev MAP alone. Its other dev metrics, read by the
+    lambda search and by ``history.tsv``, come from a full report of its params,
+    and match what a full report taken at the checkpoint gave."""
+
+    @staticmethod
+    def world():
+        """A small world's log, its training and dev sets, and the config of its runs."""
+        world = generate_world(SimConfig(24, 8, 4, noise_scale=1.0), seed=31)
+        log = simulate_log(world, world.logging_policy, 1500, seed=32)
+        split = split_queries({q for q, _ in world.pair_ids()}, (0.5, 0.25, 0.25), seed=33)
+        config = cfg(batch_size=64, epochs=3, eval_every=90, max_probes=4)
+        return log, world_supervised(world, split.train), world_supervised(world, split.dev), config
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("trainer", [train_crm, train_ea, train_full_info])
+    def test_each_dev_map_is_the_map_of_a_full_report(self, trainer, kind):
+        log, train, dev, config = self.world()
+        rows = train if trainer is train_full_info else log
+        _, history = trainer(rows, dev, init_params(kind, 4, hidden=3, seed=34), config)
+        assert len(history.checkpoints) >= 3
+        for cp in history.checkpoints:
+            assert cp.dev_map == evaluate_policy(cp.params, dev).map
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_each_probe_reports_its_full_runs_best_params(self, kind):
+        log, _, dev, config = self.world()
+        config = replace(config, learning_rate=0.5, seed=3)  # S leaves the band: 4 probes
+        p0 = init_params(kind, 4, hidden=3, seed=35)
+        _, _, sweep = lambda_search(log, dev, p0, config, probe_epochs=1)
+        assert len(sweep) >= 2
+        for probe in sweep:
+            params, _ = train_crm(log, dev, p0, replace(config, lam=probe.lam))
+            assert probe.metrics == evaluate_policy(params, dev)
+
+    @pytest.mark.parametrize("command", ["train-crm", "train-fullinfo"])
+    def test_history_tsv_is_the_one_written_from_full_reports(self, tmp_path, command):
+        log, train, dev, config = self.world()
+        write_bandit_log(log, str(tmp_path / "log.jsonl"))
+        write_supervised(train, str(tmp_path / "train.tsv"))
+        write_supervised(dev, str(tmp_path / "dev.tsv"))
+        cli_cfg = {"policy": "mlp", "hidden": 3, "lambda": config.lam, **{
+            key: getattr(config, key) for key in ("batch_size", "epochs", "learning_rate",
+                                                  "seed", "eval_every")}}
+        (tmp_path / "run.json").write_text(json.dumps(cli_cfg))
+        inputs = (["--log", str(tmp_path / "log.jsonl")] if command == "train-crm"
+                  else ["--train", str(tmp_path / "train.tsv")])
+        assert cli.run([command, "--config", str(tmp_path / "run.json"), *inputs, "--dev",
+                        str(tmp_path / "dev.tsv"), "--out", str(tmp_path / "run")]) == 0
+        p0 = init_params("mlp", 4, hidden=3, seed=config.seed)
+        if command == "train-crm":
+            _, history = train_crm(log, dev, p0, config)
+
+            def numbers(params):
+                report = lagrangian_risk(log, params, config.lam)
+                return [report.estimate, report.mean_importance_weight]
+            named = ["objective", "S"]
+        else:
+            _, history = train_full_info(train, dev, p0, config)
+
+            def numbers(params):
+                return [training.weighted_cross_entropy(train, params)]
+            named = ["objective"]
+        lines = ["\t".join(["records_seen", *named, "map", "ndcg@10", "avg_rank", "avg_dcg"])]
+        for cp in history.checkpoints:
+            m = evaluate_policy(cp.params, dev)
+            row = [*numbers(cp.params), m.map, m.ndcg_at[10], m.avg_rank, m.avg_dcg]
+            lines.append("\t".join([str(cp.records_seen), *map(repr, row)]))
+        assert len(history.checkpoints) >= 3
+        assert (tmp_path / "run" / "history.tsv").read_text() == "\n".join(lines) + "\n"
 
 
 class TestDivergence:
