@@ -46,7 +46,7 @@ from banditrank.data import (
     write_bandit_log,
     write_supervised,
 )
-from banditrank.estimators import lagrangian_risk
+from banditrank.estimators import lagrangian_risk, snips_denominator
 from banditrank.evaluation import DEFAULT_KS, RankIndex, write_qrels
 from banditrank.policy import PolicyParams, _checked_shapes, init_params, logit_margin
 from banditrank.training import (
@@ -56,7 +56,6 @@ from banditrank.training import (
     train_crm,
     train_full_info,
     weighted_cross_entropy,
-    write_history,
 )
 
 
@@ -229,19 +228,26 @@ def _warn(stopped: str | None, run: str = "") -> None:
         print(f"warning: {run}{stopped}", file=sys.stderr)
 
 
+def _dev_report(dev: SupervisedSet):
+    """The dev report of a policy's params, ranked by one ``RankIndex`` of ``dev``."""
+    index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
+    return lambda params: index.report(logit_margin(params, dev.contexts))
+
+
 def _history(history: TrainHistory, numbers, dev: SupervisedSet):
-    """The writer of ``history.tsv``: records seen, the ``numbers`` of each checkpoint's
-    params, and the MAP, NDCG@10, average rank and average DCG of its dev report, all
-    computed when the file is written."""
+    """The writer of ``history.tsv``: one row per checkpoint, of records seen, the
+    ``numbers`` of its params, and the MAP, NDCG@10, average rank and average DCG of
+    its dev report. A checkpoint holds its dev MAP and params alone, so every column
+    but records seen is computed from its params when the file is written."""
     def write(fh):
-        index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
-
-        def row(params):
-            m = index.report(logit_margin(params, dev.contexts))
-            return {**numbers(params), "map": m.map, "ndcg@10": m.ndcg_at[10],
-                    "avg_rank": m.avg_rank, "avg_dcg": m.avg_dcg}
-
-        return write_history(history, row, fh)
+        report = _dev_report(dev)
+        for i, cp in enumerate(history.checkpoints):
+            m = report(cp.params)
+            row = {**numbers(cp.params), "map": m.map, "ndcg@10": m.ndcg_at[10],
+                   "avg_rank": m.avg_rank, "avg_dcg": m.avg_dcg}
+            if i == 0:
+                fh.write("\t".join(["records_seen", *row]) + "\n")
+            fh.write("\t".join([str(cp.records_seen), *map(repr, row.values())]) + "\n")
 
     return write
 
@@ -276,15 +282,21 @@ def cmd_train_fullinfo(cfg: dict) -> dict:
 
 
 def cmd_lambda_sweep(cfg: dict) -> dict:
-    lam_star, params, sweep = lambda_search(*_log_inputs(cfg), probe_epochs=cfg["probe_epochs"])
-    for probe in sweep:
-        _warn(probe.stopped, f"lambda {probe.lam!r}: ")
+    log, dev, params0, config = _log_inputs(cfg)
+    lam_star, params, runs = lambda_search(log, dev, params0, config,
+                                           probe_epochs=cfg["probe_epochs"])
+    for lam, history in runs:
+        _warn(history.stopped, f"lambda {lam!r}: ")
 
     def write_sweep(fh):
+        """Each probed lambda, then S and the dev MAP and NDCG@5 of its full run's best
+        checkpoint, computed from its params here."""
+        report = _dev_report(dev)
         fh.write("lambda\tS\tmap\tndcg@5\n")
-        for probe in sweep:
-            m = probe.metrics
-            fh.write(f"{probe.lam!r}\t{probe.S!r}\t{m.map!r}\t{m.ndcg_at[5]!r}\n")
+        for lam, history in runs:
+            best = history.best().params
+            m = report(best)
+            fh.write(f"{lam!r}\t{snips_denominator(log, best)!r}\t{m.map!r}\t{m.ndcg_at[5]!r}\n")
 
     return {
         "model.json": params.save,

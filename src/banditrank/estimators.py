@@ -8,13 +8,14 @@ p_i is the logged propensity. Three risk estimates are provided:
 - empirical average (group-mean losses weighted by the policy's own
   action probabilities, no propensity correction).
 
-Every report is made by ``_report``, the one place that turns importance
-weights into the mean importance weight S = (1/n) sum w_i, which has
-expectation 1 under the logging policy, and the effective sample size
-(ESS). ``lagrangian_risk`` is the one place that computes the Lagrangian
-surrogate (1/n) sum (delta_i - lambda) w_i, which equals ips - lambda * S
-and is the objective actually optimized during training; its report gives
-S for the lambda search and both numbers for a training history.
+``_mean_weight`` is the one place that turns importance weights into the
+mean importance weight S = (1/n) sum w_i, which has expectation 1 under the
+logging policy: ``snips_denominator`` gives it alone, for the lambda search
+and ``sweep.tsv``, and every report is made by ``_report``, which adds the
+effective sample size (ESS). ``lagrangian_risk`` is the one place that
+computes the Lagrangian surrogate (1/n) sum (delta_i - lambda) w_i, which
+equals ips - lambda * S and is the objective actually optimized during
+training; its report gives both numbers for a training history.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ def _some_weight(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mean_weight(w: np.ndarray) -> float:
+    """S = (1/n) sum w_i, by ``np.mean``'s arithmetic: a pairwise sum and one division."""
+    return float(w.sum() / len(w))
+
+
 def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
     """``estimate`` with S and the ESS of the weights ``w``; both are 0 when every weight is."""
     n, top = len(w), np.max(w)
@@ -86,9 +92,8 @@ def _report(estimate: float, w: np.ndarray) -> EstimatorReport:
         scaled = w / top  # so that no square of a weight below about 1e-154 underflows to 0
         # (sum w)^2 / sum w^2 <= n, but with nearly equal weights it can round a few ulps above n
         ess = min(float(n), float(np.sum(scaled) ** 2 / np.sum(scaled**2)))
-    # sum / n is np.mean's arithmetic, a pairwise sum and one division
-    return EstimatorReport(estimate=float(estimate), n=n,
-                           mean_importance_weight=float(w.sum() / n), effective_sample_size=ess)
+    return EstimatorReport(estimate=float(estimate), n=n, mean_importance_weight=_mean_weight(w),
+                           effective_sample_size=ess)
 
 
 def snips(log: BanditLog, params: PolicyParams) -> EstimatorReport:
@@ -139,7 +144,7 @@ def lagrangian_risk(log: BanditLog, params: PolicyParams, lam: float) -> Estimat
 
 def snips_denominator(log: BanditLog, params: PolicyParams) -> float:
     """Mean importance weight S; equals 1 exactly when pi_w is the logger."""
-    return lagrangian_risk(log, params, 0.0).mean_importance_weight
+    return _mean_weight(importance_weights(log, params))
 
 
 def lagrangian_gradient(

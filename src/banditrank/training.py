@@ -14,13 +14,13 @@ A checkpoint is a plain record: records seen, the dev MAP that selection reads
 and params, whose training-set logits are finite: a bound from the params and
 the table's largest entry proves it, and the table is forwarded only where the
 bound fails. It ranks the dev set for its MAP alone, by ``RankIndex.map``, which
-gives the bits of ``RankIndex.report(...).map``. Whoever reads another number of
-a checkpoint computes it from the checkpoint's params: its S or objective through
-``estimators.lagrangian_risk``'s report, its other dev metrics through a
-``RankIndex.report`` of its dev margins (``evaluate_policy``). The lambda search
-reads S by ``snips_denominator`` at the best checkpoint of each probe and full
-run, and the dev report at that of each full run; ``write_history`` writes the
-numbers, dev columns included, that its caller computes at every checkpoint.
+gives the bits of ``RankIndex.report(...).map``. Training computes dev MAP at each
+checkpoint and, in the lambda search, S by ``snips_denominator`` at the best
+checkpoint of each probe, and nothing else. Whoever reads another number of a
+run computes it from a checkpoint's params: its S or objective through
+``estimators``, its other dev metrics through a ``RankIndex.report`` of its dev
+margins (``evaluate_policy``), as the CLI does for ``history.tsv`` and
+``sweep.tsv`` when it writes them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from banditrank.data import BanditLog, SupervisedSet, open_text
+from banditrank.data import BanditLog, SupervisedSet
 from banditrank.estimators import group_mean_losses, lagrangian_gradient, snips_denominator
 from banditrank.evaluation import MetricsReport, RankIndex
 from banditrank.policy import (
@@ -319,29 +319,6 @@ def weighted_cross_entropy(rows: SupervisedSet, params: PolicyParams) -> float:
     return float(np.mean(-weights * np.log(p_y)))
 
 
-def write_history(history: TrainHistory, numbers: Callable[[PolicyParams], dict], sink) -> int:
-    """Export the checkpoint series as TSV: records seen, then the named numbers
-    that ``numbers`` computes from the params, one call per checkpoint, made here.
-    A checkpoint holds no metric but its dev MAP, so the caller computes every
-    column, such as S and the objective over the training set and the dev metrics
-    of a ``RankIndex.report``."""
-    with open_text(sink, "w") as out:
-        for i, cp in enumerate(history.checkpoints):
-            named = numbers(cp.params)
-            if i == 0:
-                out.write("\t".join(["records_seen", *named]) + "\n")
-            out.write("\t".join([str(cp.records_seen), *map(repr, named.values())]) + "\n")
-    return len(history.checkpoints)
-
-
-@dataclass(frozen=True)
-class LambdaProbe:
-    lam: float
-    S: float
-    metrics: MetricsReport
-    stopped: str | None = None  # ``TrainHistory.stopped`` of the full run
-
-
 def next_lambda(lam: float, S: float) -> float:
     """One step of the mean-weight-guided lambda update.
 
@@ -357,8 +334,9 @@ def lambda_search(
     params0: PolicyParams,
     config: TrainConfig,
     probe_epochs: int = 2,
-) -> tuple[float, PolicyParams, list[LambdaProbe]]:
-    """Mean-weight-guided search for lambda.
+) -> tuple[float, PolicyParams, list[tuple[float, TrainHistory]]]:
+    """Mean-weight-guided search for lambda: lambda*, its params and, in probe
+    order, each probed lambda with the history of its full run.
 
     Starting from a seeded random lambda in [0, 1], train it and read its
     probe, a run of ``probe_epochs`` epochs: the mean importance weight S of
@@ -371,11 +349,9 @@ def lambda_search(
     results are those of a ``train_crm`` run of each length apart.
 
     Finding a best checkpoint reads no S. The search computes S, one pass over
-    the log, at the best checkpoint of each probe and each full run, once when
-    a lambda's two runs share it. Each full run's ``LambdaProbe.metrics`` is the
-    one full dev report the search makes of it, at its best checkpoint. Every
-    training and every report of the search ranks the dev set by one
-    ``RankIndex``.
+    the log, once per probe, at the probe's best checkpoint; every other
+    number of a full run is its caller's to compute from the run's params.
+    Every training of the search ranks the dev set by one ``RankIndex``.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
@@ -383,23 +359,14 @@ def lambda_search(
     lam = float(rng.uniform(0.0, 1.0))
     probed: list[float] = []
     full_runs = []
-    known_S = {}  # by lambda and records seen, which name one checkpoint of one training
     # an empty dev set fails in _epochs, as it does in every trainer
     dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels) if dev else None
-
-    def best_S(lam: float, history: TrainHistory) -> float:
-        best = history.best()
-        key = lam, best.records_seen
-        if key not in known_S:
-            known_S[key] = snips_denominator(train_log, best.params)
-        return known_S[key]
-
     for _ in range(config.max_probes):
         probed.append(lam)
         loop = _crm_epochs(train_log, dev, params0, replace(config, lam=lam), dev_index)
         run_after = list(islice(loop, max(probe_epochs, config.epochs)))
         full_runs.append(run_after[config.epochs - 1])
-        S = best_S(lam, run_after[probe_epochs - 1]()[1])
+        S = snips_denominator(train_log, run_after[probe_epochs - 1]()[1].best().params)
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
@@ -410,10 +377,4 @@ def lambda_search(
     # probed lambda wins a tie, as the earliest checkpoint does within a run
     runs = [(lam_j, full()[1]) for lam_j, full in zip(probed, full_runs)]
     lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_map)
-
-    def dev_report(history: TrainHistory) -> MetricsReport:
-        return dev_index.report(logit_margin(history.best().params, dev.contexts))
-
-    sweep = [LambdaProbe(lam=lam_j, S=best_S(lam_j, history), metrics=dev_report(history),
-                         stopped=history.stopped) for lam_j, history in runs]
-    return lam_star, chosen.best().params, sweep
+    return lam_star, chosen.best().params, runs

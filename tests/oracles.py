@@ -7,8 +7,7 @@ shares its check of the rows, ``unflatten``, ``init_params_by_kind`` and
 ``adam_step_arrays`` return the library's ``PolicyParams``,
 ``adam_step_arrays`` reads its Adam constants, and
 ``lambda_search_by_probes`` trains with the library's public ``train_crm``
-and takes each best checkpoint's S from ``estimators.snips_denominator``, the
-``np.mean`` formula, not the search's own pass over the log.
+and takes each probe's S from ``estimators.snips_denominator``.
 """
 
 import dataclasses
@@ -407,7 +406,8 @@ def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
     """``training.lambda_search`` as two rounds of ``training.train_crm`` calls:
     every probe first, each a run of ``probe_epochs`` epochs from ``params0``,
     then one full run of ``config.epochs`` epochs per probed lambda. The same
-    10% step on S, the same stopping rule, and the same choice of lambda."""
+    10% step on S, the same stopping rule, the same choice of lambda, and the
+    same ``(lambda, history)`` of each full run, in probe order."""
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
     rng = np.random.default_rng(config.seed)
@@ -428,8 +428,4 @@ def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
                                        dataclasses.replace(config, lam=lam_j))[1])
             for lam_j in probed]
     lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_map)
-    sweep = [training.LambdaProbe(
-        lam=lam_j, S=estimators.snips_denominator(train_log, history.best().params),
-        metrics=training.evaluate_policy(history.best().params, dev), stopped=history.stopped)
-        for lam_j, history in runs]
-    return lam_star, chosen.best().params, sweep
+    return lam_star, chosen.best().params, runs

@@ -216,11 +216,11 @@ def crm_learning_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "snips_denominator", counted_pass)
-        lam_star, _, sweep = lambda_search(log, dev, p0, config, probe_epochs=2)
+        lam_star, _, runs = lambda_search(log, dev, p0, config, probe_epochs=2)
     params, history = train_crm(
         log, dev, p0, dataclasses.replace(config, lam=lam_star)
     )
-    search_passes = (len(full_passes), len(sweep))
+    search_passes = (len(full_passes), len(runs))
     return world, log, dev, test, params, history, lam_star, search_passes
 
 
@@ -236,9 +236,9 @@ def test_criterion_7_crm_learning(crm_learning_run):
         f"lambda*={lam_star:.3f}; risk {risk_trained:.4f} < {risk_logger:.4f}; "
         f"test MAP {map_trained:.4f} > {map_logger:.4f}",
     )
-    # the search reads S at the best checkpoint of each probe and each full run only
+    # the search reads S at the best checkpoint of each probe only
     passes, probed = search_passes
-    assert passes <= 2 * probed, f"{passes} full-log passes for {probed} probed lambdas"
+    assert passes == probed, f"{passes} full-log passes for {probed} probed lambdas"
 
 
 def test_criterion_8_estimator_ordering():

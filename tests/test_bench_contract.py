@@ -99,7 +99,7 @@ def test_cli_pass(workloads, tmp_path):
 
 
 def test_traced_training_spans(tracer):
-    from banditrank import estimators, simulator, training
+    from banditrank import cli, estimators, simulator, training
     from banditrank.policy import init_params
 
     world = simulator.generate_world(simulator.SimConfig(10, 8, 3), seed=1)
@@ -113,7 +113,7 @@ def test_traced_training_spans(tracer):
         report = estimators.lagrangian_risk(log, p, config.lam)
         return {"S": report.mean_importance_weight, "objective": report.estimate}
 
-    training.write_history(history, numbers, io.StringIO())
+    cli._history(history, numbers, simulator.world_supervised(world))(io.StringIO())
     traced.active = False
     spans = tracer.summarize(traced.spans, 0, len(traced.spans))
     steps = config.epochs * -(-len(log) // config.batch_size)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from banditrank import data
+from banditrank import cli, data
 from banditrank.aggregation import aggregate_feedback
 from banditrank.data import (
     BanditLog,
@@ -36,7 +37,7 @@ from banditrank.simulator import (
     save_world,
     world_supervised,
 )
-from banditrank.training import TrainConfig, evaluate_policy, train_crm, write_history
+from banditrank.training import TrainConfig, evaluate_policy, train_crm
 from conftest import random_log, supervised
 from oracles import jsonl_lines, parse_lines, rows, tsv_lines
 
@@ -888,8 +889,10 @@ class TestFileHandles:
             assert PolicyParams.load(path("model.json")) == params
             save_world(world, path("world.json"))
             assert load_world(path("world.json")).seed == 2
-            write_history(history, lambda p: {"objective": lagrangian_risk(log, p, 0.5).estimate},
-                          path("history.tsv"))
+            history_tsv = cli._history(
+                history, lambda p: {"objective": lagrangian_risk(log, p, 0.5).estimate}, dev)
+            # the CLI opens and closes each output file it writes
+            cli._finish(argparse.Namespace(out=str(tmp_path)), {}, {"history.tsv": history_tsv})
             evaluate_policy(history.checkpoints[-1].params, dev).write(path("metrics.txt"))
             snips(log, params).write(path("snips.txt"))
             RankIndex(dev.query_ids, dev.product_ids, dev.labels).write_trec_run(

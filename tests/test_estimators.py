@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from banditrank import cli
 from banditrank.data import MIN_PROPENSITY, BanditLog
 from banditrank.estimators import (
     empirical_average,
@@ -19,7 +21,7 @@ from banditrank.estimators import (
 )
 from banditrank.policy import PolicyParams, batch_probabilities, init_params
 from banditrank.simulator import SimConfig, generate_world, simulate_log
-from banditrank.training import Checkpoint, TrainHistory, evaluate_policy, write_history
+from banditrank.training import Checkpoint, TrainHistory, evaluate_policy
 from conftest import identity_policy, random_log, supervised
 from oracles import (
     brute_ea,
@@ -290,7 +292,7 @@ class TestInvariants:
         with pytest.raises(ValueError, match="every importance weight is 0"):
             estimator(log, params)
 
-    def test_a_policy_that_gives_no_logged_action_a_probability_reports_zeros(self, tmp_path):
+    def test_a_policy_that_gives_no_logged_action_a_probability_reports_zeros(self):
         log = BanditLog(["q"], ["p"], np.array([[1.0]]), [1], [0.5], [1])
         params = PolicyParams("linear", [np.array([[0.0], [-2000.0]]), np.zeros(2)])
         report = lagrangian_risk(log, params, 0.5)
@@ -306,8 +308,9 @@ class TestInvariants:
             report = lagrangian_risk(log, p, 0.5)
             return {"objective": report.estimate, "S": report.mean_importance_weight}
 
-        write_history(TrainHistory(checkpoints=(checkpoint,)), numbers, str(tmp_path / "h.tsv"))
-        header, row = (tmp_path / "h.tsv").read_text().splitlines()
+        out = io.StringIO()
+        cli._history(TrainHistory(checkpoints=(checkpoint,)), numbers, dev)(out)
+        header, row = out.getvalue().splitlines()
         assert header.split("\t")[:3] == ["records_seen", "objective", "S"]
         assert row.split("\t")[:3] == ["1", "0.0", "0.0"]
 

@@ -8,7 +8,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
-    """Names bound by an import in ``tree`` and never read or listed in ``__all__``."""
+    """Names bound by an import in ``tree`` and never read or listed in ``__all__``;
+    a name that is only assigned to or deleted is not read."""
     imported = {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
@@ -16,13 +17,20 @@ def unused_imports(tree: ast.Module) -> set[str]:
         and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= {elt.value for elt in node.value.elts}
     return imported - used
+
+
+def test_unused_imports_reads_only_loads():
+    tree = ast.parse("import a.b\nfrom c import d, e as f\nfrom g import h, i\n"
+                     "__all__ = ['f']\nprint(a.b, d)\nh = None\ndel i\n")
+    assert unused_imports(tree) == {"h", "i"}
 
 
 def test_no_unused_imports():

@@ -38,7 +38,6 @@ from banditrank.training import (
     train_crm,
     train_ea,
     train_full_info,
-    write_history,
 )
 from conftest import random_log, supervised
 from oracles import adam_step_arrays, lambda_search_by_probes
@@ -303,13 +302,13 @@ class TestLambdaSearch:
         log = simulate_log(world, world.logging_policy, 6000, seed=12)
         dev = world_supervised(world)
         config = cfg(batch_size=256, epochs=5, eval_every=10**9, max_probes=4)
-        lam_star, params, sweep = lambda_search(
+        lam_star, params, runs = lambda_search(
             log, dev, init_params("linear", 5, seed=13), config, probe_epochs=1
         )
-        lams = [p.lam for p in sweep]
+        lams = [lam for lam, _ in runs]
         assert lam_star in lams
-        best = max(sweep, key=lambda p: p.metrics.map)
-        assert best.lam == lam_star
+        best = max(runs, key=lambda run: evaluate_policy(run[1].best().params, dev).map)
+        assert best[0] == lam_star
         # consecutive probes differ by exactly +-10% (unless capped)
         for a, b in zip(lams, lams[1:]):
             assert b == pytest.approx(0.9 * a) or b == pytest.approx(1.1 * a) or b == 1.0
@@ -319,12 +318,12 @@ class TestLambdaSearch:
         log = simulate_log(world, world.logging_policy, 2000, seed=4)
         dev = world_supervised(world)
         config = cfg(batch_size=128, epochs=2, eval_every=500, max_probes=3)
-        lam_star, params, sweep = lambda_search(
+        lam_star, params, runs = lambda_search(
             log, dev, init_params("linear", 4, seed=5), config, probe_epochs=1
         )
-        (chosen,) = [p for p in sweep if p.lam == lam_star]
-        assert chosen.S == snips_denominator(log, params)
-        assert chosen.metrics == evaluate_policy(params, dev)
+        (chosen,) = [history for lam, history in runs if lam == lam_star]
+        assert chosen.best().params.flat.tobytes() == params.flat.tobytes()
+        assert chosen.best().params.kind == params.kind
 
     @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf"),
                                                pytest.param(10**400, id="int past a float")])
@@ -387,7 +386,7 @@ class TestLambdaStoppingRule:
         # training and its full run epoch 5
         monkeypatch.setattr(training, "_crm_epochs", fixed_s_crm_epochs)
         monkeypatch.setattr(training, "snips_denominator", lambda log, p: S)
-        lam_star, _, sweep = lambda_search(
+        lam_star, _, searched = lambda_search(
             random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
             cfg(epochs=5, max_probes=max_probes), probe_epochs=2,
         )
@@ -395,7 +394,7 @@ class TestLambdaStoppingRule:
         full_runs = [lam for _, lam, epoch in calls if epoch == 5]
         assert calls == [*((run, lam, 2) for run, lam in enumerate(runs)),
                          *((run, lam, 5) for run, lam in enumerate(runs))]
-        assert [p.lam for p in sweep] == full_runs and lam_star == full_runs[0]
+        assert [lam for lam, _ in searched] == full_runs and lam_star == full_runs[0]
         return probes, full_runs
 
     def test_s_above_the_band_walks_down_max_probes_times(self, monkeypatch):
@@ -489,13 +488,22 @@ def returned(run):
         return type(exc), str(exc)
 
 
+def history_bits(history):
+    """Why a run stopped, and the records seen, dev MAP and parameter bits of each
+    of its checkpoints."""
+    return history.stopped, [(cp.records_seen, cp.dev_map, cp.params.kind,
+                              cp.params.flat.tobytes()) for cp in history.checkpoints]
+
+
 def search_outcome(search, log, dev, p0, config, probe_epochs):
-    """A search's λ*, parameter bits and sweep, or the type and message of its error."""
+    """A search's λ*, parameter bits and each probed λ with the bits of its full run,
+    or the type and message of its error."""
     try:
-        lam_star, params, sweep = search(log, dev, p0, config, probe_epochs)
+        lam_star, params, runs = search(log, dev, p0, config, probe_epochs)
     except policy.NonFiniteError as exc:
         return type(exc), str(exc)
-    return lam_star, params.kind, params.flat.tobytes(), sweep
+    return (lam_star, params.kind, params.flat.tobytes(),
+            [(lam, history_bits(history)) for lam, history in runs])
 
 
 class TestOneRunPerLambda:
@@ -533,10 +541,9 @@ class TestOneRunPerLambda:
             assert search_outcome(lambda_search, log, log_dev(log), p0, config, 1) == expected
 
     def counted_search(self, monkeypatch, kind, probe_epochs, epochs, eval_every):
-        """The sweep of a search on a log of 4 batches, the steps of its Adam
-        updates, the (lambda, parameter bytes) of its full-log passes, and the
-        (lambda, parameter bytes) of each distinct best checkpoint of a probe or
-        full run, the ones whose S the search reads."""
+        """A search on a log of 4 batches, checked for one training of the longer
+        length per probed lambda, and the (lambda, parameter bytes) of its full-log
+        passes and of each probe's best checkpoint, in probe order."""
         steps, full_passes, trained_at = [], [], {}
         adam_step, full_pass = training.adam_step, training.snips_denominator
 
@@ -556,42 +563,39 @@ class TestOneRunPerLambda:
         p0 = init_params(kind, 3, hidden=3, seed=52)
         config = cfg(batch_size=16, epochs=epochs, eval_every=eval_every, learning_rate=0.5,
                      max_probes=4)
-        _, _, sweep = lambda_search(log, dev, p0, config, probe_epochs)
-        assert len(sweep) > 1
-        assert len(steps) == len(sweep) * max(probe_epochs, epochs) * 4  # 4 batches of 50
-        assert all(p.stopped is None for p in sweep)
+        _, _, runs = lambda_search(log, dev, p0, config, probe_epochs)
+        assert len(runs) > 1
+        assert len(steps) == len(runs) * max(probe_epochs, epochs) * 4  # 4 batches of 50
         searched = list(full_passes)
-        best_read = []
-        for probe in sweep:
-            runs = training._crm_epochs(log, dev, p0, replace(config, lam=probe.lam))
-            run_after = list(islice(runs, max(probe_epochs, epochs)))
-            best = {cp.records_seen: cp for cp in (run_after[n - 1]()[1].best()
-                                                   for n in (probe_epochs, epochs))}
-            best_read += [(probe.lam, cp.params.flat.tobytes()) for cp in best.values()]
+        probe_bests = []
+        for lam, history in runs:
+            loop = training._crm_epochs(log, dev, p0, replace(config, lam=lam))
+            run_after = list(islice(loop, max(probe_epochs, epochs)))
+            assert history == run_after[epochs - 1]()[1] and history.stopped is None
+            best = run_after[probe_epochs - 1]()[1].best()
+            probe_bests.append((lam, best.params.flat.tobytes()))
         assert full_passes == searched  # finding the best checkpoints reads no S
-        return sweep, searched, best_read
+        return runs, searched, probe_bests
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
     def test_one_run_of_the_longer_length_per_probed_lambda(self, monkeypatch, kind,
                                                             probe_epochs, epochs):
-        sweep, full_passes, best_read = self.counted_search(monkeypatch, kind, probe_epochs,
-                                                            epochs, 40)
+        runs, full_passes, probe_bests = self.counted_search(monkeypatch, kind, probe_epochs,
+                                                             epochs, 40)
         # a checkpoint every 40 records falls once in each epoch (at 48, 98, ...),
-        # never at its end, but only the best checkpoint of each probe and each
-        # full run makes a full pass, once even when both read it
-        assert Counter(full_passes) == Counter(best_read)
-        assert len(sweep) <= len(full_passes) <= len(sweep) * len({probe_epochs, epochs})
+        # never at its end, but only the best checkpoint of each probe makes a full
+        # pass, exactly once, and no full run makes one
+        assert full_passes == probe_bests and len(full_passes) == len(runs)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (3, 3), (4, 2)])
-    def test_one_full_pass_per_length_with_only_end_of_run_checkpoints(
+    def test_one_full_pass_per_probe_with_only_end_of_run_checkpoints(
             self, monkeypatch, kind, probe_epochs, epochs):
-        sweep, full_passes, best_read = self.counted_search(monkeypatch, kind, probe_epochs,
-                                                            epochs, 10**9)
-        # each length's one checkpoint is its best, read once
-        assert Counter(full_passes) == Counter(best_read)
-        assert len(full_passes) == len(sweep) * len({probe_epochs, epochs})
+        runs, full_passes, probe_bests = self.counted_search(monkeypatch, kind, probe_epochs,
+                                                             epochs, 10**9)
+        # each probe's one checkpoint is its best, read once
+        assert full_passes == probe_bests and len(full_passes) == len(runs)
 
 
 class TestTrainFullInfo:
@@ -624,7 +628,7 @@ class TestTrainFullInfo:
 
 
 class TestOneFullLogPass:
-    """Training computes no S or objective. ``write_history`` computes them from
+    """Training computes no S or objective. ``history.tsv`` computes them from
     each checkpoint's params, one pass over the training set per checkpoint."""
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -727,7 +731,7 @@ class TestOneFullLogPass:
         assert len(train) == 84 and max(rows["logit_gradient"]) <= 16
         assert rows["_forward"] == [] and len(checkpoints) >= 3
         assert rows["batch_probabilities"] == []  # training computes no S or objective
-        write_history(history, numbers, io.StringIO())
+        cli._history(history, numbers, toy_dev(3))(io.StringIO())
         assert rows["batch_probabilities"] == [84] * len(checkpoints)
         assert rows["_forward"] == []
 
@@ -749,8 +753,8 @@ class TestOneFullLogPass:
 
 
 class TestCheckpointMeaning:
-    """A checkpoint holds its dev MAP alone. Its other dev metrics, read by the
-    lambda search and by ``history.tsv``, come from a full report of its params,
+    """A checkpoint holds its dev MAP alone. Its other dev metrics, read by
+    ``sweep.tsv`` and ``history.tsv``, come from a full report of its params,
     and match what a full report taken at the checkpoint gave."""
 
     @staticmethod
@@ -777,11 +781,11 @@ class TestCheckpointMeaning:
         log, _, dev, config = self.world()
         config = replace(config, learning_rate=0.5, seed=3)  # S leaves the band: 4 probes
         p0 = init_params(kind, 4, hidden=3, seed=35)
-        _, _, sweep = lambda_search(log, dev, p0, config, probe_epochs=1)
-        assert len(sweep) >= 2
-        for probe in sweep:
-            params, _ = train_crm(log, dev, p0, replace(config, lam=probe.lam))
-            assert probe.metrics == evaluate_policy(params, dev)
+        _, _, runs = lambda_search(log, dev, p0, config, probe_epochs=1)
+        assert len(runs) >= 2
+        for lam, history in runs:
+            _, expected = train_crm(log, dev, p0, replace(config, lam=lam))
+            assert history_bits(history) == history_bits(expected)
 
     @pytest.mark.parametrize("command", ["train-crm", "train-fullinfo"])
     def test_history_tsv_is_the_one_written_from_full_reports(self, tmp_path, command):
@@ -818,6 +822,35 @@ class TestCheckpointMeaning:
             lines.append("\t".join([str(cp.records_seen), *map(repr, row)]))
         assert len(history.checkpoints) >= 3
         assert (tmp_path / "run" / "history.tsv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_sweep_tsv_is_the_one_written_from_each_lambdas_train_crm(self, tmp_path, kind):
+        log, _, dev, config = self.world()
+        config = replace(config, learning_rate=1.0, seed=3)  # S leaves the band: 4 / 2 probes
+        write_bandit_log(log, str(tmp_path / "log.jsonl"))
+        write_supervised(dev, str(tmp_path / "dev.tsv"))
+        cli_cfg = {"policy": kind, "hidden": 3, "probe_epochs": 1, **{
+            key: getattr(config, key) for key in ("batch_size", "epochs", "learning_rate",
+                                                  "seed", "eval_every", "max_probes")}}
+        (tmp_path / "sweep.json").write_text(json.dumps(cli_cfg))
+        assert cli.run(["lambda-sweep", "--config", str(tmp_path / "sweep.json"), "--log",
+                        str(tmp_path / "log.jsonl"), "--dev", str(tmp_path / "dev.tsv"),
+                        "--out", str(tmp_path / "run")]) == 0
+        written = (tmp_path / "run" / "sweep.tsv").read_text()
+        lams = [float(line.split("\t")[0]) for line in written.splitlines()[1:]]
+        p0 = init_params(kind, 4, hidden=3, seed=config.seed)
+        # the probed lambdas: a seeded draw, then one 10% step per one-epoch probe
+        assert len(lams) >= 2 and lams[0] == np.random.default_rng(config.seed).uniform()
+        for lam, next_lam in zip(lams, lams[1:]):
+            probe, _ = train_crm(log, dev, p0, replace(config, lam=lam, epochs=1))
+            assert next_lam == next_lambda(lam, snips_denominator(log, probe))
+        lines = ["lambda\tS\tmap\tndcg@5"]
+        for lam in lams:
+            params, _ = train_crm(log, dev, p0, replace(config, lam=lam))
+            m = evaluate_policy(params, dev)
+            row = [lam, snips_denominator(log, params), m.map, m.ndcg_at[5]]
+            lines.append("\t".join(map(repr, row)))
+        assert written == "\n".join(lines) + "\n"
 
 
 class TestDivergence:
