@@ -285,18 +285,19 @@ def cmd_lambda_sweep(cfg: dict) -> dict:
     log, dev, params0, config = _log_inputs(cfg)
     lam_star, params, runs = lambda_search(log, dev, params0, config,
                                            probe_epochs=cfg["probe_epochs"])
-    for lam, history in runs:
+    for lam, _, history in runs:
         _warn(history.stopped, f"lambda {lam!r}: ")
 
     def write_sweep(fh):
-        """Each probed lambda, then S and the dev MAP and NDCG@5 of its full run's best
-        checkpoint, computed from its params here."""
+        """Each probed lambda and its probe's S, which stepped lambda, then S and the
+        dev MAP and NDCG@5 of its full run's best checkpoint, computed from its params."""
         report = _dev_report(dev)
-        fh.write("lambda\tS\tmap\tndcg@5\n")
-        for lam, history in runs:
+        fh.write("lambda\tprobe_S\tS\tmap\tndcg@5\n")
+        for lam, probe_S, history in runs:
             best = history.best().params
             m = report(best)
-            fh.write(f"{lam!r}\t{snips_denominator(log, best)!r}\t{m.map!r}\t{m.ndcg_at[5]!r}\n")
+            row = (lam, probe_S, snips_denominator(log, best), m.map, m.ndcg_at[5])
+            fh.write("\t".join(map(repr, row)) + "\n")
 
     return {
         "model.json": params.save,

@@ -6,9 +6,10 @@ or lambda picked by the mean-weight-guided search), the empirical-average
 surrogate, and the full-information weighted cross-entropy baseline; they
 differ only in their gradient at the logits. Training checkpoints the model
 on a fixed cadence of records seen and returns the checkpoint with the best
-dev MAP. Training is one open-ended loop, and a run of e epochs is what that
-loop gives after epoch e, so the lambda search reads each probed lambda's probe
-and full run from one training of the longer length.
+dev MAP. Every trainer runs one plain loop, ``_train``, which trains for the
+longest of the run lengths asked for and returns the run of each length, so the
+lambda search reads each probed lambda's probe and full run from one training
+of the longer length.
 
 A checkpoint is a plain record: records seen, the dev MAP that selection reads
 and params, whose training-set logits are finite: a bound from the params and
@@ -28,8 +29,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -151,36 +151,33 @@ def evaluate_policy(params: PolicyParams, rows: SupervisedSet) -> MetricsReport:
     return index.report(logit_margin(params, rows.contexts))
 
 
-def _epochs(
+def _train(
     log_len: int,
     grad_fn: Callable[[PolicyParams, np.ndarray], np.ndarray],
     table: np.ndarray,
     dev: SupervisedSet,
     params0: PolicyParams,
     config: TrainConfig,
-    dev_index: RankIndex | None = None,
-) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
-    """The shared epoch/batch/checkpoint loop over record indices, for as many
-    epochs as the caller reads.
+    ends: tuple[int, ...],
+) -> list[Callable[[], tuple[PolicyParams, TrainHistory]]]:
+    """The shared epoch/batch/checkpoint loop over record indices: it trains for
+    ``max(ends)`` epochs and returns, for each length e of ``ends``, a memoised
+    function that returns what a run of e epochs returns.
 
-    After epoch e it yields a memoised function that returns what a run of e
-    epochs returns: the checkpoints so far, plus the end-of-run checkpoint such
-    a run takes when its last checkpoint is earlier, made at the first call and
-    kept out of the longer runs. A checkpoint ranks the dev set for its MAP
+    That is the checkpoints of the first e epochs, plus the end-of-run checkpoint
+    such a run takes when its last checkpoint is earlier, made at the first call
+    and kept out of the longer runs. A checkpoint ranks the dev set for its MAP
     alone (``RankIndex.map``) and checks that the logits of ``table``, the
     training set's contexts, are finite: by ``_logits_bounded`` from the table's
     largest entry, or, where that bound fails, by forwarding the table. It
     computes no other dev metric, S or objective. Training stops at the first
-    step or checkpoint whose logits or updated parameters are not finite; that
-    epoch and every later one yield the stopped run, whose history records why,
-    or which raises the error when it has no checkpoint. ``dev_index`` is the
-    ``RankIndex`` of ``dev``, built here if not given: a caller that trains
-    on one dev set many times builds it once.
+    step or checkpoint whose logits or updated parameters are not finite; every
+    length from that epoch on gets the stopped run, whose history records why,
+    or which raises the error when it is called, if it has no checkpoint.
     """
     if log_len == 0 or not dev:
         raise ValueError("training data and dev set must be non-empty")
-    if dev_index is None:
-        dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
+    dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels)
     rng = np.random.default_rng(config.seed)
     params, state = params0, AdamState.zeros_like(params0)
     checkpoints: list[Checkpoint] = []
@@ -207,8 +204,9 @@ def _epochs(
         history = TrainHistory(checkpoints=kept, stopped=stopped)
         return history.best().params, history
 
+    runs, stopped = {}, None
     try:
-        while True:
+        for epoch in range(1, max(ends) + 1):
             order = rng.permutation(log_len)
             for start in range(0, log_len, config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
@@ -217,16 +215,24 @@ def _epochs(
                 if records_seen >= next_eval:
                     checkpoints.append(checkpoint(params, records_seen))
                     next_eval = records_seen + config.eval_every
-            yield cache(partial(run, tuple(checkpoints), params, records_seen))
+            if epoch in ends:
+                runs[epoch] = cache(partial(run, tuple(checkpoints), params, records_seen))
     except NonFiniteError as exc:
         stopped = cache(partial(run, tuple(checkpoints), params, records_seen, exc))
-        while True:
-            yield stopped
+    return [runs.get(epochs, stopped) for epochs in ends]
 
 
-def _run_of(epochs: int, runs: Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]):
-    """What a run of ``epochs`` epochs returns, read from an ``_epochs`` loop."""
-    return next(islice(runs, epochs - 1, None))()
+def _crm_gradient(train_log: BanditLog, lam: float) -> Callable:
+    """The ``grad_fn`` of ``_train`` for the Lagrangian surrogate at ``lam``: its
+    gradient over a batch of the log's record indices."""
+    table, rows = train_log.context_table, train_log.context_rows
+
+    def grad_fn(params, idx):
+        return lagrangian_gradient(np.take(table, rows[idx], axis=0), train_log.actions[idx],
+                                   train_log.propensities[idx], train_log.deltas[idx], params,
+                                   lam)
+
+    return grad_fn
 
 
 def train_crm(
@@ -236,25 +242,8 @@ def train_crm(
     config: TrainConfig,
 ) -> tuple[PolicyParams, TrainHistory]:
     """Minimize the Lagrangian surrogate at the configured fixed lambda."""
-    return _run_of(config.epochs, _crm_epochs(train_log, dev, params0, config))
-
-
-def _crm_epochs(
-    train_log: BanditLog,
-    dev: SupervisedSet,
-    params0: PolicyParams,
-    config: TrainConfig,
-    dev_index: RankIndex | None = None,
-) -> Iterator[Callable[[], tuple[PolicyParams, TrainHistory]]]:
-    """``train_crm``'s ``_epochs`` loop."""
-    table, rows = train_log.context_table, train_log.context_rows
-
-    def grad_fn(params, idx):
-        return lagrangian_gradient(np.take(table, rows[idx], axis=0), train_log.actions[idx],
-                                   train_log.propensities[idx], train_log.deltas[idx], params,
-                                   config.lam)
-
-    return _epochs(len(train_log), grad_fn, table, dev, params0, config, dev_index)
+    return _train(len(train_log), _crm_gradient(train_log, config.lam), train_log.context_table,
+                  dev, params0, config, (config.epochs,))[0]()
 
 
 def train_ea(
@@ -274,7 +263,7 @@ def train_ea(
             params, np.take(table, rows[idx], axis=0), train_log.actions[idx], coeffs[idx]
         ) / len(idx)
 
-    return _run_of(config.epochs, _epochs(len(train_log), grad_fn, table, dev, params0, config))
+    return _train(len(train_log), grad_fn, table, dev, params0, config, (config.epochs,))[0]()
 
 
 def _classes_and_weights(rows: SupervisedSet) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +296,7 @@ def train_full_info(
     def grad_fn(params, idx):
         return logit_gradient(params, X[idx], y[idx], _cross_entropy_dlogits(weights[idx]))
 
-    return _run_of(config.epochs, _epochs(len(train), grad_fn, X, dev, params0, config))
+    return _train(len(train), grad_fn, X, dev, params0, config, (config.epochs,))[0]()
 
 
 def weighted_cross_entropy(rows: SupervisedSet, params: PolicyParams) -> float:
@@ -334,9 +323,9 @@ def lambda_search(
     params0: PolicyParams,
     config: TrainConfig,
     probe_epochs: int = 2,
-) -> tuple[float, PolicyParams, list[tuple[float, TrainHistory]]]:
+) -> tuple[float, PolicyParams, list[tuple[float, float, TrainHistory]]]:
     """Mean-weight-guided search for lambda: lambda*, its params and, in probe
-    order, each probed lambda with the history of its full run.
+    order, each probed lambda with its probe's S and the history of its full run.
 
     Starting from a seeded random lambda in [0, 1], train it and read its
     probe, a run of ``probe_epochs`` epochs: the mean importance weight S of
@@ -351,30 +340,26 @@ def lambda_search(
     Finding a best checkpoint reads no S. The search computes S, one pass over
     the log, once per probe, at the probe's best checkpoint; every other
     number of a full run is its caller's to compute from the run's params.
-    Every training of the search ranks the dev set by one ``RankIndex``.
     """
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
     rng = np.random.default_rng(config.seed)
     lam = float(rng.uniform(0.0, 1.0))
-    probed: list[float] = []
-    full_runs = []
-    # an empty dev set fails in _epochs, as it does in every trainer
-    dev_index = RankIndex(dev.query_ids, dev.product_ids, dev.labels) if dev else None
+    probes = []  # each probed lambda, its probe's S and its full run
     for _ in range(config.max_probes):
-        probed.append(lam)
-        loop = _crm_epochs(train_log, dev, params0, replace(config, lam=lam), dev_index)
-        run_after = list(islice(loop, max(probe_epochs, config.epochs)))
-        full_runs.append(run_after[config.epochs - 1])
-        S = snips_denominator(train_log, run_after[probe_epochs - 1]()[1].best().params)
+        probe, full = _train(len(train_log), _crm_gradient(train_log, lam),
+                             train_log.context_table, dev, params0, replace(config, lam=lam),
+                             (probe_epochs, config.epochs))
+        S = snips_denominator(train_log, probe()[1].best().params)
+        probes.append((lam, S, full))
         if 0.95 <= S <= 1.05:
             break
         lam = next_lambda(lam, S)
-        if lam in probed:
+        if lam in [lam_j for lam_j, _, _ in probes]:
             break
 
     # each full run's best checkpoint holds its returned params; the first
     # probed lambda wins a tie, as the earliest checkpoint does within a run
-    runs = [(lam_j, full()[1]) for lam_j, full in zip(probed, full_runs)]
-    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_map)
+    runs = [(lam_j, S_j, full()[1]) for lam_j, S_j, full in probes]
+    lam_star, _, chosen = max(runs, key=lambda run: run[2].best().dev_map)
     return lam_star, chosen.best().params, runs

@@ -407,25 +407,26 @@ def lambda_search_by_probes(train_log, dev, params0, config, probe_epochs=2):
     every probe first, each a run of ``probe_epochs`` epochs from ``params0``,
     then one full run of ``config.epochs`` epochs per probed lambda. The same
     10% step on S, the same stopping rule, the same choice of lambda, and the
-    same ``(lambda, history)`` of each full run, in probe order."""
+    same ``(lambda, probe S, history)`` of each full run, in probe order."""
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
     rng = np.random.default_rng(config.seed)
     lam = float(rng.uniform(0.0, 1.0))
-    probed = []
+    probed, probe_S = [], []
     for _ in range(config.max_probes):
         probed.append(lam)
         probe_cfg = dataclasses.replace(config, lam=lam, epochs=probe_epochs)
         _, probe_history = training.train_crm(train_log, dev, params0, probe_cfg)
         S = estimators.snips_denominator(train_log, probe_history.best().params)
+        probe_S.append(S)
         if 0.95 <= S <= 1.05:
             break
         lam = lam * 0.9 if S > 1.0 else min(1.0, lam * 1.1)
         if lam in probed:
             break
 
-    runs = [(lam_j, training.train_crm(train_log, dev, params0,
-                                       dataclasses.replace(config, lam=lam_j))[1])
-            for lam_j in probed]
-    lam_star, chosen = max(runs, key=lambda run: run[1].best().dev_map)
+    runs = [(lam_j, S_j, training.train_crm(train_log, dev, params0,
+                                            dataclasses.replace(config, lam=lam_j))[1])
+            for lam_j, S_j in zip(probed, probe_S)]
+    lam_star, _, chosen = max(runs, key=lambda run: run[2].best().dev_map)
     return lam_star, chosen.best().params, runs

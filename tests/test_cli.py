@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +123,7 @@ class TestTrainAndEvaluate:
         ])
         assert rc == 0
         sweep = (out / "sweep.tsv").read_text().splitlines()
-        assert sweep[0] == "lambda\tS\tmap\tndcg@5"
+        assert sweep[0] == "lambda\tprobe_S\tS\tmap\tndcg@5"
         lam = json.loads((out / "lambda.json").read_text())["lambda"]
         assert 0.0 <= lam <= 1.0
 
@@ -168,6 +171,23 @@ class TestUsage:
 
     def test_missing_out(self):
         assert run(["simulate"]) == 1
+
+    def test_console_entry_point(self, tmp_path):
+        """``python -m banditrank.cli`` in a process of its own exits with the codes of
+        ``run``: 0 for help, 1 for a missing ``--out``, 2 with one error line for a
+        model that cannot be read."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "banditrank.cli", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        assert cli("--help").returncode == 0
+        assert cli("simulate").returncode == 1
+        done = cli("evaluate", "--model", "absent.json", "--test", "absent.tsv", "--out", "out")
+        error_lines = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert done.returncode == 2 and len(error_lines) == 1, done.stderr
+        assert error_lines[0].startswith("error: ") and "absent.json" in error_lines[0]
 
 
 @pytest.fixture(scope="module")

@@ -33,21 +33,27 @@ def test_unused_imports_reads_only_loads():
     assert unused_imports(tree) == {"h", "i"}
 
 
+def python_sources() -> list[Path]:
+    """The package's, the tests' and the benchmark's Python files."""
+    return sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"),
+                   *ROOT.glob("bench/*.py")])
+
+
 def test_no_unused_imports():
     found = {
         str(path.relative_to(ROOT)): sorted(names)
-        for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+        for path in python_sources()
         if (names := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
 
 
 def test_grammar_of_the_oldest_supported_python():
-    """Every file under ``src/`` and ``tests/`` parses with Python 3.10's grammar,
-    the floor that ``pyproject.toml``'s ``requires-python`` declares. This checks
-    syntax only: a library API newer than 3.10 goes unseen."""
+    """Every file under ``src/`` and ``tests/`` and each script of ``bench/`` parses
+    with Python 3.10's grammar, the floor that ``pyproject.toml``'s ``requires-python``
+    declares. This checks syntax only: a library API newer than 3.10 goes unseen."""
     unparsed = {}
-    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
+    for path in python_sources():
         try:
             ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
         except SyntaxError as exc:

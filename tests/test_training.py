@@ -3,7 +3,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import count, islice
+from functools import partial
 
 import numpy as np
 import pytest
@@ -305,9 +305,9 @@ class TestLambdaSearch:
         lam_star, params, runs = lambda_search(
             log, dev, init_params("linear", 5, seed=13), config, probe_epochs=1
         )
-        lams = [lam for lam, _ in runs]
+        lams = [lam for lam, _, _ in runs]
         assert lam_star in lams
-        best = max(runs, key=lambda run: evaluate_policy(run[1].best().params, dev).map)
+        best = max(runs, key=lambda run: evaluate_policy(run[2].best().params, dev).map)
         assert best[0] == lam_star
         # consecutive probes differ by exactly +-10% (unless capped)
         for a, b in zip(lams, lams[1:]):
@@ -321,7 +321,7 @@ class TestLambdaSearch:
         lam_star, params, runs = lambda_search(
             log, dev, init_params("linear", 4, seed=5), config, probe_epochs=1
         )
-        (chosen,) = [history for lam, history in runs if lam == lam_star]
+        (chosen,) = [history for lam, _, history in runs if lam == lam_star]
         assert chosen.best().params.flat.tobytes() == params.flat.tobytes()
         assert chosen.best().params.kind == params.kind
 
@@ -372,19 +372,19 @@ class TestLambdaStoppingRule:
         """The lambdas of the probes and of the full runs, in call order."""
         runs, calls = [], []
 
-        def fixed_s_crm_epochs(train_log, dev, params0, config, dev_index=None):
+        def fixed_s_train(log_len, grad_fn, table, dev, params0, config, ends):
             run = len(runs)
             runs.append(config.lam)
-            checkpoint = Checkpoint(records_seen=len(train_log), dev_map=0.5, params=params0)
-            for epoch in count(1):
-                def result(epoch=epoch):
-                    calls.append((run, config.lam, epoch))
-                    return params0, TrainHistory(checkpoints=(checkpoint,))
-                yield result
+            checkpoint = Checkpoint(records_seen=log_len, dev_map=0.5, params=params0)
 
-        # each probed lambda trains once: its probe reads epoch 2 of that
-        # training and its full run epoch 5
-        monkeypatch.setattr(training, "_crm_epochs", fixed_s_crm_epochs)
+            def result(epochs):
+                calls.append((run, config.lam, epochs))
+                return params0, TrainHistory(checkpoints=(checkpoint,))
+            return [partial(result, epochs) for epochs in ends]
+
+        # each probed lambda trains once, for the runs of 2 and of 5 epochs: its
+        # probe reads the first and its full run the second
+        monkeypatch.setattr(training, "_train", fixed_s_train)
         monkeypatch.setattr(training, "snips_denominator", lambda log, p: S)
         lam_star, _, searched = lambda_search(
             random_log(10, 3, 0), toy_dev(3), init_params("linear", 3, seed=0),
@@ -394,7 +394,8 @@ class TestLambdaStoppingRule:
         full_runs = [lam for _, lam, epoch in calls if epoch == 5]
         assert calls == [*((run, lam, 2) for run, lam in enumerate(runs)),
                          *((run, lam, 5) for run, lam in enumerate(runs))]
-        assert [lam for lam, _ in searched] == full_runs and lam_star == full_runs[0]
+        assert [lam for lam, _, _ in searched] == full_runs and lam_star == full_runs[0]
+        assert [probe_S for _, probe_S, _ in searched] == [S] * len(runs)
         return probes, full_runs
 
     def test_s_above_the_band_walks_down_max_probes_times(self, monkeypatch):
@@ -496,14 +497,14 @@ def history_bits(history):
 
 
 def search_outcome(search, log, dev, p0, config, probe_epochs):
-    """A search's λ*, parameter bits and each probed λ with the bits of its full run,
-    or the type and message of its error."""
+    """A search's λ*, parameter bits and each probed λ with its probe's S and the bits
+    of its full run, or the type and message of its error."""
     try:
         lam_star, params, runs = search(log, dev, p0, config, probe_epochs)
     except policy.NonFiniteError as exc:
         return type(exc), str(exc)
     return (lam_star, params.kind, params.flat.tobytes(),
-            [(lam, history_bits(history)) for lam, history in runs])
+            [(lam, probe_S, history_bits(history)) for lam, probe_S, history in runs])
 
 
 class TestOneRunPerLambda:
@@ -524,10 +525,24 @@ class TestOneRunPerLambda:
         log, dev, p0, config, probe_epochs, divergence = search
         ends = (probe_epochs, config.epochs)
         with diverging(divergence):
-            run_after = list(islice(training._crm_epochs(log, dev, p0, config), max(ends)))
-            for epochs in ends:
-                assert returned(run_after[epochs - 1]) == returned(
+            runs = training._train(len(log), training._crm_gradient(log, config.lam),
+                                   log.context_table, dev, p0, config, ends)
+            for epochs, run in zip(ends, runs):
+                assert returned(run) == returned(
                     lambda: train_crm(log, dev, p0, replace(config, epochs=epochs)))
+
+    def test_equal_lengths_share_one_run_whose_end_checkpoint_is_made_once(self, monkeypatch):
+        margins, logit_margin = [], training.logit_margin
+        monkeypatch.setattr(training, "logit_margin",
+                            lambda params, X: margins.append(len(X)) or logit_margin(params, X))
+        log, config = random_log(40, 3, seed=33), cfg(eval_every=10**9)
+        run, again = training._train(len(log), training._crm_gradient(log, config.lam),
+                                     log.context_table, toy_dev(3),
+                                     init_params("linear", 3, seed=34), config, (2, 2))
+        assert run is again and margins == []  # no checkpoint before the end of the run
+        first = run()
+        assert run() is first and again() is first and len(margins) == 1
+        assert [cp.records_seen for cp in first[1].checkpoints] == [80]
 
     def test_a_full_run_diverging_after_its_probe_with_no_checkpoint_raises(self, monkeypatch):
         # 2 steps per epoch: the probe ends after step 2, and the full run
@@ -568,11 +583,13 @@ class TestOneRunPerLambda:
         assert len(steps) == len(runs) * max(probe_epochs, epochs) * 4  # 4 batches of 50
         searched = list(full_passes)
         probe_bests = []
-        for lam, history in runs:
-            loop = training._crm_epochs(log, dev, p0, replace(config, lam=lam))
-            run_after = list(islice(loop, max(probe_epochs, epochs)))
-            assert history == run_after[epochs - 1]()[1] and history.stopped is None
-            best = run_after[probe_epochs - 1]()[1].best()
+        for lam, probe_S, history in runs:
+            probe, full = training._train(len(log), training._crm_gradient(log, lam),
+                                          log.context_table, dev, p0, replace(config, lam=lam),
+                                          (probe_epochs, epochs))
+            assert history == full()[1] and history.stopped is None
+            best = probe()[1].best()
+            assert probe_S == full_pass(log, best.params)
             probe_bests.append((lam, best.params.flat.tobytes()))
         assert full_passes == searched  # finding the best checkpoints reads no S
         return runs, searched, probe_bests
@@ -783,7 +800,7 @@ class TestCheckpointMeaning:
         p0 = init_params(kind, 4, hidden=3, seed=35)
         _, _, runs = lambda_search(log, dev, p0, config, probe_epochs=1)
         assert len(runs) >= 2
-        for lam, history in runs:
+        for lam, _, history in runs:
             _, expected = train_crm(log, dev, p0, replace(config, lam=lam))
             assert history_bits(history) == history_bits(expected)
 
@@ -823,10 +840,12 @@ class TestCheckpointMeaning:
         assert len(history.checkpoints) >= 3
         assert (tmp_path / "run" / "history.tsv").read_text() == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_sweep_tsv_is_the_one_written_from_each_lambdas_train_crm(self, tmp_path, kind):
+    def lambda_sweep(self, tmp_path, kind):
+        """The ``sweep.tsv`` of ``lambda-sweep`` with one-epoch probes on this world,
+        which leave the band of S: 4 probes (linear) or 2 (MLP), and the inputs of
+        its runs."""
         log, _, dev, config = self.world()
-        config = replace(config, learning_rate=1.0, seed=3)  # S leaves the band: 4 / 2 probes
+        config = replace(config, learning_rate=1.0, seed=3)
         write_bandit_log(log, str(tmp_path / "log.jsonl"))
         write_supervised(dev, str(tmp_path / "dev.tsv"))
         cli_cfg = {"policy": kind, "hidden": 3, "probe_epochs": 1, **{
@@ -836,21 +855,37 @@ class TestCheckpointMeaning:
         assert cli.run(["lambda-sweep", "--config", str(tmp_path / "sweep.json"), "--log",
                         str(tmp_path / "log.jsonl"), "--dev", str(tmp_path / "dev.tsv"),
                         "--out", str(tmp_path / "run")]) == 0
-        written = (tmp_path / "run" / "sweep.tsv").read_text()
-        lams = [float(line.split("\t")[0]) for line in written.splitlines()[1:]]
         p0 = init_params(kind, 4, hidden=3, seed=config.seed)
-        # the probed lambdas: a seeded draw, then one 10% step per one-epoch probe
+        return (tmp_path / "run" / "sweep.tsv").read_text(), log, dev, config, p0
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_sweep_tsv_is_the_one_written_from_each_lambdas_train_crm(self, tmp_path, kind):
+        written, log, dev, config, p0 = self.lambda_sweep(tmp_path, kind)
+        rows = [[float(x) for x in line.split("\t")] for line in written.splitlines()[1:]]
+        lams = [row[0] for row in rows]
+        # the probed lambdas: a seeded draw, then one 10% step on each probe's S
         assert len(lams) >= 2 and lams[0] == np.random.default_rng(config.seed).uniform()
-        for lam, next_lam in zip(lams, lams[1:]):
-            probe, _ = train_crm(log, dev, p0, replace(config, lam=lam, epochs=1))
-            assert next_lam == next_lambda(lam, snips_denominator(log, probe))
-        lines = ["lambda\tS\tmap\tndcg@5"]
+        for (lam, probe_S, *_), next_lam in zip(rows, lams[1:]):
+            assert next_lam == next_lambda(lam, probe_S)
+        lines = ["lambda\tprobe_S\tS\tmap\tndcg@5"]
         for lam in lams:
+            probe, _ = train_crm(log, dev, p0, replace(config, lam=lam, epochs=1))
             params, _ = train_crm(log, dev, p0, replace(config, lam=lam))
             m = evaluate_policy(params, dev)
-            row = [lam, snips_denominator(log, params), m.map, m.ndcg_at[5]]
+            row = [lam, snips_denominator(log, probe), snips_denominator(log, params), m.map,
+                   m.ndcg_at[5]]
             lines.append("\t".join(map(repr, row)))
         assert written == "\n".join(lines) + "\n"
+
+    def test_sweep_tsv_says_why_the_search_went_on(self, tmp_path):
+        # the first full run's S lies inside the band, but the search steps lambda
+        # on its one-epoch probe's S, which lies below it
+        written, *_ = self.lambda_sweep(tmp_path, "linear")
+        header, first, *rest = [line.split("\t") for line in written.splitlines()]
+        row = dict(zip(header, map(float, first)))
+        assert row["probe_S"] == pytest.approx(0.9422, abs=5e-5) and row["probe_S"] < 0.95
+        assert row["S"] == pytest.approx(0.9714, abs=5e-5) and 0.95 <= row["S"] <= 1.05
+        assert len(rest) == 3
 
 
 class TestDivergence:
@@ -885,9 +920,9 @@ class TestDivergence:
         log = random_log(80, 3, seed=31)
         config = cfg(eval_every=40)  # batches of 16: the first checkpoint is at 48 records
         grad_fn = self.gradients(log, 3, how)
-        params, history = training._run_of(config.epochs, training._epochs(
+        params, history = training._train(
             len(log), grad_fn, log.context_table, toy_dev(3), init_params("linear", 3, seed=32),
-            config))
+            config, (config.epochs,))[0]()
         assert [cp.records_seen for cp in history.checkpoints] == [48]
         assert params == history.checkpoints[0].params
         assert history.stopped == f"training stopped after 48 records: {reason}"
@@ -897,9 +932,8 @@ class TestDivergence:
     def test_raises_with_no_checkpoint(self, how, error):
         log, config = random_log(80, 3, seed=31), cfg(eval_every=40)
         with pytest.raises(error):
-            training._run_of(config.epochs, training._epochs(
-                len(log), self.gradients(log, 0, how), log.context_table, toy_dev(3),
-                init_params("linear", 3, seed=32), config))
+            training._train(len(log), self.gradients(log, 0, how), log.context_table, toy_dev(3),
+                            init_params("linear", 3, seed=32), config, (config.epochs,))[0]()
 
     def far_row_run(self, x, eval_every):
         """A CRM run of one epoch (5 steps of 16 records) on a log whose first
