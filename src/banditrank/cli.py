@@ -159,7 +159,7 @@ def cmd_simulate(cfg: dict) -> dict:
         raise CliError(f"seed must be >= 0, got {seed}")
     world = simulator.generate_world(_from_config(simulator.SimConfig, cfg), seed)
     log = simulator.simulate_log(world, world.logging_policy, cfg["n_interactions"], seed + 1)
-    split = split_queries({q for q, _ in world.pair_ids()}, tuple(cfg["split_ratios"]), seed)
+    split = split_queries(simulator._names(world.config)[0], tuple(cfg["split_ratios"]), seed)
     dev = simulator.world_supervised(world, split.dev, cfg["top_fraction"])
     test = simulator.world_supervised(world, split.test, cfg["top_fraction"])
     return {

@@ -12,6 +12,10 @@ it anyway with probability ``deep_browse_prob`` and the loss is 1 on an
 examined click, else 0. This makes the loss an exact 0/1 penalty for wrong
 decisions, and the expected loss of any policy can be enumerated in closed
 form rather than sampled.
+
+Pair i is query ``q{i // products_per_query}`` and product ``p{i % products_per_query}``.
+``_names`` formats each id once, and logs and supervised sets gather their ids
+from it, so the records of one query share one id string.
 """
 
 from __future__ import annotations
@@ -69,10 +73,15 @@ class SyntheticWorld:
         return self.contexts.shape[0]
 
     def pair_ids(self) -> list[tuple[str, str]]:
-        ppq = self.config.products_per_query
-        return [
-            (f"q{i // ppq}", f"p{i % ppq}") for i in range(self.n_pairs)
-        ]
+        queries, products = (names.tolist() for names in _names(self.config))
+        return [(q, p) for q in queries for p in products]
+
+
+def _names(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The world's query ids ``q0 … q{Q-1}`` and product ids ``p0 … p{P-1}``, as
+    object arrays of str: the one statement of the id scheme."""
+    return (np.array([f"q{i}" for i in range(config.n_queries)], dtype=object),
+            np.array([f"p{j}" for j in range(config.products_per_query)], dtype=object))
 
 
 def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
@@ -87,13 +96,8 @@ def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
     w = np.zeros((2, config.feature_dim))
     w[1] = noisy / config.temperature
     params = PolicyParams("linear", [w, np.zeros(2)])
-    return SyntheticWorld(
-        config=config,
-        seed=seed,
-        contexts=contexts,
-        true_relevance=relevance,
-        logging_policy=LoggingPolicy(params=params),
-    )
+    return SyntheticWorld(config=config, seed=seed, contexts=contexts, true_relevance=relevance,
+                          logging_policy=LoggingPolicy(params=params))
 
 
 def simulate_log(
@@ -108,22 +112,20 @@ def simulate_log(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, world.n_pairs, size=n_interactions)
     # the log's context table: each drawn pair's context once, in pair order
-    pairs, rows = np.unique(idx, return_inverse=True)
-    table = world.contexts[pairs]
-    r = world.true_relevance[idx]
+    drawn = np.bincount(idx, minlength=world.n_pairs) > 0
+    rows = (np.cumsum(drawn) - 1)[idx]
+    table = world.contexts[np.flatnonzero(drawn)]
     P = batch_probabilities(policy.params, table)
     actions = (rng.random(n_interactions) < P[rows, 1]).astype(np.int64)
     propensities = P[rows, actions]
-    clicks = rng.random(n_interactions) < r
+    clicks = rng.random(n_interactions) < world.true_relevance[idx]
     examines = rng.random(n_interactions) < world.config.deep_browse_prob
-    shown = actions == 1
-    deltas = np.where(
-        shown, ~clicks, examines & clicks
-    ).astype(np.int64)
-    pair_ids = world.pair_ids()
+    deltas = np.where(actions == 1, ~clicks, examines & clicks).astype(np.int64)
+    queries, products = _names(world.config)
+    query, product = np.divmod(idx, world.config.products_per_query)
     return BanditLog(
-        query_ids=[pair_ids[i][0] for i in idx],
-        product_ids=[pair_ids[i][1] for i in idx],
+        query_ids=queries[query].tolist(),
+        product_ids=products[product].tolist(),
         contexts=table,
         actions=actions,
         propensities=propensities,
@@ -152,21 +154,26 @@ def world_supervised(
     relevant (mirroring sparse positive feedback): their nrr is relevance
     over the query's maximum, rounded to ``NRR_DECIMALS`` places, and every
     other product has nrr 0. ``SupervisedSet`` grades each nrr into its label.
+    A ``top_fraction`` outside (0, 1] or a query the world does not hold raises
+    ``ValueError``.
     """
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
+    queries, products = _names(world.config)
+    unknown = sorted(set(query_ids or ()).difference(queries.tolist()))
+    if unknown:
+        raise ValueError(f"query {unknown[0]!r} is not one of the world's {len(queries)} queries")
+    chosen = np.flatnonzero([query_ids is None or q in query_ids for q in queries.tolist()])
     ppq = world.config.products_per_query
     n_rel = max(1, int(round(top_fraction * ppq)))
     rel = world.true_relevance.reshape(world.config.n_queries, ppq)
     top = np.zeros(rel.shape, dtype=bool)
     np.put_along_axis(top, np.argsort(-rel, axis=1)[:, :n_rel], True, axis=1)
     nrr = np.where(top, np.round(rel / rel.max(axis=1, keepdims=True), NRR_DECIMALS), 0.0)
-    queries = [
-        qi for qi in range(world.config.n_queries)
-        if query_ids is None or f"q{qi}" in query_ids
-    ]
-    rows = (np.array(queries, dtype=np.int64)[:, None] * ppq + np.arange(ppq)).ravel()
+    rows = (chosen[:, None] * ppq + np.arange(ppq)).ravel()
     return SupervisedSet(
-        [f"q{qi}" for qi in queries for _ in range(ppq)],
-        [f"p{pi}" for pi in range(ppq)] * len(queries),
+        np.repeat(queries[chosen], ppq).tolist(),
+        np.tile(products, len(chosen)).tolist(),
         world.contexts[rows],
         nrr.ravel()[rows],
     )
@@ -183,6 +190,15 @@ def save_world(world: SyntheticWorld, sink) -> None:
 
 
 def load_world(source) -> SyntheticWorld:
+    """The world ``save_world`` wrote. A file that holds no world raises ``ValueError``."""
     with open_text(source) as stream:
         obj = json.load(stream)
-    return generate_world(SimConfig(**obj["config"]), obj["seed"])
+    if not (isinstance(obj, dict) and isinstance(obj.get("config"), dict)
+            and type(obj.get("seed")) is int and obj["seed"] >= 0):
+        raise ValueError("not a world: expected a JSON object with a config object "
+                         "and a non-negative integer seed")
+    try:
+        config = SimConfig(**obj["config"])
+    except TypeError as exc:
+        raise ValueError(f"not a world: {exc}") from exc
+    return generate_world(config, obj["seed"])

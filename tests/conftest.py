@@ -1,5 +1,13 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, as CI and the benchmark run: a BLAS product's last bits can
+# depend on its thread count, and the bit-for-bit tests were written on one.
+# Set before numpy first loads, so the CLI subprocess tests inherit it too; a
+# value set by the caller still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -210,6 +210,8 @@ def inputs(tmp_path_factory):
     write_json(root / "nan_ratio.json", {"split_ratios": [math.nan, 0.2, 0.2], "n_queries": 5,
                                          "n_interactions": 50})
     write_json(root / "nan_temperature.json", {"temperature": math.nan})
+    write_json(root / "top_fraction_5.json", {"top_fraction": 5.0, "n_queries": 5,
+                                              "n_interactions": 50})
     write_json(root / "nan_learning_rate.json", {"learning_rate": math.nan})
     # JSON integers past the largest float, which no float key can take
     write_json(root / "huge_noise.json", {"noise_scale": 10**400})
@@ -244,7 +246,8 @@ def inputs(tmp_path_factory):
         "one_field": root / "one_field.tsv", "short_row": root / "short_row.tsv",
         "bad_line": root / "bad_line.jsonl",
         **{name: root / f"{name}.json" for name in (
-            "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "nan_learning_rate",
+            "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "top_fraction_5",
+            "nan_learning_rate",
             "huge_noise", "huge_temperature", "huge_learning_rate",
             "hidden_float", "no_hidden", "tree", "epochs_bool", "ks_strings", "log_number",
             "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
@@ -309,6 +312,8 @@ ERRORS = [
      "ratios must be three positive numbers"),
     ("NaN temperature", ["simulate", "--config", "{nan_temperature}"], 1,
      "bad noise/temperature"),
+    ("top_fraction above 1", ["simulate", "--config", "{top_fraction_5}"], 1,
+     "top_fraction must lie in (0, 1], got 5.0"),
     ("NaN learning rate", ["train-crm", "--config", "{nan_learning_rate}", "--log", "{log}",
                            "--dev", "{dev}"], 1, "learning_rate must be positive"),
     ("int past a float for noise_scale", ["simulate", "--config", "{huge_noise}"], 1,

@@ -135,6 +135,7 @@ UNCALLED_BY_DESIGN = {
     "empirical_average": "an estimator of the paper, kept for library users (ROADMAP direction 3)",
     "train_ea": "the empirical-average learner that acceptance criterion 8 compares",
     "load_world": "the reader of the world.json that the simulate command writes",
+    "pair_ids": "the benchmark draws its impression stream from it and splits by its queries",
 }
 
 

@@ -1,7 +1,12 @@
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from banditrank.data import BanditLog
+from banditrank.data import NRR_DECIMALS, BanditLog, SupervisedSet
 from banditrank.policy import PolicyParams, batch_probabilities, init_params
 from banditrank.simulator import (
     LoggingPolicy,
@@ -14,7 +19,6 @@ from banditrank.simulator import (
     true_risk,
     world_supervised,
 )
-import io
 
 
 def small_config(**overrides):
@@ -69,6 +73,22 @@ class TestGenerateWorld:
             by_policy = np.argsort(-p1[sl])
             by_truth = np.argsort(-w.true_relevance[sl])
             np.testing.assert_array_equal(by_policy, by_truth)
+
+    @pytest.mark.parametrize("text, names", [
+        ("[1, 2]", "expected a JSON object"),
+        ('{"config": {"n_querys": 3}, "seed": 1}', "n_querys"),
+        ('{"config": {}}', "non-negative integer seed"),
+        ('{"config": [], "seed": 1}', "expected a JSON object with a config object"),
+        ('{"config": {}, "seed": -1}', "non-negative integer seed"),
+        ('{"config": {}, "seed": 1.5}', "non-negative integer seed"),
+        ('{"config": {}, "seed": "1"}', "non-negative integer seed"),
+        ('{"config": {}, "seed": true}', "non-negative integer seed"),
+    ], ids=["list", "unknown config key", "no seed", "config not an object", "negative seed",
+            "float seed", "string seed", "boolean seed"])
+    def test_a_file_that_holds_no_world_raises_value_error(self, text, names):
+        with pytest.raises(ValueError, match="not a world") as caught:
+            load_world(io.StringIO(text))
+        assert names in str(caught.value)
 
     def test_save_load_roundtrip(self):
         w = generate_world(small_config(), seed=9)
@@ -185,3 +205,97 @@ class TestWorldSupervised:
         w = generate_world(small_config(), seed=16)
         records = world_supervised(w, query_ids={"q0", "q3"})
         assert {r.query_id for r in records} == {"q0", "q3"}
+
+    @pytest.mark.parametrize("top_fraction", [5.0, 1.0 + 1e-9, 0.0, -1.0, math.nan])
+    def test_top_fraction_outside_unit_interval_rejected(self, top_fraction):
+        w = generate_world(small_config(), seed=17)
+        with pytest.raises(ValueError, match=r"top_fraction must lie in \(0, 1\]"):
+            world_supervised(w, top_fraction=top_fraction)
+
+    @pytest.mark.parametrize("query_ids, first", [
+        ({"q0", "q9"}, "q9"), ({"zz"}, "zz"), ({"zz", "q3", "q10", "Q1"}, "Q1"),
+    ], ids=["past the last query", "not a query id", "first in sorted order"])
+    def test_queries_the_world_does_not_hold_rejected(self, query_ids, first):
+        w = generate_world(SimConfig(3, 4, 2), seed=18)
+        with pytest.raises(ValueError, match=f"query '{first}' is not one of the world's 3"):
+            world_supervised(w, query_ids=query_ids)
+
+
+# The simulator's id and table construction as first written, kept here as the
+# reference its array construction must match bit for bit.
+
+def reference_pair_ids(world):
+    ppq = world.config.products_per_query
+    return [(f"q{i // ppq}", f"p{i % ppq}") for i in range(world.n_pairs)]
+
+
+def reference_log(world, policy, n_interactions, seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, world.n_pairs, size=n_interactions)
+    pairs, rows = np.unique(idx, return_inverse=True)
+    table = world.contexts[pairs]
+    r = world.true_relevance[idx]
+    P = batch_probabilities(policy.params, table)
+    actions = (rng.random(n_interactions) < P[rows, 1]).astype(np.int64)
+    propensities = P[rows, actions]
+    clicks = rng.random(n_interactions) < r
+    examines = rng.random(n_interactions) < world.config.deep_browse_prob
+    deltas = np.where(actions == 1, ~clicks, examines & clicks).astype(np.int64)
+    pair_ids = reference_pair_ids(world)
+    return BanditLog([pair_ids[i][0] for i in idx], [pair_ids[i][1] for i in idx], table,
+                     actions, propensities, deltas, {"source": "simulator", "seed": str(seed)},
+                     context_rows=rows)
+
+
+def reference_world_supervised(world, query_ids, top_fraction):
+    ppq = world.config.products_per_query
+    n_rel = max(1, int(round(top_fraction * ppq)))
+    rel = world.true_relevance.reshape(world.config.n_queries, ppq)
+    top = np.zeros(rel.shape, dtype=bool)
+    np.put_along_axis(top, np.argsort(-rel, axis=1)[:, :n_rel], True, axis=1)
+    nrr = np.where(top, np.round(rel / rel.max(axis=1, keepdims=True), NRR_DECIMALS), 0.0)
+    queries = [qi for qi in range(world.config.n_queries)
+               if query_ids is None or f"q{qi}" in query_ids]
+    rows = (np.array(queries, dtype=np.int64)[:, None] * ppq + np.arange(ppq)).ravel()
+    return SupervisedSet([f"q{qi}" for qi in queries for _ in range(ppq)],
+                         [f"p{pi}" for pi in range(ppq)] * len(queries),
+                         world.contexts[rows], nrr.ravel()[rows])
+
+
+class TestSameBitsAsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(n_queries=st.integers(1, 6), products=st.integers(1, 6), d=st.integers(1, 3),
+           n=st.integers(1, 300), world_seed=st.integers(0, 2**32 - 1),
+           log_seed=st.integers(0, 2**32 - 1), subset=st.sets(st.integers(0, 5)),
+           top_fraction=st.floats(0.0, 1.0, exclude_min=True))
+    @example(n_queries=1, products=1, d=1, n=10, world_seed=0, log_seed=1, subset={0},
+             top_fraction=0.2)
+    @example(n_queries=2, products=3, d=2, n=300, world_seed=5, log_seed=6, subset={1},
+             top_fraction=1.0)
+    def test_log_ids_and_supervised_rows(self, n_queries, products, d, n, world_seed, log_seed,
+                                         subset, top_fraction):
+        world = generate_world(SimConfig(n_queries, products, d), world_seed)
+        log = simulate_log(world, world.logging_policy, n, log_seed)
+        reference = reference_log(world, world.logging_policy, n, log_seed)
+        assert log == reference
+        # equality reads the records; the BLAS bits of every later pass read the table layout
+        assert np.array_equal(log.context_table, reference.context_table)
+        assert np.array_equal(log.context_rows, reference.context_rows)
+        assert log.context_rows.dtype == reference.context_rows.dtype
+        assert world.pair_ids() == reference_pair_ids(world)
+        query_ids = {f"q{i}" for i in subset if i < n_queries}
+        for chosen in (None, query_ids):
+            assert (world_supervised(world, chosen, top_fraction)
+                    == reference_world_supervised(world, chosen, top_fraction))
+
+    def test_a_log_that_draws_every_pair_holds_the_world_table(self):
+        world = generate_world(SimConfig(2, 3, 2), seed=5)
+        log = simulate_log(world, world.logging_policy, 300, seed=6)
+        assert np.array_equal(log.context_table, world.contexts)
+        assert log == reference_log(world, world.logging_policy, 300, seed=6)
+
+    def test_records_of_one_query_share_one_id_string(self):
+        world = generate_world(small_config(), seed=20)
+        log = simulate_log(world, world.logging_policy, 2000, seed=21)
+        assert len({id(q) for q in log.query_ids}) == len(set(log.query_ids))
+        assert len({id(p) for p in log.product_ids}) == len(set(log.product_ids))
