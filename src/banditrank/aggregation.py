@@ -5,19 +5,30 @@ Pipeline: count visibility per (query, product), drop pairs seen fewer than
 visibility), normalize by the per-query maximum rate, and grade on a 5-point
 scale with ceil(4 * NRR). The supervised dataset keeps every positive pair
 and negatively samples shown-but-unclicked products.
+
+The ``RelevanceTable`` is column-wise, like ``data.SupervisedSet``: its pairs
+sorted by (query, product), one array each of rates, normalized rates and
+labels. Its constructor derives the normalized rates from the rates over
+each query's run of rows, and the labels from the normalized rates with
+``data.grade_column``, the array form of the one grading rule ``data.grade``.
+Aggregation, sampling and export work on these columns; a per-pair record
+is built only when a caller reads ``entries``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from functools import cached_property
+from itertools import islice, repeat
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from banditrank.data import SupervisedSet, grade, write_supervised
+from banditrank.data import SupervisedSet, grade_column, write_supervised
 
 logger = logging.getLogger(__name__)
 
@@ -32,24 +43,53 @@ class RelevanceEntry:
     label: int
 
 
-@dataclass(frozen=True)
 class RelevanceTable:
-    """Per (query, product): relevance rate, normalized rate, graded label."""
+    """Per (query, product): relevance rate, normalized rate, graded label.
 
-    entries: dict[tuple[str, str], RelevanceEntry]
+    Columns: ``query_ids`` and ``product_ids`` lists, sorted by pair with no
+    pair twice, and read-only arrays ``rr``, ``nrr`` and ``labels``.
+    ``query_starts`` holds the first row of each query's run. A pair's nrr is
+    its rr over the largest rr of its query, or 0 where that is 0.
+    """
 
-    def by_query(self) -> dict[str, list[str]]:
-        """Each query's products, both in sorted order, from one pass over the entries."""
-        products: dict[str, list[str]] = {}
-        for q, p in sorted(self.entries):
-            products.setdefault(q, []).append(p)
-        return products
+    def __init__(self, query_ids: Sequence[str], product_ids: Sequence[str],
+                 rr: Sequence[float]):
+        self.query_ids, self.product_ids = list(query_ids), list(product_ids)
+        self.rr = np.array(rr, dtype=np.float64)
+        n = len(self.query_ids)
+        if not len(self.product_ids) == len(self.rr) == n:
+            raise ValueError(f"columns of lengths {n}, {len(self.product_ids)} and "
+                             f"{len(self.rr)}; expected one length")
+        outside = np.flatnonzero(~((self.rr >= 0.0) & (self.rr <= 1.0)))  # NaN too
+        if len(outside):
+            raise ValueError(f"row {outside[0]}: rr {self.rr[outside[0]]!r} must lie in [0, 1]")
+        pairs = list(zip(self.query_ids, self.product_ids))
+        if not all(map(operator.lt, pairs, islice(pairs, 1, None))):
+            row = next(i for i in range(1, n) if not pairs[i - 1] < pairs[i])
+            raise ValueError(f"row {row}: pair {pairs[row]!r} does not follow "
+                             f"{pairs[row - 1]!r}; pairs must be sorted and distinct")
+        new_query = np.fromiter(map(operator.ne, islice(self.query_ids, 1, None), self.query_ids),
+                                bool, max(n - 1, 0))
+        self.query_starts = np.flatnonzero(np.concatenate(([n > 0], new_query)))
+        top = np.repeat(np.maximum.reduceat(self.rr, self.query_starts),
+                        np.diff(self.query_starts, append=n))
+        self.nrr = np.divide(self.rr, top, out=np.zeros(n), where=top > 0)
+        self.labels = grade_column(self.nrr)
+        for column in (self.rr, self.nrr, self.labels, self.query_starts):
+            column.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> dict[tuple[str, str], RelevanceEntry]:
+        """Each pair's record, built on the first read."""
+        return dict(zip(zip(self.query_ids, self.product_ids),
+                        map(RelevanceEntry, self.rr.tolist(), self.nrr.tolist(),
+                            self.labels.tolist())))
 
     def __getitem__(self, key: tuple[str, str]) -> RelevanceEntry:
         return self.entries[key]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.query_ids)
 
     def __contains__(self, key) -> bool:
         return key in self.entries
@@ -77,20 +117,12 @@ def aggregate_feedback(
                 f"{visibility.get(pair, 0)} impressions"
             )
 
-    kept = {
-        pair: vis for pair, vis in visibility.items() if vis >= visibility_threshold
-    }
-    rr = {pair: pos_counts.get(pair, 0) / vis for pair, vis in kept.items()}
-    max_rr: dict[str, float] = {}
-    for (q, _), r in rr.items():
-        max_rr[q] = max(max_rr.get(q, 0.0), r)
-
-    entries = {}
-    for pair in sorted(kept):
-        q = pair[0]
-        nrr = rr[pair] / max_rr[q] if max_rr[q] > 0 else 0.0
-        entries[pair] = RelevanceEntry(rr=rr[pair], nrr=nrr, label=grade(nrr))
-    return RelevanceTable(entries=entries)
+    kept = sorted(pair for pair, vis in visibility.items() if vis >= visibility_threshold)
+    n = len(kept)
+    seen = np.fromiter(map(visibility.__getitem__, kept), np.float64, n)
+    clicked = np.fromiter(map(pos_counts.get, kept, repeat(0)), np.float64, n)
+    query_ids, product_ids = zip(*kept) if kept else ((), ())
+    return RelevanceTable(query_ids, product_ids, clicked / seen)
 
 
 def build_supervised(
@@ -102,44 +134,43 @@ def build_supervised(
 ) -> SupervisedSet:
     """Positive pairs plus per-query negatively sampled zero-label pairs.
 
-    For each query, floor(negative_ratio * n_positives) label-0 products are
-    drawn uniformly without replacement from products that were shown but
-    never positively labeled (and that survived the visibility filter).
-    Deterministic for a fixed seed; queries are processed in sorted order.
+    For each query, floor(negative_ratio * n_positives) label-0 products, or
+    all of them where there are fewer, are drawn uniformly without
+    replacement from products that were shown but never positively labeled
+    (and that survived the visibility filter). Deterministic for a fixed
+    seed; queries are processed in sorted order.
     """
     if not 0 < negative_ratio < math.inf:  # NaN too
         raise ValueError(f"negative_ratio must be positive and finite, got {negative_ratio}")
     rng = np.random.default_rng(seed)
-    pairs: list[tuple[str, str]] = []
-    for q, products in table.by_query().items():
-        positives = [p for p in products if table[(q, p)].label > 0]
+    products, positive = table.product_ids, (table.labels > 0).tolist()
+    bounds = table.query_starts.tolist() + [len(table)]
+    rows: list[int] = []
+    for lo, hi in zip(bounds, islice(bounds, 1, None)):
+        positives = [i for i in range(lo, hi) if positive[i]]
         if not positives:
             continue
-        candidates = sorted(
-            p
-            for p in shown_products.get(q, set())
-            if (q, p) in table and table[(q, p)].label == 0
-        )
-        n_neg = int(math.floor(negative_ratio * len(positives)))
-        n_neg = min(n_neg, len(candidates))
-        if n_neg == 0 and not candidates:
+        q = table.query_ids[lo]
+        shown = shown_products.get(q, ())
+        candidates = [i for i in range(lo, hi) if not positive[i] and products[i] in shown]
+        # wanted may overflow to inf; like any count of at least len(candidates), it takes all
+        wanted = negative_ratio * len(positives)
+        n_neg = len(candidates) if wanted >= len(candidates) else int(wanted)
+        if not candidates:
             logger.warning("query %s has positives but no negative candidates", q)
-        sampled = (
-            [candidates[i] for i in rng.choice(len(candidates), size=n_neg, replace=False)]
-            if n_neg
-            else []
-        )
-        pairs += [(q, p) for p in positives + sorted(sampled)]
-    return _supervised_set(table, pairs, [contexts[pair] for pair in pairs] or np.zeros((0, 0)))
-
-
-def _supervised_set(table: RelevanceTable, pairs: list[tuple[str, str]], contexts) -> SupervisedSet:
-    """The table's ``pairs``, in order, with their ``contexts``."""
-    return SupervisedSet([q for q, _ in pairs], [p for _, p in pairs], contexts,
-                         [table[pair].nrr for pair in pairs])
+        rows += positives
+        if n_neg:
+            picked = rng.choice(len(candidates), size=n_neg, replace=False)
+            rows += sorted(candidates[i] for i in picked.tolist())
+    query_ids = [table.query_ids[i] for i in rows]
+    product_ids = [products[i] for i in rows]
+    return SupervisedSet(query_ids, product_ids,
+                         [contexts[pair] for pair in zip(query_ids, product_ids)]
+                         or np.zeros((0, 0)),
+                         table.nrr[np.array(rows, dtype=np.intp)])
 
 
 def export_relevance_table(table: RelevanceTable, sink: IO | str) -> int:
     """Write every table entry in the supervised TSV format, with no feature columns."""
-    pairs = sorted(table.entries)
-    return write_supervised(_supervised_set(table, pairs, np.zeros((len(pairs), 0))), sink)
+    return write_supervised(SupervisedSet(table.query_ids, table.product_ids,
+                                          np.zeros((len(table), 0)), table.nrr), sink)

@@ -9,8 +9,10 @@ table ``context_table`` (k, d) and each record's row index ``context_rows``
 and the writer, the estimators and the trainers all work on the table. Both
 constructors make one shared check of their rows, which names the first bad
 one; the readers report it by line. ``grade`` is the one graded-label rule,
-ceil(4 * nrr): a ``SupervisedSet`` derives its labels from its nrr, and the
-supervised reader checks a file's label column against them.
+ceil(4 * nrr), and ``grade_column`` applies it to a whole array at once. A
+``SupervisedSet`` and the column-wise ``aggregation.RelevanceTable`` derive
+their labels from their nrr column with it, and the supervised reader checks a
+file's label column against them.
 
 Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 ``json.dumps`` with its default separators of a dict with keys ``query_id``,
@@ -278,6 +280,22 @@ def grade(nrr: float) -> int:
     return math.ceil(4.0 * round(nrr, NRR_DECIMALS))
 
 
+def grade_column(nrr: np.ndarray) -> np.ndarray:
+    """``grade`` of each entry of a float64 array of rates in [0, 1], as int64.
+
+    numpy takes ceil(4 * nrr). ``grade`` rounds nrr to ``NRR_DECIMALS`` places
+    first, which moves 4 * nrr by less than 1e-11, so the two can differ only
+    next to an integer that 4 * nrr does not equal: ``grade`` itself labels
+    every entry within 1e-9 of one. Where 4 * nrr is an integer, both give it.
+    """
+    scaled = 4.0 * nrr
+    labels = np.ceil(scaled).astype(np.int64)
+    nearest = np.rint(scaled)
+    for i in np.flatnonzero((np.abs(scaled - nearest) <= 1e-9) & (scaled != nearest)).tolist():
+        labels[i] = grade(float(nrr[i]))
+    return labels
+
+
 class SupervisedRow(NamedTuple):
     """What iterating a ``SupervisedSet`` yields for each of its rows."""
 
@@ -294,7 +312,8 @@ class SupervisedSet(_RowSet):
     Columns: ``query_ids``, ``product_ids``, read-only arrays ``contexts``
     (n, d), ``nrr`` and ``labels``. The constructor is the one check of the
     row invariants (finite contexts of one width, nrr in [0, 1]); a failure
-    names the first offending row. Each label is derived, ``grade(nrr)``.
+    names the first offending row. The labels are derived from the nrr
+    column by ``grade_column``.
     """
 
     _COLUMNS = (
@@ -305,7 +324,7 @@ class SupervisedSet(_RowSet):
     def __init__(self, query_ids: Sequence[str], product_ids: Sequence[str],
                  contexts: np.ndarray, nrr: Sequence[float]):
         self.contexts, self.nrr = self._store(query_ids, product_ids, (contexts, nrr))
-        self.labels = _read_only(np.fromiter(map(grade, self.nrr.tolist()), np.int64, len(self)))
+        self.labels = _read_only(grade_column(self.nrr))
 
     def __iter__(self) -> Iterator[SupervisedRow]:
         return map(SupervisedRow, self.query_ids, self.product_ids,

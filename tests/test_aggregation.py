@@ -1,9 +1,13 @@
 import io
 import logging
+import math
+import random
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditrank.aggregation import (
@@ -13,8 +17,79 @@ from banditrank.aggregation import (
     build_supervised,
     export_relevance_table,
 )
-from banditrank.data import grade
+from banditrank.data import SupervisedSet, grade, write_supervised
 from oracles import brute_aggregate
+
+logger = logging.getLogger("banditrank.aggregation")
+
+
+# A frozen copy of the per-pair aggregation that the column-wise table
+# replaced: one RelevanceEntry per pair in a dict sorted by pair, dict lookups
+# while sampling. TestPerPairCopy holds the columns to it bit for bit. It
+# lives here rather than in oracles.py, which the benchmark imports.
+def per_pair_aggregate(impressions, positives, visibility_threshold):
+    visibility = Counter(impressions)
+    pos_counts = Counter(positives)
+    kept = {pair: vis for pair, vis in visibility.items() if vis >= visibility_threshold}
+    rr = {pair: pos_counts.get(pair, 0) / vis for pair, vis in kept.items()}
+    max_rr = {}
+    for (q, _), r in rr.items():
+        max_rr[q] = max(max_rr.get(q, 0.0), r)
+    entries = {}
+    for pair in sorted(kept):
+        q = pair[0]
+        nrr = rr[pair] / max_rr[q] if max_rr[q] > 0 else 0.0
+        entries[pair] = RelevanceEntry(rr=rr[pair], nrr=nrr, label=grade(nrr))
+    return entries
+
+
+def per_pair_build(entries, shown_products, contexts, negative_ratio, seed):
+    rng = np.random.default_rng(seed)
+    by_query = {}
+    for q, p in sorted(entries):
+        by_query.setdefault(q, []).append(p)
+    pairs = []
+    for q, products in by_query.items():
+        positives = [p for p in products if entries[(q, p)].label > 0]
+        if not positives:
+            continue
+        candidates = sorted(
+            p for p in shown_products.get(q, set())
+            if (q, p) in entries and entries[(q, p)].label == 0
+        )
+        n_neg = min(int(math.floor(negative_ratio * len(positives))), len(candidates))
+        if n_neg == 0 and not candidates:
+            logger.warning("query %s has positives but no negative candidates", q)
+        sampled = (
+            [candidates[i] for i in rng.choice(len(candidates), size=n_neg, replace=False)]
+            if n_neg
+            else []
+        )
+        pairs += [(q, p) for p in positives + sorted(sampled)]
+    return per_pair_set(entries, pairs, [contexts[pair] for pair in pairs] or np.zeros((0, 0)))
+
+
+def per_pair_set(entries, pairs, contexts):
+    return SupervisedSet([q for q, _ in pairs], [p for _, p in pairs], contexts,
+                         [entries[pair].nrr for pair in pairs])
+
+
+def per_pair_export(entries, sink):
+    pairs = sorted(entries)
+    return write_supervised(per_pair_set(entries, pairs, np.zeros((len(pairs), 0))), sink)
+
+
+@contextmanager
+def warnings_logged():
+    """The messages that ``banditrank.aggregation`` logs inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
 
 
 def stream(pairs_with_counts):
@@ -147,10 +222,18 @@ class TestBuildSupervised:
         assert all(r.label > 0 for r in recs)
         assert any("no negative candidates" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("negative_ratio", [1e308, 1e200])
+    def test_a_ratio_whose_product_overflows_takes_every_candidate(self, negative_ratio):
+        table = toy_table()  # two positives and ten candidates
+        shown = {"q": {f"p{p:02d}" for p in range(12)}}
+        recs = build_supervised(table, shown, self.contexts(table), negative_ratio, seed=3)
+        assert recs == build_supervised(table, shown, self.contexts(table), 5.0, seed=3)
+        assert len(recs) == 12
+
     def test_queries_and_positives_in_sorted_order(self):
-        top = RelevanceEntry(rr=1.0, nrr=1.0, label=4)
         keys = [("q2", "b"), ("q1", "z"), ("q2", "a"), ("q1", "c")]
-        table = RelevanceTable({key: top for key in keys})
+        query_ids, product_ids = zip(*sorted(keys))
+        table = RelevanceTable(query_ids, product_ids, [1.0] * len(keys))
         recs = build_supervised(table, {}, {key: np.zeros(1) for key in keys}, 1.0)
         assert [(r.query_id, r.product_id) for r in recs] == sorted(keys)
 
@@ -170,3 +253,97 @@ class TestBuildSupervised:
         ctx = {k: np.zeros(1) for k in [("q", "a"), ("q", "b"), ("q", "c")]}
         recs = build_supervised(table, shown, ctx, 4.0, seed=0)
         assert {"c"} & {r.product_id for r in recs} == set()
+
+
+class TestRelevanceTableColumns:
+    def test_each_query_normalized_by_its_top_rate(self):
+        table = RelevanceTable(["q1", "q1", "q2", "q3"], ["a", "b", "a", "a"],
+                               [0.2, 0.4, 0.0, 0.5])
+        assert table.nrr.tolist() == [0.5, 1.0, 0.0, 1.0]
+        assert table.labels.tolist() == [2, 4, 0, 4]
+        assert table.query_starts.tolist() == [0, 2, 3]
+        assert table[("q1", "a")] == RelevanceEntry(rr=0.2, nrr=0.5, label=2)
+        assert ("q2", "a") in table and ("q2", "b") not in table and len(table) == 4
+
+    def test_empty(self):
+        table = RelevanceTable([], [], [])
+        assert len(table) == 0 and table.entries == {} and table.labels.dtype == np.int64
+        assert len(build_supervised(table, {}, {}, 1.0)) == 0
+
+    def test_columns_are_read_only(self):
+        table = RelevanceTable(["q"], ["a"], [0.5])
+        for column in (table.rr, table.nrr, table.labels, table.query_starts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    @pytest.mark.parametrize("query_ids,product_ids", [
+        (["q", "q"], ["b", "a"]), (["q2", "q1"], ["a", "a"]), (["q", "q"], ["a", "a"]),
+    ])
+    def test_pairs_out_of_order_or_repeated(self, query_ids, product_ids):
+        with pytest.raises(ValueError, match=r"^row 1: pair .* must be sorted and distinct$"):
+            RelevanceTable(query_ids, product_ids, [0.5, 0.5])
+
+    @pytest.mark.parametrize("rate", [-0.5, 1.5, float("nan")])
+    def test_rate_outside_the_unit_interval(self, rate):
+        with pytest.raises(ValueError, match=r"^row 1: rr .* must lie in \[0, 1\]$"):
+            RelevanceTable(["q", "q"], ["a", "b"], [0.5, rate])
+
+    def test_columns_of_different_lengths(self):
+        with pytest.raises(ValueError, match="expected one length"):
+            RelevanceTable(["q", "q"], ["a"], [0.5, 0.5])
+
+
+QUERIES, PRODUCTS = ["q0", "q1", "q2"], ["a", "b", "c", "d", "e"]
+PAIRS = [(q, p) for q in QUERIES for p in PRODUCTS]
+
+
+class TestPerPairCopy:
+    """The column-wise table, its sampling and its export hold the bits of the
+    frozen per-pair copy at the top of this file."""
+
+    contexts = {pair: np.array([float(i), float(len(pair[1]))]) for i, pair in enumerate(PAIRS)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # (impressions, positives) of each pair, few of each, so that rates
+        # tie; a pair with no impressions is not in the streams
+        counts=st.lists(st.tuples(st.sampled_from([0, 0, 1, 2, 3, 4, 6]),
+                                  st.sampled_from([0, 0, 1, 2, 3, 6])),
+                        min_size=len(PAIRS), max_size=len(PAIRS)),
+        threshold=st.integers(1, 4),
+        # each query's shown products: none at all, every one, or some
+        shown=st.lists(st.one_of(st.none(), st.just(set(PRODUCTS)),
+                                 st.sets(st.sampled_from(PRODUCTS))),
+                       min_size=len(QUERIES), max_size=len(QUERIES)),
+        negative_ratio=st.sampled_from([0.4, 1.0, 1.5, 2.0, 4.0, 50.0]),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(counts=[(0, 0)] * len(PAIRS), threshold=1, shown=[None] * len(QUERIES),
+             negative_ratio=1.0, seed=0, order=random.Random(0))  # an empty table
+    def test_same_bits(self, counts, threshold, shown, negative_ratio, seed, order):
+        impressions = stream({pair: seen for pair, (seen, _) in zip(PAIRS, counts)})
+        positives = stream({pair: min(seen, hit) for pair, (seen, hit) in zip(PAIRS, counts)})
+        order.shuffle(impressions)
+        order.shuffle(positives)
+        shown = {q: products for q, products in zip(QUERIES, shown) if products is not None}
+
+        entries = per_pair_aggregate(impressions, positives, threshold)
+        table = aggregate_feedback(impressions, positives, threshold)
+        assert list(zip(table.query_ids, table.product_ids)) == list(entries)
+        for name in ("rr", "nrr"):
+            assert ([x.hex() for x in getattr(table, name).tolist()]
+                    == [getattr(e, name).hex() for e in entries.values()])
+        assert table.labels.tolist() == [e.label for e in entries.values()]
+        assert table.entries == entries
+
+        with warnings_logged() as warned:
+            rows = build_supervised(table, shown, self.contexts, negative_ratio, seed)
+        with warnings_logged() as expected_warnings:
+            expected = per_pair_build(entries, shown, self.contexts, negative_ratio, seed)
+        assert rows == expected and rows.nrr.tobytes() == expected.nrr.tobytes()
+        assert warned == expected_warnings
+
+        tsv, expected_tsv = io.StringIO(), io.StringIO()
+        assert export_relevance_table(table, tsv) == per_pair_export(entries, expected_tsv)
+        assert tsv.getvalue().encode() == expected_tsv.getvalue().encode()

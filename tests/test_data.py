@@ -21,6 +21,7 @@ from banditrank.data import (
     MIN_PROPENSITY,
     SupervisedSet,
     grade,
+    grade_column,
     parse_bandit_log,
     read_supervised,
     split_queries,
@@ -826,6 +827,17 @@ class TestRowSets:
         assert self.log() != self.rows() and self.rows() != self.log()
 
 
+def near_a_boundary(k, offset):
+    """k/4 moved by ``offset``: an int counts ulps, a float is added; kept in [0, 1]."""
+    nrr = k / 4
+    if isinstance(offset, int):
+        for _ in range(abs(offset)):
+            nrr = math.nextafter(nrr, math.copysign(math.inf, offset))
+    else:
+        nrr += offset
+    return min(max(nrr, 0.0), 1.0)
+
+
 class TestGrade:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 4), st.integers(-4, 4))
@@ -834,6 +846,20 @@ class TestGrade:
         for _ in range(abs(ulps)):
             nrr = math.nextafter(nrr, math.copysign(math.inf, ulps))
         assert grade(min(max(nrr, 0.0), 1.0)) == k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(0.0, 1.0),
+        st.builds(near_a_boundary, st.integers(0, 4), st.one_of(
+            st.integers(-4, 4), st.sampled_from([1e-13, -1e-13, 1e-9, -1e-9]),
+            st.floats(-2e-9, 2e-9))),
+    ), max_size=40))
+    @example([5e-324, 1e-300, 0.25 + 1e-13, 0.25 - 1e-13, 0.5 + 1e-9, 0.5 - 1e-9,
+              math.nextafter(0.75, 1.0), math.nextafter(0.75, 0.0), 1.0 - 1e-13, 1e-13])
+    def test_column_rule_is_grade_entry_by_entry(self, values):
+        labels = grade_column(np.array(values, dtype=np.float64))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [grade(v) for v in values]
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 1.0), st.integers(1, 60), st.integers(0, 60), st.integers(1, 60))
