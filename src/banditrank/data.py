@@ -616,7 +616,7 @@ def read_supervised(source: IO | str) -> SupervisedSet:
     except LogValidationError as exc:
         rows, error = None, exc
     # every row before a rejected one has a valid nrr, so its label is checked first
-    expected = list(map(grade, nrr[:error.row].tolist())) if error else rows.labels.tolist()
+    expected = (grade_column(nrr[:error.row]) if error else rows.labels).tolist()
     if labels[:len(expected)] != expected:
         row = next(i for i, (a, b) in enumerate(zip(labels, expected)) if a != b)
         raise LogParseError(f"label {labels[row]} inconsistent with nrr {float(nrr[row])} "

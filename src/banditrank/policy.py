@@ -1,9 +1,9 @@
 """Stochastic binary-action policies with a softmax output.
 
 A policy scores a context with two logits (one per action) and turns them
-into action probabilities via a numerically stabilized softmax. Two scorer
-families are supported: a linear map and a one-hidden-layer tanh network;
-``_shapes`` is the one statement of each family's parameter arrays.
+into action probabilities via a numerically stabilized softmax. A policy is a
+stack of layers: tanh hidden layers (none if linear, one for an MLP), then a
+two-logit output layer; ``_shapes`` gives each kind's layer widths.
 Analytic gradients of the action probability with respect to every
 parameter are provided for importance-weighted training, each as one vector
 laid out like ``PolicyParams.flat``.
@@ -115,12 +115,12 @@ class PolicyParams:
 
 
 def _shapes(kind: str, feature_dim: int, hidden: int) -> list[tuple[int, ...]]:
-    """The array shapes of a ``kind`` policy, layer by layer, each weights before its bias."""
-    if kind == "linear":
-        return [(2, feature_dim), (2,)]
-    if kind == "mlp":
-        return [(hidden, feature_dim), (hidden,), (2, hidden), (2,)]
-    raise ValueError(f"unknown policy kind {kind!r}")
+    """The array shapes of a ``kind`` policy, layer by layer, each weights before its bias,
+    for layer widths (d, 2) if linear and (d, h, 2) if an MLP."""
+    if kind not in ("linear", "mlp"):
+        raise ValueError(f"unknown policy kind {kind!r}")
+    widths = (feature_dim, hidden, 2) if kind == "mlp" else (feature_dim, 2)
+    return [shape for n_in, n_out in zip(widths, widths[1:]) for shape in [(n_out, n_in), (n_out,)]]
 
 
 def _checked_shapes(kind: str, feature_dim: int, hidden: int) -> list[tuple[int, ...]]:
@@ -147,11 +147,11 @@ def init_params(
 
 
 def _forward(params: PolicyParams, contexts: np.ndarray):
-    """One forward pass over a batch of contexts.
+    """One forward pass over a batch of contexts, layer by layer.
 
-    Returns the checked batch X (m, d); its finite logits, action-major: Z (2, m),
-    whose row c holds every context's logit of action c; and, for an MLP, the
-    hidden activations H (m, h) that the backward pass reuses.
+    Returns each layer's input, the checked batch X (m, d) and then each tanh hidden
+    layer's activations (m, h), for the backward pass; and the finite logits,
+    action-major: Z (2, m), whose row c holds every context's logit of action c.
     """
     X = np.asarray(contexts, dtype=np.float64)
     if X.ndim == 1:
@@ -162,22 +162,22 @@ def _forward(params: PolicyParams, contexts: np.ndarray):
     if len(X) == 1:
         # BLAS takes a matrix-vector kernel for one row, which rounds unlike the
         # matrix-matrix kernel of a larger batch: compute the row twice, keep one.
-        _, Z, H = _forward(params, np.repeat(X, 2, axis=0))
-        return X, Z[:, :1], None if H is None else H[:1]
-    if params.kind == "linear":
-        (w, b), H = params.arrays, None
-    else:
-        w1, b1, w, b = params.arrays
-        H = X @ w1.T
-        H += b1
-        np.tanh(H, out=H)
+        inputs, Z = _forward(params, np.repeat(X, 2, axis=0))
+        return [A[:1] for A in inputs], Z[:, :1]
+    inputs = [X]
+    for k in range(0, len(params.arrays) - 2, 2):  # arrays k and k + 1: a hidden layer's w, b
+        A = inputs[-1] @ params.arrays[k].T
+        A += params.arrays[k + 1]
+        np.tanh(A, out=A)
+        inputs.append(A)
+    w, b = params.arrays[-2:]
     Z = np.empty((2, len(X)))
-    # the product (X or H) @ w.T, written through Z's transpose: the same BLAS call and bits
-    np.matmul(X if H is None else H, w.T, out=Z.T)
+    # the product inputs[-1] @ w.T, written through Z's transpose: the same BLAS call and bits
+    np.matmul(inputs[-1], w.T, out=Z.T)
     np.add(Z, b[:, None], out=Z)
     if not np.isfinite(Z).all():
         raise NonFiniteError("non-finite logits")
-    return X, Z, H
+    return inputs, Z
 
 
 # far below the largest float (1.8e308), so that no rounding of a bounded sum reaches it
@@ -188,17 +188,14 @@ def _logits_bounded(params: PolicyParams, x_max: float) -> bool:
     """Whether the logits of any contexts whose entries lie within ±``x_max`` are
     proved finite, with no forward pass.
 
-    Parameters are finite, so a pre-activation is at most Σ|w|·x_max + |b| in size;
-    an MLP's tanh units lie in [−1, 1], so its logits are at most Σ|w₂| + |b₂|. The
+    Parameters are finite, so a layer's pre-activation is at most Σ|w|·a + |b| in size
+    for inputs within ±a: ``x_max`` at the first layer, 1 (tanh) at each later one. The
     proof holds when every such bound is below ``_LOGIT_BOUND``; False proves nothing.
     """
-    w, b = params.arrays[:2]
+    input_bounds = [x_max] + [1.0] * (len(params.arrays) // 2 - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound fails
-        bounds = [np.abs(w).sum(axis=1) * x_max + np.abs(b)]
-        if params.kind == "mlp":
-            w2, b2 = params.arrays[2:]
-            bounds.append(np.abs(w2).sum(axis=1) + np.abs(b2))
-    return all(bound.max() < _LOGIT_BOUND for bound in bounds)
+        return all((np.abs(w).sum(axis=1) * a + np.abs(b)).max() < _LOGIT_BOUND for w, b, a
+                   in zip(params.arrays[::2], params.arrays[1::2], input_bounds))
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -265,22 +262,23 @@ def logit_gradient(
         row = np.flatnonzero(outside)[0]
         raise ValueError(f"class {given.ravel()[row]} at row {row}: classes must be 0 or 1")
     classes = given.astype(np.int64, copy=False)
-    X, Z, H = _forward(params, contexts)
-    if classes.shape != (len(X),):
-        raise _length_error(X, classes=classes)
-    G = np.empty((len(X), 2))
+    inputs, Z = _forward(params, contexts)
+    if classes.shape != (Z.shape[1],):
+        raise _length_error(inputs[0], classes=classes)
+    G = np.empty((Z.shape[1], 2))
     dlogits(_softmax(Z), np.take(_ONE_HOT, classes, axis=1), G.T)
     grad = np.empty(params.flat.size)
     parts = [grad[start:end].reshape(shape) for start, end, shape in params._layout]
-    if params.kind == "mlp":
-        dZ = G @ params.arrays[2]
-        dZ *= 1.0 - H * H
-        np.matmul(dZ.T, X, out=parts[0])
-        np.sum(dZ, axis=0, out=parts[1])
-    np.matmul(G.T, X if H is None else H, out=parts[-2])
+    np.matmul(G.T, inputs[-1], out=parts[-2])
     # G's column sums as G.sum(axis=0) adds them, in sequence from +0.0: here in
     # sequence from the first entry, then plus +0.0, which turns only a -0.0 into +0.0
     np.add(np.add.accumulate(G.T, axis=1)[:, -1], 0.0, out=parts[-1])
+    D = G  # back through the hidden layers, the top one first: hidden layer k outputs inputs[k + 1]
+    for k in reversed(range(len(inputs) - 1)):
+        D = D @ params.arrays[2 * k + 2]
+        D *= 1.0 - inputs[k + 1] * inputs[k + 1]
+        np.matmul(D.T, inputs[k], out=parts[2 * k])
+        np.sum(D, axis=0, out=parts[2 * k + 1])
     return grad
 
 

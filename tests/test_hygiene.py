@@ -1,7 +1,9 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source and test-settings hygiene checks that need only the standard library."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,3 +180,32 @@ def test_private_names_have_callers():
     private = {name for name in definitions(trees) if name.startswith("_")
                and not name.startswith("__")}
     assert private and private & uncalled(trees) == set()
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_reports_its_example_under_the_suite_settings(tmp_path):
+    """Under ``pyproject.toml``'s warning filters, a failing hypothesis property prints
+    its falsifying example and the run goes on to the next test, with no
+    ``INTERNALERROR`` from a warning raised while hypothesis reports the failure."""
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example: test_fails(" in output
+    assert "1 failed, 1 passed" in output and run.returncode == 1

@@ -390,6 +390,23 @@ class TestSerialization:
         buf.seek(0)
         assert PolicyParams.load(buf) == p
 
+    @pytest.mark.parametrize("kind, arrays, text", [
+        ("linear", [[[0.5, -1.25], [2.0, 0.0]], [0.125, -3.0]],
+         '{"kind": "linear", "feature_dim": 2, "hidden": 0, "arrays": [[0.5, -1.25, 2.0, 0.0], '
+         '[0.125, -3.0]], "shapes": [[2, 2], [2]]}'),
+        ("mlp", [[[0.5, -1.0], [0.25, 0.0], [-2.0, 1.5]], [0.0, 0.1, -0.2],
+                 [[1.0, -0.5, 0.75], [0.0, 2.0, -1.0]], [0.5, -0.5]],
+         '{"kind": "mlp", "feature_dim": 2, "hidden": 3, "arrays": [[0.5, -1.0, 0.25, 0.0, '
+         '-2.0, 1.5], [0.0, 0.1, -0.2], [1.0, -0.5, 0.75, 0.0, 2.0, -1.0], [0.5, -0.5]], '
+         '"shapes": [[3, 2], [3], [2, 3], [2]]}'),
+    ], ids=["linear", "mlp"])
+    def test_model_json_keeps_its_bytes(self, kind, arrays, text):
+        params = PolicyParams(kind, [np.array(a) for a in arrays])
+        buf = io.StringIO()
+        params.save(buf)
+        assert buf.getvalue() == text
+        assert PolicyParams.load(io.StringIO(text)) == params
+
     def test_integers_load_as_floats(self):
         model = {**LINEAR, "arrays": [[1, 0, 0, 2], [0, 0]]}
         loaded = PolicyParams.load(io.StringIO(json.dumps(model)))
@@ -480,3 +497,15 @@ class TestLogitBound:
         assert policy._logits_bounded(params, 1e6)
         assert not policy._logits_bounded(params, 1e301)
         assert not policy._logits_bounded(params, np.inf)
+
+    @pytest.mark.parametrize("x_max", [0.0, 1.0, 1e6])
+    def test_the_output_layer_is_bounded_by_tanh(self, x_max):
+        # the hidden layer's bound is 0.5·2·x_max + 0.25 at most; its tanh units lie in
+        # [-1, 1], so the output bound is Σ|w₂| + |b₂| at every x_max, 0 included
+        first = [np.full((3, 2), 0.5), np.full(3, 0.25)]
+        w2 = np.array([[1.0, -1e301, 0.5], [0.25, 2.0, -1.0]])
+        far = PolicyParams("mlp", [*first, w2, np.zeros(2)])
+        near = PolicyParams("mlp", [*first, w2 * 1e-2, np.zeros(2)])
+        assert not policy._logits_bounded(far, x_max)
+        assert policy._logits_bounded(near, x_max)
+        assert np.isfinite(policy._forward(near, np.full((2, 2), x_max))[1]).all()
