@@ -6,13 +6,11 @@ visibility), normalize by the per-query maximum rate, and grade on a 5-point
 scale with ceil(4 * NRR). The supervised dataset keeps every positive pair
 and negatively samples shown-but-unclicked products.
 
-The ``RelevanceTable`` is column-wise, like ``data.SupervisedSet``: its pairs
-sorted by (query, product), one array each of rates, normalized rates and
-labels. Its constructor derives the normalized rates from the rates over
-each query's run of rows, and the labels from the normalized rates with
-``data.grade_column``, the array form of the one grading rule ``data.grade``.
-Aggregation, sampling and export work on these columns; a per-pair record
-is built only when a caller reads ``entries``.
+The ``RelevanceTable`` is a row set, checked and stored by ``data._RowSet``
+like ``data.SupervisedSet``. It adds what no other row set has: its pairs
+sorted with none twice, each query's first row, nrr over each query's run and
+the labels of ``data.grade_column``. Aggregation, sampling and export work on
+these columns; a per-pair record is built only when a caller reads ``entries``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from banditrank.data import SupervisedSet, grade_column, write_supervised
+from banditrank.data import SupervisedSet, _read_only, _RowSet, grade_column, write_supervised
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +41,7 @@ class RelevanceEntry:
     label: int
 
 
-class RelevanceTable:
+class RelevanceTable(_RowSet):
     """Per (query, product): relevance rate, normalized rate, graded label.
 
     Columns: ``query_ids`` and ``product_ids`` lists, sorted by pair with no
@@ -52,17 +50,13 @@ class RelevanceTable:
     its rr over the largest rr of its query, or 0 where that is 0.
     """
 
+    _COLUMNS = (
+        ("rr", 0, lambda x: (x >= 0.0) & (x <= 1.0), np.float64, "rr", "must lie in [0, 1]"),)
+
     def __init__(self, query_ids: Sequence[str], product_ids: Sequence[str],
                  rr: Sequence[float]):
-        self.query_ids, self.product_ids = list(query_ids), list(product_ids)
-        self.rr = np.array(rr, dtype=np.float64)
-        n = len(self.query_ids)
-        if not len(self.product_ids) == len(self.rr) == n:
-            raise ValueError(f"columns of lengths {n}, {len(self.product_ids)} and "
-                             f"{len(self.rr)}; expected one length")
-        outside = np.flatnonzero(~((self.rr >= 0.0) & (self.rr <= 1.0)))  # NaN too
-        if len(outside):
-            raise ValueError(f"row {outside[0]}: rr {self.rr[outside[0]]!r} must lie in [0, 1]")
+        (self.rr,) = self._store(query_ids, product_ids, (rr,))
+        n = len(self)
         pairs = list(zip(self.query_ids, self.product_ids))
         if not all(map(operator.lt, pairs, islice(pairs, 1, None))):
             row = next(i for i in range(1, n) if not pairs[i - 1] < pairs[i])
@@ -70,13 +64,11 @@ class RelevanceTable:
                              f"{pairs[row - 1]!r}; pairs must be sorted and distinct")
         new_query = np.fromiter(map(operator.ne, islice(self.query_ids, 1, None), self.query_ids),
                                 bool, max(n - 1, 0))
-        self.query_starts = np.flatnonzero(np.concatenate(([n > 0], new_query)))
+        self.query_starts = _read_only(np.flatnonzero(np.concatenate(([n > 0], new_query))))
         top = np.repeat(np.maximum.reduceat(self.rr, self.query_starts),
                         np.diff(self.query_starts, append=n))
-        self.nrr = np.divide(self.rr, top, out=np.zeros(n), where=top > 0)
-        self.labels = grade_column(self.nrr)
-        for column in (self.rr, self.nrr, self.labels, self.query_starts):
-            column.flags.writeable = False
+        self.nrr = _read_only(np.divide(self.rr, top, out=np.zeros(n), where=top > 0))
+        self.labels = _read_only(grade_column(self.nrr))
 
     @cached_property
     def entries(self) -> dict[tuple[str, str], RelevanceEntry]:
@@ -87,9 +79,6 @@ class RelevanceTable:
 
     def __getitem__(self, key: tuple[str, str]) -> RelevanceEntry:
         return self.entries[key]
-
-    def __len__(self) -> int:
-        return len(self.query_ids)
 
     def __contains__(self, key) -> bool:
         return key in self.entries
@@ -106,7 +95,7 @@ def aggregate_feedback(
     events; each occurrence counts once. Pairs whose visibility falls below
     the threshold are dropped before any rate is computed.
     """
-    if visibility_threshold < 1:
+    if not visibility_threshold >= 1:  # NaN too
         raise ValueError(f"visibility_threshold must be >= 1, got {visibility_threshold}")
     visibility = Counter(impressions)
     pos_counts = Counter(positives)

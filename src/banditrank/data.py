@@ -6,18 +6,18 @@ the normalized relevance rates they come from). A log's records repeat the
 same query-product contexts, so it holds each distinct context row once: a
 table ``context_table`` (k, d) and each record's row index ``context_rows``
 (n,). Its ``contexts`` (n, d) is a computed copy; the simulator, the reader
-and the writer, the estimators and the trainers all work on the table. Both
-constructors make one shared check of their rows, which names the first bad
-one; the readers report it by line. ``grade`` is the one graded-label rule,
-ceil(4 * nrr), and ``grade_column`` applies it to a whole array at once. A
-``SupervisedSet`` and the column-wise ``aggregation.RelevanceTable`` derive
-their labels from their nrr column with it, and the supervised reader checks a
-file's label column against them.
+and the writer, the estimators and the trainers all work on the table. These
+two and ``aggregation.RelevanceTable`` are row sets, whose constructors make one
+shared check of their rows, which names the first bad one; the readers report
+it by line. ``grade`` is the one graded-label rule, ceil(4 * nrr), and
+``grade_column`` applies it to a whole array at once. The supervised set and
+the table derive their labels from their nrr column with it, and the
+supervised reader checks a file's label column against them.
 
 Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 ``json.dumps`` with its default separators of a dict with keys ``query_id``,
 ``product_id``, ``features``, ``action``, ``propensity``, ``delta`` in that
-order; ``tests/oracles.jsonl_lines`` pins these bytes. An optional first line
+order; ``tests/reference.jsonl_lines`` pins these bytes. An optional first line
 holding ``{"_meta": {...}}`` carries log metadata.
 
 The writer formats each table row once. The reader takes ``_BLOCK_ROWS``
@@ -28,7 +28,7 @@ once, into rows of the log's width, and its propensities; every other line is
 parsed on its own. Either way a record takes its row of the one context table
 by a key, its features text on the bulk path, else their float bytes, so a
 context holds at most two rows. Both paths give the same log, or the same
-error at the same line, as ``tests/oracles.parse_lines``, the per-line parser.
+error at the same line, as ``tests/reference.parse_lines``, the per-line parser.
 
 Supervised data is a tab-separated file with a header row:
 ``query_id  product_id  label  nrr  f0 ... f{d-1}``.
@@ -138,14 +138,14 @@ def _row_index(rows, n: int, k: int) -> np.ndarray:
 
 
 # A column's rule: (name, dimensions of one row, test of each element, dtype,
-# name in messages, what the rule asks). Both row sets state contexts first.
+# name in messages, what the rule asks). The row sets with contexts state them first.
 _CONTEXTS = ("contexts", 1, np.isfinite, np.float64, "context",
              "must be a flat list of finite numbers as long as the first")
 
 
 class _RowSet:
     """Rows held column-wise: ``query_ids`` and ``product_ids`` lists of strings,
-    then one read-only array per entry of ``_COLUMNS``, the contexts first.
+    then one read-only array per entry of ``_COLUMNS``.
 
     ``_store`` is the one check of the columns; a failure names the first
     offending row across every column.
@@ -153,8 +153,8 @@ class _RowSet:
 
     def _store(self, query_ids, product_ids, columns, rows=None) -> list[np.ndarray]:
         """Check ``columns`` against ``_COLUMNS``, keep the ids and return read-only
-        columns. With ``rows``, each row's checked index into them, the contexts
-        are a table."""
+        columns. With ``rows``, each row's checked index into it, the first column
+        is a table."""
         n = len(query_ids)
         names = ["product_ids", *(spec[0] for spec in self._COLUMNS)]
         sized = [product_ids, *columns]
@@ -177,10 +177,6 @@ class _RowSet:
         self.query_ids = list(query_ids)
         self.product_ids = list(product_ids)
         return list(map(_read_only, checked))
-
-    @property
-    def feature_dim(self) -> int:
-        return self.contexts.shape[1]
 
     def __len__(self) -> int:
         return len(self.query_ids)
@@ -325,6 +321,10 @@ class SupervisedSet(_RowSet):
                  contexts: np.ndarray, nrr: Sequence[float]):
         self.contexts, self.nrr = self._store(query_ids, product_ids, (contexts, nrr))
         self.labels = _read_only(grade_column(self.nrr))
+
+    @property
+    def feature_dim(self) -> int:
+        return self.contexts.shape[1]
 
     def __iter__(self) -> Iterator[SupervisedRow]:
         return map(SupervisedRow, self.query_ids, self.product_ids,
@@ -559,14 +559,22 @@ def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     return len(log)
 
 
+def _check_ids(columns: Sequence[Sequence[str]], trec: bool = False, name: str = "id") -> None:
+    """Fail before a writer writes a line on the first string of ``columns``, row by
+    row, that breaks its field: in TSV a tab or a line end (universal newlines split
+    at "\\r" too), in trec_eval whitespace or no character at all."""
+    pattern, rule = ((r"\s|^$", "is empty or holds whitespace, unfit for trec_eval") if trec
+                     else (r"[\t\n\r]", "holds a tab or a line end, unfit for TSV"))
+    breaks = re.compile(pattern).search
+    if any(breaks("".join(ids)) or trec and "" in ids for ids in columns if ids):
+        row, bad = next((row, i) for row, ids in enumerate(zip(*columns)) for i in ids if breaks(i))
+        raise LogValidationError(f"{name} {bad!r} {rule}", row)
+
+
 def write_supervised(rows: SupervisedSet, sink: IO | str) -> int:
     """Write supervised rows as TSV with a header row. An id that holds a tab or a
     line end fails, naming its row, before any line is written."""
-    breaks = re.compile(r"[\t\n\r]").search  # reading with universal newlines splits at "\r" too
-    if breaks("".join(rows.query_ids) + "".join(rows.product_ids)):
-        row, bad = next((row, i) for row, ids in enumerate(zip(rows.query_ids, rows.product_ids))
-                        for i in ids if breaks(i))
-        raise LogValidationError(f"id {bad!r} holds a tab or a line end, unfit for TSV", row)
+    _check_ids((rows.query_ids, rows.product_ids))
     header = ["query_id", "product_id", "label", "nrr"]
     header += [f"f{j}" for j in range(rows.contexts.shape[1])]
     with open_text(sink, "w") as out:

@@ -16,7 +16,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from banditrank.data import open_text
+from banditrank.data import _check_ids, open_text
 
 # Cut-offs k of P@k and NDCG@k: the default of ``RankIndex``, and so of the
 # dev-set metrics of training runs and of the CLI's ``evaluate``.
@@ -202,6 +202,8 @@ class RankIndex:
 
     def write_trec_run(self, scores: Sequence[float], run_tag: str, sink: IO | str) -> int:
         """Write the ranking by ``scores`` as a trec_eval run file; returns the line count."""
+        _check_ids((self.query_ids, self.product_ids), trec=True)
+        _check_ids(([run_tag],), trec=True, name="run tag")
         order = self.order(scores)
         ranked = np.asarray(scores, dtype=np.float64)[order].tolist()
         with open_text(sink, "w") as out:
@@ -228,10 +230,10 @@ def rank_metrics(
 
 
 def write_qrels(labels: Mapping[tuple[str, str], int], sink: IO | str) -> int:
-    """Emit graded judgments as 'query_id 0 product_id grade' lines."""
-    n = 0
+    """Emit graded judgments as 'query_id 0 product_id grade' lines, sorted by pair."""
+    pairs = sorted(labels)
+    _check_ids(list(zip(*pairs)), trec=True)
     with open_text(sink, "w") as out:
-        for (q, p), grade in sorted(labels.items()):
-            out.write(f"{q} 0 {p} {int(grade)}\n")
-            n += 1
-    return n
+        for q, p in pairs:
+            out.write(f"{q} 0 {p} {int(labels[q, p])}\n")
+    return len(pairs)

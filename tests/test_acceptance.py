@@ -42,8 +42,8 @@ from banditrank.training import (
     train_ea,
 )
 from conftest import random_log
-from oracles import (
-    brute_aggregate,
+from oracles import brute_aggregate
+from reference import (
     brute_ea,
     brute_ips,
     brute_lagrangian,

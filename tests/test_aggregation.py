@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import random
+import re
 from collections import Counter
 from contextlib import contextmanager
 
@@ -17,7 +18,7 @@ from banditrank.aggregation import (
     build_supervised,
     export_relevance_table,
 )
-from banditrank.data import SupervisedSet, grade, write_supervised
+from banditrank.data import LogValidationError, SupervisedSet, grade, write_supervised
 from oracles import brute_aggregate
 
 logger = logging.getLogger("banditrank.aggregation")
@@ -26,7 +27,9 @@ logger = logging.getLogger("banditrank.aggregation")
 # A frozen copy of the per-pair aggregation that the column-wise table
 # replaced: one RelevanceEntry per pair in a dict sorted by pair, dict lookups
 # while sampling. TestPerPairCopy holds the columns to it bit for bit. It
-# lives here rather than in oracles.py, which the benchmark imports.
+# stays with its one user, this file: not in reference.py, which holds the
+# oracles that several test files share, nor in oracles.py, which the benchmark
+# imports and which holds brute_aggregate alone.
 def per_pair_aggregate(impressions, positives, visibility_threshold):
     visibility = Counter(impressions)
     pos_counts = Counter(positives)
@@ -148,6 +151,13 @@ class TestAggregateFeedback:
         with pytest.raises(ValueError, match=r"^row 1: id 'b\\r' holds a tab or a line end"):
             export_relevance_table(table, buf)
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("threshold", [0, -1, float("nan")])
+    def test_visibility_threshold_below_one_or_nan(self, threshold):
+        # NaN compares false with everything: a check written `threshold < 1` let it
+        # through, and no pair's visibility reached it, so the table came out empty
+        with pytest.raises(ValueError, match=r"^visibility_threshold must be >= 1, got "):
+            aggregate_feedback(stream({("q", "a"): 60}), [], threshold)
 
     def test_positives_exceed_visibility(self):
         with pytest.raises(ValueError):
@@ -285,12 +295,32 @@ class TestRelevanceTableColumns:
 
     @pytest.mark.parametrize("rate", [-0.5, 1.5, float("nan")])
     def test_rate_outside_the_unit_interval(self, rate):
-        with pytest.raises(ValueError, match=r"^row 1: rr .* must lie in \[0, 1\]$"):
+        with pytest.raises(LogValidationError,
+                           match=rf"^row 1: rr must lie in \[0, 1\], got {re.escape(repr(rate))}$"):
             RelevanceTable(["q", "q"], ["a", "b"], [0.5, rate])
 
     def test_columns_of_different_lengths(self):
-        with pytest.raises(ValueError, match="expected one length"):
+        with pytest.raises(LogValidationError, match=r"^product_ids has length 1, expected 2$"):
             RelevanceTable(["q", "q"], ["a"], [0.5, 0.5])
+
+    @pytest.mark.parametrize("query_ids,row,bad", [([1, 2], 0, "1"), (["q", 1], 1, "1")])
+    def test_an_id_that_is_not_a_string(self, query_ids, row, bad):
+        with pytest.raises(LogValidationError,
+                           match=rf"^row {row}: query_id must be a string, got {bad}$"):
+            RelevanceTable(query_ids, ["a", "a"], [0.5, 0.5])
+        with pytest.raises(LogValidationError,
+                           match=rf"^row {row}: product_id must be a string, got {bad}$"):
+            RelevanceTable(["q1", "q2"], query_ids, [0.5, 0.5])
+
+    def test_equality_by_columns(self):
+        columns = (["q1", "q1", "q2"], ["a", "b", "a"], [0.2, 0.4, 0.0])
+        table, same = RelevanceTable(*columns), RelevanceTable(*columns)
+        assert table == same and table is not same
+        assert table.entries and table == same and same == table  # entries read on one side
+        assert same.entries and table == same  # and on both
+        assert table != RelevanceTable(*columns[:2], [0.2, 0.4, 0.1])
+        assert table != RelevanceTable(["q1", "q1", "q3"], *columns[1:])
+        assert table != RelevanceTable([], [], [])
 
 
 QUERIES, PRODUCTS = ["q0", "q1", "q2"], ["a", "b", "c", "d", "e"]

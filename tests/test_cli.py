@@ -222,6 +222,7 @@ def inputs(tmp_path_factory):
     write_json(root / "tree.json", {"policy": "tree"})
     write_json(root / "epochs_bool.json", {"epochs": True})
     write_json(root / "ks_strings.json", {"ks": ["5"]})
+    write_json(root / "spaced_tag.json", {"run_tag": "my run"})
     write_json(root / "log_number.json", {"log": 5})
     write_json(root / "diverging.json", {"learning_rate": 1e308, "epochs": 1})
     write_json(root / "model_list.json", [1, 2])
@@ -249,7 +250,8 @@ def inputs(tmp_path_factory):
             "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "top_fraction_5",
             "nan_learning_rate",
             "huge_noise", "huge_temperature", "huge_learning_rate",
-            "hidden_float", "no_hidden", "tree", "epochs_bool", "ks_strings", "log_number",
+            "hidden_float", "no_hidden", "tree", "epochs_bool", "ks_strings", "spaced_tag",
+            "log_number",
             "diverging", "model_list", "model_no_arrays", "model_numbers", "model_bool",
             "model_string", "model_long", "model_short", "model_no_hidden")},
     }
@@ -355,6 +357,9 @@ ERRORS = [
     ("list of the wrong element type",
      ["evaluate", "--config", "{ks_strings}", "--model", "{model}", "--test", "{test}"], 1,
      "ks: expected list of int, got ['5']"),
+    ("run tag with a space",
+     ["evaluate", "--config", "{spaced_tag}", "--model", "{model}", "--test", "{test}"], 1,
+     "run tag 'my run' is empty or holds whitespace, unfit for trec_eval"),
     ("number for a required input", ["train-crm", "--config", "{log_number}", "--dev", "{dev}"],
      1, "log: expected str, got 5"),
     ("pairs line with one field",

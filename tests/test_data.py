@@ -40,7 +40,7 @@ from banditrank.simulator import (
 )
 from banditrank.training import TrainConfig, evaluate_policy, train_crm
 from conftest import random_log, supervised
-from oracles import jsonl_lines, parse_lines, rows, tsv_lines
+from reference import jsonl_lines, parse_lines, rows, tsv_lines
 
 
 def record_line(qid="q1", pid="p1", features=(0.5, -1.0), action=1, propensity=0.8, delta=0):
@@ -530,7 +530,7 @@ def parse_outcome(parse, text):
 
 
 class TestBlockParse:
-    """``parse_bandit_log`` reads in blocks and gives what ``oracles.parse_lines`` gives."""
+    """``parse_bandit_log`` reads in blocks and gives what ``reference.parse_lines`` gives."""
 
     @settings(max_examples=200, deadline=None)
     @given(mutated_log_texts())

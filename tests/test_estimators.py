@@ -23,7 +23,7 @@ from banditrank.policy import PolicyParams, batch_probabilities, init_params
 from banditrank.simulator import SimConfig, generate_world, simulate_log
 from banditrank.training import Checkpoint, TrainHistory, evaluate_policy
 from conftest import identity_policy, random_log, supervised
-from oracles import (
+from reference import (
     brute_ea,
     brute_ips,
     brute_lagrangian,

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from banditrank.data import LogValidationError
 from banditrank.evaluation import DEFAULT_KS, RankIndex, rank_metrics, write_qrels
 from banditrank.policy import PolicyParams, logit_margin
 from banditrank.training import evaluate_policy
 from conftest import supervised
-from oracles import (
+from reference import (
     loop_rank_metrics,
     trec_eval_map,
     trec_eval_mrr,
@@ -308,6 +310,28 @@ class TestTrecRun:
         buf = io.StringIO()
         assert write_qrels({("q1", "a"): 3, ("q0", "b"): 0}, buf) == 2
         assert buf.getvalue().splitlines() == ["q0 0 b 0", "q1 0 a 3"]
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", ["q X", "", "a\tb", "a\n", "\u00a0a"])
+    def test_an_id_that_breaks_a_field_fails_before_any_line(self, column, bad):
+        # trec_eval splits its lines at whitespace: such an id would shift every field after it
+        ids = [["q1", "q1", "q2"], ["a", "b", "a"]]
+        ids[column][2] = bad
+        message = rf"id {re.escape(repr(bad))} is empty or holds whitespace, unfit for trec_eval$"
+        buf = io.StringIO()
+        with pytest.raises(LogValidationError, match="^row 2: " + message):
+            RankIndex(*ids, [1, 0, 1]).write_trec_run([3.0, 2.0, 1.0], "tag", buf)
+        with pytest.raises(LogValidationError, match=r"^row \d: " + message):
+            write_qrels(dict(zip(zip(*ids), [1, 0, 1])), buf)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("tag", ["my run", "", "tag\n"])
+    def test_a_run_tag_that_breaks_a_field_fails_before_any_line(self, tag):
+        buf = io.StringIO()
+        with pytest.raises(LogValidationError, match=rf"^row 0: run tag {re.escape(repr(tag))} "
+                                                     "is empty or holds whitespace"):
+            RankIndex(["q"], ["a"], [1]).write_trec_run([1.0], tag, buf)
+        assert buf.getvalue() == ""
 
 
 class TestUnjudgedQueryFixture:

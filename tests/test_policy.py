@@ -21,7 +21,7 @@ from banditrank.policy import (
 )
 from banditrank.training import evaluate_policy
 from conftest import identity_policy, supervised
-from oracles import finite_difference_gradient, flatten, init_params_by_kind, unflatten
+from reference import finite_difference_gradient, flatten, init_params_by_kind, unflatten
 from row_major import (
     coefficient_dlogits,
     cross_entropy_dlogits,

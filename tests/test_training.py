@@ -40,7 +40,7 @@ from banditrank.training import (
     train_full_info,
 )
 from conftest import random_log, supervised
-from oracles import adam_step_arrays, lambda_search_by_probes
+from reference import adam_step_arrays, lambda_search_by_probes
 
 
 def cfg(**overrides):
