@@ -106,7 +106,12 @@ def aggregate_feedback(
                 f"{visibility.get(pair, 0)} impressions"
             )
 
-    kept = sorted(pair for pair, vis in visibility.items() if vis >= visibility_threshold)
+    products: dict[str, list[str]] = {}
+    for (query, product), vis in visibility.items():
+        if vis >= visibility_threshold:
+            products.setdefault(query, []).append(product)
+    # the pairs in (query, product) order: cheaper than sorting them as tuples
+    kept = [(query, product) for query in sorted(products) for product in sorted(products[query])]
     n = len(kept)
     seen = np.fromiter(map(visibility.__getitem__, kept), np.float64, n)
     clicked = np.fromiter(map(pos_counts.get, kept, repeat(0)), np.float64, n)

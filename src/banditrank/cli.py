@@ -39,6 +39,7 @@ from banditrank import aggregation, simulator
 from banditrank.data import (
     LogParseError,
     SupervisedSet,
+    _check_ids,
     open_text,
     parse_bandit_log,
     read_supervised,
@@ -311,6 +312,9 @@ def cmd_evaluate(cfg: dict) -> dict:
     test = _read(read_supervised, cfg["test"])
     if not test:
         raise CliError("test set is empty")
+    # the trec writers' id rule, before anything is scored, printed or written
+    _check_ids((test.query_ids, test.product_ids), trec=True)
+    _check_ids(([cfg["run_tag"]],), trec=True, name="run tag")
     index = RankIndex(test.query_ids, test.product_ids, test.labels, cfg["ks"])
     scores = logit_margin(params, test.contexts)
     metrics = index.report(scores)

@@ -20,15 +20,18 @@ Bandit logs are UTF-8 line-delimited JSON. Each record line is exactly
 order; ``tests/reference.jsonl_lines`` pins these bytes. An optional first line
 holding ``{"_meta": {...}}`` carries log metadata.
 
-The writer formats each table row once. The reader takes ``_BLOCK_ROWS``
-lines at a time. In each block, a run of lines of the writer's exact shape, with
-ids that need no escape and numbers in number characters only, takes the bulk
-path as a whole if one ``json.loads`` decodes its new features texts, each
-once, into rows of the log's width, and its propensities; every other line is
-parsed on its own. Either way a record takes its row of the one context table
-by a key, its features text on the bulk path, else their float bytes, so a
-context holds at most two rows. Both paths give the same log, or the same
-error at the same line, as ``tests/reference.parse_lines``, the per-line parser.
+The writer formats each table row, each distinct id and each distinct
+propensity once. The reader takes ``_BLOCK_ROWS`` lines at a time. A block
+whose every line has the writer's exact shape, with ids that need no escape and
+numbers in number characters only, is matched in one call, one match per line;
+any other block is matched line by line. In each block, a run of lines of that
+shape takes the bulk path as a whole if one ``json.loads`` decodes its new
+features texts, each once, into rows of the log's width, and its propensities;
+every other line is parsed on its own. Either way a record takes its row of
+the one context table by a key, its features text on the bulk path, else their
+float bytes, so a context holds at most two rows. Both paths give the same log,
+or the same error at the same line, as ``tests/reference.parse_lines``, the
+per-line parser.
 
 Supervised data is a tab-separated file with a header row:
 ``query_id  product_id  label  nrr  f0 ... f{d-1}``.
@@ -370,20 +373,26 @@ _RECORD_KEYS = {"query_id", "product_id", "features", "action", "propensity", "d
 _BLOCK_ROWS = 256
 
 # A record line as ``json.dumps`` of the record's dict gives it. Ids and features
-# are filled in already JSON-encoded; ``%d`` and ``%r`` write an int and a finite
-# float as json does.
+# are filled in already JSON-encoded, and so is the propensity; ``%d`` writes an
+# int as json does.
 _RECORD_LINE = ('{"query_id": %s, "product_id": %s, "features": %s, '
-                '"action": %d, "propensity": %r, "delta": %d}\n')
+                '"action": %d, "propensity": %s, "delta": %d}\n')
 
 # The lines of ``_RECORD_LINE``'s shape that the reader's bulk path takes: ids
 # with no escape or control character, which json would read as they stand, and
 # features and propensity written with number characters only, the propensity
 # with a point or an exponent, so that json reads it as a float. The features'
 # brackets are their own two, so each captured piece is one JSON value or none.
+# No piece holds a line end, so each match is a whole line, anchored by ``^`` and
+# ``$``: ``fullmatch`` tests one line, and ``findall`` over a block of lines finds
+# one match per line if and only if every line is in this shape.
 _WRITTEN_RECORD = re.compile(
-    r'\{"query_id": "([^"\\\x00-\x1f]*)", "product_id": "([^"\\\x00-\x1f]*)", '
+    r'^\{"query_id": "([^"\\\x00-\x1f]*)", "product_id": "([^"\\\x00-\x1f]*)", '
     r'"features": (\[[-+.0-9eE, ]*\]), "action": ([01]), '
-    r'"propensity": ([-+0-9]*[.eE][-+.0-9eE]*), "delta": ([01])\}\n?')
+    r'"propensity": ([-+0-9]*[.eE][-+.0-9eE]*), "delta": ([01])\}$\n?', re.M)
+
+
+_BIT = {"0": 0, "1": 1}.__getitem__  # an action or delta field of ``_WRITTEN_RECORD``
 
 
 def _read_run(groups: list[tuple], row_of: dict, table: array, width, share) -> tuple | None:
@@ -404,7 +413,7 @@ def _read_run(groups: list[tuple], row_of: dict, table: array, width, share) -> 
     row_of.update(zip(new, range(len(row_of), len(row_of) + len(new))))
     table.extend(new_rows)
     return width, (map(share, qids, qids), map(share, pids, pids), map(row_of.__getitem__, texts),
-                   map(int, actions), values[len(new):], map(int, deltas))
+                   map(_BIT, actions), values[len(new):], map(_BIT, deltas))
 
 
 def parse_bandit_log(source: IO | str) -> BanditLog:
@@ -448,7 +457,9 @@ def _read_log(stream: IO[str]) -> tuple[dict[str, str], list, np.ndarray, array,
     while (error is None and contexts is None
            and (block := list(islice(stream, _BLOCK_ROWS)))):
         start = end  # the lines before the block
-        groups = [match and match.groups() for match in map(_WRITTEN_RECORD.fullmatch, block)]
+        groups = _WRITTEN_RECORD.findall("".join(block))
+        if len(groups) != len(block):
+            groups = [match and match.groups() for match in map(_WRITTEN_RECORD.fullmatch, block)]
         for shaped, run in groupby(groups, bool):
             run = list(run)
             first, end = end + 1, end + len(run)
@@ -537,9 +548,21 @@ def _parse_line(line: str, line_no: int) -> dict:
 def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
     """Write a bandit log; numeric fields keep full precision (repr round-trip).
 
-    Each context-table row and each distinct id is formatted once. No record
-    line carries the log's width, so a log without records reads back with width 0.
+    Each context-table row, each distinct id and each distinct propensity is
+    formatted once. No record line carries the log's width, so a log without
+    records reads back with width 0.
     """
+    # repr of a finite float is json's, and equal propensities are one float (none
+    # is zero). The texts are made a block at a time and held as bytes of one width,
+    # each record's index in the smallest type, and the values freed before the table
+    # is formatted: a str per value and an intp per record would hold about one
+    # context row per record where every propensity is distinct.
+    values, propensity_of = np.unique(log.propensities, return_inverse=True)
+    propensity_of = propensity_of.astype(np.min_scalar_type(len(values)))
+    propensities = np.concatenate([np.zeros(0, "S1"), *(
+        np.array(list(map(repr, values[start:start + _BLOCK_ROWS].tolist())), "S")
+        for start in range(0, len(values), _BLOCK_ROWS))])
+    del values
     # A block of rows at a time, as a tolist() of the whole table lifts the write's
     # peak memory above the parse's; str of a list of finite floats is json.dumps's.
     table = log.context_table
@@ -553,7 +576,8 @@ def write_bandit_log(log: BanditLog, sink: IO | str) -> int:
             records = zip(map(ids.__getitem__, log.query_ids[block]),
                           map(ids.__getitem__, log.product_ids[block]),
                           map(texts.__getitem__, log.context_rows[block].tolist()),
-                          log.actions[block].tolist(), log.propensities[block].tolist(),
+                          log.actions[block].tolist(),
+                          map(bytes.decode, propensities[propensity_of[block]].tolist()),
                           log.deltas[block].tolist())
             out.write("".join([_RECORD_LINE % record for record in records]))
     return len(log)

@@ -238,6 +238,8 @@ def inputs(tmp_path_factory):
     (root / "one_field.tsv").write_text("q1\tp0\nq1\n")
     (root / "short_row.tsv").write_text((sim / "dev.tsv").read_text() + "q1\tp1\n")
     (root / "bad_line.jsonl").write_text((sim / "log.jsonl").read_text() + '{"query_id": 1}\n')
+    header, first, *rest = (sim / "test.tsv").read_text().splitlines(keepends=True)
+    (root / "spaced_id.tsv").write_text("".join([header, "q X" + first[first.index("\t"):], *rest]))
     paths = {
         "log": sim / "log.jsonl", "dev": sim / "dev.tsv", "test": sim / "test.tsv",
         "model": sim / "logging_policy.json", "absent": root / "absent.tsv",
@@ -245,7 +247,7 @@ def inputs(tmp_path_factory):
         "bad_json": root / "bad.json", "list_json": root / "list.json",
         "unknown_key": root / "unknown.json", "no_probes": root / "no_probes.json",
         "one_field": root / "one_field.tsv", "short_row": root / "short_row.tsv",
-        "bad_line": root / "bad_line.jsonl",
+        "bad_line": root / "bad_line.jsonl", "spaced_id": root / "spaced_id.tsv",
         **{name: root / f"{name}.json" for name in (
             "ratios_str", "two_ratios", "nan_ratio", "nan_temperature", "top_fraction_5",
             "nan_learning_rate",
@@ -360,6 +362,8 @@ ERRORS = [
     ("run tag with a space",
      ["evaluate", "--config", "{spaced_tag}", "--model", "{model}", "--test", "{test}"], 1,
      "run tag 'my run' is empty or holds whitespace, unfit for trec_eval"),
+    ("test id with a space", ["evaluate", "--model", "{model}", "--test", "{spaced_id}"], 1,
+     "id 'q X' is empty or holds whitespace, unfit for trec_eval"),
     ("number for a required input", ["train-crm", "--config", "{log_number}", "--dev", "{dev}"],
      1, "log: expected str, got 5"),
     ("pairs line with one field",
@@ -392,6 +396,16 @@ class TestErrors:
         assert "Traceback" not in err
         # numpy's warnings would reach stderr before the error line outside pytest
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("config, test", [(None, "spaced_id"), ("spaced_tag", "test")],
+                             ids=["test id", "run tag"])
+    def test_evaluate_checks_trec_ids_before_any_output(self, inputs, tmp_path, capsys, config,
+                                                        test):
+        out = tmp_path / "out"
+        argv = ["evaluate", "--model", inputs["model"], "--test", inputs[test], "--out", str(out)]
+        assert run(argv + (["--config", inputs[config]] if config else [])) == 1
+        assert capsys.readouterr().out == ""
+        assert list(out.iterdir()) == []
 
 
 class TestDivergence:

@@ -230,6 +230,25 @@ def pooled_logs(draw, id_texts=st.text("q\u00e9\u4e2d\U0001f600\"\\\n", max_size
     return BanditLog(**one_row_per_record(draw(pooled_tables(id_texts))))
 
 
+# Propensities that the writer formats once each: values that repr writes in
+# exponent form, 1.0, and each one's neighbour one ulp away.
+POOLED_PROPENSITIES = [0.5, 0.1, 1e-09, 2.5e-07, 1e-05, 1.0]
+POOLED_PROPENSITIES += [float(np.nextafter(x, 0.5)) for x in POOLED_PROPENSITIES if x != 0.5]
+
+
+@st.composite
+def pooled_propensity_logs(draw):
+    """The logs of ``pooled_tables`` with propensities drawn, with repeats, from
+    ``POOLED_PROPENSITIES``; an empty log has width 0, as its file reads back."""
+    columns = draw(pooled_tables(st.text("qp01 ._-\u00e9", max_size=3)))
+    n = len(columns["query_ids"])
+    columns["propensities"] = draw(st.lists(st.sampled_from(POOLED_PROPENSITIES),
+                                            min_size=n, max_size=n))
+    if not n:
+        columns["contexts"] = np.zeros((0, 0))
+    return BanditLog(**columns)
+
+
 class TestRoundTrip:
     def roundtrip(self, log):
         buf = io.StringIO()
@@ -269,6 +288,20 @@ class TestRoundTrip:
             mp.setattr(data, "_BLOCK_ROWS", BLOCK)
             write_bandit_log(log, buf)
         assert buf.getvalue() == "".join(jsonl_lines(log))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_propensity_logs())
+    @example(BanditLog([], [], np.zeros((0, 0)), [], [], []))
+    def test_repeated_propensities_keep_their_bytes(self, log):
+        for block in (1, BLOCK, 256):
+            buf = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_BLOCK_ROWS", block)
+                write_bandit_log(log, buf)
+                assert buf.getvalue() == "".join(jsonl_lines(log)), block
+                buf.seek(0)
+                back = parse_bandit_log(buf)
+            assert back == log and back.propensities.tobytes() == log.propensities.tobytes()
 
     def test_tiny_propensity_survives(self):
         log = BanditLog(["q"], ["p"], np.array([[1.0]]), [1], [1e-9], [1])
@@ -582,6 +615,31 @@ class TestBlockParse:
             outcome = parse_outcome(parse_bandit_log, text)
         assert outcome == parse_outcome(parse_lines, text)
         assert outcome[0] is LogParseError and outcome[2] in (3, 4)
+
+    # Lines that a block's one match must not take for writer lines, put in among
+    # writer lines; "" puts in nothing, so its blocks hold writer lines alone
+    NEAR_WRITTEN = {
+        "text after the brace": record_line() + " x\n",
+        "space after the brace": record_line() + " \n",
+        "two records on one line": record_line() + record_line(qid="q2") + "\n",
+        "CRLF": record_line(qid="q2") + "\r\n",
+        "blank line": "\n",
+        "writer lines only": "",
+    }
+
+    @pytest.mark.parametrize("block", [BLOCK, 256])
+    @pytest.mark.parametrize("kind", NEAR_WRITTEN)
+    def test_a_block_is_matched_in_one_call_only_if_its_lines_are_writer_lines(self, kind,
+                                                                              block):
+        written = [record_line(qid=f"q{i}") + "\n" for i in range(2 * BLOCK)]
+        for at in range(len(written) + 1):
+            lines = [*written[:at], self.NEAR_WRITTEN[kind], *written[at:]]
+            # and with the last line's end cut off
+            for text in ("".join(lines), "".join(lines).removesuffix("\n")):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(data, "_BLOCK_ROWS", block)
+                    outcome = parse_outcome(parse_bandit_log, text)
+                assert outcome == parse_outcome(parse_lines, text), (at, text)
 
     @staticmethod
     def written(log):
